@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analytics import log_loss
-from .domain import load_instance, to_fraction
+from .domain import format_fraction, load_instance, to_fraction
 from .engine import format_trace, offline_wsrpt, run
 from .errors import SchedulingError
 from .experiments import (
@@ -137,7 +137,8 @@ def _add_common_flags(p, include_interarrival: bool) -> None:
     p.add_argument("--eps0-grid", help="independent eps0 grid (with --eps1-grid)")
     p.add_argument("--eps1-grid", help="independent eps1 grid (with --eps0-grid)")
     p.add_argument("--policy", action="append", help="policy name; repeatable")
-    p.add_argument("--jobs", type=int, help="worker processes for replications")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes for replications (at most the CPU count)")
     if include_interarrival:
         p.add_argument("--interarrival", help="mean interarrival time (poisson mode)")
     p.add_argument("--config", help="flat key=value config file; flags override it")
@@ -195,13 +196,9 @@ def cmd_run_one(args) -> int:
         rng = random.Random(args.seed or 0)
     outcome = run(instance, policy, revelation, rng=rng)
     sys.stdout.write(format_trace(outcome))
-    for jid in sorted(outcome.completion_times):
-        c = outcome.completion_times[jid]
-        print(f"completion,{jid},{c.numerator}/{c.denominator}" if c.denominator != 1
-              else f"completion,{jid},{c.numerator}")
-    cost = outcome.total_cost
-    cost_s = f"{cost.numerator}/{cost.denominator}" if cost.denominator != 1 else str(cost.numerator)
-    print(f"total_cost,{cost_s}")
+    for jid, c in sorted(outcome.completion_times.items()):
+        print(f"completion,{jid},{format_fraction(c)}")
+    print(f"total_cost,{format_fraction(outcome.total_cost)}")
     print(f"preemptions,{outcome.preemption_count}")
     if instance.mode == "probabilistic":
         ll = log_loss(instance)
@@ -209,8 +206,7 @@ def cmd_run_one(args) -> int:
         print(f"log_loss_clamped,{ll.clamped}")
     if args.against_wsrpt:
         opt = offline_wsrpt(instance, keep_trace=False).total_cost
-        print(f"wsrpt_cost,{opt.numerator}/{opt.denominator}" if opt.denominator != 1
-              else f"wsrpt_cost,{opt.numerator}")
+        print(f"wsrpt_cost,{format_fraction(opt)}")
     return 0
 
 

@@ -12,10 +12,11 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd
 from typing import NamedTuple, Optional
 
-from .domain import Instance, Parameters, PredictionModel, ZERO, ONE
+from .domain import Instance, Parameters, PredictionModel, ZERO, ONE, format_fraction
 from .errors import (
     ContractViolationError,
     ResourceLimitError,
@@ -41,12 +42,22 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Result of one simulated schedule."""
+    """Result of one simulated schedule.
 
-    completion_times: dict[int, Fraction]
+    Job `j` completes at exactly `completion_ticks[j] / den`; the
+    `completion_times` Fractions are built from these on first access.
+    """
+
+    completion_ticks: dict[int, int]
+    den: int
     total_cost: Fraction
     trace: Optional[tuple[TraceEvent, ...]]
     preemption_count: int
+
+    @cached_property
+    def completion_times(self) -> dict[int, Fraction]:
+        den = self.den
+        return {jid: Fraction(ticks, den) for jid, ticks in self.completion_ticks.items()}
 
 
 def format_trace(outcome: RunOutcome) -> str:
@@ -55,9 +66,7 @@ def format_trace(outcome: RunOutcome) -> str:
         raise ValueError("run was executed without trace retention")
     lines = []
     for ev in outcome.trace:
-        t = ev.time
-        t_str = str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
-        lines.append(f"{t_str},{ev.kind},{ev.job_id},{ev.true_type}")
+        lines.append(f"{format_fraction(ev.time)},{ev.kind},{ev.job_id},{ev.true_type}")
     return "\n".join(lines) + "\n"
 
 
@@ -75,7 +84,17 @@ class _Prepared(NamedTuple):
     true_of: dict[int, int]
 
 
+# (instance, layout) of the last prepared instance. Drivers run every policy
+# back to back on one instance, so one slot saves all but the first layout.
+# Instances are immutable, and the slot holds its instance, so `is` is sound.
+_last_layout: tuple = (None, None)
+
+
 def _prepare(instance: Instance) -> _Prepared:
+    global _last_layout
+    last = _last_layout  # one read: the pair cannot tear under threads
+    if last[0] is instance:
+        return last[1]
     params = instance.params
     jobs = instance.jobs
     den = params.alpha.denominator
@@ -108,7 +127,9 @@ def _prepare(instance: Instance) -> _Prepared:
             future.append((r.numerator * (den // r.denominator), entry))
     initial.sort()
     future.sort()
-    return _Prepared(den, alpha_ticks, tuple(initial), tuple(future), true_of)
+    layout = _Prepared(den, alpha_ticks, tuple(initial), tuple(future), true_of)
+    _last_layout = (instance, layout)
+    return layout
 
 
 def run(
@@ -118,8 +139,6 @@ def run(
     *,
     rng: Optional[random.Random] = None,
     keep_trace: bool = True,
-    _prep: Optional[_Prepared] = None,
-    _cost_only: bool = False,
 ) -> RunOutcome:
     """Simulate one schedule of `instance` under `policy`.
 
@@ -139,7 +158,7 @@ def run(
     if policy.name == "hybrid" and instance.mode != "binary":
         raise UnsupportedInputError("hybrid policy needs binary labels")
 
-    prep = _prep if _prep is not None else _prepare(instance)
+    prep = _prepare(instance)
     den = prep.den
     alpha_ticks = prep.alpha_ticks
     unit = den
@@ -191,30 +210,11 @@ def run(
                 head = pend[pi]
                 key = (head[0], head[2], have_intr)
             else:
-                key = (None, None, True)
+                key = None
             kind = memo.get(key)
-            if kind is None:
-                action = consult(t)
-                kind = action.kind
-                if kind == "open":
-                    if not have_pend:
-                        raise ContractViolationError(
-                            f"policy {policy.name} opened with an empty queue "
-                            f"at t={Fraction(t, den)}"
-                        )
-                elif kind == "complete":
-                    if not have_intr or action.job_id != intr[ii][0]:
-                        raise ContractViolationError(
-                            f"policy {policy.name} is declared fifo_stationary but completed "
-                            f"job {action.job_id} instead of the FIFO head at t={Fraction(t, den)}"
-                        )
-                else:
-                    raise ContractViolationError(
-                        f"unknown action kind {kind!r} from {policy.name}"
-                    )
-                memo[key] = kind
-            target = intr[ii][0] if kind == "complete" else None
         else:
+            kind = None
+        if kind is None:
             action = consult(t)
             kind = action.kind
             target = action.job_id
@@ -225,6 +225,15 @@ def run(
                     )
             elif kind != "complete":
                 raise ContractViolationError(f"unknown action kind {kind!r} from {policy.name}")
+            if memo is not None:
+                if kind == "complete" and (not have_intr or target != intr[ii][0]):
+                    raise ContractViolationError(
+                        f"policy {policy.name} is declared fifo_stationary but completed "
+                        f"job {target} instead of the FIFO head at t={Fraction(t, den)}"
+                    )
+                memo[key] = kind
+        elif kind == "complete":
+            target = intr[ii][0]
 
         if pending is not None:
             if kind != "complete" or target != pending:
@@ -284,14 +293,10 @@ def run(
             done += 1
             t = ct
 
-    total_cost = (params.w0 * s0 + params.w1 * s1) / den
-    if _cost_only:
-        completion_times = {}
-    else:
-        completion_times = {jid: Fraction(ticks, den) for jid, ticks in comp_ticks.items()}
     return RunOutcome(
-        completion_times=completion_times,
-        total_cost=total_cost,
+        completion_ticks=comp_ticks,
+        den=den,
+        total_cost=(params.w0 * s0 + params.w1 * s1) / den,
         trace=tuple(trace) if trace is not None else None,
         preemption_count=preemptions,
     )
@@ -301,11 +306,7 @@ def run(
 # Offline (clairvoyant) schedules
 # ---------------------------------------------------------------------------
 
-def offline_wspt(
-    instance: Instance,
-    keep_trace: bool = True,
-    _cost_only: bool = False,
-) -> RunOutcome:
+def offline_wspt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     """Optimal batch schedule with known types: urgent first, back to back.
 
     Only valid when every release time is 0; job j in the sorted order
@@ -315,13 +316,12 @@ def offline_wspt(
         raise UnsupportedInputError("offline_wspt needs all release times 0; use offline_wsrpt")
     params = instance.params
     order = sorted(instance.jobs, key=lambda j: (j.true_type, j.id))
-    comp: dict[int, Fraction] = {}
+    comp: dict[int, int] = {}
     s0 = 0
     s1 = 0
     trace = [] if keep_trace else None
     for pos, job in enumerate(order, start=1):
-        if not _cost_only:
-            comp[job.id] = Fraction(pos)
+        comp[job.id] = pos
         if job.true_type == 0:
             s0 += pos
         else:
@@ -330,7 +330,7 @@ def offline_wspt(
             trace.append(TraceEvent(Fraction(pos - 1), "open", job.id, job.true_type))
             trace.append(TraceEvent(Fraction(pos), "complete", job.id, job.true_type))
     total = params.w0 * s0 + params.w1 * s1
-    return RunOutcome(comp, total, tuple(trace) if trace is not None else None, 0)
+    return RunOutcome(comp, 1, total, tuple(trace) if trace is not None else None, 0)
 
 
 def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
@@ -416,8 +416,9 @@ def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
             t = next_release
 
     total = Fraction(cost_scaled, wden * den)
-    comp = {jid: Fraction(ticks, den) for jid, ticks in comp_ticks.items()}
-    return RunOutcome(comp, total, tuple(trace) if trace is not None else None, preemptions)
+    return RunOutcome(
+        comp_ticks, den, total, tuple(trace) if trace is not None else None, preemptions
+    )
 
 
 def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:

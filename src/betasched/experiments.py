@@ -10,6 +10,7 @@ regardless of how replications are divided among worker processes.
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,10 +19,12 @@ from typing import Optional
 
 from .analytics import (
     ExpectedPerformance,
+    _fmt,
     competitive_ratio,
     expected_unconditional,
 )
 from .domain import (
+    HALF,
     Instance,
     Job,
     Parameters,
@@ -33,7 +36,6 @@ from .domain import (
     to_fraction,
 )
 from .engine import (
-    _prepare,
     enumerate_offline_optimum,
     expectimax_optimal,
     offline_wspt,
@@ -42,12 +44,6 @@ from .engine import (
     run,
 )
 from .policies import Regime, classify_regime, get_policy
-
-HALF = Fraction(1, 2)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 @dataclass(frozen=True)
@@ -164,13 +160,10 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
         rng = _rep_rng(config.seed, grid_index, rep)
         jobs = _draw_jobs(rng, n, rho_f, e0f, e1f)
         inst = Instance(jobs, params, model)
-        prep = _prepare(inst)
         k = rep - start
-        out[0][k] = float(offline_wspt(inst, keep_trace=False, _cost_only=True).total_cost)
+        out[0][k] = float(offline_wspt(inst, keep_trace=False).total_cost)
         for pi, pol in enumerate(policies, start=1):
-            out[pi][k] = float(
-                run(inst, pol, keep_trace=False, _prep=prep, _cost_only=True).total_cost
-            )
+            out[pi][k] = float(run(inst, pol, keep_trace=False).total_cost)
     return out
 
 
@@ -190,29 +183,28 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
         releases = _draw_releases(rng, n, mean)
         jobs = [job._replace(release_time=r) for job, r in zip(base, releases)]
         inst = Instance(jobs, params, model)
-        prep = _prepare(inst)
         opt_cost = offline_wsrpt(inst, keep_trace=False).total_cost
         k = rep - start
         for pi, pol in enumerate(policies):
-            cost = run(inst, pol, keep_trace=False, _prep=prep, _cost_only=True).total_cost
+            cost = run(inst, pol, keep_trace=False).total_cost
             out[pi][k] = float(cost / opt_cost)
     return out
 
 
 def _chunks(total: int, jobs: int):
-    size = max(1, math.ceil(total / jobs))
+    """Replication spans, one per worker process, never more than the CPUs."""
+    workers = min(jobs, os.cpu_count() or 1)
+    size = max(1, math.ceil(total / workers))
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
 def _run_chunked(worker, config: ExperimentConfig, grid_index, eps0, eps1, columns: int):
     """Execute replication chunks (serially or in processes), reduce in order."""
     spans = _chunks(config.replications, config.jobs)
-    results = []
-    if config.jobs == 1 or len(spans) == 1:
-        for s, e in spans:
-            results.append(worker(config, grid_index, eps0, eps1, s, e))
+    if len(spans) == 1:
+        results = [worker(config, grid_index, eps0, eps1, *spans[0])]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
             futures = [
                 pool.submit(worker, config, grid_index, eps0, eps1, s, e) for s, e in spans
             ]

@@ -6,7 +6,6 @@ all mutation; policies only read the state views passed to them.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -79,25 +78,10 @@ class UnopenedQueue:
     def head_label(self) -> Optional[int]:
         return self._entries[self._start][2]
 
-    def head_id(self) -> int:
-        return self._entries[self._start][1]
-
     def items(self):
         """Yield (job_id, priority, label) in scheduling order."""
         for _, job_id, label, priority in self._entries[self._start:]:
             yield job_id, priority, label
-
-    # engine-side mutation
-    def push_entry(self, entry) -> None:
-        bisect.insort(self._entries, entry, lo=self._start)
-
-    def head_entry(self):
-        return self._entries[self._start]
-
-    def pop_head(self):
-        entry = self._entries[self._start]
-        self._start += 1
-        return entry
 
 
 class InterruptedQueue:
@@ -135,25 +119,6 @@ class InterruptedQueue:
                 best = entry
         return best
 
-    # engine-side mutation
-    def append(self, job_id: int, theta: Fraction) -> None:
-        self._entries.append((job_id, theta))
-
-    def remove(self, job_id: int) -> Fraction:
-        if self._entries[self._start][0] == job_id:
-            theta = self._entries[self._start][1]
-            self._start += 1
-            return theta
-        for i in range(self._start + 1, len(self._entries)):
-            if self._entries[i][0] == job_id:
-                theta = self._entries[i][1]
-                del self._entries[i]
-                return theta
-        raise KeyError(job_id)
-
-    def __contains__(self, job_id: int) -> bool:
-        return any(entry[0] == job_id for entry in self.items())
-
 
 class PolicyState:
     """Snapshot a policy sees at a decision point: queues plus the clock."""
@@ -177,12 +142,14 @@ def _require_action(state: PolicyState) -> None:
         raise TerminalStateError(f"no legal action at t={state.clock}")
 
 
-def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
-    """Open jobs in sorted order and never set one aside.
+def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
+    """Open everything available first; finish interrupted work only after.
 
-    The engine never consults a non-preempting policy at reveal points, so
-    under this rule the interrupted queue stays empty; the completion branch
-    only exists to keep the function total on arbitrary states.
+    Also the nonpreemptive rule (`nonpreemptive_decide`): what separates the
+    two is the policy's `preempts` flag. The engine never consults a
+    non-preempting policy at reveal points, so under that rule the
+    interrupted queue stays empty and the completion branch only keeps the
+    function total on arbitrary states.
     """
     _require_action(state)
     if len(state.unopened) > 0:
@@ -190,12 +157,7 @@ def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
     return complete_low(state.interrupted.first_id())
 
 
-def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
-    """Open everything available first; finish interrupted work only after."""
-    _require_action(state)
-    if len(state.unopened) > 0:
-        return OPEN_NEXT
-    return complete_low(state.interrupted.first_id())
+nonpreemptive_decide = preemptive_decide
 
 
 def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:

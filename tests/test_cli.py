@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
+from betasched import experiments
 from betasched.cli import main
 from betasched.domain import dump_instance, sample_instance
 from betasched.experiments import (
@@ -51,6 +53,35 @@ class TestSweepDriver:
 
     def test_worker_count_does_not_change_output(self):
         assert run_sweep(small_config(jobs=2)) == run_sweep(small_config(jobs=1))
+
+    def test_worker_processes_capped_at_cpu_count(self, monkeypatch):
+        """A huge --jobs plans at most one chunk per CPU; no process is started."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        spans = experiments._chunks(1000, 100_000)
+        assert len(spans) == 3
+        assert [s for a, b in spans for s in range(a, b)] == list(range(1000))
+        assert run_sweep(small_config(jobs=100_000)) == run_sweep(small_config(jobs=1))
+        assert pools and all(w <= 3 for w in pools)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments._chunks(1000, 100_000) == [(0, 1000)]
 
     def test_hybrid_at_small_error_beats_both(self):
         rows = run_sweep(small_config(n=20, replications=200))

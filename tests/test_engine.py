@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from betasched import engine
 from betasched.domain import Instance, Job, Parameters, PredictionModel, sample_instance
 from betasched.engine import (
     enumerate_offline_optimum,
@@ -443,3 +444,42 @@ class TestPosteriorRevelation:
                 # alpha done up front, the last 1-alpha contiguous at the end
                 assert ev.time == opened[ev.job_id] + base_params.alpha
                 assert (c - (1 - base_params.alpha)) >= ev.time
+
+
+class TestLayoutReuse:
+    """Runs that reuse the last instance's layout must match fresh runs."""
+
+    POLICIES = ("nonpreemptive", "preemptive", "hybrid", "beta", "modified-beta")
+
+    def fresh(self, inst, name, monkeypatch):
+        monkeypatch.setattr(engine, "_last_layout", (None, None))
+        return run(inst, get_policy(name))
+
+    def check_alternation(self, a, b, monkeypatch):
+        want = {id(inst): {name: self.fresh(inst, name, monkeypatch) for name in self.POLICIES}
+                for inst in (a, b)}
+        assert want[id(a)]["beta"].trace != want[id(b)]["beta"].trace
+        for inst in (a, b, a):
+            for name in self.POLICIES:
+                got = run(inst, get_policy(name))
+                ref = want[id(inst)][name]
+                assert got.trace == ref.trace
+                assert got.total_cost == ref.total_cost
+                assert got.completion_times == ref.completion_times
+
+    def test_batch_instances(self, base_params, base_model, monkeypatch):
+        self.check_alternation(
+            sample_instance(12, base_model, base_params, seed=3),
+            sample_instance(12, base_model, base_params, seed=4),
+            monkeypatch,
+        )
+
+    def test_release_date_instances(self, base_params, base_model, monkeypatch):
+        def released(seed):
+            rng = random.Random(seed)
+            jobs = [Job(i, rng.randint(0, 1), rng.randint(0, 1),
+                        release_time=F(rng.randrange(12), rng.choice((3, 4, 5))))
+                    for i in range(1, 10)]
+            return Instance(jobs, base_params, base_model)
+
+        self.check_alternation(released(1), released(2), monkeypatch)
