@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 from .domain import (
@@ -30,7 +29,7 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exact expected cost, conditioned on the number of urgent jobs
+# Exact expected cost, given the urgent count or averaged over it
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -47,41 +46,46 @@ class ConditionalExpectation:
     params: Parameters
 
 
-def expected_conditional(
-    n: int,
-    n0: int,
-    model: PredictionModel,
-    params: Parameters,
-) -> ConditionalExpectation:
-    """Exact per-policy expectation given n0 urgent jobs among n.
+def _expected_costs(n: int, urgent_pairs: Fraction, mixed_pairs: Fraction,
+                    nonurgent_pairs: Fraction, model: PredictionModel, params: Parameters):
+    """(opt, nonpreemptive, preemptive, hybrid), linear in three pair statistics.
 
+    With n0 urgent and n1 = n - n0 non-urgent jobs the statistics are
+    n0(n0+1)/2, n0*n1/2 and n1(n1-1)/2; their expectations give expected costs.
     The clairvoyant optimum is positional. Each policy pays on top of it for
     mispredicted pairs: a nonpreemptive schedule pays the full weight gap per
     inversion; a preemptive schedule pays alpha-scaled probes on inversions
     and on every non-urgent pair; the hybrid switch pays probe costs inside
     the predicted-urgent prefix and full inversions outside it.
     """
-    if not (0 <= n0 <= n):
-        raise ValueError(f"n0 must lie in [0, {n}], got {n0}")
     w0, w1, alpha = params.w0, params.w1, params.alpha
     e0, e1 = model.eps0, model.eps1
-    n1 = n - n0
 
-    opt = (w0 - w1) * Fraction(n0 * (n0 + 1), 2) + w1 * Fraction(n * (n + 1), 2)
-    ex = (e0 + e1) * Fraction(n0 * n1, 2)          # inverted (non-urgent, urgent) pairs
-    ey = Fraction(n1 * (n1 - 1), 2)                # (non-urgent, non-urgent) pairs
-    ex0 = e1 * (ONE - e0) * Fraction(n0 * n1, 2)   # inversions inside the predicted-urgent prefix
-    ey0 = e1 * e1 * Fraction(n1 * n1 - n1, 2)      # non-urgent pairs inside the prefix
+    opt = (w0 - w1) * urgent_pairs + w1 * Fraction(n * (n + 1), 2)
+    ex = (e0 + e1) * mixed_pairs              # inverted (non-urgent, urgent) pairs
+    ey = nonurgent_pairs                      # (non-urgent, non-urgent) pairs
+    ex0 = e1 * (ONE - e0) * mixed_pairs       # inversions inside the predicted-urgent prefix
+    ey0 = e1 * e1 * nonurgent_pairs           # non-urgent pairs inside the prefix
 
     nonpreemptive = opt + (w0 - w1) * ex
     preemptive = opt + alpha * w0 * ex + alpha * w1 * ey
     hybrid = opt + alpha * w0 * ex0 + alpha * w1 * ey0 + (w0 - w1) * (ex - ex0)
-    return ConditionalExpectation(opt, nonpreemptive, preemptive, hybrid, n, n0, model, params)
+    return opt, nonpreemptive, preemptive, hybrid
+
+
+def expected_conditional(n: int, n0: int, model: PredictionModel,
+                         params: Parameters) -> ConditionalExpectation:
+    """Exact per-policy expectation given n0 urgent jobs among n."""
+    if not (0 <= n0 <= n):
+        raise ValueError(f"n0 must lie in [0, {n}], got {n0}")
+    n1 = n - n0
+    pairs = (Fraction(n0 * (n0 + 1), 2), Fraction(n0 * n1, 2), Fraction(n1 * (n1 - 1), 2))
+    return ConditionalExpectation(*_expected_costs(n, *pairs, model, params), n, n0, model, params)
 
 
 @dataclass(frozen=True)
 class ExpectedPerformance:
-    """Exact unconditional expectations (binomial mixture over n0)."""
+    """Exact expectations over n0 ~ Binomial(n, rho), from its first two moments."""
 
     opt: Fraction
     nonpreemptive: Fraction
@@ -92,35 +96,30 @@ class ExpectedPerformance:
     params: Parameters
 
     def for_policy(self, name: str) -> Fraction:
-        """Expectation for a named policy; `beta` selects by regime."""
-        if name == "beta":
-            regime = classify_regime(self.model, self.params)
-            name = regime.value
-        if name == "opt":
-            return self.opt
+        """Expectation for a named policy; `beta` and `modified-beta` select by regime.
+
+        The two rules coincide under the exact revelation assumed here.
+        """
+        if name in ("beta", "modified-beta"):
+            name = classify_regime(self.model, self.params).value
+        if name not in ("opt", "nonpreemptive", "preemptive", "hybrid"):
+            raise ValueError(f"no closed form for policy {name!r}")
         return getattr(self, name)
 
 
-def expected_unconditional(
-    n: int,
-    model: PredictionModel,
-    params: Parameters,
-) -> ExpectedPerformance:
-    """Exact expectation over the urgent-count distribution Binomial(n, rho)."""
+def expected_unconditional(n: int, model: PredictionModel,
+                           params: Parameters) -> ExpectedPerformance:
+    """Exact expectation over n0 ~ Binomial(n, rho), in O(1) in n.
+
+    The pair statistics are quadratic in n0, so E[n0] = n*rho and
+    E[n0^2] = n*rho*(1-rho) + (n*rho)^2 give their expectations exactly.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     rho = model.rho
-    totals = [ZERO, ZERO, ZERO, ZERO]
-    for n0 in range(n + 1):
-        weight = comb(n, n0) * rho ** n0 * (ONE - rho) ** (n - n0)
-        if weight == ZERO:
-            continue
-        cond = expected_conditional(n, n0, model, params)
-        totals[0] += weight * cond.opt
-        totals[1] += weight * cond.nonpreemptive
-        totals[2] += weight * cond.preemptive
-        totals[3] += weight * cond.hybrid
-    return ExpectedPerformance(*totals, n, model, params)
+    pairs = (n * rho * (2 - rho + n * rho) / 2, n * (n - 1) * rho * (ONE - rho) / 2,
+             n * (n - 1) * (ONE - rho) ** 2 / 2)
+    return ExpectedPerformance(*_expected_costs(n, *pairs, model, params), n, model, params)
 
 
 # ---------------------------------------------------------------------------

@@ -166,9 +166,12 @@ def cmd_arrivals(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    sizes = {"--n-max": args.n_max, "--instances": args.instances, "--samples": args.samples}
+    for flag, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     suites = [
-        ("optimality", lambda: verify_optimality(
-            grid={"n": tuple(range(1, args.n_max + 1))} if args.n_max else None)),
+        ("optimality", lambda: verify_optimality(grid={"n": tuple(range(1, args.n_max + 1))})),
         ("wsrpt", lambda: verify_wsrpt(instances=args.instances, seed=args.seed or 0)),
         ("regimes", lambda: verify_regimes(samples=args.samples, seed=args.seed or 0)),
     ]

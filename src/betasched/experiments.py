@@ -12,17 +12,13 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .analytics import (
-    ExpectedPerformance,
-    _fmt,
-    competitive_ratio,
-    expected_unconditional,
-)
+from .analytics import _fmt, competitive_ratio, expected_unconditional
 from .domain import (
     HALF,
     Instance,
@@ -198,22 +194,25 @@ def _chunks(total: int, jobs: int):
     return [(s, min(s + size, total)) for s in range(0, total, size)]
 
 
-def _run_chunked(worker, config: ExperimentConfig, grid_index, eps0, eps1, columns: int):
-    """Execute replication chunks (serially or in processes), reduce in order."""
+def _run_grid(worker, config: ExperimentConfig):
+    """Yield each grid point's replication columns, in grid order.
+
+    Every (grid point, span) chunk is planned up front; with more than one
+    span they all go to a single process pool. Chunks are reduced in grid
+    and replication order, so the split never shows in the output.
+    """
     spans = _chunks(config.replications, config.jobs)
+    plan = [[(config, gi, e0, e1, s, e) for s, e in spans]
+            for gi, (e0, e1) in enumerate(config.eps_pairs)]
     if len(spans) == 1:
-        results = [worker(config, grid_index, eps0, eps1, *spans[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [
-                pool.submit(worker, config, grid_index, eps0, eps1, s, e) for s, e in spans
-            ]
-            results = [f.result() for f in futures]
-    merged = [[] for _ in range(columns)]
-    for block in results:
-        for c in range(columns):
-            merged[c].extend(block[c])
-    return merged
+        for (task,) in plan:
+            yield worker(*task)
+        return
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        pending = deque([pool.submit(worker, *task) for task in point] for point in plan)
+        while pending:  # popped, so a reduced point's results can be freed
+            blocks = [f.result() for f in pending.popleft()]
+            yield [[v for col in cols for v in col] for cols in zip(*blocks)]
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
@@ -245,15 +244,14 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     if config.arrival != "batch":
         raise ValueError("run_sweep is the batch driver; use run_arrivals for poisson mode")
     rows = []
-    for gi, (e0, e1) in enumerate(config.eps_pairs):
+    names = ("opt",) + config.policies
+    for (e0, e1), costs in zip(config.eps_pairs, _run_grid(_sweep_chunk, config)):
         model = config.model_for(e0, e1)
         perf = expected_unconditional(config.n, model, config.params)
         opt_mean = float(perf.opt)
-        costs = _run_chunked(_sweep_chunk, config, gi, e0, e1, len(config.policies) + 1)
-        names = ("opt",) + config.policies
         for ci, name in enumerate(names):
             mean, stderr = _mean_stderr(costs[ci])
-            analytic = float(_analytic_for(perf, name)) / opt_mean
+            analytic = float(perf.for_policy(name)) / opt_mean
             rows.append({
                 "eps0": _fmt(float(e0)),
                 "eps1": _fmt(float(e1)),
@@ -266,19 +264,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     return rows
 
 
-def _analytic_for(perf: ExpectedPerformance, name: str) -> Fraction:
-    if name == "modified-beta":
-        name = "beta"  # identical under exact revelation
-    return perf.for_policy(name)
-
-
 def run_arrivals(config: ExperimentConfig) -> list[dict[str, str]]:
     """Arrival-mode rows: per-replication ratio against the clairvoyant schedule."""
     if config.arrival != "poisson":
         raise ValueError("run_arrivals needs arrival='poisson'")
     rows = []
-    for gi, (e0, e1) in enumerate(config.eps_pairs):
-        ratios = _run_chunked(_arrivals_chunk, config, gi, e0, e1, len(config.policies))
+    for (e0, e1), ratios in zip(config.eps_pairs, _run_grid(_arrivals_chunk, config)):
         for ci, name in enumerate(config.policies):
             mean, stderr = _mean_stderr(ratios[ci])
             rows.append({

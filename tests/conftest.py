@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from betasched.analytics import expected_conditional
 from betasched.domain import Instance, Job, Parameters, PredictionModel
 from betasched.engine import run
 from betasched.policies import get_policy
@@ -74,3 +75,19 @@ def bruteforce_unconditional_mean(n, model, params, policy_name):
         weight = comb(n, n0) * rho ** n0 * (ONE - rho) ** (n - n0)
         total += weight * bruteforce_conditional_mean(n, n0, model, params, policy_name)
     return total
+
+
+def mixture_unconditional(n, model, params):
+    """Binomial(n, rho) mixture of expected_conditional over every n0, exact.
+
+    Returns (opt, nonpreemptive, preemptive, hybrid): an O(n) reference for
+    expected_unconditional, which uses the moments of the urgent count instead.
+    """
+    rho = model.rho
+    totals = [Fraction(0)] * 4
+    for n0 in range(n + 1):
+        weight = comb(n, n0) * rho ** n0 * (ONE - rho) ** (n - n0)
+        cond = expected_conditional(n, n0, model, params)
+        for i, value in enumerate((cond.opt, cond.nonpreemptive, cond.preemptive, cond.hybrid)):
+            totals[i] += weight * value
+    return tuple(totals)

@@ -93,6 +93,36 @@ class TestExpectedUnconditional:
         u2 = expected_unconditional(6, noisy, base_params)
         assert u2.for_policy("beta") == u2.preemptive
 
+    def test_for_policy_maps_modified_beta_to_beta(self, base_params, base_model):
+        u = expected_unconditional(6, base_model, base_params)
+        assert u.for_policy("modified-beta") == u.for_policy("beta") == u.hybrid
+        assert u.for_policy("opt") == u.opt
+
+    @pytest.mark.parametrize("name", ["n", "params", "model", "nope", "for_policy"])
+    def test_for_policy_rejects_unknown_names(self, base_params, base_model, name):
+        u = expected_unconditional(6, base_model, base_params)
+        with pytest.raises(ValueError, match="no closed form"):
+            u.for_policy(name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 500])
+    @pytest.mark.parametrize("rho", [F(1, 10 ** 6), F(1, 10), F(1, 2), F(99, 100)])
+    def test_moment_form_equals_binomial_mixture(self, n, rho):
+        # collapsed posteriors, asymmetric error, and w1 below, at and above
+        # the weight-gap boundary w0*(1 - alpha)
+        from conftest import mixture_unconditional
+
+        eps_pairs = [(0, 0), (F(1, 10), F(3, 10)), (F(1, 2), F(1, 2)), (F(1, 2), 0)]
+        for alpha in (F(2, 5), F(7, 10)):
+            edge = 20 * (1 - alpha)
+            for w1, gap in ((edge - 1, True), (edge, False), (edge + 1, False)):
+                params = Parameters(alpha, 20, w1)
+                assert params.satisfies_weight_gap() is gap
+                for e0, e1 in eps_pairs:
+                    model = PredictionModel(rho, e0, e1)
+                    u = expected_unconditional(n, model, params)
+                    got = (u.opt, u.nonpreemptive, u.preemptive, u.hybrid)
+                    assert got == mixture_unconditional(n, model, params)
+
     def test_vanishing_urgency_limit(self, base_params):
         m = PredictionModel(F(1, 10 ** 6), F(1, 10), F(1, 10))
         u = expected_unconditional(9, m, base_params)

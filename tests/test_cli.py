@@ -80,6 +80,7 @@ class TestSweepDriver:
         assert [s for a, b in spans for s in range(a, b)] == list(range(1000))
         assert run_sweep(small_config(jobs=100_000)) == run_sweep(small_config(jobs=1))
         assert pools and all(w <= 3 for w in pools)
+        assert len(pools) == 1  # one pool for the whole grid, not one per point
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert experiments._chunks(1000, 100_000) == [(0, 1000)]
 
@@ -224,6 +225,16 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-max", "0"), ("--n-max", "-1"), ("--instances", "0"), ("--samples", "-3"),
+    ])
+    def test_verify_rejects_empty_sizes(self, capsys, flag, value):
+        rc = main(["verify", flag, value])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith(f"error: {flag} must be at least 1")
+        assert "PASS" not in out
 
     def test_verify_size_limit_surfaces_cleanly(self, capsys):
         rc = main(["verify", "--n-max", "7", "--instances", "1", "--samples", "1"])
