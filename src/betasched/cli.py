@@ -42,8 +42,11 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         while v <= stop:
             values.append(v)
             v += step
-        return tuple(values)
-    return tuple(to_fraction(part) for part in text.split(",") if part.strip())
+    else:
+        values = [to_fraction(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"error grid {text!r} has no points")
+    return tuple(values)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -82,15 +85,15 @@ def _build_config(args, arrival: str) -> ExperimentConfig:
     eps_text = pick(args.eps_grid, "eps-grid", str, None)
     eps0_text = pick(getattr(args, "eps0_grid", None), "eps0-grid", str, None)
     eps1_text = pick(getattr(args, "eps1_grid", None), "eps1-grid", str, None)
-    if eps0_text or eps1_text:
-        if not (eps0_text and eps1_text):
+    if eps0_text is not None or eps1_text is not None:
+        if eps0_text is None or eps1_text is None:
             raise ValueError("--eps0-grid and --eps1-grid must be given together")
         g0 = _parse_grid(eps0_text)
         g1 = _parse_grid(eps1_text)
         if len(g0) != len(g1):
             raise ValueError("eps0 and eps1 grids must have the same length")
         eps_pairs = tuple(zip(g0, g1))
-    elif eps_text:
+    elif eps_text is not None:
         eps_pairs = tuple((v, v) for v in _parse_grid(eps_text))
     else:
         eps_pairs = default_eps_grid()

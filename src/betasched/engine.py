@@ -13,7 +13,9 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import comb, gcd
+from operator import not_
 from typing import NamedTuple, Optional
 
 from .domain import Instance, Parameters, PredictionModel, ZERO, ONE, format_fraction
@@ -300,6 +302,98 @@ def run(
         trace=tuple(trace) if trace is not None else None,
         preemption_count=preemptions,
     )
+
+
+# ---------------------------------------------------------------------------
+# Batch kernel: binary labels, all jobs released at 0, exact reveal
+# ---------------------------------------------------------------------------
+
+def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> tuple[bool, bool]:
+    """Which label classes `policy` probes on a batch instance under exact reveal.
+
+    flag[l] is the policy's answer to the question `run()` memoizes: with the
+    head job labelled l and one job interrupted at theta = 0, does it open the
+    head (True) or complete the interrupted job (False)? A policy that never
+    preempts probes no class.
+    """
+    if not policy.preempts:
+        return False, False
+    flags = []
+    for label in (0, 1):
+        state = PolicyState(
+            UnopenedQueue([(model.posterior(label), 2, label)]),
+            InterruptedQueue([(1, ZERO)]),
+        )
+        action = policy.decide(state, params)
+        if action.kind not in ("open", "complete") or (
+            action.kind == "complete" and action.job_id != 1
+        ):
+            raise ContractViolationError(
+                f"policy {policy.name} answered {action} with one job interrupted"
+            )
+        flags.append(action.kind == "open")
+    return flags[0], flags[1]
+
+
+class LabelClass(NamedTuple):
+    """The jobs of one label, in queue (id) order, reduced to what costs need."""
+
+    size: int
+    urgent: int
+    urgent_positions: int  # sum of the urgent jobs' 1-based places in the class
+    ends_urgent: bool
+
+    @classmethod
+    def of(cls, types) -> "LabelClass":
+        """Summarise the true types (0 urgent, 1 not) of a class in id order."""
+        m = len(types)
+        return cls(m, m - sum(types), sum(compress(range(1, m + 1), map(not_, types))),
+                   m > 0 and types[-1] == 0)
+
+
+def label_schedule_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int, int]:
+    """Completion-tick sums (urgent, non-urgent) of one batch schedule.
+
+    The schedule is the one `run()` gives a policy with these `label_flags` on
+    a batch instance with binary labels under exact reveal: the queue holds
+    the label-0 class, then the label-1 class. In a probed class every job is
+    opened; an urgent one completes a unit later, a non-urgent one is set
+    aside at its alpha point. An unprobed class first finishes the set-aside
+    jobs (1 - alpha each, FIFO) and then runs its jobs back to back; its last
+    job, if non-urgent, waits at its alpha point for the next decision. Set
+    aside jobs are all non-urgent, so only their count matters. The clock
+    counts ticks of 1/den, and a unit is den ticks; each class costs O(1).
+    """
+    tail = den - alpha_ticks
+    t = s0 = s1 = held = 0
+    for (m, u, pos, ends_urgent), probe in zip(classes, flags):
+        if m == 0:
+            continue  # no decision ever sees this label
+        if probe:
+            # the urgent job at place p has p - c non-urgent jobs ahead of it,
+            # where c is its rank among the urgent ones
+            s0 += u * t + den * (u * (u + 1) // 2) + alpha_ticks * (pos - u * (u + 1) // 2)
+            t += u * den + (m - u) * alpha_ticks
+            held += m - u
+            continue
+        s1 += held * t + tail * (held * (held + 1) // 2)
+        t += held * tail
+        s0 += u * t + den * pos
+        s1 += (m - u) * t + den * (m * (m + 1) // 2 - pos)
+        t += m * den
+        held = 0
+        if not ends_urgent:  # undo the last job's final 1 - alpha
+            s1 -= t
+            t -= tail
+            held = 1
+    s1 += held * t + tail * (held * (held + 1) // 2)
+    return s0, s1
+
+
+def wspt_ticks(n: int, n0: int) -> tuple[int, int]:
+    """Completion-time sums (urgent, non-urgent) of `offline_wspt` with n0 urgent jobs."""
+    s0 = n0 * (n0 + 1) // 2
+    return s0, n * (n + 1) // 2 - s0
 
 
 # ---------------------------------------------------------------------------

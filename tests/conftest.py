@@ -8,7 +8,8 @@ import pytest
 
 from betasched.analytics import expected_conditional
 from betasched.domain import Instance, Job, Parameters, PredictionModel
-from betasched.engine import run
+from betasched.engine import offline_wspt, run
+from betasched.experiments import _draw_jobs, _rep_rng
 from betasched.policies import get_policy
 
 ONE = Fraction(1)
@@ -91,3 +92,24 @@ def mixture_unconditional(n, model, params):
         for i, value in enumerate((cond.opt, cond.nonpreemptive, cond.preemptive, cond.hybrid)):
             totals[i] += weight * value
     return tuple(totals)
+
+
+def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
+    """Batch sweep costs through the engine: one Instance and run() per schedule.
+
+    The body `experiments._sweep_chunk` had before the label kernel replaced
+    it; same signature and output layout (opt first, one row per rep).
+    """
+    params = config.params
+    model = config.model_for(eps0, eps1)
+    policies = [get_policy(name) for name in config.policies]
+    rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
+    out = [[0.0] * (stop - start) for _ in range(len(policies) + 1)]
+    for rep in range(start, stop):
+        rng = _rep_rng(config.seed, grid_index, rep)
+        inst = Instance(_draw_jobs(rng, config.n, rho_f, e0f, e1f), params, model)
+        k = rep - start
+        out[0][k] = float(offline_wspt(inst, keep_trace=False).total_cost)
+        for pi, pol in enumerate(policies, start=1):
+            out[pi][k] = float(run(inst, pol, keep_trace=False).total_cost)
+    return out

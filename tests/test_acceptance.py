@@ -2,7 +2,7 @@
 
 One test per headline guarantee, each enforced at its stated tolerance and
 reported on its own line (run with -s to see the checklist). The Monte Carlo
-comparison is the long pole: a full run takes a few minutes on one core.
+comparison is the slowest test: about 40 s of a 47 s run on 2 vCPUs.
 """
 
 import random

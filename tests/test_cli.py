@@ -1,5 +1,6 @@
 import json
 from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,34 @@ from betasched.experiments import (
     verify_regimes,
     verify_wsrpt,
 )
+from betasched.policies import POLICIES
+from conftest import engine_sweep_chunk
 
 F = Fraction
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Stand-in for the process pool that runs tasks inline and records each pool."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return pools
 
 
 def small_config(**kw):
@@ -52,37 +79,55 @@ class TestSweepDriver:
         assert run_sweep(small_config()) == run_sweep(small_config())
 
     def test_worker_count_does_not_change_output(self):
-        assert run_sweep(small_config(jobs=2)) == run_sweep(small_config(jobs=1))
+        # enough replications that jobs=2 really starts a two-process pool
+        reps = experiments.SWEEP_MIN_REPS_PER_WORKER
+        assert run_sweep(small_config(replications=reps, jobs=2)) == \
+            run_sweep(small_config(replications=reps, jobs=1))
 
-    def test_worker_processes_capped_at_cpu_count(self, monkeypatch):
+    def test_worker_processes_capped_at_cpu_count(self, monkeypatch, inline_pools):
         """A huge --jobs plans at most one chunk per CPU; no process is started."""
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiments, "SWEEP_MIN_REPS_PER_WORKER", 1)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
         spans = experiments._chunks(1000, 100_000)
         assert len(spans) == 3
         assert [s for a, b in spans for s in range(a, b)] == list(range(1000))
         assert run_sweep(small_config(jobs=100_000)) == run_sweep(small_config(jobs=1))
-        assert pools and all(w <= 3 for w in pools)
-        assert len(pools) == 1  # one pool for the whole grid, not one per point
+        assert inline_pools and all(w <= 3 for w in inline_pools)
+        assert len(inline_pools) == 1  # one pool for the whole grid, not one per point
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert experiments._chunks(1000, 100_000) == [(0, 1000)]
+
+    def test_pool_only_for_enough_work(self, monkeypatch, inline_pools):
+        """Small sweeps run in-process; the whole grid's work sets the workers."""
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        tiny = ExperimentConfig(n=50, replications=20, jobs=2)
+        assert run_sweep(tiny) == run_sweep(replace(tiny, jobs=1))
+        assert inline_pools == []
+        # two grid points of this many replications fill exactly two workers
+        big = small_config(replications=experiments.SWEEP_MIN_REPS_PER_WORKER, jobs=2)
+        assert run_sweep(big) == run_sweep(replace(big, jobs=1))
+        assert inline_pools == [2]
+
+        few = small_config(arrival="poisson", replications=20, jobs=2, policies=("beta",))
+        assert run_arrivals(few) == run_arrivals(replace(few, jobs=1))
+        assert inline_pools == [2]
+        enough = replace(few, replications=experiments.ARRIVALS_MIN_REPS_PER_WORKER)
+        assert run_arrivals(enough) == run_arrivals(replace(enough, jobs=1))
+        assert inline_pools == [2, 2]
+
+    @pytest.mark.parametrize("config", [
+        small_config(seed=0, n=50, eps_pairs=default_eps_grid(), replications=30),
+        small_config(seed=7, n=1, eps_pairs=((F(0), F(0)), (F(1, 2), F(1, 2))),
+                     replications=200, policies=("preemptive", "beta", "modified-beta")),
+        small_config(seed=3, n=9, alpha=F(1, 2), w0=F(3), w1=F(1), rho=F(1, 3),
+                     eps_pairs=((F(0), F(1, 2)), (F(1, 2), F(0)), (F(1, 10), F(3, 10))),
+                     replications=150, policies=tuple(POLICIES)),
+        small_config(seed=11, n=20, alpha=F(3, 5), w0=F(5), w1=F(2), replications=100),
+    ], ids=["headline", "n1-collapsed", "tie-asymmetric", "beta1"])
+    def test_rows_equal_the_engine_path(self, monkeypatch, config):
+        rows = run_sweep(config)
+        monkeypatch.setattr(experiments, "_sweep_chunk", engine_sweep_chunk)
+        assert rows == run_sweep(config)
 
     def test_hybrid_at_small_error_beats_both(self):
         rows = run_sweep(small_config(n=20, replications=200))
@@ -202,6 +247,20 @@ class TestCliCommands:
         rc = main(["sweep", "--eps0-grid", "0,0.1", "--eps1-grid", "0.2"])
         assert rc == 2
         assert "same length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        ["--eps-grid", "0.5:0:0.05"],
+        ["--eps-grid", ","],
+        ["--eps-grid", ""],
+        ["--eps0-grid", ",", "--eps1-grid", ","],
+        ["--eps0-grid", "0.2:0.1:0.05", "--eps1-grid", "0.2:0.1:0.05"],
+    ])
+    def test_empty_error_grid_fails(self, capsys, grid):
+        rc = main(["sweep", "--n", "3", "--reps", "5"] + grid)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("error: error grid") and "no points" in err
+        assert out == ""
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

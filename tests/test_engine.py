@@ -5,15 +5,26 @@ from math import comb
 import pytest
 
 from betasched import engine
-from betasched.domain import Instance, Job, Parameters, PredictionModel, sample_instance
+from betasched.domain import (
+    Instance,
+    Job,
+    Parameters,
+    PredictionModel,
+    dump_instance,
+    sample_instance,
+)
 from betasched.engine import (
+    LabelClass,
     enumerate_offline_optimum,
     expectimax_optimal,
     format_trace,
+    label_flags,
+    label_schedule_ticks,
     offline_wspt,
     offline_wsrpt,
     rule_expected_cost,
     run,
+    wspt_ticks,
 )
 from betasched.errors import (
     ContractViolationError,
@@ -21,9 +32,12 @@ from betasched.errors import (
     UnsupportedInputError,
 )
 from betasched.policies import (
+    OPEN_NEXT,
+    POLICIES,
     Action,
     Policy,
     PosteriorRevelation,
+    complete_low,
     get_policy,
 )
 from conftest import worked_example_instance
@@ -483,3 +497,104 @@ class TestLayoutReuse:
             return Instance(jobs, base_params, base_model)
 
         self.check_alternation(released(1), released(2), monkeypatch)
+
+
+def probe_classes(flag0, flag1):
+    """A policy that opens over interrupted work exactly for these head labels."""
+    flags = (flag0, flag1)
+
+    def decide(state, params):
+        if len(state.unopened) and (
+            len(state.interrupted) == 0 or flags[state.unopened.head_label()]
+        ):
+            return OPEN_NEXT
+        return complete_low(state.interrupted.first_id())
+
+    return Policy(f"probe-{int(flag0)}{int(flag1)}", decide)
+
+
+def kernel_cost(inst, policy):
+    """The batch label kernel's exact cost for `inst`, built from its jobs."""
+    by_id = sorted(inst.jobs, key=lambda j: j.id)
+    classes = [LabelClass.of([j.true_type for j in by_id if j.label == label])
+               for label in (0, 1)]
+    flags = label_flags(policy, inst.model, inst.params)
+    alpha = inst.params.alpha
+    s0, s1 = label_schedule_ticks(classes, flags, alpha.numerator, alpha.denominator)
+    return (inst.params.w0 * s0 + inst.params.w1 * s1) / alpha.denominator
+
+
+def kernel_cases():
+    """(params, model) pairs covering the kernel's edge cases."""
+    cases = []
+    for alpha in (F(1, 4), F(2, 5), F(1, 2), F(7, 10)):
+        for w0 in (F(3), F(20)):
+            # w1 = w0 (1 - alpha) puts beta at exactly 1
+            for w1 in (F(1), w0 * (1 - alpha)):
+                for eps in ((0, 0), (F(1, 10), F(3, 10)), (F(1, 4), 0), (F(1, 2), F(1, 2))):
+                    cases.append((Parameters(alpha, w0, w1), PredictionModel(F(1, 3), *eps)))
+    # beta = posterior(0) = 1/2: the head probability ties the threshold
+    cases.append((Parameters(F(1, 2), 3, 1), PredictionModel(F(1, 3), 0, F(1, 2))))
+    return cases
+
+
+def random_batch_instance(rng, params, model, n):
+    """Binary batch instance with ids in a shuffled input order."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    jobs = [Job(i, rng.randint(0, 1), rng.randint(0, 1)) for i in ids]
+    return Instance(jobs, params, model)
+
+
+class TestLabelKernel:
+    """The batch label kernel must price exactly what run() schedules."""
+
+    def test_flags_of_the_shipped_policies(self, base_params, base_model):
+        # posteriors 1/2 and 1/82 straddle beta = 2/57: the rule is hybrid here
+        flags = {name: label_flags(get_policy(name), base_model, base_params)
+                 for name in POLICIES}
+        assert flags == {
+            "nonpreemptive": (False, False),
+            "preemptive": (True, True),
+            "hybrid": (True, False),
+            "beta": (True, False),
+            "modified-beta": (True, False),
+        }
+        tie = PredictionModel(F(1, 3), 0, F(1, 2))
+        params = Parameters(F(1, 2), 3, 1)
+        assert tie.posterior(0) == params.beta()
+        assert label_flags(get_policy("beta"), tie, params) == (False, False)
+
+    def test_flags_reject_an_illegal_answer(self, base_params, base_model):
+        rogue = Policy("rogue", lambda state, params: complete_low(99))
+        with pytest.raises(ContractViolationError):
+            label_flags(rogue, base_model, base_params)
+
+    def test_every_policy_matches_run(self):
+        rng = random.Random(2024)
+        for params, model in kernel_cases():
+            for n in (1, 2, 3, rng.randint(4, 9), rng.randint(10, 30)):
+                inst = random_batch_instance(rng, params, model, n)
+                for policy in POLICIES.values():
+                    want = run(inst, policy, keep_trace=False).total_cost
+                    assert kernel_cost(inst, policy) == want, (policy.name, dump_instance(inst))
+
+    def test_every_flag_pair_matches_run(self, base_params, base_model):
+        """Including (False, True), which no shipped policy produces."""
+        rng = random.Random(77)
+        for flags in ((False, False), (False, True), (True, False), (True, True)):
+            policy = probe_classes(*flags)
+            assert label_flags(policy, base_model, base_params) == flags
+            for _ in range(150):
+                inst = random_batch_instance(rng, base_params, base_model, rng.randint(1, 12))
+                want = run(inst, policy, keep_trace=False).total_cost
+                assert kernel_cost(inst, policy) == want, (flags, dump_instance(inst))
+
+    def test_wspt_closed_form_matches_offline_wspt(self):
+        rng = random.Random(5)
+        for params, model in kernel_cases()[::4]:
+            for n in (1, 2, rng.randint(3, 40)):
+                inst = random_batch_instance(rng, params, model, n)
+                s0, s1 = wspt_ticks(inst.n, inst.n0)
+                want = offline_wspt(inst, keep_trace=False).total_cost
+                assert params.w0 * s0 + params.w1 * s1 == want
