@@ -17,7 +17,6 @@ from .experiments import (
     CR_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentConfig,
-    default_eps_grid,
     render_csv,
     render_json,
     run_arrivals,
@@ -96,7 +95,7 @@ def _build_config(args, arrival: str) -> ExperimentConfig:
     elif eps_text is not None:
         eps_pairs = tuple((v, v) for v in _parse_grid(eps_text))
     else:
-        eps_pairs = default_eps_grid()
+        eps_pairs = None  # the default grid
 
     policies = args.policy or (
         tuple(file_values["policy"].split(",")) if "policy" in file_values else None

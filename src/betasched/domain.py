@@ -66,10 +66,21 @@ class Parameters:
             raise ValueError(f"alpha must lie strictly in (0,1), got {self.alpha}")
         if not (self.w0 > self.w1 > ZERO):
             raise ValueError(f"weights must satisfy w0 > w1 > 0, got w0={self.w0}, w1={self.w1}")
+        b = (self.alpha / (ONE - self.alpha)) * (self.w1 / (self.w0 - self.w1))
+        object.__setattr__(self, "_beta", b)
+        object.__setattr__(self, "_theta_slope", b * self.w0 / self.w1)
 
     def beta(self) -> Fraction:
-        """Threshold (alpha/(1-alpha)) * (w1/(w0-w1)), computed fresh each call."""
-        return (self.alpha / (ONE - self.alpha)) * (self.w1 / (self.w0 - self.w1))
+        """Threshold (alpha/(1-alpha)) * (w1/(w0-w1)), computed once at construction."""
+        return self._beta
+
+    def theta_slope(self) -> Fraction:
+        """Slope K = (alpha/(1-alpha)) * (w0/(w0-w1)) = beta * w0/w1 of the modified rule.
+
+        The modified-beta threshold is beta + K * theta/(1-theta); computed
+        once at construction, like beta.
+        """
+        return self._theta_slope
 
     def satisfies_weight_gap(self) -> bool:
         """True when w1 < w0*(1-alpha), equivalently beta() < 1.

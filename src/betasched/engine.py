@@ -13,6 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import compress
 from math import comb, gcd
 from operator import not_
@@ -32,6 +33,7 @@ from .policies import (
     PolicyState,
     UnopenedQueue,
     expected_weight,
+    theta_key,
 )
 
 
@@ -175,13 +177,17 @@ def run(
     nf = len(future)
     intr: list = []             # (job_id, theta) in FIFO order
     ii = 0                      # head index into intr
+    # theta_key entries of intr, largest theta on top; completed jobs' entries
+    # are popped lazily. Exact reveals give every job theta 0, so the FIFO
+    # head is the argmax and no heap is kept.
+    heap: Optional[list] = None if exact_mode else []
 
     decide = policy.decide
     memo: Optional[dict] = {} if (policy.fifo_stationary and exact_mode) else None
 
     def consult(t_ticks: int):
         uq = UnopenedQueue._wrap(pend, pi)
-        iq = InterruptedQueue._wrap(intr, ii)
+        iq = InterruptedQueue._wrap(intr, ii, heap)
         return decide(PolicyState(uq, iq, t_ticks, den), params)
 
     t = 0
@@ -266,6 +272,8 @@ def run(
                 theta = ZERO if exact_mode else revelation.sample(tt, rng)
                 intr.append((jid, theta))
                 il += 1
+                if heap is not None:
+                    heappush(heap, theta_key(theta, pi, jid))  # pi counts opens: FIFO order
                 t += alpha_ticks
                 pending = jid
         else:
@@ -294,6 +302,9 @@ def run(
                 trace.append(TraceEvent(Fraction(ct, den), "complete", target, tt))
             done += 1
             t = ct
+            if heap is not None:
+                while heap and heap[0][3] in comp_ticks:
+                    heappop(heap)
 
     return RunOutcome(
         completion_ticks=comp_ticks,

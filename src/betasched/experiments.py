@@ -54,7 +54,7 @@ class ExperimentConfig:
     w0: Fraction = Fraction(20)
     w1: Fraction = Fraction(1)
     n: int = 50
-    eps_pairs: tuple[tuple[Fraction, Fraction], ...] = ()
+    eps_pairs: Optional[tuple[tuple[Fraction, Fraction], ...]] = None  # None: default_eps_grid()
     replications: int = 100_000
     seed: int = 0
     arrival: str = "batch"  # batch | poisson
@@ -63,8 +63,10 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.eps_pairs:
+        if self.eps_pairs is None:
             object.__setattr__(self, "eps_pairs", default_eps_grid())
+        elif not self.eps_pairs:
+            raise ValueError("error grid has no points")
         for e0, e1 in self.eps_pairs:
             if not (ZERO <= e0 <= HALF) or not (ZERO <= e1 <= HALF):
                 raise ValueError(f"error rates must lie in [0, 1/2], got ({e0}, {e1})")

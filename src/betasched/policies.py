@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify
 from typing import Callable, NamedTuple, Optional
 
 from .domain import ONE, Parameters, PredictionModel
@@ -84,20 +85,44 @@ class UnopenedQueue:
             yield job_id, priority, label
 
 
-class InterruptedQueue:
-    """Partially processed jobs awaiting their final segment, in FIFO order."""
+def theta_key(theta: Fraction, seq: int, job_id: int) -> tuple:
+    """Min-heap key that puts the largest theta first, FIFO (`seq`) among ties.
 
-    __slots__ = ("_entries", "_start")
+    Correctly rounded Fraction -> float is monotone, so the float orders two
+    thetas exactly whenever it differs; equal floats fall through to the
+    exact theta, then to the arrival sequence. The last two fields are what
+    `argmax_theta` returns.
+    """
+    return (-float(theta), -theta, seq, job_id, theta)
+
+
+class InterruptedQueue:
+    """Partially processed jobs awaiting their final segment, in FIFO order.
+
+    Next to the FIFO list of (job_id, theta) entries the queue keeps a heap
+    of `theta_key` entries, so `argmax_theta` reads its top in O(1). A queue
+    built from entries heapifies them; the engine instead wraps its own list
+    and a heap it updates in O(log n) per interrupt, popping the entries of
+    completed jobs lazily. Under exact revelation every theta is 0, the
+    engine keeps no heap (`heap` is None), and the FIFO head is the answer.
+    """
+
+    __slots__ = ("_entries", "_start", "_heap")
 
     def __init__(self, entries=()):
         self._entries = list(entries)
         self._start = 0
+        self._heap = [theta_key(theta, seq, job_id)
+                      for seq, (job_id, theta) in enumerate(self._entries)]
+        heapify(self._heap)
 
     @classmethod
-    def _wrap(cls, entries: list, start: int) -> "InterruptedQueue":
+    def _wrap(cls, entries: list, start: int, heap: Optional[list]) -> "InterruptedQueue":
+        # read-only view over the engine's FIFO list and theta heap (or None)
         q = object.__new__(cls)
         q._entries = entries
         q._start = start
+        q._heap = heap
         return q
 
     def __len__(self) -> int:
@@ -113,11 +138,10 @@ class InterruptedQueue:
 
     def argmax_theta(self):
         """(job_id, theta) with the largest theta; FIFO order breaks ties."""
-        best = self._entries[self._start]
-        for entry in self._entries[self._start + 1:]:
-            if entry[1] > best[1]:
-                best = entry
-        return best
+        if self._heap is None:
+            return self._entries[self._start]
+        top = self._heap[0]
+        return top[3], top[4]
 
 
 class PolicyState:
@@ -202,10 +226,14 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
 
     Let theta be the largest urgency probability among interrupted jobs. The
     next job is opened iff its prior probability exceeds
-    beta + (alpha/(1-alpha)) * (w0/(w0-w1)) * (theta/(1-theta));
-    otherwise the job attaining theta is completed (FIFO among ties).
-    theta = 1 forces that completion outright. With every theta equal to 0
-    this reduces to the plain beta threshold rule.
+    tau = beta + K * theta/(1-theta), with K = (alpha/(1-alpha)) * (w0/(w0-w1))
+    (`Parameters.theta_slope`); otherwise the job attaining theta is completed
+    (FIFO among ties). theta = 1 forces that completion outright. With every
+    theta equal to 0 this reduces to the plain beta threshold rule.
+
+    theta comes from the interrupted queue's heap in O(1) (the FIFO head
+    under exact revelation), beta and K are stored on `params`, and the
+    comparison is integer-only, so a decision costs no rational arithmetic.
     """
     _require_action(state)
     if len(state.unopened) == 0:
@@ -214,11 +242,18 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     if len(state.interrupted) == 0:
         return OPEN_NEXT
     job_id, theta = state.interrupted.argmax_theta()
-    if theta >= ONE:
+    g, h = theta.numerator, theta.denominator
+    if g >= h:  # theta >= 1
         return complete_low(job_id)
-    alpha, w0, w1 = params.alpha, params.w0, params.w1
-    tau = params.beta() + (alpha / (ONE - alpha)) * (w0 / (w0 - w1)) * (theta / (ONE - theta))
-    if state.unopened.head_priority() > tau:
+    # With p = a/b, beta = c/d, K = e/f and theta = g/h (all denominators
+    # positive):  p > beta + K*theta/(1-theta)
+    #   <=>  (a*d - c*b)/(b*d) > e*g/(f*(h-g))
+    #   <=>  (a*d - c*b)*f*(h-g) > e*g*b*d,   as b*d > 0 and f*(h-g) > 0 for theta < 1.
+    p = state.unopened.head_priority()
+    beta, slope = params.beta(), params.theta_slope()
+    a, b = p.numerator, p.denominator
+    d = beta.denominator
+    if (a * d - beta.numerator * b) * slope.denominator * (h - g) > slope.numerator * g * b * d:
         return OPEN_NEXT
     return complete_low(job_id)
 

@@ -9,8 +9,9 @@ import pytest
 from betasched.analytics import expected_conditional
 from betasched.domain import Instance, Job, Parameters, PredictionModel
 from betasched.engine import offline_wspt, run
+from betasched.errors import TerminalStateError
 from betasched.experiments import _draw_jobs, _rep_rng
-from betasched.policies import get_policy
+from betasched.policies import OPEN_NEXT, Policy, complete_low, get_policy
 
 ONE = Fraction(1)
 
@@ -83,15 +84,18 @@ def mixture_unconditional(n, model, params):
 
     Returns (opt, nonpreemptive, preemptive, hybrid): an O(n) reference for
     expected_unconditional, which uses the moments of the urgent count instead.
+    With rho = a/b the weight of n0 is C(n, n0) a^n0 (b-a)^(n-n0) / b^n, so
+    the sum runs over integer weights and is divided by b^n once.
     """
-    rho = model.rho
+    a, b = model.rho.numerator, model.rho.denominator
     totals = [Fraction(0)] * 4
     for n0 in range(n + 1):
-        weight = comb(n, n0) * rho ** n0 * (ONE - rho) ** (n - n0)
+        weight = comb(n, n0) * a ** n0 * (b - a) ** (n - n0)
         cond = expected_conditional(n, n0, model, params)
         for i, value in enumerate((cond.opt, cond.nonpreemptive, cond.preemptive, cond.hybrid)):
             totals[i] += weight * value
-    return tuple(totals)
+    scale = b ** n
+    return tuple(total / scale for total in totals)
 
 
 def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
@@ -113,3 +117,44 @@ def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
         for pi, pol in enumerate(policies, start=1):
             out[pi][k] = float(run(inst, pol, keep_trace=False).total_cost)
     return out
+
+
+def scan_argmax_theta(interrupted):
+    """(job_id, theta) with the largest theta by a linear scan, FIFO among ties.
+
+    The body `InterruptedQueue.argmax_theta` had before the theta heap; reads
+    only the queue's FIFO `items()`.
+    """
+    entries = iter(interrupted.items())
+    best = next(entries)
+    for entry in entries:
+        if entry[1] > best[1]:
+            best = entry
+    return best
+
+
+def scan_modified_beta_decide(state, params):
+    """The modified-beta rule with a theta scan and tau built from Fractions.
+
+    The body `modified_beta_decide` had before the heap and the integer
+    test, with beta recomputed from alpha, w0 and w1; an oracle only.
+    """
+    if len(state.unopened) == 0 and len(state.interrupted) == 0:
+        raise TerminalStateError(f"no legal action at t={state.clock}")
+    if len(state.unopened) == 0:
+        job_id, _ = scan_argmax_theta(state.interrupted)
+        return complete_low(job_id)
+    if len(state.interrupted) == 0:
+        return OPEN_NEXT
+    job_id, theta = scan_argmax_theta(state.interrupted)
+    if theta >= ONE:
+        return complete_low(job_id)
+    alpha, w0, w1 = params.alpha, params.w0, params.w1
+    beta = (alpha / (ONE - alpha)) * (w1 / (w0 - w1))
+    tau = beta + (alpha / (ONE - alpha)) * (w0 / (w0 - w1)) * (theta / (ONE - theta))
+    if state.unopened.head_priority() > tau:
+        return OPEN_NEXT
+    return complete_low(job_id)
+
+
+SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide, fifo_stationary=False)

@@ -354,6 +354,14 @@ class TestConfigValidation:
         with pytest.raises(Exception):
             ExperimentConfig(policies=("nope",))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="error grid has no points"):
+            run_sweep(ExperimentConfig(eps_pairs=(), n=3, replications=2))
+
+    def test_absent_grid_is_the_default(self):
+        assert ExperimentConfig().eps_pairs == default_eps_grid()
+        assert ExperimentConfig(eps_pairs=None).eps_pairs == default_eps_grid()
+
     def test_default_grid_shape(self):
         grid = default_eps_grid()
         assert len(grid) == 11

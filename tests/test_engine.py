@@ -11,6 +11,7 @@ from betasched.domain import (
     Parameters,
     PredictionModel,
     dump_instance,
+    make_job,
     sample_instance,
 )
 from betasched.engine import (
@@ -32,6 +33,7 @@ from betasched.errors import (
     UnsupportedInputError,
 )
 from betasched.policies import (
+    EXACT_REVELATION,
     OPEN_NEXT,
     POLICIES,
     Action,
@@ -40,7 +42,7 @@ from betasched.policies import (
     complete_low,
     get_policy,
 )
-from conftest import worked_example_instance
+from conftest import SCAN_MODIFIED_BETA, scan_argmax_theta, worked_example_instance
 
 F = Fraction
 
@@ -458,6 +460,128 @@ class TestPosteriorRevelation:
                 # alpha done up front, the last 1-alpha contiguous at the end
                 assert ev.time == opened[ev.job_id] + base_params.alpha
                 assert (c - (1 - base_params.alpha)) >= ev.time
+
+
+class TieRevelation:
+    """Reveals a theta from a set with exact ties, a float tie, 0 and 1.
+
+    1/3 and 1/3 + 10^-30 are the same float but distinct Fractions.
+    """
+
+    THETAS = (F(0), F(1, 3), F(1, 3) + F(1, 10 ** 30), F(1, 2), F(1))
+
+    def sample(self, true_type, rng):
+        return rng.choice(self.THETAS)
+
+
+def tau(params, theta):
+    """The modified-beta threshold, from Fractions."""
+    a, w0, w1 = params.alpha, params.w0, params.w1
+    return (a / (1 - a)) * (w1 / (w0 - w1)) + (a / (1 - a)) * (w0 / (w0 - w1)) * theta / (1 - theta)
+
+
+def p_hat_grid_instance(rng, n, params, releases=False):
+    """The posterior-reveal shape: p_hat = k/40, k in [8, 40] if urgent, else [0, 16]."""
+    jobs = []
+    for j in range(1, n + 1):
+        urgent = rng.random() < 0.1
+        k = rng.randrange(8, 41) if urgent else rng.randrange(0, 17)
+        release = F(rng.randrange(12), 4) if releases and rng.random() < 0.5 else 0
+        jobs.append(make_job(j, 0 if urgent else 1, p_hat=F(k, 40), release_time=release))
+    return Instance(jobs, params)
+
+
+class TestThetaHeapDifferential:
+    """modified-beta on the engine's theta heap against the scan / Fraction-tau oracle."""
+
+    REVELATIONS = (EXACT_REVELATION, PosteriorRevelation(), TieRevelation())
+
+    def same_run(self, inst, revelation, seed, policy=None, oracle=SCAN_MODIFIED_BETA):
+        a = run(inst, policy or get_policy("modified-beta"), revelation, rng=random.Random(seed))
+        b = run(inst, oracle, revelation, rng=random.Random(seed))
+        assert a.trace == b.trace
+        assert a.total_cost == b.total_cost
+        assert a.preemption_count == b.preemption_count
+        return a
+
+    def test_p_hat_grid(self, base_params):
+        rng = random.Random(5)
+        for n in (1, 2, 7, 30, 200):
+            for _ in range(3 if n < 200 else 1):
+                inst = p_hat_grid_instance(rng, n, base_params)
+                for revelation in self.REVELATIONS:
+                    self.same_run(inst, revelation, rng.randrange(10 ** 6))
+
+    def test_binary_labels(self, base_params, base_model):
+        for seed in range(40):
+            n = random.Random(seed).randint(1, 40)
+            inst = sample_instance(n, base_model, base_params, seed=seed)
+            for revelation in self.REVELATIONS:
+                self.same_run(inst, revelation, seed)
+
+    def test_release_dates(self, base_model):
+        rng = random.Random(11)
+        for _ in range(40):
+            params = Parameters(F(rng.randint(1, 9), 10), rng.randint(2, 40), F(rng.randint(1, 3), 2))
+            n = rng.randint(1, 30)
+            binary = Instance(
+                [Job(i, rng.randint(0, 1), rng.randint(0, 1),
+                     release_time=F(rng.randrange(12), 4) if rng.random() < 0.5 else F(0))
+                 for i in range(1, n + 1)],
+                params, base_model,
+            )
+            for inst in (binary, p_hat_grid_instance(rng, n, params, releases=True)):
+                for revelation in self.REVELATIONS:
+                    self.same_run(inst, revelation, rng.randrange(10 ** 6))
+
+    def test_threshold_boundaries(self, base_params):
+        # p_hat exactly at tau for every theta the stub reveals (tau(0) = beta),
+        # and p_hat at or below beta; a decision sees each case
+        thetas = TieRevelation.THETAS[:-1]
+        boundary = sorted({tau(base_params, th) for th in thetas} | {F(0), F(1, 57), F(1)})
+        seen = {"p_hat == tau": 0, "p_hat <= beta": 0}
+
+        def recording(state, params):
+            if len(state.unopened) and len(state.interrupted):
+                _, theta = scan_argmax_theta(state.interrupted)
+                p = state.unopened.head_priority()
+                if theta < 1 and p == tau(params, theta):
+                    seen["p_hat == tau"] += 1
+                if p <= params.beta():
+                    seen["p_hat <= beta"] += 1
+            return SCAN_MODIFIED_BETA.decide(state, params)
+
+        oracle = Policy("modified-beta-scan", recording, fifo_stationary=False)
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            inst = Instance(
+                [make_job(j, rng.randint(0, 1), p_hat=rng.choice(boundary)) for j in range(1, n + 1)],
+                base_params,
+            )
+            self.same_run(inst, TieRevelation(), rng.randrange(10 ** 6), oracle=oracle)
+        assert seen["p_hat == tau"] > 0 and seen["p_hat <= beta"] > 0
+
+    def test_stale_heap_entries(self, base_params, base_model):
+        # completing the FIFO head leaves its heap entry behind until it surfaces
+
+        def fifo_then_argmax(argmax):
+            def decide(state, params):
+                k = len(state.interrupted)
+                if k == 0 or (len(state.unopened) and k < 3):
+                    return OPEN_NEXT
+                if k % 2:
+                    return complete_low(state.interrupted.first_id())
+                return complete_low(argmax(state.interrupted)[0])
+            return Policy("mixed", decide, fifo_stationary=False)
+
+        heap = fifo_then_argmax(lambda q: q.argmax_theta())
+        scan = fifo_then_argmax(scan_argmax_theta)
+        rng = random.Random(8)
+        for _ in range(30):
+            inst = p_hat_grid_instance(rng, rng.randint(1, 60), base_params, releases=True)
+            for revelation in self.REVELATIONS:
+                self.same_run(inst, revelation, rng.randrange(10 ** 6), heap, scan)
 
 
 class TestLayoutReuse:

@@ -106,10 +106,62 @@ class TestModifiedBeta:
         action = modified_beta_decide(s, base_params)
         assert action.kind == "complete" and action.job_id == 2
 
+    def test_head_exactly_at_raised_threshold_completes(self, base_params):
+        # tau(1/3) = 2/57 + (40/57) * (1/2) = 22/57; the rule is strict
+        s = state(unopened=[(F(22, 57), 1, 0)], interrupted=[(2, F(1, 3))])
+        assert modified_beta_decide(s, base_params).kind == "complete"
+        s = state(unopened=[(F(22, 57) + F(1, 10 ** 30), 1, 0)], interrupted=[(2, F(1, 3))])
+        assert modified_beta_decide(s, base_params).kind == "open"
+
     def test_completes_largest_theta_fifo_ties(self, base_params):
         s = state(interrupted=[(5, F(1, 4)), (2, F(3, 4)), (9, F(3, 4))])
         action = modified_beta_decide(s, base_params)
         assert action.job_id == 2  # first of the maximal thetas in arrival order
+
+
+class TestInterruptedQueueArgmax:
+    """The public constructor heapifies its entries; ties must resolve as a scan would."""
+
+    THIRD = F(1, 3)
+    ABOVE_THIRD = F(1, 3) + F(1, 10 ** 30)  # the same float as 1/3
+
+    def argmax(self, entries):
+        return InterruptedQueue(entries).argmax_theta()
+
+    def test_float_tie_is_a_real_tie_here(self):
+        assert float(self.THIRD) == float(self.ABOVE_THIRD) and self.THIRD < self.ABOVE_THIRD
+
+    def test_exact_ties_go_to_the_first_arrival(self):
+        assert self.argmax([(4, self.THIRD), (7, self.THIRD), (2, F(1, 4))]) == (4, self.THIRD)
+        assert self.argmax([(9, F(1, 2)), (3, F(1, 2)), (5, F(1, 2))]) == (9, F(1, 2))
+
+    def test_equal_floats_order_by_the_exact_theta(self):
+        for entries in ([(4, self.THIRD), (7, self.ABOVE_THIRD)],
+                        [(7, self.ABOVE_THIRD), (4, self.THIRD)],
+                        [(1, F(0)), (4, self.THIRD), (7, self.ABOVE_THIRD), (8, self.THIRD)]):
+            assert self.argmax(entries) == (7, self.ABOVE_THIRD)
+
+    def test_theta_one_and_zero(self):
+        assert self.argmax([(3, F(0)), (6, F(1)), (8, F(1)), (2, F(1, 2))]) == (6, F(1))
+        assert self.argmax([(5, F(0)), (2, F(0)), (9, F(0))]) == (5, F(0))
+        assert self.argmax([(5, F(0))]) == (5, F(0))
+
+    def test_matches_a_fifo_scan(self):
+        rng = random.Random(4)
+        pool = (F(0), self.THIRD, self.ABOVE_THIRD, F(1, 2), F(1), F(7, 10))
+        for _ in range(300):
+            entries = [(jid, rng.choice(pool)) for jid in rng.sample(range(1, 50), rng.randint(1, 8))]
+            best = entries[0]
+            for entry in entries[1:]:
+                if entry[1] > best[1]:
+                    best = entry
+            assert self.argmax(entries) == best
+
+    def test_modified_beta_completes_the_exact_largest(self, base_params):
+        s = state(unopened=[(F(1, 82), 1, 1)],
+                  interrupted=[(4, self.THIRD), (7, self.ABOVE_THIRD), (8, self.THIRD)])
+        action = modified_beta_decide(s, base_params)
+        assert action.kind == "complete" and action.job_id == 7
 
 
 class TestClassifyRegime:
