@@ -21,7 +21,7 @@ from .domain import (
     format_fraction,
     to_fraction,
 )
-from .policies import Regime, classify_regime
+from .policies import POLICIES, REGIME_OF_FLAGS, Regime, classify_regime, label_flags
 
 
 def _fmt(x: float) -> str:
@@ -96,15 +96,18 @@ class ExpectedPerformance:
     params: Parameters
 
     def for_policy(self, name: str) -> Fraction:
-        """Expectation for a named policy; `beta` and `modified-beta` select by regime.
+        """Expectation for `opt` or a policy: the field its `label_flags`' regime names.
 
-        The two rules coincide under the exact revelation assumed here.
+        So `beta` and `modified-beta` follow the channel. Unknown names, and
+        flags no closed form covers, raise ValueError.
         """
-        if name in ("beta", "modified-beta"):
-            name = classify_regime(self.model, self.params).value
-        if name not in ("opt", "nonpreemptive", "preemptive", "hybrid"):
+        if name == "opt":
+            return self.opt
+        policy = POLICIES.get(name)
+        regime = policy and REGIME_OF_FLAGS.get(label_flags(policy, self.model, self.params))
+        if regime is None:
             raise ValueError(f"no closed form for policy {name!r}")
-        return getattr(self, name)
+        return getattr(self, regime.value)
 
 
 def expected_unconditional(n: int, model: PredictionModel,

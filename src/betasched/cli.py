@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analytics import log_loss
-from .domain import format_fraction, load_instance, to_fraction
+from .domain import HALF, ZERO, format_fraction, load_instance, to_fraction
 from .engine import format_trace, offline_wsrpt, run
 from .errors import SchedulingError
 from .experiments import (
@@ -30,12 +30,21 @@ from .policies import EXACT_REVELATION, PosteriorRevelation, get_policy
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
-    """Grid syntax: `a,b,c` or `start:stop:step`, all exact decimals/fractions."""
+    """Grid syntax: `a,b,c` or `start:stop:step`, all exact decimals/fractions.
+
+    A range reaching outside [0, 1/2] is refused before any point is built.
+    """
     if ":" in text:
-        start_s, stop_s, step_s = text.split(":")
-        start, stop, step = to_fraction(start_s), to_fraction(stop_s), to_fraction(step_s)
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid {text!r} must be a,b,c or start:stop:step")
+        start, stop, step = map(to_fraction, parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
+        # the grid's first point outside [0, 1/2]
+        bad = start if not ZERO <= start <= HALF else start + step * ((HALF - start) // step + 1)
+        if bad <= stop:
+            raise ValueError(f"error rates must lie in [0, 1/2], got {bad} in grid {text!r}")
         values = []
         v = start
         while v <= stop:

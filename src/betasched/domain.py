@@ -91,11 +91,6 @@ class Parameters:
         return self.w1 < self.w0 * (ONE - self.alpha)
 
 
-def beta(params: Parameters) -> Fraction:
-    """Threshold value for the given machine parameters."""
-    return params.beta()
-
-
 @dataclass(frozen=True)
 class PredictionModel:
     """Binary prediction channel: prior urgency rate and the two flip rates.
@@ -140,11 +135,6 @@ class PredictionModel:
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label}")
         return self._posteriors[label]
-
-
-def posterior(model: PredictionModel, label: int) -> Fraction:
-    """P(true type 0 | predicted label) for the given channel."""
-    return model.posterior(label)
 
 
 class Job(NamedTuple):

@@ -33,6 +33,8 @@ from .policies import (
     PolicyState,
     UnopenedQueue,
     expected_weight,
+    get_policy,
+    label_flags,
     theta_key,
 )
 
@@ -319,33 +321,6 @@ def run(
 # Batch kernel: binary labels, all jobs released at 0, exact reveal
 # ---------------------------------------------------------------------------
 
-def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> tuple[bool, bool]:
-    """Which label classes `policy` probes on a batch instance under exact reveal.
-
-    flag[l] is the policy's answer to the question `run()` memoizes: with the
-    head job labelled l and one job interrupted at theta = 0, does it open the
-    head (True) or complete the interrupted job (False)? A policy that never
-    preempts probes no class.
-    """
-    if not policy.preempts:
-        return False, False
-    flags = []
-    for label in (0, 1):
-        state = PolicyState(
-            UnopenedQueue([(model.posterior(label), 2, label)]),
-            InterruptedQueue([(1, ZERO)]),
-        )
-        action = policy.decide(state, params)
-        if action.kind not in ("open", "complete") or (
-            action.kind == "complete" and action.job_id != 1
-        ):
-            raise ContractViolationError(
-                f"policy {policy.name} answered {action} with one job interrupted"
-            )
-        flags.append(action.kind == "open")
-    return flags[0], flags[1]
-
-
 class LabelClass(NamedTuple):
     """The jobs of one label, in queue (id) order, reduced to what costs need."""
 
@@ -578,29 +553,25 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 # Exact expected cost on the decision tree (batch, binary labels)
 # ---------------------------------------------------------------------------
 
-_TREE_RULES = ("optimal", "beta", "nonpreemptive", "preemptive", "hybrid")
-
-
 def _tree_expected_cost(
     n: int,
     model: PredictionModel,
     params: Parameters,
-    rule: str,
-    threshold: Optional[Fraction] = None,
+    flags: Optional[tuple[bool, bool]],
 ) -> Fraction:
     """Expected total weighted completion time over label and type draws.
 
     States collapse job identities to (unopened count per label, interrupted
     count): posteriors depend only on labels and jobs are exchangeable within
     a label class. Chance nodes resolve the opened job's type by its label
-    posterior; decision nodes follow `rule` ("optimal" minimizes). Values are
-    cost-to-go measured from the current decision instant, which is valid
-    because the future evolution is translation invariant in time.
+    posterior; decision nodes open iff `flags` (see `label_flags`) probes the
+    head's label, or minimize when `flags` is None. Values are cost-to-go
+    measured from the current decision instant, which is valid because the
+    future evolution is translation invariant in time.
     """
     p = (model.posterior(0), model.posterior(1))
     ew = (expected_weight(p[0], params), expected_weight(p[1], params))
     w0, w1, alpha = params.w0, params.w1, params.alpha
-    beta_val = params.beta() if threshold is None else threshold
     memo: dict = {}
 
     def backlog_weight(u0: int, u1: int, ell: int) -> Fraction:
@@ -637,19 +608,10 @@ def _tree_expected_cost(
             result = complete_value()
         elif ell == 0:
             result = open_value()
-        elif rule == "optimal":
+        elif flags is None:
             result = min(open_value(), complete_value())
-        elif rule == "beta":
-            head = p[0] if u0 > 0 else p[1]
-            result = open_value() if head > beta_val else complete_value()
-        elif rule == "nonpreemptive":
-            result = complete_value()
-        elif rule == "preemptive":
-            result = open_value()
-        elif rule == "hybrid":
-            result = open_value() if u0 > 0 else complete_value()
         else:
-            raise ValueError(f"unknown tree rule {rule!r}")
+            result = open_value() if flags[0 if u0 > 0 else 1] else complete_value()
         memo[key] = result
         return result
 
@@ -678,7 +640,7 @@ def expectimax_optimal(
         raise ValueError("n must be at least 1")
     if n > limit:
         raise ResourceLimitError(f"expectimax over {n} jobs exceeds the limit {limit}")
-    return _tree_expected_cost(n, model, params, "optimal")
+    return _tree_expected_cost(n, model, params, None)
 
 
 def rule_expected_cost(
@@ -690,11 +652,14 @@ def rule_expected_cost(
 ) -> Fraction:
     """Exact expected cost of a fixed decision rule on the same tree.
 
-    `threshold` overrides the beta value used by the "beta" rule; tests use
-    it to confirm the verification harness catches a perturbed threshold.
+    `rule` is "optimal" or a policy name, whose `label_flags` decide. A given
+    `threshold` makes the rule a beta rule with that threshold (label l is
+    probed iff posterior(l) > threshold); tests use it to confirm the
+    verification harness catches a perturbed threshold.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rule not in _TREE_RULES:
-        raise ValueError(f"rule must be one of {_TREE_RULES}, got {rule!r}")
-    return _tree_expected_cost(n, model, params, rule, threshold)
+    flags = None if rule == "optimal" else label_flags(get_policy(rule), model, params)
+    if threshold is not None:
+        flags = (model.posterior(0) > threshold, model.posterior(1) > threshold)
+    return _tree_expected_cost(n, model, params, flags)

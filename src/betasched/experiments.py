@@ -35,14 +35,13 @@ from .engine import (
     LabelClass,
     enumerate_offline_optimum,
     expectimax_optimal,
-    label_flags,
     label_schedule_ticks,
     offline_wsrpt,
     rule_expected_cost,
     run,
     wspt_ticks,
 )
-from .policies import Regime, classify_regime, get_policy
+from .policies import classify_regime, get_policy, label_flags
 
 
 @dataclass(frozen=True)
@@ -451,13 +450,6 @@ def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[s
     return failures
 
 
-_REGIME_POLICY = {
-    Regime.NONPREEMPTIVE: "nonpreemptive",
-    Regime.PREEMPTIVE: "preemptive",
-    Regime.HYBRID: "hybrid",
-}
-
-
 def verify_regimes(samples: int = 300, seed: int = 0, n_max: int = 12) -> list[str]:
     """The threshold rule must trace-match the policy its regime names."""
     rng = random.Random(f"regimes:{seed}")
@@ -474,7 +466,7 @@ def verify_regimes(samples: int = 300, seed: int = 0, n_max: int = 12) -> list[s
         n = rng.randint(1, n_max)
         inst = sample_instance(n, model, params, seed=rng.randrange(2 ** 30))
         regime = classify_regime(model, params)
-        mirror = get_policy(_REGIME_POLICY[regime])
+        mirror = get_policy(regime.value)
         got = run(inst, get_policy("beta"))
         want = run(inst, mirror)
         if got.trace != want.trace:

@@ -12,8 +12,8 @@ from fractions import Fraction
 from heapq import heapify
 from typing import Callable, NamedTuple, Optional
 
-from .domain import ONE, Parameters, PredictionModel
-from .errors import TerminalStateError, UnsupportedInputError
+from .domain import ONE, ZERO, Parameters, PredictionModel
+from .errors import ContractViolationError, TerminalStateError, UnsupportedInputError
 
 
 class Regime(Enum):
@@ -263,21 +263,6 @@ def expected_weight(priority: Fraction, params: Parameters) -> Fraction:
     return params.w1 + (params.w0 - params.w1) * priority
 
 
-def classify_regime(model: PredictionModel, params: Parameters) -> Regime:
-    """Which behaviour the beta threshold rule exhibits for this channel.
-
-    Hybrid exactly when beta separates the two label posteriors the same way
-    the decision rule does (posterior(1) <= beta < posterior(0)); otherwise
-    the rule is uniformly nonpreemptive (rho <= beta) or preemptive.
-    """
-    b = params.beta()
-    if model.posterior(1) <= b < model.posterior(0):
-        return Regime.HYBRID
-    if model.rho <= b:
-        return Regime.NONPREEMPTIVE
-    return Regime.PREEMPTIVE
-
-
 # ---------------------------------------------------------------------------
 # Reveal models: what is learned about a job once its alpha point is reached.
 # ---------------------------------------------------------------------------
@@ -349,3 +334,50 @@ def get_policy(name: str) -> Policy:
     except KeyError:
         known = ", ".join(sorted(POLICIES))
         raise UnsupportedInputError(f"unknown policy {name!r} (known: {known})") from None
+
+
+def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> tuple[bool, bool]:
+    """Which label classes `policy` probes on a batch instance under exact reveal.
+
+    flag[l] is the policy's answer to the question `run()` memoizes: with the
+    head job labelled l and one job interrupted at theta = 0, does it open the
+    head (True) or complete the interrupted job (False)? A policy that never
+    preempts probes no class. The batch kernel, the closed forms, the tree
+    oracle and the regime all read a policy's batch behaviour from here.
+    """
+    if not policy.preempts:
+        return False, False
+    flags = []
+    for label in (0, 1):
+        state = PolicyState(
+            UnopenedQueue([(model.posterior(label), 2, label)]),
+            InterruptedQueue([(1, ZERO)]),
+        )
+        action = policy.decide(state, params)
+        if action.kind not in ("open", "complete") or (
+            action.kind == "complete" and action.job_id != 1
+        ):
+            raise ContractViolationError(
+                f"policy {policy.name} answered {action} with one job interrupted"
+            )
+        flags.append(action.kind == "open")
+    return flags[0], flags[1]
+
+
+# The paper's regimes probe neither label class, both, or only the predicted
+# urgent one; each regime's value names the policy with those flags.
+REGIME_OF_FLAGS = {
+    (False, False): Regime.NONPREEMPTIVE,
+    (True, True): Regime.PREEMPTIVE,
+    (True, False): Regime.HYBRID,
+}
+
+
+def classify_regime(model: PredictionModel, params: Parameters) -> Regime:
+    """The regime of the beta rule's flags (posterior(0) > beta, posterior(1) > beta).
+
+    Error rates of at most 1/2 give posterior(1) <= rho <= posterior(0), so
+    this is hybrid iff posterior(1) <= beta < posterior(0), else nonpreemptive
+    iff rho <= beta, else preemptive; the flags (False, True) cannot occur.
+    """
+    return REGIME_OF_FLAGS[label_flags(POLICIES["beta"], model, params)]

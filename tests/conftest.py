@@ -11,7 +11,7 @@ from betasched.domain import Instance, Job, Parameters, PredictionModel
 from betasched.engine import offline_wspt, run
 from betasched.errors import TerminalStateError
 from betasched.experiments import _draw_jobs, _rep_rng
-from betasched.policies import OPEN_NEXT, Policy, complete_low, get_policy
+from betasched.policies import OPEN_NEXT, Policy, Regime, complete_low, get_policy
 
 ONE = Fraction(1)
 
@@ -96,6 +96,21 @@ def mixture_unconditional(n, model, params):
             totals[i] += weight * value
     scale = b ** n
     return tuple(total / scale for total in totals)
+
+
+def algebra_classify_regime(model, params):
+    """The beta rule's regime from posterior algebra, without asking any policy.
+
+    The body `classify_regime` had before it read the rule's label flags:
+    hybrid when posterior(1) <= beta < posterior(0), otherwise nonpreemptive
+    when rho <= beta and preemptive else.
+    """
+    b = params.beta()
+    if model.posterior(1) <= b < model.posterior(0):
+        return Regime.HYBRID
+    if model.rho <= b:
+        return Regime.NONPREEMPTIVE
+    return Regime.PREEMPTIVE
 
 
 def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):

@@ -1,6 +1,8 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -19,7 +21,8 @@ from betasched.analytics import (
     search_worst_q,
 )
 from betasched.domain import Instance, Parameters, PredictionModel, make_job
-from betasched.policies import Regime
+from betasched.engine import LabelClass, label_schedule_ticks, wspt_ticks
+from betasched.policies import OPEN_NEXT, POLICIES, Policy, Regime, complete_low, label_flags
 
 F = Fraction
 
@@ -104,6 +107,22 @@ class TestExpectedUnconditional:
         with pytest.raises(ValueError, match="no closed form"):
             u.for_policy(name)
 
+    def test_for_policy_rejects_flags_without_closed_form(self, base_params, base_model,
+                                                          monkeypatch):
+        # probes only the predicted non-urgent class: flags (False, True)
+        def decide(state, params):
+            if len(state.unopened) and (
+                len(state.interrupted) == 0 or state.unopened.head_label() == 1
+            ):
+                return OPEN_NEXT
+            return complete_low(state.interrupted.first_id())
+
+        monkeypatch.setitem(POLICIES, "probe-01", Policy("probe-01", decide))
+        assert label_flags(POLICIES["probe-01"], base_model, base_params) == (False, True)
+        u = expected_unconditional(6, base_model, base_params)
+        with pytest.raises(ValueError, match="^no closed form for policy 'probe-01'$"):
+            u.for_policy("probe-01")
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 500])
     @pytest.mark.parametrize("rho", [F(1, 10 ** 6), F(1, 10), F(1, 2), F(99, 100)])
     def test_moment_form_equals_binomial_mixture(self, n, rho):
@@ -129,6 +148,66 @@ class TestExpectedUnconditional:
         base = F(9 * 10, 2)  # all-low-priority cost 45
         for value in (u.opt, u.nonpreemptive, u.hybrid):
             assert abs(value - base) < 1  # O(rho) away
+
+
+def enumerated_expectations(n, model, params):
+    """Exact expected costs of opt and every POLICIES name, over all 4^n draws.
+
+    Each job is (type, label) with the channel's probability; a draw is priced
+    with the label kernel under each policy's label_flags, and with wspt_ticks
+    for opt. Weights are kept as integers over a common denominator D, so the
+    sums stay integer until the one division at the end.
+    """
+    rho, e0, e1 = model.rho, model.eps0, model.eps1
+    kinds = [((0, 0), rho * (1 - e0)), ((0, 1), rho * e0),
+             ((1, 0), (1 - rho) * e1), ((1, 1), (1 - rho) * (1 - e1))]
+    D = lcm(*(q.denominator for _, q in kinds))
+    kinds = [(tl, int(q * D)) for tl, q in kinds if q]
+    flags = {name: label_flags(policy, model, params) for name, policy in POLICIES.items()}
+    alpha_ticks, den = params.alpha.numerator, params.alpha.denominator
+    sums = {key: [0, 0] for key in ["opt", *set(flags.values())]}
+    for draw in product(kinds, repeat=n):
+        weight = math.prod(q for _, q in draw)
+        by_label = ([], [])
+        for (tt, label), _ in draw:
+            by_label[label].append(tt)
+        classes = [LabelClass.of(types) for types in by_label]
+        priced = {"opt": wspt_ticks(n, classes[0].urgent + classes[1].urgent)}
+        for f in set(flags.values()):
+            priced[f] = label_schedule_ticks(classes, f, alpha_ticks, den)
+        for key, (s0, s1) in priced.items():
+            sums[key][0] += weight * s0
+            sums[key][1] += weight * s1
+
+    def cost(key, scale):
+        s0, s1 = sums[key]
+        return (params.w0 * s0 + params.w1 * s1) / (scale * D ** n)
+
+    return {"opt": cost("opt", 1), **{name: cost(f, den) for name, f in flags.items()}}
+
+
+class TestExhaustiveClosedForm:
+    """Every (type, label) draw, priced exactly, sums to the closed forms."""
+
+    CHANNELS = {
+        "base": (Parameters(F(2, 5), 20, 1), PredictionModel(F(1, 10), F(1, 10), F(1, 10))),
+        "collapsed": (Parameters(F(2, 5), 20, 1), PredictionModel(F(1, 4), F(1, 2), F(1, 2))),
+        "perfect": (Parameters(F(2, 5), 20, 1), PredictionModel(F(1, 3), 0, 0)),
+        # beta = posterior(0) = 1/2
+        "beta-tie": (Parameters(F(1, 2), 3, 1), PredictionModel(F(1, 3), 0, F(1, 2))),
+        # w1 = w0 (1 - alpha): beta = 1
+        "beta-one": (Parameters(F(2, 5), 20, 12), PredictionModel(F(1, 10), F(1, 10), F(3, 10))),
+    }
+
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_sums_equal_the_closed_forms(self, channel):
+        params, model = self.CHANNELS[channel]
+        for n in range(1, 8):
+            u = expected_unconditional(n, model, params)
+            got = enumerated_expectations(n, model, params)
+            assert got["opt"] == u.opt, n
+            for name in POLICIES:
+                assert got[name] == u.for_policy(name), (n, name)
 
 
 class TestCrNonpreemptive:

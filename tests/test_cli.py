@@ -262,6 +262,29 @@ class TestCliCommands:
         assert err.startswith("error: error grid") and "no points" in err
         assert out == ""
 
+    @pytest.mark.parametrize("grid, message", [
+        # refused before a point is built: the grid reaches 1 at its second point
+        (["--eps-grid", "0:400000:1"], "error rates must lie in [0, 1/2], got 1 in grid"),
+        (["--eps-grid=-0.1:0.5:0.1"], "error rates must lie in [0, 1/2], got -1/10 in grid"),
+        (["--eps0-grid", "0:0.6:0.05", "--eps1-grid", "0:0.1:0.01"],
+         "error rates must lie in [0, 1/2], got 11/20 in grid '0:0.6:0.05'"),
+        (["--eps-grid", "0:0.5"], "grid '0:0.5' must be a,b,c or start:stop:step"),
+        (["--eps-grid", "0:0.5:0.1:0.1"], "grid '0:0.5:0.1:0.1' must be a,b,c or start:stop:step"),
+    ])
+    def test_bad_error_grid_fails(self, capsys, grid, message):
+        rc = main(["sweep", "--n", "3", "--reps", "5"] + grid)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+
+    def test_grid_stop_past_half_without_a_point_there_runs(self, capsys):
+        rc = main(["sweep", "--n", "3", "--reps", "5", "--eps-grid", "0:0.55:0.25"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert [row[0] for row in rows if row[2] == "beta"] == ["0", "0.25", "0.5"]
+
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=4\nreps=40\nseed=2\neps-grid=0.1\npolicy=beta\n")

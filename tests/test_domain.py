@@ -12,7 +12,6 @@ from betasched.domain import (
     dump_instance,
     load_instance,
     make_job,
-    posterior,
     sample_instance,
     sort_for_policy,
     to_fraction,
@@ -86,18 +85,18 @@ class TestParameters:
 class TestPosterior:
     def test_perfect_predictor(self):
         m = PredictionModel("0.1", 0, 0)
-        assert posterior(m, 0) == 1
-        assert posterior(m, 1) == 0
+        assert m.posterior(0) == 1
+        assert m.posterior(1) == 0
 
     def test_uninformative_predictor_collapses_to_prior(self):
         m = PredictionModel("0.1", "0.5", "0.5")
-        assert posterior(m, 0) == F(1, 10)
-        assert posterior(m, 1) == F(1, 10)
+        assert m.posterior(0) == F(1, 10)
+        assert m.posterior(1) == F(1, 10)
 
     def test_symmetric_ten_percent_error(self):
         m = PredictionModel("0.1", "0.1", "0.1")
-        assert posterior(m, 0) == F(1, 2)
-        assert posterior(m, 1) == F(1, 82)
+        assert m.posterior(0) == F(1, 2)
+        assert m.posterior(1) == F(1, 82)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -358,10 +358,25 @@ class TestTreeMatchesEngine:
     def test_rule_costs_match_bruteforce_engine_means(self, base_params, base_model):
         from conftest import bruteforce_unconditional_mean
 
-        for rule in ("nonpreemptive", "preemptive", "hybrid", "beta"):
+        for rule in ("nonpreemptive", "preemptive", "hybrid", "beta", "modified-beta"):
             tree = rule_expected_cost(4, base_model, base_params, rule)
             brute = bruteforce_unconditional_mean(4, base_model, base_params, rule)
             assert tree == brute, rule
+
+    def test_unknown_rule_rejected(self, base_params, base_model):
+        with pytest.raises(ValueError, match="unknown policy 'nope'"):
+            rule_expected_cost(3, base_model, base_params, "nope")
+
+    def test_threshold_at_a_posterior_does_not_probe_it(self, base_params, base_model):
+        # label l is probed iff posterior(l) > threshold; posteriors 1/2 and 1/82
+        for n in (2, 3, 4):
+            at_p0 = rule_expected_cost(n, base_model, base_params, "beta",
+                                       threshold=base_model.posterior(0))
+            at_p1 = rule_expected_cost(n, base_model, base_params, "beta",
+                                       threshold=base_model.posterior(1))
+            assert at_p0 == rule_expected_cost(n, base_model, base_params, "nonpreemptive")
+            assert at_p1 == rule_expected_cost(n, base_model, base_params, "hybrid")
+            assert at_p0 != at_p1
 
 
 class TestProbabilisticClassifierMode:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from betasched.domain import Parameters, PredictionModel, sample_instance
 from betasched.engine import run
 from betasched.errors import TerminalStateError, UnsupportedInputError
 from betasched.policies import (
+    POLICIES,
     InterruptedQueue,
     PolicyState,
     Regime,
@@ -17,6 +19,7 @@ from betasched.policies import (
     expected_weight,
     get_policy,
     hybrid_decide,
+    label_flags,
     modified_beta_decide,
     nonpreemptive_decide,
     preemptive_decide,
@@ -206,6 +209,39 @@ class TestClassifyRegime:
         assert classify_regime(m, low_beta) is Regime.PREEMPTIVE
         high_beta = Parameters(F(19, 20), 20, 1)  # beta = 1 >= rho
         assert classify_regime(m, high_beta) is Regime.NONPREEMPTIVE
+
+
+class TestRegimeFromFlags:
+    """classify_regime reads the beta rule's label flags; the algebra must agree."""
+
+    def test_flags_agree_with_the_posterior_algebra(self):
+        from conftest import algebra_classify_regime
+
+        grid = product(
+            (F(1, 10), F(1, 4), F(2, 5), F(1, 2), F(7, 10), F(9, 10)),  # alpha
+            (F(3, 2), F(2), F(3), F(20), F(100)),                       # w0
+            (F(1), F(1, 2)),                                            # w1
+            (F(1, 10), F(1, 3), F(1, 2), F(9, 10)),                     # rho
+            (F(0), F(1, 10), F(1, 4), F(1, 3), F(1, 2)),                # eps0
+            (F(0), F(1, 10), F(1, 4), F(1, 3), F(1, 2)),                # eps1
+        )
+        points = 0
+        ties = [0, 0]  # points with beta exactly equal to posterior(0), posterior(1)
+        regimes = set()
+        for alpha, w0, w1, rho, e0, e1 in grid:
+            params = Parameters(alpha, w0, w1)
+            model = PredictionModel(rho, e0, e1)
+            regime = classify_regime(model, params)
+            assert regime is algebra_classify_regime(model, params), (params, model)
+            flags = label_flags(POLICIES["beta"], model, params)
+            assert label_flags(POLICIES["modified-beta"], model, params) == flags
+            points += 1
+            for label in (0, 1):
+                ties[label] += params.beta() == model.posterior(label)
+            regimes.add(regime)
+        assert points == 6000
+        assert ties == [47, 35]
+        assert regimes == set(Regime)
 
 
 class TestCmuEquivalence:
