@@ -161,8 +161,6 @@ def run(
     exact_mode = isinstance(revelation, ExactRevelation)
     if not exact_mode and rng is None:
         raise ValueError("probabilistic revelation requires an rng")
-    if policy.name == "hybrid" and instance.mode != "binary":
-        raise UnsupportedInputError("hybrid policy needs binary labels")
 
     prep = _prepare(instance)
     den = prep.den
@@ -318,7 +316,7 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Batch kernel: binary labels, all jobs released at 0, exact reveal
+# Batch kernels: binary labels, all jobs released at 0, exact reveal
 # ---------------------------------------------------------------------------
 
 class LabelClass(NamedTuple):
@@ -380,6 +378,132 @@ def wspt_ticks(n: int, n0: int) -> tuple[int, int]:
     """Completion-time sums (urgent, non-urgent) of `offline_wspt` with n0 urgent jobs."""
     s0 = n0 * (n0 + 1) // 2
     return s0, n * (n + 1) // 2 - s0
+
+
+# ---------------------------------------------------------------------------
+# Release-date kernels: binary labels, exact reveal, ids rising with release
+# ---------------------------------------------------------------------------
+
+def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int, int]:
+    """Completion-tick sums (urgent, non-urgent) of one schedule with release dates.
+
+    `classes[l]` is (release ticks, true types) of the label-l jobs in id
+    order. The schedule is the one `run()` gives a policy with these
+    `label_flags` under exact reveal when job ids rise with release time
+    (equal times allowed): an arrival then always joins the end of its label
+    class, so the unopened jobs are two FIFOs and the head is the first
+    released label-0 job, else the first released label-1 job. With set
+    aside work the policy opens that head iff its class is probed, else it
+    finishes a set-aside job (1 - alpha). Set-aside jobs are all non-urgent,
+    so only their count matters. With nothing set aside the head is opened,
+    and with nothing released the machine idles to the next release. A
+    never-preempting policy probes no class, which finishes each non-urgent
+    job at its alpha point at once: the same ticks as running it through.
+    """
+    (r0, y0), (r1, y1) = classes
+    m0, m1 = len(r0), len(r1)
+    f0, f1 = flags
+    tail = den - alpha_ticks
+    h0 = h1 = t = s0 = s1 = held = 0
+    while True:
+        opened = None  # the opened job's true type; None finishes a set-aside job
+        if h0 < m0 and r0[h0] <= t:
+            if f0 or not held:
+                opened = y0[h0]
+                h0 += 1
+        elif h1 < m1 and r1[h1] <= t:
+            if f1 or not held:
+                opened = y1[h1]
+                h1 += 1
+        elif not held:  # nothing to run: idle until the next release, if any
+            if h0 < m0:
+                t = r1[h1] if h1 < m1 and r1[h1] < r0[h0] else r0[h0]
+            elif h1 < m1:
+                t = r1[h1]
+            else:
+                return s0, s1
+            continue
+        if opened is None:
+            t += tail
+            s1 += t
+            held -= 1
+        elif opened:
+            t += alpha_ticks
+            held += 1
+        else:
+            t += den
+            s0 += t
+
+
+def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[int, int]:
+    """Completion-tick sums (urgent, non-urgent) of `offline_wsrpt`'s schedule.
+
+    `releases` are the jobs' release ticks in nondecreasing order, `types`
+    their true types, `w0` > `w1` the weights on one integer grid and a unit
+    den ticks. With unit jobs and two weights at most one job of each type
+    is ever partly processed. A started urgent job outranks every other job:
+    it beat them all when it started, its ratio w0/x only grows, and an
+    arrival is a fresh job with ratio at most w0/den. A started non-urgent
+    job with x ticks left outranks every fresh non-urgent job and yields
+    only to a fresh urgent one, exactly when w0*x > w1*den (at equality the
+    smaller remaining work wins). So the state is two fresh counts and two
+    remaining-tick slots, and after the last release the rest runs in three
+    blocks priced in closed form.
+    """
+    n = len(releases)
+    i = t = s0 = s1 = 0
+    c0 = c1 = 0  # released, never started
+    u = x = 0    # ticks left of the started urgent / non-urgent job, 0 for none
+    cut = w1 * den
+    while True:
+        while i < n and releases[i] <= t:
+            if types[i]:
+                c1 += 1
+            else:
+                c0 += 1
+            i += 1
+        if i == n:
+            break
+        nxt = releases[i]
+        while t < nxt:
+            if not u and c0 and (not x or w0 * x > cut):
+                c0 -= 1
+                u = den
+            if u:
+                if t + u <= nxt:
+                    t += u
+                    s0 += t
+                    u = 0
+                else:
+                    u -= nxt - t
+                    t = nxt
+            elif x or c1:
+                if not x:
+                    c1 -= 1
+                    x = den
+                if t + x <= nxt:
+                    t += x
+                    s1 += t
+                    x = 0
+                else:
+                    x -= nxt - t
+                    t = nxt
+            else:
+                t = nxt  # idle until the release
+    if u:
+        t += u
+        s0 += t
+    if x and w0 * x <= cut:
+        t += x
+        s1 += t
+        x = 0
+    s0 += c0 * t + den * (c0 * (c0 + 1) // 2)
+    t += c0 * den
+    if x:
+        t += x
+        s1 += t
+    s1 += c1 * t + den * (c1 * (c1 + 1) // 2)
+    return s0, s1
 
 
 # ---------------------------------------------------------------------------

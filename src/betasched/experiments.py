@@ -16,6 +16,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 from typing import Optional
 
 from .analytics import _fmt, competitive_ratio, expected_unconditional
@@ -35,10 +37,12 @@ from .engine import (
     LabelClass,
     enumerate_offline_optimum,
     expectimax_optimal,
+    label_release_ticks,
     label_schedule_ticks,
     offline_wsrpt,
     rule_expected_cost,
     run,
+    wsrpt_release_ticks,
     wspt_ticks,
 )
 from .policies import classify_regime, get_policy, label_flags
@@ -77,6 +81,12 @@ class ExperimentConfig:
             raise ValueError(f"arrival mode must be batch or poisson, got {self.arrival!r}")
         if self.interarrival <= ZERO:
             raise ValueError("mean interarrival must be positive")
+        try:  # arrival streams draw with the float mean
+            finite = 0.0 < float(self.interarrival) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("mean interarrival must round to a positive finite float")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         for name in self.policies:
@@ -126,30 +136,9 @@ def _rep_rng(seed: int, grid_index: int, rep: int) -> random.Random:
     return random.Random(f"{seed}:{grid_index}:{rep}")
 
 
-def _draw_jobs(rng: random.Random, n: int, rho: float, e0: float, e1: float) -> list[Job]:
-    jobs = []
-    rand = rng.random
-    for i in range(1, n + 1):
-        tt = 0 if rand() < rho else 1
-        flip = rand() < (e0 if tt == 0 else e1)
-        jobs.append(Job(i, tt, (1 - tt) if flip else tt))
-    return jobs
-
-
-def _draw_releases(rng: random.Random, n: int, mean: float) -> list[Fraction]:
-    """Arrival times of a Poisson stream, first job at 0, exact binary fractions."""
-    lam = 1.0 / mean
-    times = [ZERO]
-    t = 0.0
-    for _ in range(n - 1):
-        t += rng.expovariate(lam)
-        times.append(Fraction(t))
-    return times
-
-
 def _draw_classes(rng: random.Random, n: int, rho: float, e0: float,
                   e1: float) -> tuple[list[int], list[int]]:
-    """`_draw_jobs`' draw, kept as the true types of each label class in id order."""
+    """True types of each label class in id order: per job a type, then a label flip."""
     rand = rng.random
     classes = ([], [])
     for _ in range(n):
@@ -157,6 +146,17 @@ def _draw_classes(rng: random.Random, n: int, rho: float, e0: float,
         flip = rand() < (e0 if tt == 0 else e1)
         classes[(1 - tt) if flip else tt].append(tt)
     return classes
+
+
+def _weight_grid(params: Parameters) -> tuple[int, int, int]:
+    """(wden, W0, W1): w0 = W0/wden and w1 = W1/wden on one integer grid.
+
+    Costs on it are integers, and the quotient of two of them (`int / int`)
+    rounds like the float of the exact Fraction.
+    """
+    wden = math.lcm(params.w0.denominator, params.w1.denominator)
+    return (wden, params.w0.numerator * (wden // params.w0.denominator),
+            params.w1.numerator * (wden // params.w1.denominator))
 
 
 def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
@@ -170,10 +170,7 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     model = config.model_for(eps0, eps1)
     flags = [label_flags(get_policy(name), model, params) for name in config.policies]
     alpha_ticks, den = params.alpha.numerator, params.alpha.denominator
-    # cost = (w0*s0 + w1*s1) / den exactly; int / int rounds like float(Fraction)
-    wden = math.lcm(params.w0.denominator, params.w1.denominator)
-    w0 = params.w0.numerator * (wden // params.w0.denominator)
-    w1 = params.w1.numerator * (wden // params.w1.denominator)
+    wden, w0, w1 = _weight_grid(params)  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     n = config.n
     out = [[0.0] * (stop - start) for _ in range(len(flags) + 1)]
@@ -191,36 +188,69 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
 
 def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
                     eps1: Fraction, start: int, stop: int):
-    """Per-replication cost ratios against the clairvoyant preemptive optimum."""
+    """Per-replication cost ratios against the clairvoyant preemptive optimum.
+
+    An arrival replication needs no engine run either. Each job draws its
+    type and label flip (`_draw_classes`' order), then the n - 1 gaps of a
+    Poisson stream follow, with the first job released at 0. Every release
+    time is a float, so an exact binary fraction: over the tick grid of
+    lcm(alpha's denominator, the largest release denominator) it is an
+    integer. Job ids rise with release time, so `label_release_ticks`
+    prices each policy from its `label_flags`, and `wsrpt_release_ticks`
+    prices the clairvoyant schedule. Each ratio is one exact integer
+    quotient, which rounds like the float of the Fraction ratio.
+    """
     params = config.params
     model = config.model_for(eps0, eps1)
-    policies = [get_policy(name) for name in config.policies]
+    flags = [label_flags(get_policy(name), model, params) for name in config.policies]
+    alpha_num, alpha_den = params.alpha.numerator, params.alpha.denominator
+    _, w0, w1 = _weight_grid(params)
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
-    mean = float(config.interarrival)
+    lam = 1.0 / float(config.interarrival)
     n = config.n
-    out = [[0.0] * (stop - start) for _ in range(len(policies))]
+    out = [[0.0] * (stop - start) for _ in range(len(flags))]
     for rep in range(start, stop):
         rng = _rep_rng(config.seed, grid_index, rep)
-        base = _draw_jobs(rng, n, rho_f, e0f, e1f)
-        releases = _draw_releases(rng, n, mean)
-        jobs = [job._replace(release_time=r) for job, r in zip(base, releases)]
-        inst = Instance(jobs, params, model)
-        opt_cost = offline_wsrpt(inst, keep_trace=False).total_cost
+        rand = rng.random
+        types = []
+        labels = []
+        for _ in range(n):
+            tt = 0 if rand() < rho_f else 1
+            types.append(tt)
+            labels.append((1 - tt) if rand() < (e0f if tt == 0 else e1f) else tt)
+        expovariate = rng.expovariate
+        t = 0.0
+        times = [t]
+        for _ in range(n - 1):
+            t += expovariate(lam)
+            times.append(t)
+        if not math.isfinite(t):
+            raise ValueError("release times overflow a float at this mean interarrival")
+        ratios = [r.as_integer_ratio() for r in times]
+        den = math.lcm(alpha_den, max(d for _, d in ratios))  # release dens: powers of 2
+        ticks = [a * (den // d) for a, d in ratios]
+        alpha_ticks = alpha_num * (den // alpha_den)
+        label0 = list(map(not_, labels))
+        classes = ((list(compress(ticks, label0)), list(compress(types, label0))),
+                   (list(compress(ticks, labels)), list(compress(types, labels))))
+        o0, o1 = wsrpt_release_ticks(ticks, types, w0, w1, den)
+        opt = w0 * o0 + w1 * o1
         k = rep - start
-        for pi, pol in enumerate(policies):
-            cost = run(inst, pol, keep_trace=False).total_cost
-            out[pi][k] = float(cost / opt_cost)
+        for pi, f in enumerate(flags):
+            s0, s1 = label_release_ticks(classes, f, alpha_ticks, den)
+            out[pi][k] = (w0 * s0 + w1 * s1) / opt
     return out
 
 
 # Fewest replications that pay for a worker process of their own. On 2 vCPUs
-# (CPython 3.11.7, n = 50, 11-point grid) starting and feeding a pool costs
-# about 20-30 ms, a batch replication about 30 us and an arrival replication
-# about 1 ms. Batch: 2 200 replications took 0.11 s with two workers against
-# 0.08 s with one, 4 400 took 0.09 s against 0.16 s. Arrivals: 110 took
-# 0.17 s against 0.14 s, 220 took 0.15 s against 0.29 s.
+# (CPython 3.11.7, n = 50, 11-point grid, three policies) starting and
+# feeding a pool costs about 10-30 ms, a batch replication about 30 us and
+# an arrival replication about 85 us. Batch: 2 200 replications took 0.11 s
+# with two workers against 0.08 s with one, 4 400 took 0.09 s against
+# 0.16 s. Arrivals (median of 7 fresh processes): 220 took 22 ms against
+# 19 ms, 440 took 27 ms against 36 ms, 660 took 35 ms against 53 ms.
 SWEEP_MIN_REPS_PER_WORKER = 2000
-ARRIVALS_MIN_REPS_PER_WORKER = 100
+ARRIVALS_MIN_REPS_PER_WORKER = 200
 
 
 def _chunks(total: int, jobs: int):
@@ -432,8 +462,27 @@ def random_release_instance(rng: random.Random, params: Parameters,
     return Instance(jobs, params, model)
 
 
+def wsrpt_kernel_cost(instance: Instance) -> Fraction:
+    """`offline_wsrpt`'s exact cost through `wsrpt_release_ticks`.
+
+    The jobs go in release order over the lcm of the release denominators,
+    the weights on the lcm of theirs.
+    """
+    jobs = sorted(instance.jobs, key=lambda job: job.release_time)
+    den = math.lcm(*(job.release_time.denominator for job in jobs))
+    wden, w0, w1 = _weight_grid(instance.params)
+    s0, s1 = wsrpt_release_ticks(
+        [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
+        [job.true_type for job in jobs], w0, w1, den)
+    return Fraction(w0 * s0 + w1 * s1, wden * den)
+
+
 def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[str]:
-    """Clairvoyant preemptive schedule vs exhaustive grid search, exact."""
+    """Clairvoyant preemptive schedules vs exhaustive grid search, exact.
+
+    Both `offline_wsrpt` and the kernel the arrival sweeps use
+    (`wsrpt_kernel_cost`) must equal the enumerated optimum.
+    """
     rng = random.Random(f"wsrpt:{seed}")
     weight_choices = [(2, 1), (3, 2), (20, 1), (100, 7)]
     failures = []
@@ -441,12 +490,13 @@ def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[s
         w0, w1 = rng.choice(weight_choices)
         params = Parameters(Fraction(2, 5), w0, w1)
         inst = random_release_instance(rng, params, n_max)
-        got = offline_wsrpt(inst, keep_trace=False).total_cost
         want = enumerate_offline_optimum(inst, limit=n_max)
-        if got != want:
-            failures.append(
-                f"wsrpt {got} != enumerated optimum {want} on:\n{dump_instance(inst)}"
-            )
+        for name, got in (("wsrpt", offline_wsrpt(inst, keep_trace=False).total_cost),
+                          ("wsrpt kernel", wsrpt_kernel_cost(inst))):
+            if got != want:
+                failures.append(
+                    f"{name} {got} != enumerated optimum {want} on:\n{dump_instance(inst)}"
+                )
     return failures
 
 

@@ -206,17 +206,16 @@ def hybrid_decide(state: PolicyState, params: Parameters) -> Action:
 
     Opens while the head job is labelled 0; once only predicted non-urgent
     jobs remain it drains the interrupted queue and completes the rest in
-    order. Requires binary labels.
+    order. Requires binary labels: the label is read before any shortcut,
+    so the first decision on an unlabelled instance raises.
     """
     _require_action(state)
     if len(state.unopened) == 0:
         return complete_low(state.interrupted.first_id())
-    if len(state.interrupted) == 0:
-        return OPEN_NEXT
     label = state.unopened.head_label()
     if label is None:
         raise UnsupportedInputError("hybrid policy needs binary labels")
-    if label == 0:
+    if label == 0 or len(state.interrupted) == 0:
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
 

@@ -8,9 +8,9 @@ import pytest
 
 from betasched.analytics import expected_conditional
 from betasched.domain import Instance, Job, Parameters, PredictionModel
-from betasched.engine import offline_wspt, run
+from betasched.engine import offline_wspt, offline_wsrpt, run
 from betasched.errors import TerminalStateError
-from betasched.experiments import _draw_jobs, _rep_rng
+from betasched.experiments import _rep_rng
 from betasched.policies import OPEN_NEXT, Policy, Regime, complete_low, get_policy
 
 ONE = Fraction(1)
@@ -113,6 +113,28 @@ def algebra_classify_regime(model, params):
     return Regime.PREEMPTIVE
 
 
+def draw_jobs(rng, n, rho, e0, e1):
+    """Binary-label jobs 1..n released at 0: per job a type draw, then a label flip."""
+    jobs = []
+    rand = rng.random
+    for i in range(1, n + 1):
+        tt = 0 if rand() < rho else 1
+        flip = rand() < (e0 if tt == 0 else e1)
+        jobs.append(Job(i, tt, (1 - tt) if flip else tt))
+    return jobs
+
+
+def draw_releases(rng, n, mean):
+    """Arrival times of a Poisson stream, first job at 0, exact binary fractions."""
+    lam = 1.0 / mean
+    times = [Fraction(0)]
+    t = 0.0
+    for _ in range(n - 1):
+        t += rng.expovariate(lam)
+        times.append(Fraction(t))
+    return times
+
+
 def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
     """Batch sweep costs through the engine: one Instance and run() per schedule.
 
@@ -126,11 +148,37 @@ def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
     out = [[0.0] * (stop - start) for _ in range(len(policies) + 1)]
     for rep in range(start, stop):
         rng = _rep_rng(config.seed, grid_index, rep)
-        inst = Instance(_draw_jobs(rng, config.n, rho_f, e0f, e1f), params, model)
+        inst = Instance(draw_jobs(rng, config.n, rho_f, e0f, e1f), params, model)
         k = rep - start
         out[0][k] = float(offline_wspt(inst, keep_trace=False).total_cost)
         for pi, pol in enumerate(policies, start=1):
             out[pi][k] = float(run(inst, pol, keep_trace=False).total_cost)
+    return out
+
+
+def engine_arrivals_chunk(config, grid_index, eps0, eps1, start, stop):
+    """Arrival ratios through the engine: one Instance, run() and offline_wsrpt per rep.
+
+    The body `experiments._arrivals_chunk` had before the release-date
+    kernels replaced it; same signature and output layout.
+    """
+    params = config.params
+    model = config.model_for(eps0, eps1)
+    policies = [get_policy(name) for name in config.policies]
+    rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
+    mean = float(config.interarrival)
+    out = [[0.0] * (stop - start) for _ in range(len(policies))]
+    for rep in range(start, stop):
+        rng = _rep_rng(config.seed, grid_index, rep)
+        base = draw_jobs(rng, config.n, rho_f, e0f, e1f)
+        releases = draw_releases(rng, config.n, mean)
+        jobs = [job._replace(release_time=r) for job, r in zip(base, releases)]
+        inst = Instance(jobs, params, model)
+        opt_cost = offline_wsrpt(inst, keep_trace=False).total_cost
+        k = rep - start
+        for pi, pol in enumerate(policies):
+            cost = run(inst, pol, keep_trace=False).total_cost
+            out[pi][k] = float(cost / opt_cost)
     return out
 
 

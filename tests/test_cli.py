@@ -1,4 +1,5 @@
 import json
+import random
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
@@ -17,8 +18,8 @@ from betasched.experiments import (
     verify_regimes,
     verify_wsrpt,
 )
-from betasched.policies import POLICIES
-from conftest import engine_sweep_chunk
+from betasched.policies import POLICIES, Policy, beta_threshold_decide
+from conftest import engine_arrivals_chunk, engine_sweep_chunk
 
 F = Fraction
 
@@ -148,6 +149,52 @@ class TestArrivalsDriver:
         for r in run_arrivals(cfg):
             assert float(r["mc_mean_ratio"]) >= 1.0
 
+    @pytest.mark.parametrize("config", [
+        small_config(seed=0, n=50, eps_pairs=((F(0), F(0)), (F(1, 2), F(1, 2)), (F(1, 2), F(0))),
+                     replications=60, policies=tuple(POLICIES)),
+        small_config(seed=4, n=12, alpha=F(3, 7), w0=F(7, 2), w1=F(3, 4), rho=F(1, 3),
+                     eps_pairs=((F(1, 10), F(3, 10)), (F(1, 4), F(0))),
+                     replications=150, policies=tuple(POLICIES)),
+        small_config(seed=7, n=1, eps_pairs=((F(0), F(0)), (F(1, 2), F(1, 2))),
+                     replications=200, policies=tuple(POLICIES)),
+        small_config(seed=1, n=20, interarrival=F(1, 5), replications=100,
+                     policies=tuple(POLICIES)),
+        small_config(seed=2, n=20, interarrival=F(3), replications=100,
+                     policies=tuple(POLICIES)),
+        small_config(seed=3, n=20, interarrival=F(1, 10 ** 6), replications=100,
+                     policies=tuple(POLICIES)),
+    ], ids=["headline-eps", "fractional", "n1", "interarrival-1/5", "interarrival-3",
+            "interarrival-1e-6"])
+    def test_ratios_equal_the_engine_path(self, config):
+        """The kernels' ratios are float-equal to the engine's, replication by replication."""
+        config = replace(config, arrival="poisson")
+        for gi, (e0, e1) in enumerate(config.eps_pairs):
+            args = (config, gi, e0, e1, 0, config.replications)
+            assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
+
+    def test_equal_release_times_equal_the_engine_path(self, monkeypatch):
+        monkeypatch.setattr(random.Random, "expovariate", lambda self, lam: 0.0)
+        config = small_config(arrival="poisson", n=15, replications=100,
+                              eps_pairs=((F(1, 10), F(1, 10)), (F(1, 2), F(0))),
+                              policies=tuple(POLICIES))
+        for gi, (e0, e1) in enumerate(config.eps_pairs):
+            args = (config, gi, e0, e1, 0, config.replications)
+            assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
+
+    def test_any_decide_prices_through_its_label_flags(self, monkeypatch):
+        """A decide that is none of the built-ins, under a new name."""
+        def wrapped(state, params):
+            return beta_threshold_decide(state, params)
+
+        monkeypatch.setitem(POLICIES, "beta-wrapped", Policy("beta-wrapped", wrapped))
+        config = small_config(arrival="poisson", n=20, replications=150,
+                              policies=("beta-wrapped", "beta"))
+        for gi, (e0, e1) in enumerate(config.eps_pairs):
+            args = (config, gi, e0, e1, 0, config.replications)
+            got = experiments._arrivals_chunk(*args)
+            assert got == engine_arrivals_chunk(*args)
+            assert got[0] == got[1]
+
     def test_instant_arrivals_approach_batch(self):
         # with interarrival ~ 0 every job is effectively released at once
         eps = ((F(1, 10), F(1, 10)),)
@@ -231,6 +278,19 @@ class TestCliCommands:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert any(l.startswith("# interarrival=9/10") for l in lines)
+
+    @pytest.mark.parametrize("mean, message", [
+        ("1e400", "mean interarrival must round to a positive finite float"),
+        ("1e-400", "mean interarrival must round to a positive finite float"),
+        ("1e308", "release times overflow a float at this mean interarrival"),
+    ])
+    def test_extreme_interarrival_fails_cleanly(self, capsys, mean, message):
+        rc = main(["arrivals", "--n", "20", "--reps", "2", "--eps-grid", "0",
+                   "--policy", "beta", "--interarrival", mean])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
     def test_independent_error_grids(self, tmp_path):
         out = tmp_path / "asym.csv"

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from betasched import engine
 from betasched.domain import (
@@ -20,11 +21,13 @@ from betasched.engine import (
     expectimax_optimal,
     format_trace,
     label_flags,
+    label_release_ticks,
     label_schedule_ticks,
     offline_wspt,
     offline_wsrpt,
     rule_expected_cost,
     run,
+    wsrpt_release_ticks,
     wspt_ticks,
 )
 from betasched.errors import (
@@ -32,6 +35,7 @@ from betasched.errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
+from betasched.experiments import wsrpt_kernel_cost
 from betasched.policies import (
     EXACT_REVELATION,
     OPEN_NEXT,
@@ -41,6 +45,7 @@ from betasched.policies import (
     PosteriorRevelation,
     complete_low,
     get_policy,
+    hybrid_decide,
 )
 from conftest import SCAN_MODIFIED_BETA, scan_argmax_theta, worked_example_instance
 
@@ -403,6 +408,11 @@ class TestProbabilisticClassifierMode:
         with pytest.raises(UnsupportedInputError):
             run(inst, get_policy("hybrid"))
 
+    def test_hybrid_decide_rejected_without_labels_under_any_name(self, base_params):
+        inst = Instance([make_job(1, 0, p_hat="1/2")], base_params)
+        with pytest.raises(UnsupportedInputError):
+            run(inst, Policy("h2", hybrid_decide))
+
 
 class TestDecisionMemoTransparency:
     """Memoized decisions must replay exactly what consulting every time gives."""
@@ -737,3 +747,100 @@ class TestLabelKernel:
                 s0, s1 = wspt_ticks(inst.n, inst.n0)
                 want = offline_wspt(inst, keep_trace=False).total_cost
                 assert params.w0 * s0 + params.w1 * s1 == want
+
+
+def random_arrival_instance(rng, params, model, n):
+    """Binary instance whose ids rise with release time, on the 1/8 grid with ties."""
+    releases = sorted(F(rng.randrange(4 * n), 8) for _ in range(n))
+    jobs = [Job(i, rng.randint(0, 1), rng.randint(0, 1), release_time=r)
+            for i, r in enumerate(releases, start=1)]
+    return Instance(jobs, params, model)
+
+
+def release_kernel_ticks(inst, flags):
+    """`label_release_ticks` on `inst` over the tick grid `run()` uses."""
+    alpha = inst.params.alpha
+    den = lcm(alpha.denominator, *(job.release_time.denominator for job in inst.jobs))
+    classes = [([j.release_time.numerator * (den // j.release_time.denominator)
+                 for j in inst.jobs if j.label == label],
+                [j.true_type for j in inst.jobs if j.label == label]) for label in (0, 1)]
+    return label_release_ticks(classes, flags, alpha.numerator * (den // alpha.denominator), den)
+
+
+def ticks_by_type(outcome, inst):
+    """An outcome's completion ticks summed by true type."""
+    sums = [0, 0]
+    for job in inst.jobs:
+        sums[job.true_type] += outcome.completion_ticks[job.id]
+    return tuple(sums)
+
+
+class TestReleaseKernels:
+    """The release-date kernels must price exactly what run() and offline_wsrpt schedule."""
+
+    def test_label_kernel_matches_run_for_every_policy(self):
+        rng = random.Random(606)
+        for params, model in kernel_cases():
+            for n in (1, 2, 3, rng.randint(4, 9), rng.randint(10, 30)):
+                inst = random_arrival_instance(rng, params, model, n)
+                for policy in POLICIES.values():
+                    flags = label_flags(policy, model, params)
+                    out = run(inst, policy, keep_trace=False)
+                    assert release_kernel_ticks(inst, flags) == ticks_by_type(out, inst), (
+                        policy.name, dump_instance(inst))
+
+    def test_label_kernel_matches_run_for_every_flag_pair(self, base_params, base_model):
+        rng = random.Random(78)
+        for flags in ((False, False), (False, True), (True, False), (True, True)):
+            policy = probe_classes(*flags)
+            for _ in range(150):
+                inst = random_arrival_instance(rng, base_params, base_model, rng.randint(1, 12))
+                out = run(inst, policy, keep_trace=False)
+                assert release_kernel_ticks(inst, flags) == ticks_by_type(out, inst), (
+                    flags, dump_instance(inst))
+
+    def test_wsrpt_kernel_matches_offline_wsrpt(self, base_model):
+        rng = random.Random(9)
+        for w0, w1 in ((2, 1), (20, 1), (F(7, 2), F(3, 4)), (8, 7)):
+            params = Parameters(F(2, 5), w0, w1)
+            for _ in range(60):
+                inst = random_arrival_instance(rng, params, base_model, rng.randint(1, 30))
+                assert wsrpt_kernel_cost(inst) == offline_wsrpt(inst, keep_trace=False).total_cost
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.sampled_from([(2, 1), (4, 1), (8, 7), (3, 2), (20, 1), (F(7, 2), F(3, 4))]),
+        jobs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 15)), min_size=1, max_size=5),
+    )
+    # equal release times
+    @example(weights=(2, 1), jobs=[(1, 0), (0, 0), (1, 0), (0, 3), (0, 3)])
+    # w0 * x == w1 * den at the urgent release: x = 1/2, 1/4, 7/8 left; no preemption
+    @example(weights=(2, 1), jobs=[(1, 0), (0, 4)])
+    @example(weights=(4, 1), jobs=[(1, 0), (0, 6), (0, 6)])
+    @example(weights=(8, 7), jobs=[(1, 1), (0, 2), (1, 2)])
+    def test_wsrpt_kernel_equals_both_oracles(self, weights, jobs):
+        """On the 1/8 grid at n <= 5: offline_wsrpt and the enumerated optimum."""
+        params = Parameters(F(2, 5), *weights)
+        inst = Instance([Job(i, tt, tt, release_time=F(k, 8))
+                         for i, (tt, k) in enumerate(jobs, start=1)],
+                        params, PredictionModel(F(1, 2), 0, 0))
+        cost = wsrpt_kernel_cost(inst)
+        assert cost == offline_wsrpt(inst, keep_trace=False).total_cost
+        assert cost == enumerate_offline_optimum(inst, limit=5)
+
+    def test_urgent_release_at_the_tie_does_not_preempt(self):
+        # w0 = 2, w1 = 1, unit = 2 ticks: at tick 1 the non-urgent job has
+        # x = 1 tick left and w0 * x == w1 * den, so it keeps the machine; the
+        # tie falls before the last release, and at it
+        params = Parameters(F(2, 5), 2, 1)
+        for later in ([Job(3, 1, 1, release_time=F(5))], []):
+            jobs = [Job(1, 1, 1), Job(2, 0, 0, release_time=F(1, 2))] + later
+            tie = Instance(jobs, params, PredictionModel(F(1, 2), 0, 0))
+            out = offline_wsrpt(tie)
+            assert out.preemption_count == 0
+            ticks = [int(job.release_time * 2) for job in jobs]
+            types = [job.true_type for job in jobs]
+            assert wsrpt_release_ticks(ticks, types, 2, 1, 2) == ticks_by_type(out, tie)
+        # one tick earlier (unit = 8 ticks) x = 5 and w0 * x > w1 * den: it yields
+        assert wsrpt_release_ticks([0, 3], [1, 0], 2, 1, 8) == (11, 16)
+        assert wsrpt_release_ticks([0, 3, 40], [1, 0, 1], 2, 1, 8) == (11, 16 + 48)
