@@ -77,7 +77,7 @@ _CONFIG_KEYS = {
 }
 
 
-def _build_config(args, arrival: str) -> ExperimentConfig:
+def _build_config(args, default_reps: int) -> ExperimentConfig:
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - _CONFIG_KEYS
     if unknown:
@@ -117,9 +117,8 @@ def _build_config(args, arrival: str) -> ExperimentConfig:
         w1=pick(args.w1, "w1", to_fraction, Fraction(1)),
         n=pick(args.n, "n", int, 50),
         eps_pairs=eps_pairs,
-        replications=pick(args.reps, "reps", int, 100_000 if arrival == "batch" else 10_000),
+        replications=pick(args.reps, "reps", int, default_reps),
         seed=pick(args.seed, "seed", int, 0),
-        arrival=arrival,
         interarrival=pick(
             getattr(args, "interarrival", None), "interarrival", to_fraction, Fraction(9, 10)
         ),
@@ -158,7 +157,7 @@ def _add_common_flags(p, include_interarrival: bool) -> None:
 
 
 def cmd_sweep(args) -> int:
-    config = _build_config(args, "batch")
+    config = _build_config(args, default_reps=100_000)
     if args.cr:
         rows = run_cr_sweep(config)
         header = config.header("cr")
@@ -170,7 +169,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_arrivals(args) -> int:
-    config = _build_config(args, "poisson")
+    config = _build_config(args, default_reps=10_000)
     rows = run_arrivals(config)
     _emit(args, config.header("arrivals"), ARRIVAL_COLUMNS, rows)
     return 0

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress
-from math import comb, gcd
+from math import comb, lcm
 from operator import not_
 from typing import NamedTuple, Optional
 
@@ -76,12 +76,19 @@ def format_trace(outcome: RunOutcome) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def weight_grid(params: Parameters) -> tuple[int, int, int]:
+    """(wden, W0, W1): w0 = W0/wden and w1 = W1/wden on one integer grid.
+
+    Costs on it are integers, and the quotient of two of them (`int / int`)
+    rounds like the float of the exact Fraction.
+    """
+    wden = lcm(params.w0.denominator, params.w1.denominator)
+    return (wden, params.w0.numerator * (wden // params.w0.denominator),
+            params.w1.numerator * (wden // params.w1.denominator))
 
 
 class _Prepared(NamedTuple):
-    """Per-instance layout shared by every run over the same instance."""
+    """Per-instance layout of a run: tick grid, queue entries, true types."""
 
     den: int                 # tick denominator: lcm of alpha and release denominators
     alpha_ticks: int
@@ -90,38 +97,28 @@ class _Prepared(NamedTuple):
     true_of: dict[int, int]
 
 
-# (instance, layout) of the last prepared instance. Drivers run every policy
-# back to back on one instance, so one slot saves all but the first layout.
-# Instances are immutable, and the slot holds its instance, so `is` is sound.
-_last_layout: tuple = (None, None)
-
-
 def _prepare(instance: Instance) -> _Prepared:
-    global _last_layout
-    last = _last_layout  # one read: the pair cannot tear under threads
-    if last[0] is instance:
-        return last[1]
     params = instance.params
     jobs = instance.jobs
-    den = params.alpha.denominator
-    for job in jobs:
-        rd = job.release_time.denominator
-        if rd != 1:
-            den = _lcm(den, rd)
+    den = lcm(params.alpha.denominator, *(job.release_time.denominator for job in jobs))
     alpha_ticks = params.alpha.numerator * (den // params.alpha.denominator)
 
     true_of = {job.id: job.true_type for job in jobs}
-    # entries carry an integer rank of the (negated) priority so queue order,
-    # arrival insertion, and decision-memo keys avoid rational arithmetic;
-    # in binary mode label order IS priority order (posterior(0) >= posterior(1),
-    # and a collapsed tie still puts predicted-urgent jobs first)
+    # entries carry an integer rank of the (negated) priority so queue order
+    # and arrival insertion avoid rational arithmetic; in binary mode label
+    # order IS priority order (posterior(0) >= posterior(1), and a collapsed
+    # tie still puts predicted-urgent jobs first)
     if instance.mode == "binary":
         post = {0: instance.model.posterior(0), 1: instance.model.posterior(1)}
         tagged = [(job.label, job.id, job.label, post[job.label]) for job in jobs]
     else:
-        uniq = sorted({-job.p_hat for job in jobs})
-        rank_of = {neg_p: i for i, neg_p in enumerate(uniq)}
-        tagged = [(rank_of[-job.p_hat], job.id, None, job.p_hat) for job in jobs]
+        # equal Fractions have equal (numerator, denominator) pairs, so only
+        # the distinct values are compared as Fractions
+        keys = [(job.p_hat.numerator, job.p_hat.denominator) for job in jobs]
+        value_of = dict(zip(keys, (job.p_hat for job in jobs)))
+        rank_of = {key: i for i, key in
+                   enumerate(sorted(value_of, key=value_of.__getitem__, reverse=True))}
+        tagged = [(rank_of[key], job.id, None, job.p_hat) for key, job in zip(keys, jobs)]
 
     initial = []
     future = []
@@ -133,9 +130,7 @@ def _prepare(instance: Instance) -> _Prepared:
             future.append((r.numerator * (den // r.denominator), entry))
     initial.sort()
     future.sort()
-    layout = _Prepared(den, alpha_ticks, tuple(initial), tuple(future), true_of)
-    _last_layout = (instance, layout)
-    return layout
+    return _Prepared(den, alpha_ticks, tuple(initial), tuple(future), true_of)
 
 
 def run(
@@ -170,7 +165,7 @@ def run(
     true_of = prep.true_of
     forced_continue = not policy.preempts
 
-    pend = list(prep.initial)   # sorted (neg_priority, job_id, label)
+    pend = list(prep.initial)   # sorted (rank, job_id, label, priority)
     pi = 0                      # head index into pend
     future = prep.future
     fi = 0
@@ -183,13 +178,6 @@ def run(
     heap: Optional[list] = None if exact_mode else []
 
     decide = policy.decide
-    memo: Optional[dict] = {} if (policy.fifo_stationary and exact_mode) else None
-
-    def consult(t_ticks: int):
-        uq = UnopenedQueue._wrap(pend, pi)
-        iq = InterruptedQueue._wrap(intr, ii, heap)
-        return decide(PolicyState(uq, iq, t_ticks, den), params)
-
     t = 0
     n = instance.n
     done = 0
@@ -213,35 +201,17 @@ def run(
             t = future[fi][0]  # idle until the next arrival
             continue
 
-        if memo is not None:
-            if have_pend:
-                head = pend[pi]
-                key = (head[0], head[2], have_intr)
-            else:
-                key = None
-            kind = memo.get(key)
-        else:
-            kind = None
-        if kind is None:
-            action = consult(t)
-            kind = action.kind
-            target = action.job_id
-            if kind == "open":
-                if not have_pend:
-                    raise ContractViolationError(
-                        f"policy {policy.name} opened with an empty queue at t={Fraction(t, den)}"
-                    )
-            elif kind != "complete":
-                raise ContractViolationError(f"unknown action kind {kind!r} from {policy.name}")
-            if memo is not None:
-                if kind == "complete" and (not have_intr or target != intr[ii][0]):
-                    raise ContractViolationError(
-                        f"policy {policy.name} is declared fifo_stationary but completed "
-                        f"job {target} instead of the FIFO head at t={Fraction(t, den)}"
-                    )
-                memo[key] = kind
-        elif kind == "complete":
-            target = intr[ii][0]
+        action = decide(PolicyState(UnopenedQueue._wrap(pend, pi),
+                                    InterruptedQueue._wrap(intr, ii, heap), t, den), params)
+        kind = action.kind
+        target = action.job_id
+        if kind == "open":
+            if not have_pend:
+                raise ContractViolationError(
+                    f"policy {policy.name} opened with an empty queue at t={Fraction(t, den)}"
+                )
+        elif kind != "complete":
+            raise ContractViolationError(f"unknown action kind {kind!r} from {policy.name}")
 
         if pending is not None:
             if kind != "complete" or target != pending:
@@ -546,16 +516,8 @@ def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     ever triggered by an arrival. All arithmetic is integer on the tick grid.
     """
     params = instance.params
-    den = 1
-    for job in instance.jobs:
-        rd = job.release_time.denominator
-        if rd != 1:
-            den = _lcm(den, rd)
-    wden = _lcm(params.w0.denominator, params.w1.denominator)
-    w_int = {  # weights scaled to a common integer grid
-        0: params.w0.numerator * (wden // params.w0.denominator),
-        1: params.w1.numerator * (wden // params.w1.denominator),
-    }
+    den = lcm(*(job.release_time.denominator for job in instance.jobs))
+    wden, *w_int = weight_grid(params)  # w_int[true type]: weights on one integer grid
 
     jobs = instance.jobs
     releases = sorted(

@@ -42,6 +42,7 @@ from .engine import (
     offline_wsrpt,
     rule_expected_cost,
     run,
+    weight_grid,
     wsrpt_release_ticks,
     wspt_ticks,
 )
@@ -60,7 +61,6 @@ class ExperimentConfig:
     eps_pairs: Optional[tuple[tuple[Fraction, Fraction], ...]] = None  # None: default_eps_grid()
     replications: int = 100_000
     seed: int = 0
-    arrival: str = "batch"  # batch | poisson
     interarrival: Fraction = Fraction(9, 10)
     policies: tuple[str, ...] = ("nonpreemptive", "preemptive", "beta")
     jobs: int = 1
@@ -77,8 +77,6 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.arrival not in ("batch", "poisson"):
-            raise ValueError(f"arrival mode must be batch or poisson, got {self.arrival!r}")
         if self.interarrival <= ZERO:
             raise ValueError("mean interarrival must be positive")
         try:  # arrival streams draw with the float mean
@@ -148,17 +146,6 @@ def _draw_classes(rng: random.Random, n: int, rho: float, e0: float,
     return classes
 
 
-def _weight_grid(params: Parameters) -> tuple[int, int, int]:
-    """(wden, W0, W1): w0 = W0/wden and w1 = W1/wden on one integer grid.
-
-    Costs on it are integers, and the quotient of two of them (`int / int`)
-    rounds like the float of the exact Fraction.
-    """
-    wden = math.lcm(params.w0.denominator, params.w1.denominator)
-    return (wden, params.w0.numerator * (wden // params.w0.denominator),
-            params.w1.numerator * (wden // params.w1.denominator))
-
-
 def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
                  eps1: Fraction, start: int, stop: int):
     """Costs for replications [start, stop): one row per rep, opt first.
@@ -170,7 +157,7 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     model = config.model_for(eps0, eps1)
     flags = [label_flags(get_policy(name), model, params) for name in config.policies]
     alpha_ticks, den = params.alpha.numerator, params.alpha.denominator
-    wden, w0, w1 = _weight_grid(params)  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
+    wden, w0, w1 = weight_grid(params)  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     n = config.n
     out = [[0.0] * (stop - start) for _ in range(len(flags) + 1)]
@@ -204,7 +191,7 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     model = config.model_for(eps0, eps1)
     flags = [label_flags(get_policy(name), model, params) for name in config.policies]
     alpha_num, alpha_den = params.alpha.numerator, params.alpha.denominator
-    _, w0, w1 = _weight_grid(params)
+    _, w0, w1 = weight_grid(params)
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     lam = 1.0 / float(config.interarrival)
     n = config.n
@@ -311,8 +298,6 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     Ratios are normalized by the analytic expected clairvoyant optimum. The
     `opt` row checks the simulated optimum against that same baseline.
     """
-    if config.arrival != "batch":
-        raise ValueError("run_sweep is the batch driver; use run_arrivals for poisson mode")
     rows = []
     names = ("opt",) + config.policies
     grid = _run_grid(_sweep_chunk, config, SWEEP_MIN_REPS_PER_WORKER)
@@ -337,8 +322,6 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
 
 def run_arrivals(config: ExperimentConfig) -> list[dict[str, str]]:
     """Arrival-mode rows: per-replication ratio against the clairvoyant schedule."""
-    if config.arrival != "poisson":
-        raise ValueError("run_arrivals needs arrival='poisson'")
     rows = []
     grid = _run_grid(_arrivals_chunk, config, ARRIVALS_MIN_REPS_PER_WORKER)
     for (e0, e1), ratios in zip(config.eps_pairs, grid):
@@ -470,7 +453,7 @@ def wsrpt_kernel_cost(instance: Instance) -> Fraction:
     """
     jobs = sorted(instance.jobs, key=lambda job: job.release_time)
     den = math.lcm(*(job.release_time.denominator for job in jobs))
-    wden, w0, w1 = _weight_grid(instance.params)
+    wden, w0, w1 = weight_grid(instance.params)
     s0, s1 = wsrpt_release_ticks(
         [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
         [job.true_type for job in jobs], w0, w1, den)

@@ -306,16 +306,11 @@ class Policy:
 
     preempts: the engine consults the policy at reveal points; when False the
         job in progress always continues to completion.
-    fifo_stationary: under exact revelation the decision kind depends only on
-        (head label, head priority, whether anything is interrupted), and a
-        completion always targets the FIFO head. Lets the engine memoize
-        decisions; the modified rule reads thetas, so it does not qualify.
     """
 
     name: str
     decide: Callable[[PolicyState, Parameters], Action]
     preempts: bool = True
-    fifo_stationary: bool = True
 
 
 POLICIES: dict[str, Policy] = {
@@ -323,7 +318,7 @@ POLICIES: dict[str, Policy] = {
     "preemptive": Policy("preemptive", preemptive_decide),
     "beta": Policy("beta", beta_threshold_decide),
     "hybrid": Policy("hybrid", hybrid_decide),
-    "modified-beta": Policy("modified-beta", modified_beta_decide, fifo_stationary=False),
+    "modified-beta": Policy("modified-beta", modified_beta_decide),
 }
 
 
@@ -338,11 +333,12 @@ def get_policy(name: str) -> Policy:
 def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> tuple[bool, bool]:
     """Which label classes `policy` probes on a batch instance under exact reveal.
 
-    flag[l] is the policy's answer to the question `run()` memoizes: with the
-    head job labelled l and one job interrupted at theta = 0, does it open the
-    head (True) or complete the interrupted job (False)? A policy that never
-    preempts probes no class. The batch kernel, the closed forms, the tree
-    oracle and the regime all read a policy's batch behaviour from here.
+    flag[l] is the policy's answer to the question `run()` asks at each
+    decision: with the head job labelled l and one job interrupted at
+    theta = 0, does it open the head (True) or complete the interrupted job
+    (False)? A policy that never preempts probes no class. The batch kernel,
+    the closed forms, the tree oracle and the regime all read a policy's
+    batch behaviour from here.
     """
     if not policy.preempts:
         return False, False

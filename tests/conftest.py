@@ -220,4 +220,4 @@ def scan_modified_beta_decide(state, params):
     return complete_low(job_id)
 
 
-SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide, fifo_stationary=False)
+SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide)

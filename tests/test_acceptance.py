@@ -254,8 +254,7 @@ class TestAcceptance:
         config = ExperimentConfig(
             alpha=F(2, 5), rho=F(1, 10), w0=F(20), w1=F(1), n=20,
             eps_pairs=coupled_grid(F(k, 20) for k in range(3)),
-            replications=3000, seed=808, arrival="poisson",
-            interarrival=F(9, 10),
+            replications=3000, seed=808, interarrival=F(9, 10),
             policies=("nonpreemptive", "preemptive", "hybrid"),
         )
         rows = run_arrivals(config)

@@ -109,7 +109,7 @@ class TestSweepDriver:
         assert run_sweep(big) == run_sweep(replace(big, jobs=1))
         assert inline_pools == [2]
 
-        few = small_config(arrival="poisson", replications=20, jobs=2, policies=("beta",))
+        few = small_config(replications=20, jobs=2, policies=("beta",))
         assert run_arrivals(few) == run_arrivals(replace(few, jobs=1))
         assert inline_pools == [2]
         enough = replace(few, replications=experiments.ARRIVALS_MIN_REPS_PER_WORKER)
@@ -138,14 +138,13 @@ class TestSweepDriver:
 
 class TestArrivalsDriver:
     def test_columns_and_determinism(self):
-        cfg = small_config(arrival="poisson", replications=150, policies=("beta",))
+        cfg = small_config(replications=150, policies=("beta",))
         rows = run_arrivals(cfg)
         assert {"mc_mean_ratio", "mc_stderr", "mc_max_ratio"} <= set(rows[0])
         assert rows == run_arrivals(cfg)
 
     def test_ratios_at_least_one(self):
-        cfg = small_config(arrival="poisson", replications=200,
-                           policies=("nonpreemptive", "beta"))
+        cfg = small_config(replications=200, policies=("nonpreemptive", "beta"))
         for r in run_arrivals(cfg):
             assert float(r["mc_mean_ratio"]) >= 1.0
 
@@ -167,14 +166,13 @@ class TestArrivalsDriver:
             "interarrival-1e-6"])
     def test_ratios_equal_the_engine_path(self, config):
         """The kernels' ratios are float-equal to the engine's, replication by replication."""
-        config = replace(config, arrival="poisson")
         for gi, (e0, e1) in enumerate(config.eps_pairs):
             args = (config, gi, e0, e1, 0, config.replications)
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
 
     def test_equal_release_times_equal_the_engine_path(self, monkeypatch):
         monkeypatch.setattr(random.Random, "expovariate", lambda self, lam: 0.0)
-        config = small_config(arrival="poisson", n=15, replications=100,
+        config = small_config(n=15, replications=100,
                               eps_pairs=((F(1, 10), F(1, 10)), (F(1, 2), F(0))),
                               policies=tuple(POLICIES))
         for gi, (e0, e1) in enumerate(config.eps_pairs):
@@ -187,8 +185,7 @@ class TestArrivalsDriver:
             return beta_threshold_decide(state, params)
 
         monkeypatch.setitem(POLICIES, "beta-wrapped", Policy("beta-wrapped", wrapped))
-        config = small_config(arrival="poisson", n=20, replications=150,
-                              policies=("beta-wrapped", "beta"))
+        config = small_config(n=20, replications=150, policies=("beta-wrapped", "beta"))
         for gi, (e0, e1) in enumerate(config.eps_pairs):
             args = (config, gi, e0, e1, 0, config.replications)
             got = experiments._arrivals_chunk(*args)
@@ -201,7 +198,7 @@ class TestArrivalsDriver:
         batch = run_sweep(small_config(eps_pairs=eps, replications=4000, n=6,
                                        policies=("beta",)))
         crowded = run_arrivals(small_config(
-            arrival="poisson", interarrival=F(1, 10 ** 6), eps_pairs=eps,
+            interarrival=F(1, 10 ** 6), eps_pairs=eps,
             replications=4000, n=6, policies=("beta",),
         ))
         b = [r for r in batch if r["policy"] == "beta"][0]

@@ -5,7 +5,6 @@ from math import comb, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betasched import engine
 from betasched.domain import (
     Instance,
     Job,
@@ -14,6 +13,7 @@ from betasched.domain import (
     dump_instance,
     make_job,
     sample_instance,
+    sort_for_policy,
 )
 from betasched.engine import (
     LabelClass,
@@ -133,7 +133,7 @@ class TestRunBasics:
             assert b <= a2  # one job at a time
 
     def test_illegal_action_reported_with_context(self, base_params, base_model):
-        bad = Policy("bad", lambda s, p: Action("complete", 99), fifo_stationary=False)
+        bad = Policy("bad", lambda s, p: Action("complete", 99))
         inst = Instance([Job(1, 0, 0)], base_params, base_model)
         with pytest.raises(ContractViolationError) as err:
             run(inst, bad)
@@ -318,7 +318,7 @@ class TestExpectimax:
                     return OPEN_NEXT
                 return complete_low(state.interrupted.first_id())
 
-            return Policy("table", decide, fifo_stationary=False)
+            return Policy("table", decide)
 
         def engine_expectation(policy):
             total = Fraction(0)
@@ -414,41 +414,85 @@ class TestProbabilisticClassifierMode:
             run(inst, Policy("h2", hybrid_decide))
 
 
-class TestDecisionMemoTransparency:
-    """Memoized decisions must replay exactly what consulting every time gives."""
+class TestEveryDecisionConsulted:
+    """run() asks the policy at every decision point, whatever its decide reads.
 
-    def test_memo_on_off_identical(self, base_model):
-        from betasched.policies import (
-            beta_threshold_decide,
-            nonpreemptive_decide,
-            preemptive_decide,
-        )
+    Five non-urgent jobs at alpha = 2/5: each open sets its job aside at its
+    reveal point, so the same head label meets interrupted work again and
+    again, and only the policy's own state tells the decisions apart.
+    """
 
-        unmemoized = {
-            "beta": Policy("beta", beta_threshold_decide, fifo_stationary=False),
-            "preemptive": Policy("preemptive", preemptive_decide, fifo_stationary=False),
-            "nonpreemptive": Policy(
-                "nonpreemptive", nonpreemptive_decide, preempts=False, fifo_stationary=False
-            ),
-        }
-        rng = random.Random(99)
-        for _ in range(60):
-            params = Parameters(F(rng.randint(1, 9), 10), rng.randint(2, 40), 1)
-            jobs = [
-                Job(
-                    i,
-                    rng.randint(0, 1),
-                    rng.randint(0, 1),
-                    release_time=F(rng.randrange(8), 4) if rng.random() < 0.5 else F(0),
-                )
-                for i in range(1, rng.randint(2, 12))
-            ]
-            inst = Instance(jobs, params, base_model)
-            for name, twin in unmemoized.items():
-                a = run(inst, get_policy(name))
-                b = run(inst, twin)
-                assert a.trace == b.trace
-                assert a.total_cost == b.total_cost
+    @staticmethod
+    def five_nonurgent(base_params, base_model):
+        return Instance([Job(i, 1, 1) for i in range(1, 6)], base_params, base_model)
+
+    def test_clock_dependent_policy(self, base_params, base_model):
+        # open while the clock is below 1, then finish the FIFO head first
+        def decide(state, params):
+            if len(state.unopened) and (state.clock < 1 or len(state.interrupted) == 0):
+                return OPEN_NEXT
+            return complete_low(state.interrupted.first_id())
+
+        out = run(self.five_nonurgent(base_params, base_model), Policy("clocked", decide))
+        assert format_trace(out).splitlines() == [
+            "0,open,1,1", "2/5,alpha_reveal,1,1",
+            "2/5,preempt,1,1", "2/5,open,2,1", "4/5,alpha_reveal,2,1",
+            "4/5,preempt,2,1", "4/5,open,3,1", "6/5,alpha_reveal,3,1",
+            "6/5,preempt,3,1", "9/5,complete,1,1",
+            "12/5,complete,2,1",
+            "3,complete,3,1",
+            "3,open,4,1", "17/5,alpha_reveal,4,1", "4,complete,4,1",
+            "4,open,5,1", "22/5,alpha_reveal,5,1", "5,complete,5,1",
+        ]
+        # 9/5 + 12/5 + 3 + 4 + 5; opening all five first would cost 19
+        assert out.total_cost == F(81, 5)
+        assert out.preemption_count == 3
+
+    def test_backlog_dependent_policy(self, base_params, base_model):
+        # open while at most one job is set aside, else finish the FIFO head
+        def decide(state, params):
+            if len(state.unopened) and len(state.interrupted) <= 1:
+                return OPEN_NEXT
+            return complete_low(state.interrupted.first_id())
+
+        out = run(self.five_nonurgent(base_params, base_model), Policy("backlog", decide))
+        assert out.completion_times == {1: F(7, 5), 2: F(12, 5), 3: F(17, 5),
+                                        4: F(22, 5), 5: F(5)}
+        assert [ev.job_id for ev in out.trace if ev.kind == "open"] == [1, 2, 3, 4, 5]
+        assert out.total_cost == F(83, 5)
+        assert out.preemption_count == 5
+
+
+class TestQueueOrder:
+    """run() opens a batch queue in `sort_for_policy` order."""
+
+    @staticmethod
+    def open_order(inst):
+        out = run(inst, get_policy("preemptive"))
+        return [ev.job_id for ev in out.trace if ev.kind == "open"]
+
+    def assert_sorted_order(self, inst):
+        assert self.open_order(inst) == [j.id for j in sort_for_policy(inst)], dump_instance(inst)
+
+    def test_binary_labels(self, base_params):
+        rng = random.Random(31)
+        # the last channel collapses both posteriors to rho
+        for eps in ((0, 0), (F(1, 10), F(3, 10)), (F(1, 2), 0), (F(1, 2), F(1, 2))):
+            model = PredictionModel(F(1, 3), *eps)
+            for n in (1, 2, 5, 17, 40):
+                self.assert_sorted_order(random_batch_instance(rng, base_params, model, n))
+
+    def test_p_hat_values(self, base_params):
+        rng = random.Random(32)
+        # make_job builds a new Fraction per job, so equal values are distinct
+        # objects, and equal values come from different spellings; 0 and 1
+        # are the ends of the range
+        values = ("0", "1", "1/2", "0.5", "2/4", "1/3", "2/6", "1/82", "2/57", "0.999")
+        for n in (1, 2, 5, 17, 40):
+            ids = list(range(1, n + 1))
+            rng.shuffle(ids)
+            jobs = [make_job(i, rng.randint(0, 1), p_hat=rng.choice(values)) for i in ids]
+            self.assert_sorted_order(Instance(jobs, base_params))
 
 
 class TestPosteriorRevelation:
@@ -576,7 +620,7 @@ class TestThetaHeapDifferential:
                     seen["p_hat <= beta"] += 1
             return SCAN_MODIFIED_BETA.decide(state, params)
 
-        oracle = Policy("modified-beta-scan", recording, fifo_stationary=False)
+        oracle = Policy("modified-beta-scan", recording)
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(2, 40)
@@ -598,7 +642,7 @@ class TestThetaHeapDifferential:
                 if k % 2:
                     return complete_low(state.interrupted.first_id())
                 return complete_low(argmax(state.interrupted)[0])
-            return Policy("mixed", decide, fifo_stationary=False)
+            return Policy("mixed", decide)
 
         heap = fifo_then_argmax(lambda q: q.argmax_theta())
         scan = fifo_then_argmax(scan_argmax_theta)
@@ -610,16 +654,12 @@ class TestThetaHeapDifferential:
 
 
 class TestLayoutReuse:
-    """Runs that reuse the last instance's layout must match fresh runs."""
+    """Interleaved runs over two instances must match fresh runs of each."""
 
     POLICIES = ("nonpreemptive", "preemptive", "hybrid", "beta", "modified-beta")
 
-    def fresh(self, inst, name, monkeypatch):
-        monkeypatch.setattr(engine, "_last_layout", (None, None))
-        return run(inst, get_policy(name))
-
-    def check_alternation(self, a, b, monkeypatch):
-        want = {id(inst): {name: self.fresh(inst, name, monkeypatch) for name in self.POLICIES}
+    def check_alternation(self, a, b):
+        want = {id(inst): {name: run(inst, get_policy(name)) for name in self.POLICIES}
                 for inst in (a, b)}
         assert want[id(a)]["beta"].trace != want[id(b)]["beta"].trace
         for inst in (a, b, a):
@@ -630,14 +670,13 @@ class TestLayoutReuse:
                 assert got.total_cost == ref.total_cost
                 assert got.completion_times == ref.completion_times
 
-    def test_batch_instances(self, base_params, base_model, monkeypatch):
+    def test_batch_instances(self, base_params, base_model):
         self.check_alternation(
             sample_instance(12, base_model, base_params, seed=3),
             sample_instance(12, base_model, base_params, seed=4),
-            monkeypatch,
         )
 
-    def test_release_date_instances(self, base_params, base_model, monkeypatch):
+    def test_release_date_instances(self, base_params, base_model):
         def released(seed):
             rng = random.Random(seed)
             jobs = [Job(i, rng.randint(0, 1), rng.randint(0, 1),
@@ -645,7 +684,7 @@ class TestLayoutReuse:
                     for i in range(1, 10)]
             return Instance(jobs, base_params, base_model)
 
-        self.check_alternation(released(1), released(2), monkeypatch)
+        self.check_alternation(released(1), released(2))
 
 
 def probe_classes(flag0, flag1):
