@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import compress
 from math import comb, lcm
-from operator import not_
 from typing import NamedTuple, Optional
 
 from .domain import Instance, Parameters, PredictionModel, ZERO, ONE, format_fraction
@@ -289,34 +287,21 @@ def run(
 # Batch kernels: binary labels, all jobs released at 0, exact reveal
 # ---------------------------------------------------------------------------
 
-class LabelClass(NamedTuple):
-    """The jobs of one label, in queue (id) order, reduced to what costs need."""
-
-    size: int
-    urgent: int
-    urgent_positions: int  # sum of the urgent jobs' 1-based places in the class
-    ends_urgent: bool
-
-    @classmethod
-    def of(cls, types) -> "LabelClass":
-        """Summarise the true types (0 urgent, 1 not) of a class in id order."""
-        m = len(types)
-        return cls(m, m - sum(types), sum(compress(range(1, m + 1), map(not_, types))),
-                   m > 0 and types[-1] == 0)
-
-
 def label_schedule_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int, int]:
     """Completion-tick sums (urgent, non-urgent) of one batch schedule.
 
-    The schedule is the one `run()` gives a policy with these `label_flags` on
-    a batch instance with binary labels under exact reveal: the queue holds
-    the label-0 class, then the label-1 class. In a probed class every job is
-    opened; an urgent one completes a unit later, a non-urgent one is set
-    aside at its alpha point. An unprobed class first finishes the set-aside
-    jobs (1 - alpha each, FIFO) and then runs its jobs back to back; its last
-    job, if non-urgent, waits at its alpha point for the next decision. Set
-    aside jobs are all non-urgent, so only their count matters. The clock
-    counts ticks of 1/den, and a unit is den ticks; each class costs O(1).
+    `classes[l]` is (size, urgent, urgent_positions, ends_urgent) of the label-l
+    jobs in id order: their urgent count, the sum of the urgent ones' 1-based
+    places, and whether the last is urgent. The schedule is the one `run()`
+    gives a policy with these `label_flags` on a batch instance with binary
+    labels under exact reveal: the queue holds the label-0 class, then the
+    label-1 class. In a probed class every job is opened; an urgent one
+    completes a unit later, a non-urgent one is set aside at its alpha point.
+    An unprobed class first finishes the set-aside jobs (1 - alpha each, FIFO)
+    and then runs its jobs back to back; its last job, if non-urgent, waits at
+    its alpha point for the next decision. Set aside jobs are all non-urgent,
+    so only their count matters. The clock counts ticks of 1/den, and a unit
+    is den ticks; each class costs O(1).
     """
     tail = den - alpha_ticks
     t = s0 = s1 = held = 0

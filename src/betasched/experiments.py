@@ -34,7 +34,6 @@ from .domain import (
     to_fraction,
 )
 from .engine import (
-    LabelClass,
     enumerate_offline_optimum,
     expectimax_optimal,
     label_release_ticks,
@@ -134,16 +133,26 @@ def _rep_rng(seed: int, grid_index: int, rep: int) -> random.Random:
     return random.Random(f"{seed}:{grid_index}:{rep}")
 
 
-def _draw_classes(rng: random.Random, n: int, rho: float, e0: float,
-                  e1: float) -> tuple[list[int], list[int]]:
-    """True types of each label class in id order: per job a type, then a label flip."""
+def _draw_classes(rng: random.Random, n: int, rho: float, e0: float, e1: float):
+    """(size, urgent, urgent_positions, ends_urgent) of label classes 0 and 1,
+    counted as each job draws its type, then its label flip: no per-class list."""
     rand = rng.random
-    classes = ([], [])
-    for _ in range(n):
-        tt = 0 if rand() < rho else 1
-        flip = rand() < (e0 if tt == 0 else e1)
-        classes[(1 - tt) if flip else tt].append(tt)
-    return classes
+    m0 = u0 = p0 = u1 = p1 = 0  # the jobs drawn so far: m0 labelled 0, j - m0 labelled 1
+    last0 = last1 = -1  # place of each class's last urgent job
+    for j in range(1, n + 1):
+        if rand() < rho:  # urgent, labelled 1 when flipped
+            if rand() < e0:
+                u1 += 1
+                last1 = j - m0
+                p1 += last1
+            else:
+                m0 += 1
+                u0 += 1
+                p0 += m0
+                last0 = m0
+        elif rand() < e1:  # non-urgent, labelled 0 when flipped
+            m0 += 1
+    return (m0, u0, p0, last0 == m0), (n - m0, u1, p1, last1 == n - m0)
 
 
 def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
@@ -163,9 +172,9 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     out = [[0.0] * (stop - start) for _ in range(len(flags) + 1)]
     for rep in range(start, stop):
         rng = _rep_rng(config.seed, grid_index, rep)
-        classes = [LabelClass.of(types) for types in _draw_classes(rng, n, rho_f, e0f, e1f)]
+        classes = _draw_classes(rng, n, rho_f, e0f, e1f)
         k = rep - start
-        s0, s1 = wspt_ticks(n, classes[0].urgent + classes[1].urgent)
+        s0, s1 = wspt_ticks(n, classes[0][1] + classes[1][1])
         out[0][k] = (w0 * s0 + w1 * s1) / wden
         for pi, f in enumerate(flags, start=1):
             s0, s1 = label_schedule_ticks(classes, f, alpha_ticks, den)
@@ -230,12 +239,12 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
 
 
 # Fewest replications that pay for a worker process of their own. On 2 vCPUs
-# (CPython 3.11.7, n = 50, 11-point grid, three policies) starting and
-# feeding a pool costs about 10-30 ms, a batch replication about 30 us and
-# an arrival replication about 85 us. Batch: 2 200 replications took 0.11 s
-# with two workers against 0.08 s with one, 4 400 took 0.09 s against
-# 0.16 s. Arrivals (median of 7 fresh processes): 220 took 22 ms against
-# 19 ms, 440 took 27 ms against 36 ms, 660 took 35 ms against 53 ms.
+# (CPython 3.11.7, n = 50, 11-point grid, three policies, median of 7 fresh
+# processes) starting and feeding a pool costs about 10-30 ms, a batch
+# replication about 25 us and an arrival replication about 85 us. Two workers
+# against one, batch: 2 200 replications 50-56 against 49-60 ms, 3 300 70-75
+# against 93-95 ms, 4 400 83-86 against 106-115 ms; arrivals: 220 took 22
+# against 19 ms, 440 27 against 36 ms, 660 35 against 53 ms.
 SWEEP_MIN_REPS_PER_WORKER = 2000
 ARRIVALS_MIN_REPS_PER_WORKER = 200
 
@@ -301,22 +310,25 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     rows = []
     names = ("opt",) + config.policies
     grid = _run_grid(_sweep_chunk, config, SWEEP_MIN_REPS_PER_WORKER)
-    for (e0, e1), costs in zip(config.eps_pairs, grid):
-        model = config.model_for(e0, e1)
-        perf = expected_unconditional(config.n, model, config.params)
-        opt_mean = float(perf.opt)
-        for ci, name in enumerate(names):
-            mean, stderr = _mean_stderr(costs[ci])
-            analytic = float(perf.for_policy(name)) / opt_mean
-            rows.append({
-                "eps0": _fmt(float(e0)),
-                "eps1": _fmt(float(e1)),
-                "policy": name,
-                "analytic_ratio": _fmt(analytic),
-                "mc_mean_ratio": _fmt(mean / opt_mean),
-                "mc_stderr": _fmt(stderr / opt_mean),
-                "replications": str(config.replications),
-            })
+    try:  # a cost, its mean or its squared spread past the float range
+        for (e0, e1), costs in zip(config.eps_pairs, grid):
+            model = config.model_for(e0, e1)
+            perf = expected_unconditional(config.n, model, config.params)
+            opt_mean = float(perf.opt)
+            for ci, name in enumerate(names):
+                mean, stderr = _mean_stderr(costs[ci])
+                analytic = float(perf.for_policy(name)) / opt_mean
+                rows.append({
+                    "eps0": _fmt(float(e0)),
+                    "eps1": _fmt(float(e1)),
+                    "policy": name,
+                    "analytic_ratio": _fmt(analytic),
+                    "mc_mean_ratio": _fmt(mean / opt_mean),
+                    "mc_stderr": _fmt(stderr / opt_mean),
+                    "replications": str(config.replications),
+                })
+    except OverflowError:
+        raise ValueError("costs overflow a float at these weights") from None
     return rows
 
 
@@ -344,7 +356,10 @@ def run_cr_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     rows = []
     for e0, e1 in config.eps_pairs:
         model = config.model_for(e0, e1)
-        report = competitive_ratio(model, config.params)
+        try:
+            report = competitive_ratio(model, config.params)
+        except OverflowError:
+            raise ValueError("competitive ratios overflow a float at these weights") from None
         for name, cr in (
             ("nonpreemptive", report.nonpreemptive),
             ("preemptive", report.preemptive),

@@ -1,8 +1,10 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
+from operator import not_
+from typing import NamedTuple
 
 import pytest
 
@@ -122,6 +124,41 @@ def draw_jobs(rng, n, rho, e0, e1):
         flip = rand() < (e0 if tt == 0 else e1)
         jobs.append(Job(i, tt, (1 - tt) if flip else tt))
     return jobs
+
+
+class LabelClass(NamedTuple):
+    """The jobs of one label, in queue (id) order, reduced to what costs need.
+
+    The summary `experiments._draw_classes` returns as a plain tuple and
+    `engine.label_schedule_ticks` reads.
+    """
+
+    size: int
+    urgent: int
+    urgent_positions: int  # sum of the urgent jobs' 1-based places in the class
+    ends_urgent: bool
+
+    @classmethod
+    def of(cls, types) -> "LabelClass":
+        """Summarise the true types (0 urgent, 1 not) of a class in id order."""
+        m = len(types)
+        return cls(m, m - sum(types), sum(compress(range(1, m + 1), map(not_, types))),
+                   m > 0 and types[-1] == 0)
+
+
+def draw_class_types(rng, n, rho, e0, e1):
+    """True types of each label class in id order: per job a type, then a label flip.
+
+    The body `experiments._draw_classes` had before it summarised the classes
+    while drawing; `LabelClass.of` of each list is what it returns now.
+    """
+    rand = rng.random
+    classes = ([], [])
+    for _ in range(n):
+        tt = 0 if rand() < rho else 1
+        flip = rand() < (e0 if tt == 0 else e1)
+        classes[(1 - tt) if flip else tt].append(tt)
+    return classes
 
 
 def draw_releases(rng, n, mean):

@@ -21,8 +21,9 @@ from betasched.analytics import (
     search_worst_q,
 )
 from betasched.domain import Instance, Parameters, PredictionModel, make_job
-from betasched.engine import LabelClass, label_schedule_ticks, wspt_ticks
+from betasched.engine import label_schedule_ticks, wspt_ticks
 from betasched.policies import OPEN_NEXT, POLICIES, Policy, Regime, complete_low, label_flags
+from conftest import LabelClass
 
 F = Fraction
 

@@ -19,7 +19,7 @@ from betasched.experiments import (
     verify_wsrpt,
 )
 from betasched.policies import POLICIES, Policy, beta_threshold_decide
-from conftest import engine_arrivals_chunk, engine_sweep_chunk
+from conftest import LabelClass, draw_class_types, engine_arrivals_chunk, engine_sweep_chunk
 
 F = Fraction
 
@@ -129,6 +129,31 @@ class TestSweepDriver:
         rows = run_sweep(config)
         monkeypatch.setattr(experiments, "_sweep_chunk", engine_sweep_chunk)
         assert rows == run_sweep(config)
+
+    @pytest.mark.parametrize("eps", [(0, 0), (F(1, 2), F(1, 2)), (0, F(1, 2)), (F(1, 2), 0),
+                                     (F(1, 10), F(3, 10))])
+    def test_fused_draw_summarises_the_list_draw(self, eps):
+        """`_draw_classes` gives `LabelClass.of` of the list-form draw's classes.
+
+        The next rand() after each draw agrees too, so both consumed the same
+        number of draws. At rho near 0 or 1 a class is often empty, and its
+        summary must say it does not end urgent.
+        """
+        e0, e1 = map(float, eps)
+        empty = 0
+        for n in (1, 2, 50):
+            for rho in (1 / 1000, 1 / 10, 999 / 1000):
+                for seed in range(500):
+                    fused, lists = random.Random(seed), random.Random(seed)
+                    got = experiments._draw_classes(fused, n, rho, e0, e1)
+                    assert got == tuple(map(LabelClass.of,
+                                            draw_class_types(lists, n, rho, e0, e1)))
+                    assert fused.random() == lists.random()
+                    for size, _, _, ends_urgent in got:
+                        if size == 0:
+                            assert ends_urgent is False
+                            empty += 1
+        assert empty > 0
 
     def test_hybrid_at_small_error_beats_both(self):
         rows = run_sweep(small_config(n=20, replications=200))
@@ -288,6 +313,28 @@ class TestCliCommands:
         assert rc == 2
         assert err == f"error: {message}\n"
         assert out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--reps", "3", "--w0", "1e200"], "costs overflow a float at these weights"),
+        (["sweep", "--reps", "3", "--w0", "1e400"], "costs overflow a float at these weights"),
+        (["sweep", "--cr", "--w0", "1e400"],
+         "competitive ratios overflow a float at these weights"),
+    ])
+    def test_huge_weights_fail_cleanly(self, capsys, argv, message):
+        rc = main(argv + ["--eps-grid", "0.1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["arrivals", "--reps", "3", "--w0", "1e200"],
+        ["arrivals", "--reps", "3", "--w0", "1e400"],
+        ["sweep", "--cr", "--w0", "1e200"],
+    ])
+    def test_huge_weights_that_fit_still_run(self, capsys, argv):
+        assert main(argv + ["--eps-grid", "0.1"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_independent_error_grids(self, tmp_path):
         out = tmp_path / "asym.csv"

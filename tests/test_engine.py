@@ -16,7 +16,6 @@ from betasched.domain import (
     sort_for_policy,
 )
 from betasched.engine import (
-    LabelClass,
     enumerate_offline_optimum,
     expectimax_optimal,
     format_trace,
@@ -47,7 +46,7 @@ from betasched.policies import (
     get_policy,
     hybrid_decide,
 )
-from conftest import SCAN_MODIFIED_BETA, scan_argmax_theta, worked_example_instance
+from conftest import LabelClass, SCAN_MODIFIED_BETA, scan_argmax_theta, worked_example_instance
 
 F = Fraction
 
