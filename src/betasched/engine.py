@@ -168,12 +168,18 @@ def run(
     future = prep.future
     fi = 0
     nf = len(future)
-    intr: list = []             # (job_id, theta) in FIFO order
-    ii = 0                      # head index into intr
-    # theta_key entries of intr, largest theta on top; completed jobs' entries
-    # are popped lazily. Exact reveals give every job theta 0, so the FIFO
-    # head is the argmax and no heap is kept.
+    intr: list = []             # (job_id, theta) in FIFO order, None once completed
+    slot: dict[int, int] = {}   # set-aside job_id -> its index into intr (the live ones)
+    ii = 0                      # first live index into intr
+    # theta_key entries of intr (seq = index into intr), largest theta on top,
+    # built by the first argmax_theta that finds it empty and kept only while
+    # non-empty; completed jobs' entries are popped lazily. Exact reveals give
+    # every job theta 0, so the FIFO head is the argmax and no heap is kept.
     heap: Optional[list] = None if exact_mode else []
+    # one state and two queue views per run, moved to each decision point
+    unopened = UnopenedQueue._wrap(pend)
+    interrupted = InterruptedQueue._wrap(intr, heap)
+    state = PolicyState(unopened, interrupted, 0, den)
 
     decide = policy.decide
     t = 0
@@ -186,7 +192,7 @@ def run(
     preemptions = 0
     pending: Optional[int] = None  # job at its reveal point this instant
     pn = len(pend)  # mirrors len(pend); pend only grows via insort below
-    il = len(intr)  # mirrors len(intr)
+    il = 0          # mirrors len(intr); intr only grows
 
     while done < n:
         while fi < nf and future[fi][0] <= t:
@@ -194,13 +200,15 @@ def run(
             pn += 1
             fi += 1
         have_pend = pi < pn
-        have_intr = ii < il
-        if not have_pend and not have_intr:
+        if not have_pend and not slot:
             t = future[fi][0]  # idle until the next arrival
             continue
 
-        action = decide(PolicyState(UnopenedQueue._wrap(pend, pi),
-                                    InterruptedQueue._wrap(intr, ii, heap), t, den), params)
+        unopened._start = pi
+        interrupted._start = ii
+        interrupted._live = len(slot)
+        state._clock_ticks = t
+        action = decide(state, params)
         kind = action.kind
         target = action.job_id
         if kind == "open":
@@ -238,27 +246,24 @@ def run(
                 t = ct
             else:
                 theta = ZERO if exact_mode else revelation.sample(tt, rng)
+                slot[jid] = il
                 intr.append((jid, theta))
+                if heap:
+                    heappush(heap, theta_key(theta, il, jid))
                 il += 1
-                if heap is not None:
-                    heappush(heap, theta_key(theta, pi, jid))  # pi counts opens: FIFO order
                 t += alpha_ticks
                 pending = jid
         else:
-            if have_intr and intr[ii][0] == target:
+            k = slot.pop(target, None)
+            if k is None:
+                raise ContractViolationError(
+                    f"policy {policy.name} completed job {target}, which is not "
+                    f"interrupted, at t={Fraction(t, den)} "
+                    f"({done}/{n} done, {pn - pi} unopened, {len(slot)} interrupted)"
+                )
+            intr[k] = None
+            while ii < il and intr[ii] is None:  # moves only when k was the head
                 ii += 1
-            else:
-                for k in range(ii + 1, il):
-                    if intr[k][0] == target:
-                        del intr[k]
-                        il -= 1
-                        break
-                else:
-                    raise ContractViolationError(
-                        f"policy {policy.name} completed job {target}, which is not "
-                        f"interrupted, at t={Fraction(t, den)} "
-                        f"({done}/{n} done, {pn - pi} unopened, {il - ii} interrupted)"
-                    )
             tt = true_of[target]
             ct = t + tail
             comp_ticks[target] = ct
@@ -270,8 +275,8 @@ def run(
                 trace.append(TraceEvent(Fraction(ct, den), "complete", target, tt))
             done += 1
             t = ct
-            if heap is not None:
-                while heap and heap[0][3] in comp_ticks:
+            if heap:
+                while heap and intr[heap[0][2]] is None:
                     heappop(heap)
 
     return RunOutcome(

@@ -283,10 +283,18 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
 
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     m = len(values)
-    mean = math.fsum(values) / m
-    if m < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
+    try:
+        mean = math.fsum(values) / m
+        if m < 2:
+            return mean, 0.0
+        var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
+    except OverflowError:
+        # the sum or a square overflows although every value fits: take the
+        # statistics of the values scaled by 2**-k, with which every rounding
+        # step commutes, and scale them back
+        k = math.frexp(max(map(abs, values)))[1]
+        mean, stderr = _mean_stderr([math.ldexp(v, -k) for v in values])
+        return math.ldexp(mean, k), math.ldexp(stderr, k)
     return mean, math.sqrt(var / m)
 
 

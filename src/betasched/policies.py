@@ -63,11 +63,12 @@ class UnopenedQueue:
         self._start = 0
 
     @classmethod
-    def _wrap(cls, entries: list, start: int) -> "UnopenedQueue":
-        # read-only view over an engine-owned, already-sorted list
+    def _wrap(cls, entries: list) -> "UnopenedQueue":
+        # read-only view over an engine-owned, already-sorted list; the
+        # engine moves _start before each decision
         q = object.__new__(cls)
         q._entries = entries
-        q._start = start
+        q._start = 0
         return q
 
     def __len__(self) -> int:
@@ -99,34 +100,38 @@ def theta_key(theta: Fraction, seq: int, job_id: int) -> tuple:
 class InterruptedQueue:
     """Partially processed jobs awaiting their final segment, in FIFO order.
 
-    Next to the FIFO list of (job_id, theta) entries the queue keeps a heap
-    of `theta_key` entries, so `argmax_theta` reads its top in O(1). A queue
-    built from entries heapifies them; the engine instead wraps its own list
-    and a heap it updates in O(log n) per interrupt, popping the entries of
-    completed jobs lazily. Under exact revelation every theta is 0, the
-    engine keeps no heap (`heap` is None), and the FIFO head is the answer.
+    The FIFO list holds (job_id, theta) entries, and a completed job leaves
+    None in its slot, so the list never shrinks: `_start` is the first live
+    slot and `len` counts the live jobs only. Next to it the queue keeps a
+    heap of `theta_key` entries for `argmax_theta`. A read that finds the
+    heap empty builds it from the live entries; while it is non-empty the
+    engine pushes each interrupt in O(log n) and pops the entries of
+    completed jobs lazily, so it runs empty again when the queue drains.
+    Under exact revelation every theta is 0, there is no heap (`heap` is
+    None), and the FIFO head is the answer.
     """
 
-    __slots__ = ("_entries", "_start", "_heap")
+    __slots__ = ("_entries", "_start", "_live", "_heap")
 
     def __init__(self, entries=()):
         self._entries = list(entries)
         self._start = 0
-        self._heap = [theta_key(theta, seq, job_id)
-                      for seq, (job_id, theta) in enumerate(self._entries)]
-        heapify(self._heap)
+        self._live = len(self._entries)
+        self._heap = []
 
     @classmethod
-    def _wrap(cls, entries: list, start: int, heap: Optional[list]) -> "InterruptedQueue":
-        # read-only view over the engine's FIFO list and theta heap (or None)
+    def _wrap(cls, entries: list, heap: Optional[list]) -> "InterruptedQueue":
+        # read-only view over the engine's FIFO list and theta heap (or None);
+        # the engine moves _start and _live before each decision
         q = object.__new__(cls)
         q._entries = entries
-        q._start = start
+        q._start = 0
+        q._live = 0
         q._heap = heap
         return q
 
     def __len__(self) -> int:
-        return len(self._entries) - self._start
+        return self._live
 
     def first_id(self) -> int:
         return self._entries[self._start][0]
@@ -134,18 +139,32 @@ class InterruptedQueue:
     def items(self):
         """Yield (job_id, theta) in insertion order."""
         for entry in self._entries[self._start:]:
-            yield entry
+            if entry is not None:
+                yield entry
 
     def argmax_theta(self):
         """(job_id, theta) with the largest theta; FIFO order breaks ties."""
-        if self._heap is None:
+        heap = self._heap
+        if heap is None:
             return self._entries[self._start]
-        top = self._heap[0]
+        if not heap:
+            entries = self._entries
+            for seq in range(self._start, len(entries)):
+                entry = entries[seq]
+                if entry is not None:
+                    heap.append(theta_key(entry[1], seq, entry[0]))
+            heapify(heap)
+        top = heap[0]
         return top[3], top[4]
 
 
 class PolicyState:
-    """Snapshot a policy sees at a decision point: queues plus the clock."""
+    """What a policy sees at a decision point: queues plus the clock.
+
+    The state and its two queues are live views over the engine's own
+    lists, and the engine reuses them for every decision of a run, so a
+    state is valid only during the `decide` call it is passed to.
+    """
 
     __slots__ = ("unopened", "interrupted", "_clock_ticks", "_clock_den")
 
@@ -196,7 +215,9 @@ def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
         return complete_low(state.interrupted.first_id())
     if len(state.interrupted) == 0:
         return OPEN_NEXT
-    if state.unopened.head_priority() > params.beta():
+    p, beta = state.unopened.head_priority(), params.beta()
+    # p = a/b > beta = c/d  <=>  a*d > c*b, as b, d > 0
+    if p.numerator * beta.denominator > beta.numerator * p.denominator:
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
 

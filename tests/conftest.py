@@ -258,3 +258,19 @@ def scan_modified_beta_decide(state, params):
 
 
 SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide)
+
+
+def fraction_beta_threshold_decide(state, params):
+    """The beta threshold rule comparing the head p_hat with beta as Fractions.
+
+    The body `beta_threshold_decide` had before its integer test; an oracle only.
+    """
+    if len(state.unopened) == 0 and len(state.interrupted) == 0:
+        raise TerminalStateError(f"no legal action at t={state.clock}")
+    if len(state.unopened) == 0:
+        return complete_low(state.interrupted.first_id())
+    if len(state.interrupted) == 0:
+        return OPEN_NEXT
+    if state.unopened.head_priority() > params.beta():
+        return OPEN_NEXT
+    return complete_low(state.interrupted.first_id())

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal, localcontext
 from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from betasched import experiments
+from betasched.analytics import expected_unconditional
 from betasched.cli import main
 from betasched.domain import dump_instance, sample_instance
 from betasched.experiments import (
@@ -315,7 +317,8 @@ class TestCliCommands:
         assert out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["sweep", "--reps", "3", "--w0", "1e200"], "costs overflow a float at these weights"),
+        # the costs themselves overflow from about 1e307 on (1e306 still runs)
+        (["sweep", "--reps", "3", "--w0", "1e307"], "costs overflow a float at these weights"),
         (["sweep", "--reps", "3", "--w0", "1e400"], "costs overflow a float at these weights"),
         (["sweep", "--cr", "--w0", "1e400"],
          "competitive ratios overflow a float at these weights"),
@@ -331,10 +334,42 @@ class TestCliCommands:
         ["arrivals", "--reps", "3", "--w0", "1e200"],
         ["arrivals", "--reps", "3", "--w0", "1e400"],
         ["sweep", "--cr", "--w0", "1e200"],
+        ["sweep", "--reps", "3", "--w0", "1e200"],
     ])
     def test_huge_weights_that_fit_still_run(self, capsys, argv):
         assert main(argv + ["--eps-grid", "0.1"]) == 0
         assert capsys.readouterr().err == ""
+
+    # at 1e200 only the squared deviations overflow, at 1e306 the sum as well
+    @pytest.mark.parametrize("w0", ["1e200", "1e306"])
+    def test_huge_weight_statistics_are_the_exact_ones(self, capsys, monkeypatch, w0):
+        chunks = []
+        sweep_chunk = experiments._sweep_chunk
+
+        def recording(config, *args):
+            chunks.append((config, args, sweep_chunk(config, *args)))
+            return chunks[-1][2]
+
+        monkeypatch.setattr(experiments, "_sweep_chunk", recording)
+        assert main(["sweep", "--reps", "3", "--w0", w0, "--eps-grid", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (config, (_, e0, e1, _, _), costs), = chunks
+        opt = float(expected_unconditional(config.n, config.model_for(e0, e1), config.params).opt)
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith(("#", "eps0,"))]
+        assert [r[2] for r in rows] == ["opt", *config.policies]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for row, values in zip(rows, costs):
+                exact = [F(v) for v in values]
+                mean = sum(exact) / len(exact)
+                var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1) / len(exact)
+                want_mean = Decimal(mean.numerator) / mean.denominator / Decimal(opt)
+                want_stderr = (Decimal(var.numerator) / var.denominator).sqrt() / Decimal(opt)
+                # the CSV keeps 12 significant digits
+                assert abs(Decimal(row[4]) / want_mean - 1) < Decimal("1e-11")
+                assert abs(Decimal(row[5]) / want_stderr - 1) < Decimal("1e-11")
 
     def test_independent_error_grids(self, tmp_path):
         out = tmp_path / "asym.csv"

@@ -652,6 +652,141 @@ class TestThetaHeapDifferential:
                 self.same_run(inst, revelation, rng.randrange(10 ** 6), heap, scan)
 
 
+class RecordingRevelation:
+    """Passes every theta of `inner` through and keeps them in draw order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.drawn = []
+
+    def sample(self, true_type, rng):
+        theta = self.inner.sample(true_type, rng)
+        self.drawn.append(theta)
+        return theta
+
+
+class TestTombstonedQueue:
+    """The interrupted queue a policy sees, against a plain list the policy keeps.
+
+    The policy completes interrupted jobs in an order drawn from its own
+    state, so many completions leave a tombstone in the middle of the FIFO,
+    and reads `argmax_theta` only now and then: first once several jobs are
+    set aside, then at random, and again whenever the queue has drained and
+    refilled (a read sometimes starts a drain), so the theta heap is built,
+    kept, run empty and rebuilt.
+    """
+
+    def checked_policy(self, inst, revelation, seen):
+        true_of = {job.id: job.true_type for job in inst.jobs}
+        model = []  # (job_id, theta) of the set-aside jobs, FIFO
+        memo = {"opened": None, "reads": 0, "drain": False, "refill": False}
+
+        def decide(state, params):
+            opened = memo["opened"]
+            if opened is not None:
+                if revelation is not EXACT_REVELATION:
+                    model.append((opened, revelation.drawn[-1]))
+                elif true_of[opened] == 1:
+                    model.append((opened, F(0)))
+                memo["opened"] = None
+            q = state.interrupted
+            assert len(q) == len(model)
+            assert list(q.items()) == model
+            if model:
+                assert q.first_id() == model[0][0]
+            else:
+                memo["refill"] = memo["reads"] > 0
+                memo["drain"] = False
+            c = state.clock
+            h = (c.numerator * 7919 + c.denominator * 104729 + 31 * len(state.unopened)
+                 + len(model)) % 1000003
+            if not model or (len(state.unopened) and not memo["drain"] and h % 3):
+                memo["opened"] = next(state.unopened.items())[0]
+                return OPEN_NEXT
+            if ((memo["reads"] == 0 and len(model) >= 4) or (memo["reads"] and h % 5 == 0)
+                    or (memo["refill"] and len(model) >= 2)):
+                got = q.argmax_theta()
+                # max() returns the first of equal maxima: FIFO among ties
+                assert got == max(model, key=lambda e: e[1]) == scan_argmax_theta(q)
+                seen["first read" if memo["reads"] == 0 else
+                     "read after a refill" if memo["refill"] else "read"] += 1
+                memo["reads"] += 1
+                memo["refill"] = False
+                memo["drain"] = h % 4 == 0  # then complete until the queue is empty
+                target = got[0]
+            else:
+                target = model[h % len(model)][0]
+                seen["head" if target == model[0][0] else "non-head"] += 1
+            model.remove(next(e for e in model if e[0] == target))
+            return complete_low(target)
+
+        return Policy("checked", decide)
+
+    @pytest.mark.parametrize("releases", [False, True])
+    def test_queue_matches_a_plain_list(self, base_params, base_model, releases):
+        seen = dict.fromkeys(("first read", "read", "read after a refill", "head", "non-head"), 0)
+        rng = random.Random(21 + releases)
+        for _ in range(40):
+            n = rng.randint(1, 60)
+            binary = Instance(
+                [Job(i, rng.randint(0, 1), rng.randint(0, 1),
+                     release_time=F(rng.randrange(12), 4) if releases and rng.random() < 0.5
+                     else F(0))
+                 for i in range(1, n + 1)],
+                base_params, base_model,
+            )
+            for inst in (binary, p_hat_grid_instance(rng, n, base_params, releases)):
+                seed = rng.randrange(10 ** 6)
+                for revelation in TestThetaHeapDifferential.REVELATIONS:
+                    if revelation is not EXACT_REVELATION:
+                        revelation = RecordingRevelation(revelation)
+                    out = run(inst, self.checked_policy(inst, revelation, seen), revelation,
+                              rng=random.Random(seed))
+                    assert len(out.completion_ticks) == n
+        assert min(seen.values()) > 20, seen
+
+    @staticmethod
+    def completes(*targets):
+        """Opens until two jobs are set aside, then completes `targets` in turn."""
+        todo = list(targets)
+
+        def decide(state, params):
+            if len(state.unopened) and len(state.interrupted) < 2 and len(todo) == len(targets):
+                return OPEN_NEXT
+            return complete_low(todo.pop(0))
+
+        return Policy("scripted", decide)
+
+    @pytest.mark.parametrize("targets, message", [
+        # 2 is a non-head job: completing it leaves a tombstone behind
+        ((2, 2), "policy scripted completed job 2, which is not interrupted, "
+                 "at t=7/5 (1/4 done, 2 unopened, 1 interrupted)"),
+        ((1, 1), "policy scripted completed job 1, which is not interrupted, "
+                 "at t=7/5 (1/4 done, 2 unopened, 1 interrupted)"),
+        ((3,), "policy scripted completed job 3, which is not interrupted, "
+               "at t=4/5 (0/4 done, 2 unopened, 2 interrupted)"),
+    ])
+    def test_completing_a_job_not_set_aside(self, base_params, base_model, targets, message):
+        inst = Instance([Job(i, 1, 1) for i in range(1, 5)], base_params, base_model)
+        with pytest.raises(ContractViolationError) as err:
+            run(inst, self.completes(*targets))
+        assert str(err.value) == message
+
+    def test_completing_a_job_that_ran_through(self, base_params, base_model):
+        # job 1 is urgent, so under exact reveal it runs straight to completion
+        # and is never set aside
+        def decide(state, params):
+            if len(state.unopened) == 3:
+                return OPEN_NEXT
+            return complete_low(1)
+
+        inst = Instance([Job(1, 0, 0), Job(2, 1, 1), Job(3, 1, 1)], base_params, base_model)
+        with pytest.raises(ContractViolationError) as err:
+            run(inst, Policy("again", decide))
+        assert str(err.value) == ("policy again completed job 1, which is not interrupted, "
+                                  "at t=1 (1/3 done, 2 unopened, 0 interrupted)")
+
+
 class TestLayoutReuse:
     """Interleaved runs over two instances must match fresh runs of each."""
 

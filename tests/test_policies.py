@@ -5,13 +5,16 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from betasched.domain import Parameters, PredictionModel, sample_instance
+from betasched.domain import Instance, Parameters, PredictionModel, make_job, sample_instance
 from betasched.engine import run
 from betasched.errors import TerminalStateError, UnsupportedInputError
 from betasched.policies import (
+    EXACT_REVELATION,
     POLICIES,
     InterruptedQueue,
+    Policy,
     PolicyState,
+    PosteriorRevelation,
     Regime,
     UnopenedQueue,
     beta_threshold_decide,
@@ -24,6 +27,7 @@ from betasched.policies import (
     nonpreemptive_decide,
     preemptive_decide,
 )
+from conftest import fraction_beta_threshold_decide
 
 F = Fraction
 
@@ -56,6 +60,56 @@ class TestBetaThreshold:
     def test_exactly_at_threshold_completes(self, base_params):
         s = state(unopened=[(F(2, 57), 1, 0)], interrupted=[(2, F(0))])
         assert beta_threshold_decide(s, base_params).kind == "complete"
+
+    def test_integer_test_equals_the_fraction_test(self):
+        # p_hat at beta and one step of a grid through beta above and below
+        rng = random.Random(17)
+        seen = {"above": 0, "at": 0, "below": 0}
+        for _ in range(400):
+            w0 = F(rng.randint(2, 300), rng.randint(1, 7))
+            params = Parameters(F(rng.randint(1, 19), 20), w0, w0 * F(rng.randint(1, 99), 100))
+            beta = params.beta()
+            step = F(1, beta.denominator * rng.randint(1, 6))
+            for where, p in (("above", beta + step), ("at", beta), ("below", beta - step),
+                             (None, F(rng.randint(0, 1000), 1000))):
+                if not 0 <= p <= 1:
+                    continue
+                s = state(unopened=[(p, 1, None)], interrupted=[(2, F(0))])
+                got = beta_threshold_decide(s, params)
+                assert got == fraction_beta_threshold_decide(s, params), (params, p)
+                if where is not None:
+                    assert got.kind == ("open" if where == "above" else "complete")
+                    seen[where] += 1
+        assert min(seen.values()) > 100
+
+    def test_integer_test_runs_like_the_fraction_test(self):
+        # whole runs on p_hat instances whose grid passes through beta
+        rng = random.Random(18)
+        seen = {-1: 0, 0: 0, 1: 0}  # sign of p_hat - beta at a decision with work set aside
+
+        def recording(s, params):
+            if len(s.unopened) and len(s.interrupted):
+                diff = s.unopened.head_priority() - params.beta()
+                seen[(diff > 0) - (diff < 0)] += 1
+            return fraction_beta_threshold_decide(s, params)
+
+        oracle = Policy("beta-fraction", recording)
+        for _ in range(60):
+            params = Parameters(F(rng.randint(1, 9), 10), rng.randint(2, 40), F(rng.randint(1, 3), 2))
+            m = params.beta().denominator * rng.randint(1, 3)
+            k = params.beta().numerator * (m // params.beta().denominator)
+            grid = [F(j, m) for j in range(max(0, k - 2), min(m, k + 2) + 1)] + [F(0), F(1)]
+            jobs = [make_job(j, rng.randint(0, 1), p_hat=rng.choice(grid),
+                             release_time=F(rng.randrange(8), 4) if rng.random() < 0.3 else 0)
+                    for j in range(1, rng.randint(1, 30) + 1)]
+            inst = Instance(jobs, params)
+            seed = rng.randrange(10 ** 6)
+            for revelation in (EXACT_REVELATION, PosteriorRevelation()):
+                a = run(inst, POLICIES["beta"], revelation, rng=random.Random(seed))
+                b = run(inst, oracle, revelation, rng=random.Random(seed))
+                assert a.trace == b.trace
+                assert a.total_cost == b.total_cost
+        assert min(seen.values()) > 0, seen
 
     def test_terminal_state_raises(self, base_params):
         with pytest.raises(TerminalStateError):
