@@ -297,75 +297,6 @@ def alpha_point_cr_bound(alpha) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The large-n excess-ratio curves whose maxima the closed forms evaluate
-# ---------------------------------------------------------------------------
-
-def limit_excess_ratio(kind: str, q: float, model: PredictionModel, params: Parameters) -> float:
-    """Large-n limit of E(policy)/OPT - 1 at urgent fraction q, as a float."""
-    w0 = float(params.w0)
-    w1 = float(params.w1)
-    alpha = float(params.alpha)
-    gap = w0 - w1
-    eps = float(_mean_eps(model))
-    denom = gap * q * q + w1
-    if kind == "nonpreemptive":
-        num = 2.0 * eps * gap * q * (1.0 - q)
-    elif kind == "preemptive":
-        num = alpha * (2.0 * eps * w0 * q * (1.0 - q) + w1 * (1.0 - q) ** 2)
-    elif kind == "hybrid":
-        e0 = float(model.eps0)
-        e1 = float(model.eps1)
-        num = (alpha * w0 * e1 * (1.0 - e0) + gap * e0 * (1.0 + e1)) * q * (1.0 - q) \
-            + alpha * w1 * e1 * e1 * (1.0 - q) ** 2
-    else:
-        raise ValueError(f"unknown ratio kind {kind!r}")
-    return num / denom
-
-
-def search_worst_q(
-    kind: str,
-    model: PredictionModel,
-    params: Parameters,
-    step: float = 1e-3,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Numerically maximize the limit curve over q in [0,1].
-
-    A step-sized sweep brackets the maximum and golden-section refinement
-    narrows it to `tol`; returns (argmax, 1 + max), comparable with the
-    closed-form ratio values.
-    """
-    grid_n = max(2, round(1.0 / step))
-    best_i = 0
-    best_v = -1.0
-    for i in range(grid_n + 1):
-        v = limit_excess_ratio(kind, i / grid_n, model, params)
-        if v > best_v:
-            best_v = v
-            best_i = i
-    lo = max(0.0, (best_i - 1) / grid_n)
-    hi = min(1.0, (best_i + 1) / grid_n)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = limit_excess_ratio(kind, c, model, params)
-    fd = limit_excess_ratio(kind, d, model, params)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = limit_excess_ratio(kind, c, model, params)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = limit_excess_ratio(kind, d, model, params)
-    q_star = (a + b) / 2.0
-    return q_star, 1.0 + limit_excess_ratio(kind, q_star, model, params)
-
-
-# ---------------------------------------------------------------------------
 # Log loss for probabilistic classifiers
 # ---------------------------------------------------------------------------
 

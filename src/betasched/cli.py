@@ -15,6 +15,7 @@ from .errors import SchedulingError
 from .experiments import (
     ARRIVAL_COLUMNS,
     CR_COLUMNS,
+    DEFAULT_OPTIMALITY_GRID,
     SWEEP_COLUMNS,
     ExperimentConfig,
     render_csv,
@@ -242,8 +243,9 @@ def main(argv=None) -> int:
     p_arr.set_defaults(fn=cmd_arrivals)
 
     p_ver = sub.add_parser("verify", help="run the oracle equivalence suites")
-    p_ver.add_argument("--n-max", type=int, default=5,
-                       help="largest instance size for the optimality oracle")
+    p_ver.add_argument("--n-max", type=int, default=max(DEFAULT_OPTIMALITY_GRID["n"]),
+                       help="largest instance size for the optimality oracle "
+                       "(one tree pass per channel prices every size up to it)")
     p_ver.add_argument("--instances", type=int, default=300,
                        help="random instances for the preemptive-oracle suite")
     p_ver.add_argument("--samples", type=int, default=200,

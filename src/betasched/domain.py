@@ -82,14 +82,6 @@ class Parameters:
         """
         return self._theta_slope
 
-    def satisfies_weight_gap(self) -> bool:
-        """True when w1 < w0*(1-alpha), equivalently beta() < 1.
-
-        This is the regime where preemption at reveal points can pay off;
-        outside it the threshold rule degenerates to never preempting.
-        """
-        return self.w1 < self.w0 * (ONE - self.alpha)
-
 
 @dataclass(frozen=True)
 class PredictionModel:
@@ -230,28 +222,6 @@ class Instance:
     @property
     def mode(self) -> str:
         return "binary" if self.jobs[0].label is not None else "probabilistic"
-
-    def priority(self, job: Job) -> Fraction:
-        """Urgency probability the scheduler sees for this job."""
-        if job.p_hat is not None:
-            return job.p_hat
-        return self.model.posterior(job.label)
-
-
-def sort_for_policy(instance: Instance) -> tuple[Job, ...]:
-    """Jobs in nonincreasing order of urgency probability; ties by label, then id.
-
-    Binary instances sort on the label posterior, probabilistic instances on
-    the per-job estimate. The output is the order in which policies open jobs.
-    The label tie-break only matters when a degenerate channel collapses the
-    two posteriors (both error rates exactly one half): predicted-urgent jobs
-    still come first, which is the order the closed-form expectations assume.
-    """
-    if instance.mode == "binary":
-        return tuple(
-            sorted(instance.jobs, key=lambda j: (-instance.priority(j), j.label, j.id))
-        )
-    return tuple(sorted(instance.jobs, key=lambda j: (-j.p_hat, j.id)))
 
 
 def _bernoulli(rng: random.Random, p: Fraction) -> bool:

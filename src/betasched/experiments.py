@@ -34,12 +34,13 @@ from .domain import (
     to_fraction,
 )
 from .engine import (
+    _check_tree_size,
+    _rule_flags,
+    _tree_expected_costs,
     enumerate_offline_optimum,
-    expectimax_optimal,
     label_release_ticks,
     label_schedule_ticks,
     offline_wsrpt,
-    rule_expected_cost,
     run,
     weight_grid,
     wsrpt_release_ticks,
@@ -415,7 +416,7 @@ def render_json(header: dict[str, str], columns, rows: list[dict[str, str]]) -> 
 # ---------------------------------------------------------------------------
 
 DEFAULT_OPTIMALITY_GRID = {
-    "n": (1, 2, 3, 4, 5),
+    "n": tuple(range(1, 51)),
     "alpha": (Fraction(1, 4), Fraction(2, 5), Fraction(7, 10)),
     "weight_ratio": (3, 20, 100),
     "rho": (Fraction(1, 10), Fraction(1, 2)),
@@ -428,12 +429,16 @@ def verify_optimality(grid=None, threshold_shift: Optional[Fraction] = None) -> 
 
     Returns one description per failing grid point (empty = all equal).
     `threshold_shift` perturbs the rule's threshold, for harness self-tests.
-    A grid with n past the expectimax size bound raises ResourceLimitError
-    rather than silently grinding.
+    Each channel takes one tree pass for the optimum and one for the rule,
+    each pricing every n up to the grid's largest. A grid with an n past
+    `TREE_N_LIMIT` raises ResourceLimitError before any channel is computed.
     """
     g = dict(DEFAULT_OPTIMALITY_GRID)
     if grid:
         g.update(grid)
+    for n in g["n"]:
+        _check_tree_size(n)
+    n_max = max(g["n"])
     failures = []
     for alpha in g["alpha"]:
         for ratio in g["weight_ratio"]:
@@ -445,13 +450,14 @@ def verify_optimality(grid=None, threshold_shift: Optional[Fraction] = None) -> 
                         threshold = None
                         if threshold_shift is not None:
                             threshold = params.beta() + threshold_shift
+                        flags = _rule_flags(model, params, "beta", threshold)
+                        best = _tree_expected_costs(n_max, model, params, None)
+                        rule = _tree_expected_costs(n_max, model, params, flags)
                         for n in g["n"]:
-                            best = expectimax_optimal(n, model, params)
-                            rule = rule_expected_cost(n, model, params, "beta", threshold)
-                            if best != rule:
+                            if best[n - 1] != rule[n - 1]:
                                 failures.append(
                                     f"n={n} alpha={alpha} w0/w1={ratio} rho={rho} "
-                                    f"eps0={e0} eps1={e1}: optimal {best} != rule {rule}"
+                                    f"eps0={e0} eps1={e1}: optimal {best[n - 1]} != rule {rule[n - 1]}"
                                 )
     return failures
 

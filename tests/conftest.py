@@ -1,5 +1,6 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import comb
@@ -13,7 +14,14 @@ from betasched.domain import Instance, Job, Parameters, PredictionModel
 from betasched.engine import offline_wspt, offline_wsrpt, run
 from betasched.errors import TerminalStateError
 from betasched.experiments import _rep_rng
-from betasched.policies import OPEN_NEXT, Policy, Regime, complete_low, get_policy
+from betasched.policies import (
+    OPEN_NEXT,
+    Policy,
+    Regime,
+    complete_low,
+    expected_weight,
+    get_policy,
+)
 
 ONE = Fraction(1)
 
@@ -274,3 +282,162 @@ def fraction_beta_threshold_decide(state, params):
     if state.unopened.head_priority() > params.beta():
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
+
+
+def fraction_tree_expected_cost(n, model, params, flags):
+    """Expected cost of n batch jobs on the collapsed decision tree, in Fractions.
+
+    The body `engine._tree_expected_cost` had before the integer bottom-up
+    pass (`engine._tree_expected_costs`): a memoised top-down recursion over
+    (unopened per label, set-aside) counts with `flags` deciding, or the
+    minimum when `flags` is None. An oracle only; its recursion depth grows
+    with n, so the tests keep n small.
+    """
+    p = (model.posterior(0), model.posterior(1))
+    ew = (expected_weight(p[0], params), expected_weight(p[1], params))
+    w0, w1, alpha = params.w0, params.w1, params.alpha
+    memo = {}
+
+    def backlog_weight(u0, u1, ell):
+        return u0 * ew[0] + u1 * ew[1] + ell * w1
+
+    def value(u0, u1, ell):
+        if u0 == 0 and u1 == 0 and ell == 0:
+            return Fraction(0)
+        key = (u0, u1, ell)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+
+        def open_value():
+            if u0 > 0:
+                prob, a0, a1 = p[0], u0 - 1, u1
+            else:
+                prob, a0, a1 = p[1], u0, u1 - 1
+            v = Fraction(0)
+            if prob > 0:
+                # urgent: runs to completion one unit from now
+                v += prob * (w0 + backlog_weight(a0, a1, ell) + value(a0, a1, ell))
+            if prob < ONE:
+                # non-urgent: reveal point alpha from now, job joins the backlog
+                v += (ONE - prob) * (
+                    alpha * backlog_weight(a0, a1, ell + 1) + value(a0, a1, ell + 1)
+                )
+            return v
+
+        def complete_value():
+            return (ONE - alpha) * (w1 + backlog_weight(u0, u1, ell - 1)) + value(u0, u1, ell - 1)
+
+        if u0 == 0 and u1 == 0:
+            result = complete_value()
+        elif ell == 0:
+            result = open_value()
+        elif flags is None:
+            result = min(open_value(), complete_value())
+        else:
+            result = open_value() if flags[0 if u0 > 0 else 1] else complete_value()
+        memo[key] = result
+        return result
+
+    p_label0 = model.label_probability(0)
+    total = Fraction(0)
+    for u0 in range(n + 1):
+        weight = comb(n, u0) * p_label0 ** u0 * (ONE - p_label0) ** (n - u0)
+        if weight > 0:
+            total += weight * value(u0, n - u0, 0)
+    return total
+
+
+def satisfies_weight_gap(params):
+    """True when w1 < w0*(1-alpha), equivalently beta < 1.
+
+    The regime where preemption at reveal points can pay off; outside it the
+    threshold rule never preempts. Was `Parameters.satisfies_weight_gap`.
+    """
+    return params.w1 < params.w0 * (ONE - params.alpha)
+
+
+def priority(instance, job):
+    """Urgency probability the scheduler sees for a job: p_hat, else its label posterior."""
+    if job.p_hat is not None:
+        return job.p_hat
+    return instance.model.posterior(job.label)
+
+
+def sort_for_policy(instance):
+    """Jobs in nonincreasing order of urgency probability; ties by label, then id.
+
+    The order in which `run()` opens a batch queue, as the reference its own
+    integer ranking is tested against. The label tie-break only matters when
+    a degenerate channel collapses the two posteriors (both error rates one
+    half): predicted-urgent jobs still come first, the order the closed-form
+    expectations assume. Was `domain.sort_for_policy`.
+    """
+    if instance.mode == "binary":
+        return tuple(
+            sorted(instance.jobs, key=lambda j: (-priority(instance, j), j.label, j.id))
+        )
+    return tuple(sorted(instance.jobs, key=lambda j: (-j.p_hat, j.id)))
+
+
+def limit_excess_ratio(kind, q, model, params):
+    """Large-n limit of E(policy)/OPT - 1 at urgent fraction q, as a float.
+
+    The curve whose maximum the closed-form competitive ratios evaluate;
+    was `analytics.limit_excess_ratio`.
+    """
+    w0 = float(params.w0)
+    w1 = float(params.w1)
+    alpha = float(params.alpha)
+    gap = w0 - w1
+    eps = float((model.eps0 + model.eps1) / 2)
+    denom = gap * q * q + w1
+    if kind == "nonpreemptive":
+        num = 2.0 * eps * gap * q * (1.0 - q)
+    elif kind == "preemptive":
+        num = alpha * (2.0 * eps * w0 * q * (1.0 - q) + w1 * (1.0 - q) ** 2)
+    elif kind == "hybrid":
+        e0 = float(model.eps0)
+        e1 = float(model.eps1)
+        num = (alpha * w0 * e1 * (1.0 - e0) + gap * e0 * (1.0 + e1)) * q * (1.0 - q) \
+            + alpha * w1 * e1 * e1 * (1.0 - q) ** 2
+    else:
+        raise ValueError(f"unknown ratio kind {kind!r}")
+    return num / denom
+
+
+def search_worst_q(kind, model, params, step=1e-3, tol=1e-10):
+    """Numerically maximise `limit_excess_ratio` over q in [0, 1].
+
+    A step-sized sweep brackets the maximum and golden-section refinement
+    narrows it to `tol`; returns (argmax, 1 + max), comparable with the
+    closed-form ratio values. Was `analytics.search_worst_q`.
+    """
+    grid_n = max(2, round(1.0 / step))
+    best_i = 0
+    best_v = -1.0
+    for i in range(grid_n + 1):
+        v = limit_excess_ratio(kind, i / grid_n, model, params)
+        if v > best_v:
+            best_v = v
+            best_i = i
+    lo = max(0.0, (best_i - 1) / grid_n)
+    hi = min(1.0, (best_i + 1) / grid_n)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = limit_excess_ratio(kind, c, model, params)
+    fd = limit_excess_ratio(kind, d, model, params)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = limit_excess_ratio(kind, c, model, params)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = limit_excess_ratio(kind, d, model, params)
+    q_star = (a + b) / 2.0
+    return q_star, 1.0 + limit_excess_ratio(kind, q_star, model, params)

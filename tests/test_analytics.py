@@ -16,14 +16,12 @@ from betasched.analytics import (
     expected_conditional,
     expected_unconditional,
     hybrid_mix_coefficient,
-    limit_excess_ratio,
     log_loss,
-    search_worst_q,
 )
 from betasched.domain import Instance, Parameters, PredictionModel, make_job
 from betasched.engine import label_schedule_ticks, wspt_ticks
 from betasched.policies import OPEN_NEXT, POLICIES, Policy, Regime, complete_low, label_flags
-from conftest import LabelClass
+from conftest import LabelClass, limit_excess_ratio, satisfies_weight_gap, search_worst_q
 
 F = Fraction
 
@@ -136,7 +134,7 @@ class TestExpectedUnconditional:
             edge = 20 * (1 - alpha)
             for w1, gap in ((edge - 1, True), (edge, False), (edge + 1, False)):
                 params = Parameters(alpha, 20, w1)
-                assert params.satisfies_weight_gap() is gap
+                assert satisfies_weight_gap(params) is gap
                 for e0, e1 in eps_pairs:
                     model = PredictionModel(rho, e0, e1)
                     u = expected_unconditional(n, model, params)
@@ -373,7 +371,7 @@ class TestWorstCaseSearch:
             alpha = F(rng.randint(1, 19), 20)
             w0 = rng.randint(2, 100)
             params = Parameters(alpha, w0, 1)
-            if not params.satisfies_weight_gap():
+            if not satisfies_weight_gap(params):
                 continue
             m = PredictionModel(
                 F(rng.randint(1, 19), 20),

@@ -11,6 +11,8 @@ from betasched import experiments
 from betasched.analytics import expected_unconditional
 from betasched.cli import main
 from betasched.domain import dump_instance, sample_instance
+from betasched.engine import TREE_N_LIMIT
+from betasched.errors import ResourceLimitError
 from betasched.experiments import (
     ExperimentConfig,
     default_eps_grid,
@@ -243,6 +245,20 @@ class TestVerifySuites:
         grid = {"n": (2, 3, 4), "eps": (F(1, 10), F(3, 10))}
         failures = verify_optimality(grid, threshold_shift=F(1, 1000))
         assert failures  # a shifted threshold must lose somewhere on the grid
+        assert {f.split()[0] for f in failures} <= {"n=2", "n=3", "n=4"}
+
+    @pytest.mark.parametrize("sizes, error, message", [
+        ((1, TREE_N_LIMIT + 1), ResourceLimitError, "exceeds the limit"),
+        ((3, 0, 2), ValueError, "n must be at least 1"),
+    ])
+    def test_optimality_checks_every_size_before_any_channel(self, monkeypatch, sizes, error,
+                                                              message):
+        def no_pass(*args):
+            raise AssertionError("a channel was priced before the sizes were checked")
+
+        monkeypatch.setattr(experiments, "_tree_expected_costs", no_pass)
+        with pytest.raises(error, match=message):
+            verify_optimality({"n": sizes})
 
     def test_wsrpt_suite_clean(self):
         assert verify_wsrpt(instances=120, seed=3) == []
@@ -457,10 +473,18 @@ class TestCliCommands:
         assert err.startswith(f"error: {flag} must be at least 1")
         assert "PASS" not in out
 
-    def test_verify_size_limit_surfaces_cleanly(self, capsys):
-        rc = main(["verify", "--n-max", "7", "--instances", "1", "--samples", "1"])
+    def test_verify_size_limit_surfaces_cleanly(self, capsys, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a channel was priced past the size limit")
+
+        monkeypatch.setattr(experiments, "_tree_expected_costs", no_pass)
+        rc = main(["verify", "--n-max", str(TREE_N_LIMIT + 1), "--instances", "1",
+                   "--samples", "1"])
+        out, err = capsys.readouterr()
         assert rc == 2
-        assert "limit" in capsys.readouterr().err
+        assert err == (f"error: the decision tree over {TREE_N_LIMIT + 1} jobs "
+                       f"exceeds the limit {TREE_N_LIMIT}\n")
+        assert out == ""
 
     def test_run_one_trace(self, tmp_path, capsys, base_params, base_model):
         from conftest import worked_example_instance

@@ -13,10 +13,10 @@ from betasched.domain import (
     load_instance,
     make_job,
     sample_instance,
-    sort_for_policy,
     to_fraction,
 )
 from betasched.errors import InvalidInstanceError
+from conftest import priority, satisfies_weight_gap, sort_for_policy
 
 F = Fraction
 
@@ -77,9 +77,9 @@ class TestParameters:
         if w1 >= w0:
             return
         p = Parameters(alpha, w0, w1)
-        assert p.satisfies_weight_gap() == (p.beta() < 1)
+        assert satisfies_weight_gap(p) == (p.beta() < 1)
         # and the direct characterization agrees
-        assert p.satisfies_weight_gap() == (p.w1 < p.w0 * (1 - p.alpha))
+        assert satisfies_weight_gap(p) == (p.w1 < p.w0 * (1 - p.alpha))
 
 
 class TestPosterior:
@@ -178,7 +178,7 @@ class TestSortForPolicy:
         inst = sample_instance(60, base_model, base_params, seed=5)
         ordered = sort_for_policy(inst)
         assert sorted(j.id for j in ordered) == sorted(j.id for j in inst.jobs)
-        prios = [inst.priority(j) for j in ordered]
+        prios = [priority(inst, j) for j in ordered]
         assert all(a >= b for a, b in zip(prios, prios[1:]))
 
 

@@ -5,6 +5,7 @@ from math import comb, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from betasched.analytics import expected_unconditional
 from betasched.domain import (
     Instance,
     Job,
@@ -13,9 +14,10 @@ from betasched.domain import (
     dump_instance,
     make_job,
     sample_instance,
-    sort_for_policy,
 )
 from betasched.engine import (
+    TREE_N_LIMIT,
+    _tree_expected_costs,
     enumerate_offline_optimum,
     expectimax_optimal,
     format_trace,
@@ -46,7 +48,14 @@ from betasched.policies import (
     get_policy,
     hybrid_decide,
 )
-from conftest import LabelClass, SCAN_MODIFIED_BETA, scan_argmax_theta, worked_example_instance
+from conftest import (
+    LabelClass,
+    SCAN_MODIFIED_BETA,
+    fraction_tree_expected_cost,
+    scan_argmax_theta,
+    sort_for_policy,
+    worked_example_instance,
+)
 
 F = Fraction
 
@@ -262,8 +271,12 @@ class TestExpectimax:
         assert expectimax_optimal(n, m, base_params) == want
 
     def test_size_guard(self, base_params, base_model):
-        with pytest.raises(ResourceLimitError):
-            expectimax_optimal(7, base_model, base_params)
+        # one limit for both tree evaluators, refused before any work
+        for evaluate in (expectimax_optimal, rule_expected_cost):
+            with pytest.raises(ResourceLimitError, match=f"exceeds the limit {TREE_N_LIMIT}"):
+                evaluate(TREE_N_LIMIT + 1, base_model, base_params)
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                evaluate(0, base_model, base_params)
 
     def test_threshold_rule_attains_optimum_spot_checks(self):
         rng = random.Random(2)
@@ -381,6 +394,73 @@ class TestTreeMatchesEngine:
             assert at_p0 == rule_expected_cost(n, base_model, base_params, "nonpreemptive")
             assert at_p1 == rule_expected_cost(n, base_model, base_params, "hybrid")
             assert at_p0 != at_p1
+
+
+FLAG_SETS = [None, (True, True), (False, False), (True, False)]
+
+
+def tree_channels(alphas, weights, rhos, eps_pairs):
+    for alpha in alphas:
+        for w0, w1 in weights:
+            params = Parameters(alpha, w0, w1)
+            for rho in rhos:
+                for e0, e1 in eps_pairs:
+                    yield params, PredictionModel(rho, e0, e1)
+
+
+class TestIntegerTree:
+    """The bottom-up integer pass against the recursive Fraction oracle."""
+
+    # eps 0 puts the posteriors at 1 and 0, eps 1/2 collapses them to rho;
+    # alpha 3/7 has an odd denominator, and w0 = 7/3 puts the weights on a
+    # grid with a denominator above 1
+    CHANNELS = list(tree_channels(
+        (F(1, 4), F(7, 10), F(3, 7)),
+        ((20, 1), (F(7, 3), 1)),
+        (F(1, 10), F(1, 2)),
+        ((0, 0), (F(1, 2), F(1, 2)), (F(1, 10), F(3, 10)), (0, F(1, 2))),
+    ))
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=str)
+    def test_one_pass_equals_the_oracle_at_every_n(self, flags):
+        n_max = 8
+        for params, model in self.CHANNELS:
+            costs = _tree_expected_costs(n_max, model, params, flags)
+            assert len(costs) == n_max
+            for n in range(1, n_max + 1):
+                want = fraction_tree_expected_cost(n, model, params, flags)
+                assert costs[n - 1] == want, (n, params, model)
+
+    def test_public_evaluators_take_the_last_entry(self, base_params, base_model):
+        for n in (1, 2, 7):
+            assert expectimax_optimal(n, base_model, base_params) == \
+                fraction_tree_expected_cost(n, base_model, base_params, None)
+            flags = label_flags(get_policy("beta"), base_model, base_params)
+            assert rule_expected_cost(n, base_model, base_params, "beta") == \
+                fraction_tree_expected_cost(n, base_model, base_params, flags)
+
+
+class TestTreeMatchesClosedForms:
+    """Each fixed policy's tree cost is its closed form, far past brute force."""
+
+    N_MAX = 30
+    # w1 = 12 puts alpha = 2/5, w0 = 20 on the weight-gap boundary (beta = 1)
+    CHANNELS = list(tree_channels(
+        (F(2, 5), F(7, 10)),
+        ((20, 1), (20, 12), (3, 1)),
+        (F(1, 10), F(1, 2)),
+        ((F(1, 10), F(1, 10)), (0, 0), (F(1, 2), F(1, 2)), (F(1, 10), F(3, 10))),
+    ))
+
+    @pytest.mark.parametrize("name", ["nonpreemptive", "preemptive", "hybrid", "beta"])
+    def test_rule_cost_equals_expected_unconditional(self, name):
+        for params, model in self.CHANNELS:
+            flags = label_flags(get_policy(name), model, params)
+            costs = _tree_expected_costs(self.N_MAX, model, params, flags)
+            for n in range(1, self.N_MAX + 1):
+                want = expected_unconditional(n, model, params).for_policy(name)
+                assert costs[n - 1] == want, (n, params, model)
+            assert rule_expected_cost(self.N_MAX, model, params, name) == costs[-1]
 
 
 class TestProbabilisticClassifierMode:
