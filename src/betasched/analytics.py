@@ -18,14 +18,9 @@ from .domain import (
     Parameters,
     PredictionModel,
     ZERO,
-    format_fraction,
     to_fraction,
 )
 from .policies import POLICIES, REGIME_OF_FLAGS, Regime, classify_regime, label_flags
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +239,6 @@ class CompetitiveRatioReport:
     selected: float
     model: PredictionModel
     params: Parameters
-
-    def to_flat_dict(self) -> dict[str, str]:
-        """Flat key-value form: inputs as exact fractions, outputs 12 sig digits."""
-        m, p = self.model, self.params
-        out = {
-            "alpha": format_fraction(p.alpha),
-            "w0": format_fraction(p.w0),
-            "w1": format_fraction(p.w1),
-            "rho": format_fraction(m.rho),
-            "eps0": format_fraction(m.eps0),
-            "eps1": format_fraction(m.eps1),
-            "regime": self.regime.value,
-            "cr_nonpreemptive": _fmt(self.nonpreemptive.value),
-            "cr_preemptive": _fmt(self.preemptive.value),
-            "cr_hybrid": _fmt(self.hybrid.value),
-            "cr_selected": _fmt(self.selected),
-            "hybrid_lambda": _fmt(self.hybrid.lam),
-            "hybrid_decomposition_bound": _fmt(self.hybrid.decomposition_bound),
-        }
-        for name, cr in (
-            ("nonpreemptive", self.nonpreemptive),
-            ("preemptive", self.preemptive),
-            ("hybrid", self.hybrid),
-        ):
-            out[f"worst_q_{name}"] = "" if cr.worst_q is None else _fmt(cr.worst_q)
-        return out
 
 
 def competitive_ratio(model: PredictionModel, params: Parameters) -> CompetitiveRatioReport:

@@ -72,28 +72,28 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "alpha", "rho", "w0", "w1", "n", "reps", "seed", "eps-grid", "eps0-grid",
-    "eps1-grid", "policy", "interarrival", "jobs",
+# config keys that map one-to-one onto an ExperimentConfig field
+_SCALAR_KEYS = {
+    "alpha": ("alpha", to_fraction), "rho": ("rho", to_fraction), "w0": ("w0", to_fraction),
+    "w1": ("w1", to_fraction), "n": ("n", int), "reps": ("replications", int),
+    "seed": ("seed", int), "interarrival": ("interarrival", to_fraction), "jobs": ("jobs", int),
 }
+_CONFIG_KEYS = {*_SCALAR_KEYS, "eps-grid", "eps0-grid", "eps1-grid", "policy"}
 
 
 def _build_config(args, default_reps: int) -> ExperimentConfig:
+    """The values a flag or the config file gave; ExperimentConfig holds the rest."""
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag_value, key, convert, default):
-        if flag_value is not None:
-            return convert(flag_value)
-        if key in file_values:
-            return convert(file_values[key])
-        return default
+    def given(key):  # a flag beats the file; a command without the flag reads the file
+        value = getattr(args, key.replace("-", "_"), None)
+        return file_values.get(key) if value is None else value
 
-    eps_text = pick(args.eps_grid, "eps-grid", str, None)
-    eps0_text = pick(getattr(args, "eps0_grid", None), "eps0-grid", str, None)
-    eps1_text = pick(getattr(args, "eps1_grid", None), "eps1-grid", str, None)
+    fields = {"replications": default_reps}
+    eps_text, eps0_text, eps1_text = given("eps-grid"), given("eps0-grid"), given("eps1-grid")
     if eps0_text is not None or eps1_text is not None:
         if eps0_text is None or eps1_text is None:
             raise ValueError("--eps0-grid and --eps1-grid must be given together")
@@ -101,31 +101,18 @@ def _build_config(args, default_reps: int) -> ExperimentConfig:
         g1 = _parse_grid(eps1_text)
         if len(g0) != len(g1):
             raise ValueError("eps0 and eps1 grids must have the same length")
-        eps_pairs = tuple(zip(g0, g1))
+        fields["eps_pairs"] = tuple(zip(g0, g1))
     elif eps_text is not None:
-        eps_pairs = tuple((v, v) for v in _parse_grid(eps_text))
-    else:
-        eps_pairs = None  # the default grid
+        fields["eps_pairs"] = tuple((v, v) for v in _parse_grid(eps_text))
+    for key, (field, convert) in _SCALAR_KEYS.items():
+        value = given(key)
+        if value is not None:
+            fields[field] = convert(value)
 
-    policies = args.policy or (
-        tuple(file_values["policy"].split(",")) if "policy" in file_values else None
-    )
-
-    return ExperimentConfig(
-        alpha=pick(args.alpha, "alpha", to_fraction, Fraction(2, 5)),
-        rho=pick(args.rho, "rho", to_fraction, Fraction(1, 10)),
-        w0=pick(args.w0, "w0", to_fraction, Fraction(20)),
-        w1=pick(args.w1, "w1", to_fraction, Fraction(1)),
-        n=pick(args.n, "n", int, 50),
-        eps_pairs=eps_pairs,
-        replications=pick(args.reps, "reps", int, default_reps),
-        seed=pick(args.seed, "seed", int, 0),
-        interarrival=pick(
-            getattr(args, "interarrival", None), "interarrival", to_fraction, Fraction(9, 10)
-        ),
-        policies=tuple(policies) if policies else ("nonpreemptive", "preemptive", "beta"),
-        jobs=pick(args.jobs, "jobs", int, 1),
-    )
+    policies = args.policy or (file_values["policy"].split(",") if "policy" in file_values else None)
+    if policies:
+        fields["policies"] = tuple(policies)
+    return ExperimentConfig(**fields)
 
 
 def _emit(args, header, columns, rows) -> None:

@@ -84,52 +84,6 @@ def weight_grid(params: Parameters) -> tuple[int, int, int]:
             params.w1.numerator * (wden // params.w1.denominator))
 
 
-class _Prepared(NamedTuple):
-    """Per-instance layout of a run: tick grid, queue entries, true types."""
-
-    den: int                 # tick denominator: lcm of alpha and release denominators
-    alpha_ticks: int
-    initial: tuple           # queue entries (rank, job_id, label, priority), sorted
-    future: tuple            # (release_ticks, entry) for later arrivals, sorted
-    true_of: dict[int, int]
-
-
-def _prepare(instance: Instance) -> _Prepared:
-    params = instance.params
-    jobs = instance.jobs
-    den = lcm(params.alpha.denominator, *(job.release_time.denominator for job in jobs))
-    alpha_ticks = params.alpha.numerator * (den // params.alpha.denominator)
-
-    true_of = {job.id: job.true_type for job in jobs}
-    # entries carry an integer rank of the (negated) priority so queue order
-    # and arrival insertion avoid rational arithmetic; in binary mode label
-    # order IS priority order (posterior(0) >= posterior(1), and a collapsed
-    # tie still puts predicted-urgent jobs first)
-    if instance.mode == "binary":
-        post = {0: instance.model.posterior(0), 1: instance.model.posterior(1)}
-        tagged = [(job.label, job.id, job.label, post[job.label]) for job in jobs]
-    else:
-        # equal Fractions have equal (numerator, denominator) pairs, so only
-        # the distinct values are compared as Fractions
-        keys = [(job.p_hat.numerator, job.p_hat.denominator) for job in jobs]
-        value_of = dict(zip(keys, (job.p_hat for job in jobs)))
-        rank_of = {key: i for i, key in
-                   enumerate(sorted(value_of, key=value_of.__getitem__, reverse=True))}
-        tagged = [(rank_of[key], job.id, None, job.p_hat) for key, job in zip(keys, jobs)]
-
-    initial = []
-    future = []
-    for job, entry in zip(jobs, tagged):
-        r = job.release_time
-        if r.numerator == 0:
-            initial.append(entry)
-        else:
-            future.append((r.numerator * (den // r.denominator), entry))
-    initial.sort()
-    future.sort()
-    return _Prepared(den, alpha_ticks, tuple(initial), tuple(future), true_of)
-
-
 def run(
     instance: Instance,
     policy: Policy,
@@ -154,17 +108,41 @@ def run(
     if not exact_mode and rng is None:
         raise ValueError("probabilistic revelation requires an rng")
 
-    prep = _prepare(instance)
-    den = prep.den
-    alpha_ticks = prep.alpha_ticks
-    unit = den
+    jobs = instance.jobs
+    # the tick grid: lcm of alpha's and the release times' denominators
+    den = lcm(params.alpha.denominator, *(job.release_time.denominator for job in jobs))
+    alpha_ticks = params.alpha.numerator * (den // params.alpha.denominator)
     tail = den - alpha_ticks
-    true_of = prep.true_of
+    true_of = {job.id: job.true_type for job in jobs}
+    # queue entries (rank, job_id, label, priority) carry an integer rank of
+    # the (negated) priority so queue order and arrival insertion avoid
+    # rational arithmetic; in binary mode label order IS priority order
+    # (posterior(0) >= posterior(1), and a collapsed tie still puts
+    # predicted-urgent jobs first)
+    if instance.mode == "binary":
+        post = {0: instance.model.posterior(0), 1: instance.model.posterior(1)}
+        tagged = [(job.label, job.id, job.label, post[job.label]) for job in jobs]
+    else:
+        # equal Fractions have equal (numerator, denominator) pairs, so only
+        # the distinct values are compared as Fractions
+        keys = [(job.p_hat.numerator, job.p_hat.denominator) for job in jobs]
+        value_of = dict(zip(keys, (job.p_hat for job in jobs)))
+        rank_of = {key: i for i, key in
+                   enumerate(sorted(value_of, key=value_of.__getitem__, reverse=True))}
+        tagged = [(rank_of[key], job.id, None, job.p_hat) for key, job in zip(keys, jobs)]
+    pend = []                   # sorted (rank, job_id, label, priority)
+    future = []                 # (release_ticks, entry) for later arrivals, sorted
+    for job, entry in zip(jobs, tagged):
+        r = job.release_time
+        if r.numerator == 0:
+            pend.append(entry)
+        else:
+            future.append((r.numerator * (den // r.denominator), entry))
+    pend.sort()
+    future.sort()
     forced_continue = not policy.preempts
 
-    pend = list(prep.initial)   # sorted (rank, job_id, label, priority)
     pi = 0                      # head index into pend
-    future = prep.future
     fi = 0
     nf = len(future)
     intr: list = []             # (job_id, theta) in FIFO order, None once completed
@@ -176,8 +154,8 @@ def run(
     # every job theta 0, so the FIFO head is the argmax and no heap is kept.
     heap: Optional[list] = None if exact_mode else []
     # one state and two queue views per run, moved to each decision point
-    unopened = UnopenedQueue._wrap(pend)
-    interrupted = InterruptedQueue._wrap(intr, heap)
+    unopened = UnopenedQueue(pend)
+    interrupted = InterruptedQueue(intr, heap)
     state = PolicyState(unopened, interrupted, 0, den)
 
     decide = policy.decide
@@ -233,7 +211,7 @@ def run(
                 trace.append(TraceEvent(Fraction(t, den), "open", jid, tt))
                 trace.append(TraceEvent(Fraction(t + alpha_ticks, den), "alpha_reveal", jid, tt))
             if forced_continue or (exact_mode and tt == 0):
-                ct = t + unit
+                ct = t + den
                 comp_ticks[jid] = ct
                 if tt == 0:
                     s0 += ct
@@ -634,15 +612,7 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 TREE_N_LIMIT = 200
 
 
-def _check_tree_size(n: int) -> None:
-    """Refuse a tree over fewer than 1 or more than `TREE_N_LIMIT` jobs."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > TREE_N_LIMIT:
-        raise ResourceLimitError(f"the decision tree over {n} jobs exceeds the limit {TREE_N_LIMIT}")
-
-
-def _tree_expected_costs(
+def tree_expected_costs(
     n_max: int,
     model: PredictionModel,
     params: Parameters,
@@ -667,9 +637,14 @@ def _tree_expected_costs(
     completion to ell - 1). With posteriors a_l/D, alpha = A/Da and weights
     W/Dw on `weight_grid`, a state of layer k holds its value times
     Da * D**(k+1) * Dw, an integer, so open, complete and min are integer
-    operations. Only the Binomial label mixture divides, once per n.
+    operations. Only the Binomial label mixture divides, once per n. Refuses
+    n_max below 1, and past `TREE_N_LIMIT` with ResourceLimitError.
     """
-    _check_tree_size(n_max)
+    if n_max < 1:
+        raise ValueError("n must be at least 1")
+    if n_max > TREE_N_LIMIT:
+        raise ResourceLimitError(
+            f"the decision tree over {n_max} jobs exceeds the limit {TREE_N_LIMIT}")
     p = (model.posterior(0), model.posterior(1))
     d = lcm(p[0].denominator, p[1].denominator)
     a = [post.numerator * (d // post.denominator) for post in p]
@@ -717,37 +692,22 @@ def _tree_expected_costs(
     return costs
 
 
-def _rule_flags(model, params, rule: str, threshold: Optional[Fraction]):
-    """Label flags of `rule` ("optimal" gives None), or of a beta rule at `threshold`."""
-    if threshold is not None:
-        return (model.posterior(0) > threshold, model.posterior(1) > threshold)
-    return None if rule == "optimal" else label_flags(get_policy(rule), model, params)
-
-
 def expectimax_optimal(n: int, model: PredictionModel, params: Parameters) -> Fraction:
     """Exact expected cost of the best non-anticipating policy (batch, labels).
 
     Full expectimax over the collapsed decision tree, on integers and
-    bottom-up (see `_tree_expected_costs`, whose one pass also prices every
+    bottom-up (see `tree_expected_costs`, whose one pass also prices every
     smaller n). Refuses n past `TREE_N_LIMIT` with ResourceLimitError.
     """
-    return _tree_expected_costs(n, model, params, None)[-1]
+    return tree_expected_costs(n, model, params, None)[-1]
 
 
-def rule_expected_cost(
-    n: int,
-    model: PredictionModel,
-    params: Parameters,
-    rule: str = "beta",
-    threshold: Optional[Fraction] = None,
-) -> Fraction:
-    """Exact expected cost of a fixed decision rule on the same tree.
+def rule_expected_cost(n: int, model: PredictionModel, params: Parameters,
+                       rule: str = "beta") -> Fraction:
+    """Exact expected cost of the policy named `rule` on the same tree.
 
-    `rule` is "optimal" or a policy name, whose `label_flags` decide. A given
-    `threshold` makes the rule a beta rule with that threshold (label l is
-    probed iff posterior(l) > threshold); tests use it to confirm the
-    verification harness catches a perturbed threshold. Refuses n past
-    `TREE_N_LIMIT` with ResourceLimitError.
+    Its `label_flags` decide. Refuses n past `TREE_N_LIMIT` with
+    ResourceLimitError.
     """
-    flags = _rule_flags(model, params, rule, threshold)
-    return _tree_expected_costs(n, model, params, flags)[-1]
+    flags = label_flags(get_policy(rule), model, params)
+    return tree_expected_costs(n, model, params, flags)[-1]

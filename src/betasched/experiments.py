@@ -20,7 +20,7 @@ from itertools import compress
 from operator import not_
 from typing import Optional
 
-from .analytics import _fmt, competitive_ratio, expected_unconditional
+from .analytics import competitive_ratio, expected_unconditional
 from .domain import (
     HALF,
     Instance,
@@ -34,14 +34,12 @@ from .domain import (
     to_fraction,
 )
 from .engine import (
-    _check_tree_size,
-    _rule_flags,
-    _tree_expected_costs,
     enumerate_offline_optimum,
     label_release_ticks,
     label_schedule_ticks,
     offline_wsrpt,
     run,
+    tree_expected_costs,
     weight_grid,
     wsrpt_release_ticks,
     wspt_ticks,
@@ -310,6 +308,10 @@ ARRIVAL_COLUMNS = ("eps0", "eps1", "policy", "mc_mean_ratio", "mc_stderr",
 CR_COLUMNS = ("eps0", "eps1", "policy", "cr", "worst_q", "regime")
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
 def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     """Batch sweep rows: analytic and Monte Carlo cost ratios per policy.
 
@@ -424,20 +426,19 @@ DEFAULT_OPTIMALITY_GRID = {
 }
 
 
-def verify_optimality(grid=None, threshold_shift: Optional[Fraction] = None) -> list[str]:
+def verify_optimality(grid=None) -> list[str]:
     """Exhaustive-search oracle vs the threshold rule, exact equality.
 
     Returns one description per failing grid point (empty = all equal).
-    `threshold_shift` perturbs the rule's threshold, for harness self-tests.
     Each channel takes one tree pass for the optimum and one for the rule,
-    each pricing every n up to the grid's largest. A grid with an n past
-    `TREE_N_LIMIT` raises ResourceLimitError before any channel is computed.
+    each pricing every n up to the grid's largest. A grid with an n below 1,
+    or past `TREE_N_LIMIT`, is refused before any channel is priced.
     """
     g = dict(DEFAULT_OPTIMALITY_GRID)
     if grid:
         g.update(grid)
-    for n in g["n"]:
-        _check_tree_size(n)
+    if min(g["n"]) < 1:
+        raise ValueError("n must be at least 1")
     n_max = max(g["n"])
     failures = []
     for alpha in g["alpha"]:
@@ -447,12 +448,10 @@ def verify_optimality(grid=None, threshold_shift: Optional[Fraction] = None) -> 
                 for e0 in g["eps"]:
                     for e1 in g["eps"]:
                         model = PredictionModel(rho, e0, e1)
-                        threshold = None
-                        if threshold_shift is not None:
-                            threshold = params.beta() + threshold_shift
-                        flags = _rule_flags(model, params, "beta", threshold)
-                        best = _tree_expected_costs(n_max, model, params, None)
-                        rule = _tree_expected_costs(n_max, model, params, flags)
+                        # the first pass refuses an n_max past the limit
+                        best = tree_expected_costs(n_max, model, params, None)
+                        flags = label_flags(get_policy("beta"), model, params)
+                        rule = tree_expected_costs(n_max, model, params, flags)
                         for n in g["n"]:
                             if best[n - 1] != rule[n - 1]:
                                 failures.append(

@@ -12,7 +12,7 @@ from fractions import Fraction
 from heapq import heapify
 from typing import Callable, NamedTuple, Optional
 
-from .domain import ONE, ZERO, Parameters, PredictionModel
+from .domain import ZERO, Parameters, PredictionModel
 from .errors import ContractViolationError, TerminalStateError, UnsupportedInputError
 
 
@@ -47,29 +47,10 @@ class UnopenedQueue:
 
     __slots__ = ("_entries", "_start")
 
-    def __init__(self, jobs_with_priority=()):
-        """Build from (priority, job_id, label) triples (tests, direct use).
-
-        Priority ties rank predicted-urgent labels first, matching the
-        canonical job sort.
-        """
-        keys = sorted({(-p, label if label is not None else 0)
-                       for p, _, label in jobs_with_priority})
-        rank_of = {key: i for i, key in enumerate(keys)}
-        self._entries = sorted(
-            (rank_of[(-p, label if label is not None else 0)], jid, label, p)
-            for p, jid, label in jobs_with_priority
-        )
+    def __init__(self, entries: list):
+        # a view over a sorted list; the engine moves _start before each decision
+        self._entries = entries
         self._start = 0
-
-    @classmethod
-    def _wrap(cls, entries: list) -> "UnopenedQueue":
-        # read-only view over an engine-owned, already-sorted list; the
-        # engine moves _start before each decision
-        q = object.__new__(cls)
-        q._entries = entries
-        q._start = 0
-        return q
 
     def __len__(self) -> int:
         return len(self._entries) - self._start
@@ -113,22 +94,13 @@ class InterruptedQueue:
 
     __slots__ = ("_entries", "_start", "_live", "_heap")
 
-    def __init__(self, entries=()):
-        self._entries = list(entries)
+    def __init__(self, entries: list, heap: Optional[list]):
+        # a view over a FIFO list without tombstones and an empty heap (or
+        # None); the engine moves _start and _live before each decision
+        self._entries = entries
         self._start = 0
-        self._live = len(self._entries)
-        self._heap = []
-
-    @classmethod
-    def _wrap(cls, entries: list, heap: Optional[list]) -> "InterruptedQueue":
-        # read-only view over the engine's FIFO list and theta heap (or None);
-        # the engine moves _start and _live before each decision
-        q = object.__new__(cls)
-        q._entries = entries
-        q._start = 0
-        q._live = 0
-        q._heap = heap
-        return q
+        self._live = len(entries)
+        self._heap = heap
 
     def __len__(self) -> int:
         return self._live
@@ -289,10 +261,10 @@ def expected_weight(priority: Fraction, params: Parameters) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactRevelation:
-    """The true type is learned outright at the alpha point."""
+    """The true type is learned outright at the alpha point.
 
-    def sample(self, true_type: int, rng) -> Fraction:
-        return ONE if true_type == 0 else Fraction(0)
+    It has no `sample`: `run()` tests for this class and sets theta = 0 itself.
+    """
 
 
 @dataclass(frozen=True)
@@ -366,8 +338,8 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     flags = []
     for label in (0, 1):
         state = PolicyState(
-            UnopenedQueue([(model.posterior(label), 2, label)]),
-            InterruptedQueue([(1, ZERO)]),
+            UnopenedQueue([(0, 2, label, model.posterior(label))]),
+            InterruptedQueue([(1, ZERO)], None),
         )
         action = policy.decide(state, params)
         if action.kind not in ("open", "complete") or (

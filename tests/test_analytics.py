@@ -356,12 +356,6 @@ class TestCompetitiveRatioReport:
         assert rep.hybrid.value == 1.0
         assert rep.preemptive.value == float(1 + base_params.alpha)
 
-    def test_flat_report_format(self, base_params, base_model):
-        flat = competitive_ratio(base_model, base_params).to_flat_dict()
-        assert flat["alpha"] == "2/5"
-        assert flat["regime"] == "hybrid"
-        assert flat["cr_selected"] == flat["cr_hybrid"]
-
 
 class TestWorstCaseSearch:
     def test_reproduces_closed_forms(self):

@@ -7,25 +7,42 @@ from fractions import Fraction
 
 import pytest
 
-from betasched import experiments
+from betasched import cli, experiments
 from betasched.analytics import expected_unconditional
 from betasched.cli import main
 from betasched.domain import dump_instance, sample_instance
 from betasched.engine import TREE_N_LIMIT
 from betasched.errors import ResourceLimitError
 from betasched.experiments import (
+    ARRIVAL_COLUMNS,
+    SWEEP_COLUMNS,
     ExperimentConfig,
     default_eps_grid,
+    render_csv,
     run_arrivals,
     run_sweep,
     verify_optimality,
     verify_regimes,
     verify_wsrpt,
 )
-from betasched.policies import POLICIES, Policy, beta_threshold_decide
+from betasched.policies import OPEN_NEXT, POLICIES, Policy, beta_threshold_decide, complete_low
 from conftest import LabelClass, draw_class_types, engine_arrivals_chunk, engine_sweep_chunk
 
 F = Fraction
+
+
+def record_tree_passes(monkeypatch):
+    """The channels the verify suite prices: each completed tree pass's arguments."""
+    priced = []
+    tree_expected_costs = experiments.tree_expected_costs
+
+    def recorded(*args):
+        costs = tree_expected_costs(*args)
+        priced.append(args)
+        return costs
+
+    monkeypatch.setattr(experiments, "tree_expected_costs", recorded)
+    return priced
 
 
 @pytest.fixture
@@ -241,9 +258,16 @@ class TestVerifySuites:
         grid = {"n": (1, 2, 3), "eps": (F(0), F(3, 10))}
         assert verify_optimality(grid) == []
 
-    def test_optimality_catches_perturbed_threshold(self):
+    def test_optimality_catches_perturbed_threshold(self, monkeypatch):
+        def shifted_beta(state, params):  # the beta rule at threshold beta + 1/1000
+            if state.unopened.head_priority() > params.beta() + F(1, 1000):
+                return OPEN_NEXT
+            return complete_low(state.interrupted.first_id())
+
+        # the suite reads the rule's label flags, which ask this decide
+        monkeypatch.setitem(POLICIES, "beta", Policy("beta", shifted_beta))
         grid = {"n": (2, 3, 4), "eps": (F(1, 10), F(3, 10))}
-        failures = verify_optimality(grid, threshold_shift=F(1, 1000))
+        failures = verify_optimality(grid)
         assert failures  # a shifted threshold must lose somewhere on the grid
         assert {f.split()[0] for f in failures} <= {"n=2", "n=3", "n=4"}
 
@@ -253,12 +277,17 @@ class TestVerifySuites:
     ])
     def test_optimality_checks_every_size_before_any_channel(self, monkeypatch, sizes, error,
                                                               message):
-        def no_pass(*args):
-            raise AssertionError("a channel was priced before the sizes were checked")
-
-        monkeypatch.setattr(experiments, "_tree_expected_costs", no_pass)
+        priced = record_tree_passes(monkeypatch)
         with pytest.raises(error, match=message):
             verify_optimality({"n": sizes})
+        assert priced == []
+
+    def test_each_channel_takes_two_passes_to_the_largest_n(self, monkeypatch):
+        priced = record_tree_passes(monkeypatch)
+        grid = {"n": (1, 3), "alpha": (F(2, 5),), "weight_ratio": (20,), "rho": (F(1, 10),),
+                "eps": (F(0),)}
+        assert verify_optimality(grid) == []
+        assert [args[0] for args in priced] == [3, 3]
 
     def test_wsrpt_suite_clean(self):
         assert verify_wsrpt(instances=120, seed=3) == []
@@ -457,6 +486,19 @@ class TestCliCommands:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, driver, columns, reps", [
+        ("sweep", "run_sweep", SWEEP_COLUMNS, 100_000),
+        ("arrivals", "run_arrivals", ARRIVAL_COLUMNS, 10_000),
+    ])
+    def test_bare_command_takes_the_config_defaults(self, monkeypatch, capsys, command, driver,
+                                                    columns, reps):
+        seen = []
+        monkeypatch.setattr(cli, driver, lambda config: seen.append(config) or [])
+        assert main([command]) == 0
+        want = ExperimentConfig(replications=reps)
+        assert seen == [want]
+        assert capsys.readouterr().out == render_csv(want.header(command), columns, [])
+
     def test_verify_quick(self, capsys):
         rc = main(["verify", "--n-max", "3", "--instances", "40", "--samples", "25"])
         out = capsys.readouterr().out
@@ -474,10 +516,7 @@ class TestCliCommands:
         assert "PASS" not in out
 
     def test_verify_size_limit_surfaces_cleanly(self, capsys, monkeypatch):
-        def no_pass(*args):
-            raise AssertionError("a channel was priced past the size limit")
-
-        monkeypatch.setattr(experiments, "_tree_expected_costs", no_pass)
+        priced = record_tree_passes(monkeypatch)
         rc = main(["verify", "--n-max", str(TREE_N_LIMIT + 1), "--instances", "1",
                    "--samples", "1"])
         out, err = capsys.readouterr()
@@ -485,6 +524,7 @@ class TestCliCommands:
         assert err == (f"error: the decision tree over {TREE_N_LIMIT + 1} jobs "
                        f"exceeds the limit {TREE_N_LIMIT}\n")
         assert out == ""
+        assert priced == []
 
     def test_run_one_trace(self, tmp_path, capsys, base_params, base_model):
         from conftest import worked_example_instance

@@ -17,7 +17,6 @@ from betasched.domain import (
 )
 from betasched.engine import (
     TREE_N_LIMIT,
-    _tree_expected_costs,
     enumerate_offline_optimum,
     expectimax_optimal,
     format_trace,
@@ -28,6 +27,7 @@ from betasched.engine import (
     offline_wsrpt,
     rule_expected_cost,
     run,
+    tree_expected_costs,
     wsrpt_release_ticks,
     wspt_ticks,
 )
@@ -58,6 +58,11 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def threshold_flags(model, threshold):
+    """Label flags of a beta rule at `threshold`: label l is probed iff posterior(l) > threshold."""
+    return model.posterior(0) > threshold, model.posterior(1) > threshold
 
 
 class TestWorkedExample:
@@ -357,16 +362,11 @@ class TestExpectimax:
 
     def test_perturbed_threshold_is_suboptimal_somewhere(self, base_params, base_model):
         # sanity check that the equality above has teeth
-        diffs = []
-        for n in range(1, 6):
-            best = expectimax_optimal(n, base_model, base_params)
-            shifted = rule_expected_cost(
-                n, base_model, base_params, "beta",
-                threshold=base_params.beta() + F(1, 2),
-            )
-            diffs.append(shifted - best)
-            assert shifted >= best
-        assert any(d > 0 for d in diffs)
+        flags = threshold_flags(base_model, base_params.beta() + F(1, 2))
+        best = tree_expected_costs(5, base_model, base_params, None)
+        shifted = tree_expected_costs(5, base_model, base_params, flags)
+        assert all(s >= b for s, b in zip(shifted, best))
+        assert shifted != best
 
 
 class TestTreeMatchesEngine:
@@ -386,14 +386,15 @@ class TestTreeMatchesEngine:
 
     def test_threshold_at_a_posterior_does_not_probe_it(self, base_params, base_model):
         # label l is probed iff posterior(l) > threshold; posteriors 1/2 and 1/82
+        at_p0 = threshold_flags(base_model, base_model.posterior(0))
+        at_p1 = threshold_flags(base_model, base_model.posterior(1))
+        assert (at_p0, at_p1) == ((False, False), (True, False))
         for n in (2, 3, 4):
-            at_p0 = rule_expected_cost(n, base_model, base_params, "beta",
-                                       threshold=base_model.posterior(0))
-            at_p1 = rule_expected_cost(n, base_model, base_params, "beta",
-                                       threshold=base_model.posterior(1))
-            assert at_p0 == rule_expected_cost(n, base_model, base_params, "nonpreemptive")
-            assert at_p1 == rule_expected_cost(n, base_model, base_params, "hybrid")
-            assert at_p0 != at_p1
+            at_p0_cost = tree_expected_costs(n, base_model, base_params, at_p0)[-1]
+            at_p1_cost = tree_expected_costs(n, base_model, base_params, at_p1)[-1]
+            assert at_p0_cost == rule_expected_cost(n, base_model, base_params, "nonpreemptive")
+            assert at_p1_cost == rule_expected_cost(n, base_model, base_params, "hybrid")
+            assert at_p0_cost != at_p1_cost
 
 
 FLAG_SETS = [None, (True, True), (False, False), (True, False)]
@@ -425,7 +426,7 @@ class TestIntegerTree:
     def test_one_pass_equals_the_oracle_at_every_n(self, flags):
         n_max = 8
         for params, model in self.CHANNELS:
-            costs = _tree_expected_costs(n_max, model, params, flags)
+            costs = tree_expected_costs(n_max, model, params, flags)
             assert len(costs) == n_max
             for n in range(1, n_max + 1):
                 want = fraction_tree_expected_cost(n, model, params, flags)
@@ -456,7 +457,7 @@ class TestTreeMatchesClosedForms:
     def test_rule_cost_equals_expected_unconditional(self, name):
         for params, model in self.CHANNELS:
             flags = label_flags(get_policy(name), model, params)
-            costs = _tree_expected_costs(self.N_MAX, model, params, flags)
+            costs = tree_expected_costs(self.N_MAX, model, params, flags)
             for n in range(1, self.N_MAX + 1):
                 want = expected_unconditional(n, model, params).for_policy(name)
                 assert costs[n - 1] == want, (n, params, model)

@@ -33,8 +33,14 @@ F = Fraction
 
 
 def state(unopened=(), interrupted=()):
-    """unopened: (priority, job_id, label) triples; interrupted: (job_id, theta)."""
-    return PolicyState(UnopenedQueue(unopened), InterruptedQueue(interrupted))
+    """unopened: (priority, job_id, label) triples, best first; interrupted: (job_id, theta).
+
+    The unopened entries are ranked by their place. The interrupted queue gets
+    an empty theta heap, as under posterior reveals, so `argmax_theta` reads
+    every theta.
+    """
+    ranked = [(rank, jid, label, p) for rank, (p, jid, label) in enumerate(unopened)]
+    return PolicyState(UnopenedQueue(ranked), InterruptedQueue(list(interrupted), []))
 
 
 class TestBetaThreshold:
@@ -177,13 +183,13 @@ class TestModifiedBeta:
 
 
 class TestInterruptedQueueArgmax:
-    """The public constructor heapifies its entries; ties must resolve as a scan would."""
+    """A first read heapifies the entries; ties must resolve as a scan would."""
 
     THIRD = F(1, 3)
     ABOVE_THIRD = F(1, 3) + F(1, 10 ** 30)  # the same float as 1/3
 
     def argmax(self, entries):
-        return InterruptedQueue(entries).argmax_theta()
+        return InterruptedQueue(list(entries), []).argmax_theta()
 
     def test_float_tie_is_a_real_tie_here(self):
         assert float(self.THIRD) == float(self.ABOVE_THIRD) and self.THIRD < self.ABOVE_THIRD
