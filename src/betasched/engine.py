@@ -335,41 +335,72 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
     so only their count matters. With nothing set aside the head is opened,
     and with nothing released the machine idles to the next release. A
     never-preempting policy probes no class, which finishes each non-urgent
-    job at its alpha point at once: the same ticks as running it through.
+    job at its alpha point at once: the same ticks as running it through,
+    which its own loop does in one step per job.
     """
     (r0, y0), (r1, y1) = classes
-    m0, m1 = len(r0), len(r1)
+    # each release list ends in one sentinel tick past every completion (each
+    # job holds the machine for at most den ticks), so no head runs off its list
+    end = max(r0[-1] if r0 else 0, r1[-1] if r1 else 0) + (len(r0) + len(r1) + 1) * den
+    r0 = [*r0, end]
+    r1 = [*r1, end]
     f0, f1 = flags
     tail = den - alpha_ticks
     h0 = h1 = t = s0 = s1 = held = 0
-    while True:
-        opened = None  # the opened job's true type; None finishes a set-aside job
-        if h0 < m0 and r0[h0] <= t:
-            if f0 or not held:
-                opened = y0[h0]
+    n0, n1 = r0[0], r1[0]  # the heads' release ticks
+    if not (f0 or f1):  # never preempts: each opened job runs through, den ticks
+        while True:
+            if n0 <= t:
+                t += den
+                if y0[h0]:
+                    s1 += t
+                else:
+                    s0 += t
                 h0 += 1
-        elif h1 < m1 and r1[h1] <= t:
-            if f1 or not held:
-                opened = y1[h1]
+                n0 = r0[h0]
+            elif n1 <= t:
+                t += den
+                if y1[h1]:
+                    s1 += t
+                else:
+                    s0 += t
                 h1 += 1
-        elif not held:  # nothing to run: idle until the next release, if any
-            if h0 < m0:
-                t = r1[h1] if h1 < m1 and r1[h1] < r0[h0] else r0[h0]
-            elif h1 < m1:
-                t = r1[h1]
-            else:
+                n1 = r1[h1]
+            else:  # nothing released: idle until the next release
+                t = n1 if n1 < n0 else n0
+                if t == end:  # both lists at their sentinel: every job is done
+                    return s0, s1
+    while True:  # each branch does its own step, with no action value to dispatch on
+        if n0 <= t:
+            if f0 or not held:  # open the label-0 head
+                if y0[h0]:
+                    t += alpha_ticks
+                    held += 1
+                else:
+                    t += den
+                    s0 += t
+                h0 += 1
+                n0 = r0[h0]
+                continue
+        elif n1 <= t:
+            if f1 or not held:  # open the label-1 head
+                if y1[h1]:
+                    t += alpha_ticks
+                    held += 1
+                else:
+                    t += den
+                    s0 += t
+                h1 += 1
+                n1 = r1[h1]
+                continue
+        elif not held:  # nothing to run: idle until the next release
+            t = n1 if n1 < n0 else n0
+            if t == end:
                 return s0, s1
             continue
-        if opened is None:
-            t += tail
-            s1 += t
-            held -= 1
-        elif opened:
-            t += alpha_ticks
-            held += 1
-        else:
-            t += den
-            s0 += t
+        t += tail  # finish a set-aside job
+        s1 += t
+        held -= 1
 
 
 def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[int, int]:

@@ -16,7 +16,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from operator import not_
 from typing import Optional
 
@@ -85,8 +85,10 @@ class ExperimentConfig:
             raise ValueError("mean interarrival must round to a positive finite float")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        for name in self.policies:
+        for k, name in enumerate(self.policies):
             get_policy(name)
+            if name in self.policies[:k]:  # two rows of one name: an ambiguous CSV
+                raise ValueError(f"policy named twice: {name}")
 
     @property
     def params(self) -> Parameters:
@@ -181,6 +183,28 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     return out
 
 
+def _release_ticks(times: list[float], alpha_den: int) -> tuple[list[int], int]:
+    """(ticks, den): nondecreasing float release times from 0 as integers over
+    one grid of den ticks per unit, a multiple of `alpha_den`.
+
+    Every later release is at least the first positive one, r1, so a multiple
+    of ulp(r1) = 2**-k: over den = lcm(alpha_den, 2**k) a release r is
+    r * 2**k (exact) times den >> k. Where 2**k or a scaled release overflows
+    a float (r1 subnormal or a huge span), each release's own ratio is taken.
+    """
+    r1 = next(filter(None, times), 0.0)
+    # r1 in [2**(e-1), 2**e) has ulp 2**(e-53); from 2**53 on every float is an integer
+    k = max(0, 53 - math.frexp(r1)[1]) if r1 else 0
+    den = math.lcm(alpha_den, 1 << k)
+    try:
+        scale, step = float(1 << k), den >> k
+        return [int(r * scale) * step for r in times], den
+    except OverflowError:
+        ratios = [r.as_integer_ratio() for r in times]
+        den = math.lcm(alpha_den, max(d for _, d in ratios))  # release dens: powers of 2
+        return [a * (den // d) for a, d in ratios], den
+
+
 def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
                     eps1: Fraction, start: int, stop: int):
     """Per-replication cost ratios against the clairvoyant preemptive optimum.
@@ -188,42 +212,41 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     An arrival replication needs no engine run either. Each job draws its
     type and label flip (`_draw_classes`' order), then the n - 1 gaps of a
     Poisson stream follow, with the first job released at 0. Every release
-    time is a float, so an exact binary fraction: over the tick grid of
-    lcm(alpha's denominator, the largest release denominator) it is an
-    integer. Job ids rise with release time, so `label_release_ticks`
-    prices each policy from its `label_flags`, and `wsrpt_release_ticks`
-    prices the clairvoyant schedule. Each ratio is one exact integer
-    quotient, which rounds like the float of the Fraction ratio.
+    time is a float, so an exact binary fraction, and `_release_ticks` puts
+    them all on one integer grid from the ulp of the first positive release.
+    Job ids rise with release time, so `label_release_ticks` prices each
+    distinct `label_flags` pair once, for every policy that has it, and
+    `wsrpt_release_ticks` prices the clairvoyant schedule. The kernels are
+    linear in ticks, so any common grid gives the same ratios; each is one
+    exact integer quotient, which rounds like the float of the Fraction ratio.
     """
     params = config.params
     model = config.model_for(eps0, eps1)
-    flags = [label_flags(get_policy(name), model, params) for name in config.policies]
+    columns: dict[tuple[bool, bool], list[int]] = {}  # flag pair -> its policies' columns
+    for pi, name in enumerate(config.policies):
+        columns.setdefault(label_flags(get_policy(name), model, params), []).append(pi)
     alpha_num, alpha_den = params.alpha.numerator, params.alpha.denominator
     _, w0, w1 = weight_grid(params)
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     lam = 1.0 / float(config.interarrival)
     n = config.n
-    out = [[0.0] * (stop - start) for _ in range(len(flags))]
+    out = [[0.0] * (stop - start) for _ in config.policies]
     for rep in range(start, stop):
         rng = _rep_rng(config.seed, grid_index, rep)
         rand = rng.random
         types = []
-        labels = []
+        labels = []  # True: labelled 1
         for _ in range(n):
-            tt = 0 if rand() < rho_f else 1
-            types.append(tt)
-            labels.append((1 - tt) if rand() < (e0f if tt == 0 else e1f) else tt)
-        expovariate = rng.expovariate
-        t = 0.0
-        times = [t]
-        for _ in range(n - 1):
-            t += expovariate(lam)
-            times.append(t)
-        if not math.isfinite(t):
+            if rand() < rho_f:  # urgent, labelled 1 when flipped
+                types.append(0)
+                labels.append(rand() < e0f)
+            else:  # non-urgent, labelled 0 when flipped
+                types.append(1)
+                labels.append(not rand() < e1f)
+        times = list(accumulate(map(rng.expovariate, repeat(lam, n - 1)), initial=0.0))
+        if not math.isfinite(times[-1]):
             raise ValueError("release times overflow a float at this mean interarrival")
-        ratios = [r.as_integer_ratio() for r in times]
-        den = math.lcm(alpha_den, max(d for _, d in ratios))  # release dens: powers of 2
-        ticks = [a * (den // d) for a, d in ratios]
+        ticks, den = _release_ticks(times, alpha_den)
         alpha_ticks = alpha_num * (den // alpha_den)
         label0 = list(map(not_, labels))
         classes = ((list(compress(ticks, label0)), list(compress(types, label0))),
@@ -231,19 +254,23 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
         o0, o1 = wsrpt_release_ticks(ticks, types, w0, w1, den)
         opt = w0 * o0 + w1 * o1
         k = rep - start
-        for pi, f in enumerate(flags):
-            s0, s1 = label_release_ticks(classes, f, alpha_ticks, den)
-            out[pi][k] = (w0 * s0 + w1 * s1) / opt
+        for flags, cols in columns.items():
+            s0, s1 = label_release_ticks(classes, flags, alpha_ticks, den)
+            ratio = (w0 * s0 + w1 * s1) / opt
+            for pi in cols:
+                out[pi][k] = ratio
     return out
 
 
 # Fewest replications that pay for a worker process of their own. On 2 vCPUs
 # (CPython 3.11.7, n = 50, 11-point grid, three policies, median of 7 fresh
-# processes) starting and feeding a pool costs about 10-30 ms, a batch
-# replication about 25 us and an arrival replication about 85 us. Two workers
-# against one, batch: 2 200 replications 50-56 against 49-60 ms, 3 300 70-75
-# against 93-95 ms, 4 400 83-86 against 106-115 ms; arrivals: 220 took 22
-# against 19 ms, 440 27 against 36 ms, 660 35 against 53 ms.
+# processes) starting and feeding a pool costs about 10-30 ms and a batch
+# replication about 25 us. Two workers against one, batch: 2 200 replications
+# 50-56 against 49-60 ms, 3 300 70-75 against 93-95 ms, 4 400 83-86 against
+# 106-115 ms. Arrivals were measured on the same machine while it ran about
+# twice as slow: a replication took about 100 us (the best of 40 rounds of
+# 1 100), and two workers against one (median of 9 fresh processes) 220
+# replications 40 against 43 ms, 440 64 against 77 ms, 660 72 against 94 ms.
 SWEEP_MIN_REPS_PER_WORKER = 2000
 ARRIVALS_MIN_REPS_PER_WORKER = 200
 

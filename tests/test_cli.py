@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from betasched import cli, experiments
 from betasched.analytics import expected_unconditional
@@ -208,8 +209,23 @@ class TestArrivalsDriver:
                      policies=tuple(POLICIES)),
         small_config(seed=3, n=20, interarrival=F(1, 10 ** 6), replications=100,
                      policies=tuple(POLICIES)),
+        small_config(seed=8, n=2, eps_pairs=((F(0), F(0)), (F(1, 4), F(1, 2))),
+                     replications=200, policies=tuple(POLICIES)),
+        # the first release is subnormal or nearly: its ulp grid is past a float
+        small_config(seed=9, n=12, interarrival=F(3, 10 ** 308), replications=60,
+                     policies=tuple(POLICIES)),
+        # every release is an integer, so the grid is alpha's alone
+        small_config(seed=10, n=5, interarrival=F(10 ** 307), replications=100,
+                     policies=tuple(POLICIES)),
+        # den >> k == 1: alpha's denominator divides 2**k
+        small_config(seed=11, n=15, alpha=F(1, 1024), replications=100,
+                     policies=tuple(POLICIES)),
+        small_config(seed=12, n=15, alpha=F(5, 8), w0=F(9, 4), w1=F(5, 3),
+                     eps_pairs=((F(1, 5), F(1, 20)),), replications=100,
+                     policies=tuple(POLICIES)),
     ], ids=["headline-eps", "fractional", "n1", "interarrival-1/5", "interarrival-3",
-            "interarrival-1e-6"])
+            "interarrival-1e-6", "n2", "interarrival-3e-308", "interarrival-1e307",
+            "alpha-1/1024", "alpha-5/8-mixed-weights"])
     def test_ratios_equal_the_engine_path(self, config):
         """The kernels' ratios are float-equal to the engine's, replication by replication."""
         for gi, (e0, e1) in enumerate(config.eps_pairs):
@@ -225,6 +241,41 @@ class TestArrivalsDriver:
             args = (config, gi, e0, e1, 0, config.replications)
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
 
+    def test_zero_first_gap_equals_the_engine_path(self, monkeypatch):
+        """Two jobs at 0, so the grid comes from the second gap on."""
+        expovariate = random.Random.expovariate
+
+        def first_gap_zero(rng, lam):
+            if not getattr(rng, "drew_a_gap", False):
+                rng.drew_a_gap = True
+                return 0.0
+            return expovariate(rng, lam)
+
+        monkeypatch.setattr(random.Random, "expovariate", first_gap_zero)
+        config = small_config(n=10, replications=100, policies=tuple(POLICIES))
+        for n in (2, 10):
+            config = replace(config, n=n)
+            for gi, (e0, e1) in enumerate(config.eps_pairs):
+                args = (config, gi, e0, e1, 0, config.replications)
+                assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
+
+    def test_one_price_per_distinct_flag_pair(self, monkeypatch):
+        """At eps = 1/10 beta has hybrid's flags, so four policies take three calls."""
+        priced = []
+        label_release_ticks = experiments.label_release_ticks
+
+        def counted(classes, flags, alpha_ticks, den):
+            priced.append(flags)
+            return label_release_ticks(classes, flags, alpha_ticks, den)
+
+        monkeypatch.setattr(experiments, "label_release_ticks", counted)
+        config = small_config(n=20, replications=40, eps_pairs=((F(1, 10), F(1, 10)),),
+                              policies=("nonpreemptive", "preemptive", "hybrid", "beta"))
+        got = experiments._arrivals_chunk(config, 0, F(1, 10), F(1, 10), 0, 40)
+        assert len(priced) == 3 * 40
+        assert set(priced) == {(False, False), (True, True), (True, False)}
+        assert got[3] == got[2]
+
     def test_any_decide_prices_through_its_label_flags(self, monkeypatch):
         """A decide that is none of the built-ins, under a new name."""
         def wrapped(state, params):
@@ -237,6 +288,36 @@ class TestArrivalsDriver:
             got = experiments._arrivals_chunk(*args)
             assert got == engine_arrivals_chunk(*args)
             assert got[0] == got[1]
+
+    @pytest.mark.parametrize("times, alpha_den, ticks, den", [
+        ([0.0, 0.75, 2.5], 5, [0, 15 << 51, 25 << 52], 5 << 53),  # ulp(0.75) = 2**-53
+        ([0.0, 0.0], 3, [0, 0], 3),  # no positive release
+        ([0.0, 2.0 ** 60, 2.0 ** 61], 3, [0, 3 << 60, 3 << 61], 3),  # ulp(r1) > 1
+        ([0.0, 0.5], 1024, [0, 512 << 43], 1 << 53),  # 2**53 a multiple of alpha's den
+        # a subnormal r1 (2**1074 is past a float), and 2**660 scaled past a
+        # float: each release's own ratio
+        ([0.0, 5e-324, 1.0], 1, [0, 1, 1 << 1074], 1 << 1074),
+        ([0.0, 0.5 ** 660, 2.0 ** 660], 1, [0, 1, 1 << 1320], 1 << 660),
+    ])
+    def test_release_ticks_grid(self, times, alpha_den, ticks, den):
+        assert experiments._release_ticks(times, alpha_den) == (ticks, den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(min_value=0.0, max_value=1e300), max_size=8),
+        alpha_den=st.integers(1, 2000),
+    )
+    @example(gaps=[5e-324, 1e300], alpha_den=7)
+    @example(gaps=[1e-200, 1e300], alpha_den=3)
+    @example(gaps=[0.0, 0.0, 3.0], alpha_den=1)
+    def test_release_ticks_are_exact(self, gaps, alpha_den):
+        """Every release over the chosen grid is an exact integer, one grid or the fallback."""
+        times = [0.0]
+        for g in gaps:
+            times.append(times[-1] + g)
+        ticks, den = experiments._release_ticks(times, alpha_den)
+        assert den % alpha_den == 0
+        assert [F(tick) for tick in ticks] == [F(r) * den for r in times]
 
     def test_instant_arrivals_approach_batch(self):
         # with interarrival ~ 0 every job is effectively released at once
@@ -498,6 +579,15 @@ class TestCliCommands:
         want = ExperimentConfig(replications=reps)
         assert seen == [want]
         assert capsys.readouterr().out == render_csv(want.header(command), columns, [])
+
+    @pytest.mark.parametrize("command", ["sweep", "arrivals"])
+    def test_policy_named_twice_fails(self, capsys, command):
+        rc = main([command, "--n", "3", "--reps", "5", "--eps-grid", "0.1",
+                   "--policy", "beta", "--policy", "preemptive", "--policy", "beta"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == "error: policy named twice: beta\n"
+        assert out == ""
 
     def test_verify_quick(self, capsys):
         rc = main(["verify", "--n-max", "3", "--instances", "40", "--samples", "25"])
