@@ -335,8 +335,7 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
     so only their count matters. With nothing set aside the head is opened,
     and with nothing released the machine idles to the next release. A
     never-preempting policy probes no class, which finishes each non-urgent
-    job at its alpha point at once: the same ticks as running it through,
-    which its own loop does in one step per job.
+    job at its alpha point at once: the same ticks as running it through.
     """
     (r0, y0), (r1, y1) = classes
     # each release list ends in one sentinel tick past every completion (each
@@ -348,28 +347,6 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
     tail = den - alpha_ticks
     h0 = h1 = t = s0 = s1 = held = 0
     n0, n1 = r0[0], r1[0]  # the heads' release ticks
-    if not (f0 or f1):  # never preempts: each opened job runs through, den ticks
-        while True:
-            if n0 <= t:
-                t += den
-                if y0[h0]:
-                    s1 += t
-                else:
-                    s0 += t
-                h0 += 1
-                n0 = r0[h0]
-            elif n1 <= t:
-                t += den
-                if y1[h1]:
-                    s1 += t
-                else:
-                    s0 += t
-                h1 += 1
-                n1 = r1[h1]
-            else:  # nothing released: idle until the next release
-                t = n1 if n1 < n0 else n0
-                if t == end:  # both lists at their sentinel: every job is done
-                    return s0, s1
     while True:  # each branch does its own step, with no action value to dispatch on
         if n0 <= t:
             if f0 or not held:  # open the label-0 head
@@ -395,7 +372,7 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
                 continue
         elif not held:  # nothing to run: idle until the next release
             t = n1 if n1 < n0 else n0
-            if t == end:
+            if t == end:  # both lists at their sentinel: every job is done
                 return s0, s1
             continue
         t += tail  # finish a set-aside job
