@@ -216,10 +216,6 @@ class Instance:
         return len(self.jobs)
 
     @property
-    def n0(self) -> int:
-        return sum(1 for job in self.jobs if job.true_type == 0)
-
-    @property
     def mode(self) -> str:
         return "binary" if self.jobs[0].label is not None else "probabilistic"
 

@@ -13,7 +13,6 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 from math import comb, lcm
 from typing import NamedTuple, Optional
 
@@ -32,7 +31,6 @@ from .policies import (
     UnopenedQueue,
     get_policy,
     label_flags,
-    theta_key,
 )
 
 
@@ -98,8 +96,8 @@ def run(
     opened), and, when the machine is idle, release times. A job freshly at
     its reveal point joins the interrupted pool; it counts as preempted only
     if the next action does not immediately finish it. Under exact revelation
-    a job revealed urgent continues straight to completion, and a policy with
-    `preempts=False` always continues regardless. Newly released jobs become
+    a job revealed urgent continues straight to completion; that is the one
+    decision point the policy is not asked at. Newly released jobs become
     visible at the next decision point and enter the queue in priority order.
     The engine never idles while released work exists.
     """
@@ -140,22 +138,15 @@ def run(
             future.append((r.numerator * (den // r.denominator), entry))
     pend.sort()
     future.sort()
-    forced_continue = not policy.preempts
 
     pi = 0                      # head index into pend
     fi = 0
     nf = len(future)
-    intr: list = []             # (job_id, theta) in FIFO order, None once completed
-    slot: dict[int, int] = {}   # set-aside job_id -> its index into intr (the live ones)
-    ii = 0                      # first live index into intr
-    # theta_key entries of intr (seq = index into intr), largest theta on top,
-    # built by the first argmax_theta that finds it empty and kept only while
-    # non-empty; completed jobs' entries are popped lazily. Exact reveals give
-    # every job theta 0, so the FIFO head is the argmax and no heap is kept.
-    heap: Optional[list] = None if exact_mode else []
-    # one state and two queue views per run, moved to each decision point
+    # one state and two queue views per run, moved to each decision point;
+    # exact reveals give every job theta 0, so the FIFO head is the argmax
+    # and the interrupted queue keeps no theta heap
     unopened = UnopenedQueue(pend)
-    interrupted = InterruptedQueue(intr, heap)
+    interrupted = InterruptedQueue([], None if exact_mode else [])
     state = PolicyState(unopened, interrupted, 0, den)
 
     decide = policy.decide
@@ -169,7 +160,6 @@ def run(
     preemptions = 0
     pending: Optional[int] = None  # job at its reveal point this instant
     pn = len(pend)  # mirrors len(pend); pend only grows via insort below
-    il = 0          # mirrors len(intr); intr only grows
 
     while done < n:
         while fi < nf and future[fi][0] <= t:
@@ -177,13 +167,11 @@ def run(
             pn += 1
             fi += 1
         have_pend = pi < pn
-        if not have_pend and not slot:
+        if not have_pend and not interrupted:
             t = future[fi][0]  # idle until the next arrival
             continue
 
         unopened._start = pi
-        interrupted._start = ii
-        interrupted._live = len(slot)
         state._clock_ticks = t
         action = decide(state, params)
         kind = action.kind
@@ -204,57 +192,35 @@ def run(
             pending = None
 
         if kind == "open":
-            jid = pend[pi][1]
+            target = pend[pi][1]
             pi += 1
-            tt = true_of[jid]
-            if trace is not None:
-                trace.append(TraceEvent(Fraction(t, den), "open", jid, tt))
-                trace.append(TraceEvent(Fraction(t + alpha_ticks, den), "alpha_reveal", jid, tt))
-            if forced_continue or (exact_mode and tt == 0):
-                ct = t + den
-                comp_ticks[jid] = ct
-                if tt == 0:
-                    s0 += ct
-                else:
-                    s1 += ct
-                if trace is not None:
-                    trace.append(TraceEvent(Fraction(ct, den), "complete", jid, tt))
-                done += 1
-                t = ct
-            else:
-                theta = ZERO if exact_mode else revelation.sample(tt, rng)
-                slot[jid] = il
-                intr.append((jid, theta))
-                if heap:
-                    heappush(heap, theta_key(theta, il, jid))
-                il += 1
-                t += alpha_ticks
-                pending = jid
-        else:
-            k = slot.pop(target, None)
-            if k is None:
-                raise ContractViolationError(
-                    f"policy {policy.name} completed job {target}, which is not "
-                    f"interrupted, at t={Fraction(t, den)} "
-                    f"({done}/{n} done, {pn - pi} unopened, {len(slot)} interrupted)"
-                )
-            intr[k] = None
-            while ii < il and intr[ii] is None:  # moves only when k was the head
-                ii += 1
             tt = true_of[target]
-            ct = t + tail
-            comp_ticks[target] = ct
-            if tt == 0:
-                s0 += ct
-            else:
-                s1 += ct
             if trace is not None:
-                trace.append(TraceEvent(Fraction(ct, den), "complete", target, tt))
-            done += 1
-            t = ct
-            if heap:
-                while heap and intr[heap[0][2]] is None:
-                    heappop(heap)
+                trace.append(TraceEvent(Fraction(t, den), "open", target, tt))
+                trace.append(TraceEvent(Fraction(t + alpha_ticks, den), "alpha_reveal", target, tt))
+            t += alpha_ticks
+            if not exact_mode or tt:  # set aside; a job revealed urgent runs on
+                interrupted.add(target, ZERO if exact_mode else revelation.sample(tt, rng))
+                pending = target
+                continue
+        elif interrupted.remove(target):
+            tt = true_of[target]
+        else:
+            raise ContractViolationError(
+                f"policy {policy.name} completed job {target}, which is not "
+                f"interrupted, at t={Fraction(t, den)} "
+                f"({done}/{n} done, {pn - pi} unopened, {len(interrupted)} interrupted)"
+            )
+        # the completion of an interrupted job, or of one revealed urgent
+        t += tail
+        comp_ticks[target] = t
+        if tt == 0:
+            s0 += t
+        else:
+            s1 += t
+        if trace is not None:
+            trace.append(TraceEvent(Fraction(t, den), "complete", target, tt))
+        done += 1
 
     return RunOutcome(
         completion_ticks=comp_ticks,

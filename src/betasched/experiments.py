@@ -31,7 +31,6 @@ from .domain import (
     dump_instance,
     format_fraction,
     sample_instance,
-    to_fraction,
 )
 from .engine import (
     enumerate_offline_optimum,
@@ -77,12 +76,14 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.interarrival <= ZERO:
             raise ValueError("mean interarrival must be positive")
-        try:  # arrival streams draw with the float mean
-            finite = 0.0 < float(self.interarrival) < math.inf
+        try:  # arrival streams draw with the float mean, at rate 1 / mean
+            mean = float(self.interarrival)
         except OverflowError:
-            finite = False
-        if not finite:
+            mean = math.inf
+        if not 0.0 < mean < math.inf:
             raise ValueError("mean interarrival must round to a positive finite float")
+        if 1.0 / mean == math.inf:  # expovariate(inf) draws 0: every release at 0
+            raise ValueError("mean interarrival is too small: its rate 1/mean overflows a float")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         for k, name in enumerate(self.policies):
@@ -120,10 +121,6 @@ class ExperimentConfig:
 def default_eps_grid() -> tuple[tuple[Fraction, Fraction], ...]:
     """eps0 = eps1 on 0, 0.05, ..., 0.5."""
     return tuple((Fraction(k, 20), Fraction(k, 20)) for k in range(11))
-
-
-def coupled_grid(values) -> tuple[tuple[Fraction, Fraction], ...]:
-    return tuple((to_fraction(v), to_fraction(v)) for v in values)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from heapq import heapify
+from heapq import heapify, heappop, heappush
 from typing import Callable, NamedTuple, Optional
 
 from .domain import ZERO, Parameters, PredictionModel
@@ -81,29 +81,53 @@ def theta_key(theta: Fraction, seq: int, job_id: int) -> tuple:
 class InterruptedQueue:
     """Partially processed jobs awaiting their final segment, in FIFO order.
 
-    The FIFO list holds (job_id, theta) entries, and a completed job leaves
-    None in its slot, so the list never shrinks: `_start` is the first live
-    slot and `len` counts the live jobs only. Next to it the queue keeps a
-    heap of `theta_key` entries for `argmax_theta`. A read that finds the
-    heap empty builds it from the live entries; while it is non-empty the
-    engine pushes each interrupt in O(log n) and pops the entries of
-    completed jobs lazily, so it runs empty again when the queue drains.
-    Under exact revelation every theta is 0, there is no heap (`heap` is
-    None), and the FIFO head is the answer.
+    `add` appends a (job_id, theta) entry to the FIFO list, and `remove`
+    leaves None in the job's slot (found through a job-to-slot map), so the
+    list never shrinks: `_start` is the first live slot and `len` counts the
+    live jobs only. Next to it the queue keeps a heap of `theta_key` entries
+    for `argmax_theta`. A read that finds the heap empty builds it from the
+    live entries; while it is non-empty `add` pushes in O(log n) and
+    `remove` pops the entries of removed jobs lazily, so it runs empty again
+    when the queue drains. Under exact revelation every theta is 0, there is
+    no heap (`heap` is None), and the FIFO head is the answer.
     """
 
-    __slots__ = ("_entries", "_start", "_live", "_heap")
+    __slots__ = ("_entries", "_slot", "_start", "_heap")
 
     def __init__(self, entries: list, heap: Optional[list]):
-        # a view over a FIFO list without tombstones and an empty heap (or
-        # None); the engine moves _start and _live before each decision
+        # a FIFO list without tombstones and an empty heap (or None)
         self._entries = entries
+        self._slot = {entry[0]: seq for seq, entry in enumerate(entries)}
         self._start = 0
-        self._live = len(entries)
         self._heap = heap
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._slot)
+
+    def add(self, job_id: int, theta: Fraction) -> None:
+        entries = self._entries
+        seq = len(entries)
+        if self._heap:
+            heappush(self._heap, theta_key(theta, seq, job_id))
+        self._slot[job_id] = seq
+        entries.append((job_id, theta))
+
+    def remove(self, job_id: int) -> bool:
+        """Drop `job_id` from the queue; False if it is not in it."""
+        seq = self._slot.pop(job_id, None)
+        if seq is None:
+            return False
+        entries = self._entries
+        entries[seq] = None
+        if seq == self._start:
+            end = len(entries)
+            while seq < end and entries[seq] is None:
+                seq += 1
+            self._start = seq
+        heap = self._heap
+        while heap and entries[heap[0][2]] is None:
+            heappop(heap)
+        return True
 
     def first_id(self) -> int:
         return self._entries[self._start][0]
@@ -133,9 +157,10 @@ class InterruptedQueue:
 class PolicyState:
     """What a policy sees at a decision point: queues plus the clock.
 
-    The state and its two queues are live views over the engine's own
-    lists, and the engine reuses them for every decision of a run, so a
-    state is valid only during the `decide` call it is passed to.
+    The engine builds one state per run and moves it to each decision
+    point: the unopened queue is a view over the engine's sorted list, and
+    the engine adds jobs to and removes them from the interrupted queue.
+    So a state is valid only during the `decide` call it is passed to.
     """
 
     __slots__ = ("unopened", "interrupted", "_clock_ticks", "_clock_den")
@@ -157,22 +182,24 @@ def _require_action(state: PolicyState) -> None:
         raise TerminalStateError(f"no legal action at t={state.clock}")
 
 
-def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
-    """Open everything available first; finish interrupted work only after.
+def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
+    """Finish interrupted work first (FIFO); open the next job only with none.
 
-    Also the nonpreemptive rule (`nonpreemptive_decide`): what separates the
-    two is the policy's `preempts` flag. The engine never consults a
-    non-preempting policy at reveal points, so under that rule the
-    interrupted queue stays empty and the completion branch only keeps the
-    function total on arbitrary states.
+    A job set aside at its alpha point is thus completed at the next
+    decision, as if it had run straight through.
     """
+    _require_action(state)
+    if len(state.interrupted) > 0:
+        return complete_low(state.interrupted.first_id())
+    return OPEN_NEXT
+
+
+def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
+    """Open everything available first; finish interrupted work only after."""
     _require_action(state)
     if len(state.unopened) > 0:
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
-
-
-nonpreemptive_decide = preemptive_decide
 
 
 def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
@@ -250,11 +277,6 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     return complete_low(job_id)
 
 
-def expected_weight(priority: Fraction, params: Parameters) -> Fraction:
-    """Mean delay cost of a job with the given urgency probability."""
-    return params.w1 + (params.w0 - params.w1) * priority
-
-
 # ---------------------------------------------------------------------------
 # Reveal models: what is learned about a job once its alpha point is reached.
 # ---------------------------------------------------------------------------
@@ -295,19 +317,14 @@ EXACT_REVELATION = ExactRevelation()
 
 @dataclass(frozen=True)
 class Policy:
-    """A decide function plus the contract flags the engine relies on.
-
-    preempts: the engine consults the policy at reveal points; when False the
-        job in progress always continues to completion.
-    """
+    """A named decide function; `run()` consults it at every decision point."""
 
     name: str
     decide: Callable[[PolicyState, Parameters], Action]
-    preempts: bool = True
 
 
 POLICIES: dict[str, Policy] = {
-    "nonpreemptive": Policy("nonpreemptive", nonpreemptive_decide, preempts=False),
+    "nonpreemptive": Policy("nonpreemptive", nonpreemptive_decide),
     "preemptive": Policy("preemptive", preemptive_decide),
     "beta": Policy("beta", beta_threshold_decide),
     "hybrid": Policy("hybrid", hybrid_decide),
@@ -329,12 +346,10 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     flag[l] is the policy's answer to the question `run()` asks at each
     decision: with the head job labelled l and one job interrupted at
     theta = 0, does it open the head (True) or complete the interrupted job
-    (False)? A policy that never preempts probes no class. The batch kernel,
-    the closed forms, the tree oracle and the regime all read a policy's
-    batch behaviour from here.
+    (False)? The nonpreemptive rule completes it, so it probes no class. The
+    batch kernel, the closed forms, the tree oracle and the regime all read
+    a policy's batch behaviour from here.
     """
-    if not policy.preempts:
-        return False, False
     flags = []
     for label in (0, 1):
         state = PolicyState(

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import pytest
 
 from betasched.analytics import expected_conditional
-from betasched.domain import Instance, Job, Parameters, PredictionModel
+from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
 from betasched.engine import offline_wspt, offline_wsrpt, run
 from betasched.errors import TerminalStateError
 from betasched.experiments import _rep_rng
@@ -19,7 +19,6 @@ from betasched.policies import (
     Policy,
     Regime,
     complete_low,
-    expected_weight,
     get_policy,
 )
 
@@ -346,6 +345,24 @@ def fraction_tree_expected_cost(n, model, params, flags):
         if weight > 0:
             total += weight * value(u0, n - u0, 0)
     return total
+
+
+def expected_weight(priority, params):
+    """Mean delay cost of a job with the given urgency probability.
+
+    Was `policies.expected_weight`.
+    """
+    return params.w1 + (params.w0 - params.w1) * priority
+
+
+def urgent_count(instance):
+    """Number of truly urgent jobs in `instance`. Was `Instance.n0`."""
+    return sum(1 for job in instance.jobs if job.true_type == 0)
+
+
+def coupled_grid(values):
+    """(eps, eps) pairs, eps0 = eps1, as exact Fractions. Was `experiments.coupled_grid`."""
+    return tuple((to_fraction(v), to_fraction(v)) for v in values)
 
 
 def satisfies_weight_gap(params):

@@ -28,14 +28,13 @@ from betasched.domain import (
 from betasched.engine import offline_wspt, offline_wsrpt, run
 from betasched.experiments import (
     ExperimentConfig,
-    coupled_grid,
     run_arrivals,
     run_sweep,
     verify_optimality,
     verify_wsrpt,
 )
 from betasched.policies import get_policy
-from conftest import satisfies_weight_gap, search_worst_q
+from conftest import coupled_grid, satisfies_weight_gap, search_worst_q
 
 F = Fraction
 

@@ -432,6 +432,9 @@ class TestCliCommands:
     @pytest.mark.parametrize("mean, message", [
         ("1e400", "mean interarrival must round to a positive finite float"),
         ("1e-400", "mean interarrival must round to a positive finite float"),
+        # a positive float whose reciprocal overflows would draw every gap as 0
+        ("1e-320", "mean interarrival is too small: its rate 1/mean overflows a float"),
+        ("5e-309", "mean interarrival is too small: its rate 1/mean overflows a float"),
         ("1e308", "release times overflow a float at this mean interarrival"),
     ])
     def test_extreme_interarrival_fails_cleanly(self, capsys, mean, message):

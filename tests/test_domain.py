@@ -16,7 +16,7 @@ from betasched.domain import (
     to_fraction,
 )
 from betasched.errors import InvalidInstanceError
-from conftest import priority, satisfies_weight_gap, sort_for_policy
+from conftest import priority, satisfies_weight_gap, sort_for_policy, urgent_count
 
 F = Fraction
 
@@ -142,7 +142,7 @@ class TestSampleInstance:
         m = PredictionModel("0.1", "0.1", "0.1")
         n = 100_000
         inst = sample_instance(n, m, base_params, seed=11)
-        frac = inst.n0 / n
+        frac = urgent_count(inst) / n
         assert abs(frac - 0.1) <= 3 * math.sqrt(0.1 * 0.9 / n)
 
     def test_all_released_at_zero(self, base_model, base_params):

@@ -54,6 +54,7 @@ from conftest import (
     fraction_tree_expected_cost,
     scan_argmax_theta,
     sort_for_policy,
+    urgent_count,
     worked_example_instance,
 )
 
@@ -998,7 +999,7 @@ class TestLabelKernel:
         for params, model in kernel_cases()[::4]:
             for n in (1, 2, rng.randint(3, 40)):
                 inst = random_batch_instance(rng, params, model, n)
-                s0, s1 = wspt_ticks(inst.n, inst.n0)
+                s0, s1 = wspt_ticks(inst.n, urgent_count(inst))
                 want = offline_wspt(inst, keep_trace=False).total_cost
                 assert params.w0 * s0 + params.w1 * s1 == want
 

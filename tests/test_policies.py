@@ -19,7 +19,6 @@ from betasched.policies import (
     UnopenedQueue,
     beta_threshold_decide,
     classify_regime,
-    expected_weight,
     get_policy,
     hybrid_decide,
     label_flags,
@@ -27,7 +26,7 @@ from betasched.policies import (
     nonpreemptive_decide,
     preemptive_decide,
 )
-from conftest import fraction_beta_threshold_decide
+from conftest import expected_weight, fraction_beta_threshold_decide
 
 F = Fraction
 
@@ -123,9 +122,21 @@ class TestBetaThreshold:
 
 
 class TestFixedPolicies:
-    def test_nonpreemptive_always_opens(self, base_params):
-        s = state(unopened=[(F(1, 82), 1, 1)], interrupted=[(2, F(0))])
-        assert nonpreemptive_decide(s, base_params).kind == "open"
+    def test_nonpreemptive_completes_interrupted_work_first(self, base_params):
+        s = state(unopened=[(F(1, 2), 1, 0)], interrupted=[(4, F(0)), (2, F(0))])
+        assert nonpreemptive_decide(s, base_params) == ("complete", 4)  # FIFO head
+        assert nonpreemptive_decide(state(unopened=[(F(1, 82), 1, 1)]), base_params).kind == "open"
+        with pytest.raises(TerminalStateError):
+            nonpreemptive_decide(state(), base_params)
+
+    @pytest.mark.parametrize("model, params", [
+        (PredictionModel(F(1, 10), F(1, 10), F(1, 10)), Parameters(F(2, 5), 20, 1)),
+        (PredictionModel(F(1, 10), 0, 0), Parameters(F(2, 5), 20, 1)),         # perfect labels
+        (PredictionModel(F(1, 2), F(1, 2), F(1, 2)), Parameters(F(1, 10), 100, 1)),
+        (PredictionModel(F(1, 3), F(1, 4), 0), Parameters(F(9, 10), 3, 1)),    # no weight gap
+    ])
+    def test_nonpreemptive_probes_no_label_class(self, model, params):
+        assert label_flags(POLICIES["nonpreemptive"], model, params) == (False, False)
 
     def test_preemptive_opens_until_queue_empty(self, base_params):
         s = state(unopened=[(F(1, 82), 1, 1)], interrupted=[(k, F(0)) for k in range(2, 7)])
@@ -225,6 +236,62 @@ class TestInterruptedQueueArgmax:
                   interrupted=[(4, self.THIRD), (7, self.ABOVE_THIRD), (8, self.THIRD)])
         action = modified_beta_decide(s, base_params)
         assert action.kind == "complete" and action.job_id == 7
+
+
+class TestInterruptedQueueOps:
+    """`add` and `remove` against a plain FIFO list, read back after every operation."""
+
+    POOL = (F(0), F(1, 3), F(1, 3) + F(1, 10 ** 30), F(1, 2), F(7, 10), F(1))
+
+    @staticmethod
+    def check(queue, fifo, exact):
+        assert len(queue) == len(fifo)
+        assert list(queue.items()) == fifo
+        if fifo:
+            assert queue.first_id() == fifo[0][0]
+            # Python's max keeps the first of equal maxima: FIFO among ties
+            assert queue.argmax_theta() == (fifo[0] if exact else max(fifo, key=lambda e: e[1]))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["heap-None", "heap-empty"])
+    def test_matches_a_plain_list(self, exact):
+        rng = random.Random(11)
+        for _ in range(60):
+            heap = None if exact else []
+            queue, fifo = InterruptedQueue([], heap), []
+            next_id, gone = 1, [0]  # 0 is never added
+            for _ in range(rng.randint(1, 40)):
+                r = rng.random()
+                if r < 0.45:
+                    theta = F(0) if exact else rng.choice(self.POOL)
+                    queue.add(next_id, theta)
+                    fifo.append((next_id, theta))
+                    next_id += 1
+                elif r < 0.85 and fifo:
+                    # the head half the time, so the first live slot moves too
+                    entry = fifo[0] if rng.random() < 0.5 else rng.choice(fifo)
+                    assert queue.remove(entry[0]) is True
+                    fifo.remove(entry)
+                    gone.append(entry[0])
+                else:  # a job never added, or completed already
+                    assert queue.remove(rng.choice(gone + [next_id + 5])) is False
+                self.check(queue, fifo, exact)
+            # drain, then refill: the emptied heap is rebuilt by the next read
+            while fifo:
+                assert queue.remove(fifo.pop(0)[0]) is True
+                self.check(queue, fifo, exact)
+            assert heap is None or heap == []
+            for theta in (F(1, 2), F(1), F(0), F(1)):
+                queue.add(next_id, theta)
+                fifo.append((next_id, theta))
+                next_id += 1
+                self.check(queue, fifo, exact)
+            assert heap is None or len(heap) == len(fifo)
+
+    def test_built_from_entries(self):
+        queue = InterruptedQueue([(5, F(1, 4)), (2, F(3, 4))], [])
+        assert len(queue) == 2 and queue.argmax_theta() == (2, F(3, 4))
+        assert queue.remove(2) and not queue.remove(2)
+        assert list(queue.items()) == [(5, F(1, 4))] and queue.argmax_theta() == (5, F(1, 4))
 
 
 class TestClassifyRegime:
