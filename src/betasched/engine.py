@@ -122,11 +122,12 @@ def run(
         tagged = [(job.label, job.id, job.label, post[job.label]) for job in jobs]
     else:
         # equal Fractions have equal (numerator, denominator) pairs, so only
-        # the distinct values are compared as Fractions
-        keys = [(job.p_hat.numerator, job.p_hat.denominator) for job in jobs]
+        # the distinct values are ranked; correctly rounded a / b is monotone,
+        # so the floats order them, and only equal floats compare Fractions
+        keys = [job.p_hat.as_integer_ratio() for job in jobs]
         value_of = dict(zip(keys, (job.p_hat for job in jobs)))
-        rank_of = {key: i for i, key in
-                   enumerate(sorted(value_of, key=value_of.__getitem__, reverse=True))}
+        ranked = sorted([(a / b, value_of[a, b], (a, b)) for a, b in value_of], reverse=True)
+        rank_of = {key: i for i, (_, _, key) in enumerate(ranked)}
         tagged = [(rank_of[key], job.id, None, job.p_hat) for key, job in zip(keys, jobs)]
     pend = []                   # sorted (rank, job_id, label, priority)
     future = []                 # (release_ticks, entry) for later arrivals, sorted
@@ -160,6 +161,7 @@ def run(
     preemptions = 0
     pending: Optional[int] = None  # job at its reveal point this instant
     pn = len(pend)  # mirrors len(pend); pend only grows via insort below
+    held = 0  # mirrors len(interrupted)
 
     while done < n:
         while fi < nf and future[fi][0] <= t:
@@ -167,7 +169,7 @@ def run(
             pn += 1
             fi += 1
         have_pend = pi < pn
-        if not have_pend and not interrupted:
+        if not have_pend and not held:
             t = future[fi][0]  # idle until the next arrival
             continue
 
@@ -201,15 +203,17 @@ def run(
             t += alpha_ticks
             if not exact_mode or tt:  # set aside; a job revealed urgent runs on
                 interrupted.add(target, ZERO if exact_mode else revelation.sample(tt, rng))
+                held += 1
                 pending = target
                 continue
         elif interrupted.remove(target):
+            held -= 1
             tt = true_of[target]
         else:
             raise ContractViolationError(
                 f"policy {policy.name} completed job {target}, which is not "
                 f"interrupted, at t={Fraction(t, den)} "
-                f"({done}/{n} done, {pn - pi} unopened, {len(interrupted)} interrupted)"
+                f"({done}/{n} done, {pn - pi} unopened, {held} interrupted)"
             )
         # the completion of an interrupted job, or of one revealed urgent
         t += tail

@@ -67,13 +67,14 @@ class UnopenedQueue:
             yield job_id, priority, label
 
 
-def theta_key(theta: Fraction, seq: int, job_id: int) -> tuple:
+def theta_key(theta, seq: int, job_id: int) -> tuple:
     """Min-heap key that puts the largest theta first, FIFO (`seq`) among ties.
 
-    Correctly rounded Fraction -> float is monotone, so the float orders two
-    thetas exactly whenever it differs; equal floats fall through to the
-    exact theta, then to the arrival sequence. The last two fields are what
-    `argmax_theta` returns.
+    theta may be a float (a posterior reveal's Beta draw), a Fraction or an
+    int, each exact. Correctly rounded conversion to float is monotone, so the
+    float orders two thetas exactly whenever it differs; equal floats fall
+    through to the exact theta, then to the arrival sequence. The last two
+    fields are what `argmax_theta` returns.
     """
     return (-float(theta), -theta, seq, job_id, theta)
 
@@ -89,7 +90,8 @@ class InterruptedQueue:
     live entries; while it is non-empty `add` pushes in O(log n) and
     `remove` pops the entries of removed jobs lazily, so it runs empty again
     when the queue drains. Under exact revelation every theta is 0, there is
-    no heap (`heap` is None), and the FIFO head is the answer.
+    no heap (`heap` is None), and the FIFO head is the answer. Under
+    posterior revelation each theta is the float its Beta draw returned.
     """
 
     __slots__ = ("_entries", "_slot", "_start", "_heap")
@@ -104,7 +106,7 @@ class InterruptedQueue:
     def __len__(self) -> int:
         return len(self._slot)
 
-    def add(self, job_id: int, theta: Fraction) -> None:
+    def add(self, job_id: int, theta) -> None:
         entries = self._entries
         seq = len(entries)
         if self._heap:
@@ -177,9 +179,9 @@ class PolicyState:
         return Fraction(self._clock_ticks, self._clock_den)
 
 
-def _require_action(state: PolicyState) -> None:
-    if len(state.unopened) == 0 and len(state.interrupted) == 0:
-        raise TerminalStateError(f"no legal action at t={state.clock}")
+def _no_action(state: PolicyState) -> TerminalStateError:
+    """What each rule raises in its branch where both queues are empty."""
+    return TerminalStateError(f"no legal action at t={state.clock}")
 
 
 def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
@@ -188,17 +190,19 @@ def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
     A job set aside at its alpha point is thus completed at the next
     decision, as if it had run straight through.
     """
-    _require_action(state)
-    if len(state.interrupted) > 0:
+    if state.interrupted:
         return complete_low(state.interrupted.first_id())
+    if not state.unopened:
+        raise _no_action(state)
     return OPEN_NEXT
 
 
 def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
     """Open everything available first; finish interrupted work only after."""
-    _require_action(state)
-    if len(state.unopened) > 0:
+    if state.unopened:
         return OPEN_NEXT
+    if not state.interrupted:
+        raise _no_action(state)
     return complete_low(state.interrupted.first_id())
 
 
@@ -209,14 +213,16 @@ def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
     unopened the only move is to finish interrupted work (FIFO). A head
     probability exactly equal to beta completes low.
     """
-    _require_action(state)
-    if len(state.unopened) == 0:
-        return complete_low(state.interrupted.first_id())
-    if len(state.interrupted) == 0:
+    if not state.interrupted:
+        if not state.unopened:
+            raise _no_action(state)
         return OPEN_NEXT
-    p, beta = state.unopened.head_priority(), params.beta()
+    if not state.unopened:
+        return complete_low(state.interrupted.first_id())
+    a, b = state.unopened.head_priority().as_integer_ratio()
+    c, d = params.beta().as_integer_ratio()
     # p = a/b > beta = c/d  <=>  a*d > c*b, as b, d > 0
-    if p.numerator * beta.denominator > beta.numerator * p.denominator:
+    if a * d > c * b:
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
 
@@ -229,13 +235,14 @@ def hybrid_decide(state: PolicyState, params: Parameters) -> Action:
     order. Requires binary labels: the label is read before any shortcut,
     so the first decision on an unlabelled instance raises.
     """
-    _require_action(state)
-    if len(state.unopened) == 0:
+    if not state.unopened:
+        if not state.interrupted:
+            raise _no_action(state)
         return complete_low(state.interrupted.first_id())
     label = state.unopened.head_label()
     if label is None:
         raise UnsupportedInputError("hybrid policy needs binary labels")
-    if label == 0 or len(state.interrupted) == 0:
+    if label == 0 or not state.interrupted:
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
 
@@ -252,27 +259,28 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
 
     theta comes from the interrupted queue's heap in O(1) (the FIFO head
     under exact revelation), beta and K are stored on `params`, and the
-    comparison is integer-only, so a decision costs no rational arithmetic.
+    comparison is integer-only: theta (a float under posterior reveal), the
+    head p_hat, beta and K are read through `as_integer_ratio()`, so a
+    decision costs no rational arithmetic.
     """
-    _require_action(state)
-    if len(state.unopened) == 0:
-        job_id, _ = state.interrupted.argmax_theta()
-        return complete_low(job_id)
-    if len(state.interrupted) == 0:
+    if not state.interrupted:
+        if not state.unopened:
+            raise _no_action(state)
         return OPEN_NEXT
     job_id, theta = state.interrupted.argmax_theta()
-    g, h = theta.numerator, theta.denominator
+    if not state.unopened:
+        return complete_low(job_id)
+    g, h = theta.as_integer_ratio()
     if g >= h:  # theta >= 1
         return complete_low(job_id)
     # With p = a/b, beta = c/d, K = e/f and theta = g/h (all denominators
     # positive):  p > beta + K*theta/(1-theta)
     #   <=>  (a*d - c*b)/(b*d) > e*g/(f*(h-g))
     #   <=>  (a*d - c*b)*f*(h-g) > e*g*b*d,   as b*d > 0 and f*(h-g) > 0 for theta < 1.
-    p = state.unopened.head_priority()
-    beta, slope = params.beta(), params.theta_slope()
-    a, b = p.numerator, p.denominator
-    d = beta.denominator
-    if (a * d - beta.numerator * b) * slope.denominator * (h - g) > slope.numerator * g * b * d:
+    a, b = state.unopened.head_priority().as_integer_ratio()
+    c, d = params.beta().as_integer_ratio()
+    e, f = params.theta_slope().as_integer_ratio()
+    if (a * d - c * b) * f * (h - g) > e * g * b * d:
         return OPEN_NEXT
     return complete_low(job_id)
 
@@ -289,13 +297,19 @@ class ExactRevelation:
     """
 
 
+# The largest Beta shape accepted: `random.gammavariate` takes sqrt(2*shape - 1),
+# which overflows above about 9e307, and then it never returns.
+MAX_BETA_SHAPE = 1e300
+
+
 @dataclass(frozen=True)
 class PosteriorRevelation:
     """At the alpha point only an urgency probability theta is learned.
 
-    Theta is drawn from a Beta distribution conditioned on the true type;
-    shape parameters are free knobs. The defaults skew urgent jobs toward
-    high theta and non-urgent jobs toward low theta.
+    Theta is drawn from a Beta distribution conditioned on the true type; the
+    shapes are free knobs in (0, MAX_BETA_SHAPE]. The defaults skew urgent
+    jobs toward high theta and non-urgent jobs toward low theta. `sample`
+    returns the float the draw gave, an exact binary rational.
     """
 
     a0: float = 8.0
@@ -303,13 +317,18 @@ class PosteriorRevelation:
     a1: float = 2.0
     b1: float = 8.0
 
-    def sample(self, true_type: int, rng) -> Fraction:
+    def __post_init__(self):
+        for name in ("a0", "b0", "a1", "b1"):
+            shape = getattr(self, name)
+            if not 0 < shape <= MAX_BETA_SHAPE:  # false for nan too
+                raise ValueError(
+                    f"Beta shape {name} must lie in (0, {MAX_BETA_SHAPE:g}], got {shape!r}"
+                )
+
+    def sample(self, true_type: int, rng) -> float:
         if true_type == 0:
-            draw = rng.betavariate(self.a0, self.b0)
-        else:
-            draw = rng.betavariate(self.a1, self.b1)
-        # Fraction(float) is the exact binary value of the draw
-        return Fraction(draw)
+            return rng.betavariate(self.a0, self.b0)
+        return rng.betavariate(self.a1, self.b1)
 
 
 EXACT_REVELATION = ExactRevelation()

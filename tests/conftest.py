@@ -254,6 +254,7 @@ def scan_modified_beta_decide(state, params):
     if len(state.interrupted) == 0:
         return OPEN_NEXT
     job_id, theta = scan_argmax_theta(state.interrupted)
+    theta = Fraction(theta)  # a float theta would make tau a float
     if theta >= ONE:
         return complete_low(job_id)
     alpha, w0, w1 = params.alpha, params.w0, params.w1

@@ -39,6 +39,7 @@ from betasched.errors import (
 from betasched.experiments import wsrpt_kernel_cost
 from betasched.policies import (
     EXACT_REVELATION,
+    MAX_BETA_SHAPE,
     OPEN_NEXT,
     POLICIES,
     Action,
@@ -567,8 +568,11 @@ class TestQueueOrder:
         rng = random.Random(32)
         # make_job builds a new Fraction per job, so equal values are distinct
         # objects, and equal values come from different spellings; 0 and 1
-        # are the ends of the range
-        values = ("0", "1", "1/2", "0.5", "2/4", "1/3", "2/6", "1/82", "2/57", "0.999")
+        # are the ends of the range, and 1/3 +- 1/(3*10^30) are distinct
+        # values with the float of 1/3
+        e30 = 10 ** 30
+        values = ("0", "1", "1/2", "0.5", "2/4", "1/3", "2/6", "1/82", "2/57", "0.999",
+                  f"{e30 + 1}/{3 * e30}", f"{e30 - 1}/{3 * e30}")
         for n in (1, 2, 5, 17, 40):
             ids = list(range(1, n + 1))
             rng.shuffle(ids)
@@ -600,6 +604,31 @@ class TestPosteriorRevelation:
         with pytest.raises(ValueError):
             run(inst, get_policy("modified-beta"), PosteriorRevelation())
 
+    @pytest.mark.parametrize("shape", [float("nan"), float("inf"), -float("inf"), 0, -1, 1e308],
+                             ids=["nan", "inf", "-inf", "0", "-1", "1e308"])
+    def test_bad_beta_shapes_are_refused(self, shape):
+        # each of these once reached random.gammavariate: 0, -1 and -inf
+        # raised at the first reveal, and nan, inf and 1e308 never returned
+        for field in ("a0", "b0", "a1", "b1"):
+            with pytest.raises(ValueError, match=f"Beta shape {field}"):
+                PosteriorRevelation(**{field: shape})
+
+    def test_largest_accepted_shape_draws(self):
+        rng = random.Random(2)
+        for shapes in ({"a0": MAX_BETA_SHAPE}, {"b0": MAX_BETA_SHAPE},
+                       {"a1": MAX_BETA_SHAPE, "b1": MAX_BETA_SHAPE}):
+            rev = PosteriorRevelation(**shapes)
+            for true_type in (0, 1):
+                theta = rev.sample(true_type, rng)
+                assert type(theta) is float and 0 <= theta <= 1
+
+    def test_sample_is_the_float_draw(self):
+        rev, a, b = PosteriorRevelation(), random.Random(9), random.Random(9)
+        for true_type in (0, 1, 1, 0):
+            shape = (rev.a0, rev.b0) if true_type == 0 else (rev.a1, rev.b1)
+            theta = rev.sample(true_type, a)
+            assert type(theta) is float and theta == b.betavariate(*shape)
+
     def test_preempted_job_resumes_with_exact_remainder(self, base_params, base_model):
         inst = worked_example_instance(base_params, base_model)
         out = run(inst, get_policy("preemptive"))
@@ -625,7 +654,8 @@ class TieRevelation:
 
 
 def tau(params, theta):
-    """The modified-beta threshold, from Fractions."""
+    """The modified-beta threshold, from Fractions (a float theta is converted exactly)."""
+    theta = Fraction(theta)
     a, w0, w1 = params.alpha, params.w0, params.w1
     return (a / (1 - a)) * (w1 / (w0 - w1)) + (a / (1 - a)) * (w0 / (w0 - w1)) * theta / (1 - theta)
 
@@ -732,6 +762,47 @@ class TestThetaHeapDifferential:
             inst = p_hat_grid_instance(rng, rng.randint(1, 60), base_params, releases=True)
             for revelation in self.REVELATIONS:
                 self.same_run(inst, revelation, rng.randrange(10 ** 6), heap, scan)
+
+
+class FractionRevelation:
+    """`PosteriorRevelation()` with each draw returned as the equal Fraction."""
+
+    inner = PosteriorRevelation()
+
+    def sample(self, true_type, rng):
+        return F(self.inner.sample(true_type, rng))
+
+
+class TestFloatTheta:
+    """Every rule runs on the float thetas as on the equal Fractions: same bytes, same draws."""
+
+    def outcome(self, inst, policy, revelation, seed):
+        rng = random.Random(seed)
+        try:
+            out = run(inst, policy, revelation, rng=rng)
+        except UnsupportedInputError as exc:  # hybrid on p_hat instances
+            return repr(exc), rng.getstate()
+        return (out.trace, out.total_cost, out.completion_ticks, out.preemption_count,
+                rng.getstate())
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_same_runs_as_fraction_thetas(self, name, base_model):
+        policy = POLICIES[name]
+        rng = random.Random(21)
+        for releases in (False, True):
+            for _ in range(12):
+                params = Parameters(F(rng.randint(1, 9), 10), rng.randint(2, 40), F(rng.randint(1, 3), 2))
+                n = rng.choice((1, 2, 9, 40, 120))
+                binary = Instance(
+                    [Job(i, rng.randint(0, 1), rng.randint(0, 1),
+                         release_time=F(rng.randrange(12), 4) if releases and rng.random() < 0.5 else F(0))
+                     for i in range(1, n + 1)],
+                    params, base_model,
+                )
+                for inst in (binary, p_hat_grid_instance(rng, n, params, releases)):
+                    seed = rng.randrange(10 ** 6)
+                    a = self.outcome(inst, policy, PosteriorRevelation(), seed)
+                    assert a == self.outcome(inst, policy, FractionRevelation(), seed)
 
 
 class RecordingRevelation:

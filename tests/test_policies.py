@@ -10,6 +10,7 @@ from betasched.engine import run
 from betasched.errors import TerminalStateError, UnsupportedInputError
 from betasched.policies import (
     EXACT_REVELATION,
+    OPEN_NEXT,
     POLICIES,
     InterruptedQueue,
     Policy,
@@ -116,9 +117,22 @@ class TestBetaThreshold:
                 assert a.total_cost == b.total_cost
         assert min(seen.values()) > 0, seen
 
-    def test_terminal_state_raises(self, base_params):
-        with pytest.raises(TerminalStateError):
-            beta_threshold_decide(state(), base_params)
+
+class TestEveryRule:
+    """What each rule does where one queue or both are empty."""
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_terminal_state_raises(self, name, base_params):
+        with pytest.raises(TerminalStateError, match="no legal action at t=0"):
+            POLICIES[name].decide(state(), base_params)
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_one_empty_queue_leaves_one_move(self, name, base_params):
+        decide = POLICIES[name].decide
+        for label in (0, 1):
+            assert decide(state(unopened=[(F(1, 2), 1, label), (F(1, 82), 3, 1)]),
+                          base_params) == OPEN_NEXT
+        assert decide(state(interrupted=[(4, F(0)), (2, F(0))]), base_params) == ("complete", 4)
 
 
 class TestFixedPolicies:
@@ -187,6 +201,17 @@ class TestModifiedBeta:
         s = state(unopened=[(F(22, 57) + F(1, 10 ** 30), 1, 0)], interrupted=[(2, F(1, 3))])
         assert modified_beta_decide(s, base_params).kind == "open"
 
+    def test_float_theta_is_read_exactly(self, base_params):
+        # the float 0.1 is 3602879701896397/2**55; a tau rounded to a float
+        # could not tell the three heads apart
+        bar = F(2, 57) + F(40, 57) * F(0.1) / (1 - F(0.1))
+        for head, kind in ((bar, "complete"), (bar - F(1, 10 ** 30), "complete"),
+                           (bar + F(1, 10 ** 30), "open")):
+            s = state(unopened=[(head, 1, 0)], interrupted=[(2, 0.1)])
+            assert modified_beta_decide(s, base_params).kind == kind
+        s = state(unopened=[(F(999, 1000), 1, 0)], interrupted=[(3, 0.5), (2, 1.0)])
+        assert modified_beta_decide(s, base_params) == ("complete", 2)
+
     def test_completes_largest_theta_fifo_ties(self, base_params):
         s = state(interrupted=[(5, F(1, 4)), (2, F(3, 4)), (9, F(3, 4))])
         action = modified_beta_decide(s, base_params)
@@ -214,6 +239,13 @@ class TestInterruptedQueueArgmax:
                         [(7, self.ABOVE_THIRD), (4, self.THIRD)],
                         [(1, F(0)), (4, self.THIRD), (7, self.ABOVE_THIRD), (8, self.THIRD)]):
             assert self.argmax(entries) == (7, self.ABOVE_THIRD)
+
+    def test_float_and_fraction_thetas_compare_exactly(self):
+        # float 0.1 lies just above 1/10; F(0.1) is the same number as 0.1
+        assert self.argmax([(4, F(1, 10)), (7, 0.1)]) == (7, 0.1)
+        assert self.argmax([(4, 0.1), (7, F(1, 10))]) == (4, 0.1)
+        assert self.argmax([(4, F(0.1)), (7, 0.1), (2, 0)]) == (4, F(0.1))
+        assert self.argmax([(4, 0.0), (7, 0), (2, F(0))]) == (4, 0.0)
 
     def test_theta_one_and_zero(self):
         assert self.argmax([(3, F(0)), (6, F(1)), (8, F(1)), (2, F(1, 2))]) == (6, F(1))
