@@ -1,8 +1,10 @@
 """Closed-form expected performance, competitive ratios, and loss metrics.
 
 Expected costs are exact rationals. Competitive ratios involve square roots,
-so they are floats; all algebra before the radical is done in exact rationals
-and rounding happens once at the root.
+so they are floats. Each rational in them is built as an exact, unreduced
+(numerator, denominator) pair of ints and rounds once, by correctly rounded
+int division, where it enters float arithmetic; so each is the float of the
+exact rational, with no Fraction arithmetic and no gcd.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from .domain import (
     ONE,
     Parameters,
     PredictionModel,
-    ZERO,
+    rate_ratio,
     to_fraction,
+    unit_ratio,
 )
+from .engine import weight_grid
 from .policies import POLICIES, REGIME_OF_FLAGS, Regime, classify_regime, label_flags
 
 
@@ -138,18 +142,34 @@ class HybridCrValue:
     decomposition_bound: float
 
 
-def _mean_eps(model: PredictionModel) -> Fraction:
-    return (model.eps0 + model.eps1) / 2
+def _channel_ints(model: PredictionModel, params: Parameters) -> tuple[int, ...]:
+    """(a, da, p0, q0, p1, q1, w0, w1): alpha = a/da, eps0 = p0/q0, eps1 = p1/q1.
+
+    w0 and w1 are the weights' numerators on `weight_grid`; the ratios read
+    them only as w0/w1, w0/(w0-w1) and w1/(w0-w1), so the grid's denominator
+    cancels.
+    """
+    _, w0, w1 = weight_grid(params)
+    return (*params.alpha.as_integer_ratio(), *model.eps0.as_integer_ratio(),
+            *model.eps1.as_integer_ratio(), w0, w1)
+
+
+def _maximiser(rn: int, rd: int, mn: int, md: int) -> float:
+    """The worst urgent fraction sqrt(r + m^2) - m at r = rn/rd, m = mn/md.
+
+    Evaluated as r / (sqrt(r + m^2) + m), which has no cancellation. Its
+    denominator is 0.0 only where r, r + m^2 and m all round to 0.0; the
+    maximiser is 0.0 then.
+    """
+    root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md
+    return rn / rd / root if root else 0.0
 
 
 def cr_nonpreemptive(model: PredictionModel, params: Parameters) -> CrValue:
     """Worst-case ratio of a nonpreemptive schedule: 1 + eps*(sqrt(w0/w1)-1)."""
-    eps = _mean_eps(model)
-    w0, w1 = params.w0, params.w1
-    value = 1.0 + float(eps) * (math.sqrt(w0 / w1) - 1.0)
-    r = w1 / (w0 - w1)
-    worst_q = math.sqrt(r + r * r) - float(r)
-    return CrValue(value, worst_q)
+    _, _, p0, q0, p1, q1, w0, w1 = _channel_ints(model, params)
+    value = 1.0 + (p0 * q1 + p1 * q0) / (2 * q0 * q1) * (math.sqrt(w0 / w1) - 1.0)
+    return CrValue(value, _maximiser(w1, w0 - w1, w1, w0 - w1))
 
 
 def cr_nonpreemptive_cap(alpha, eps0, eps1) -> float:
@@ -157,10 +177,12 @@ def cr_nonpreemptive_cap(alpha, eps0, eps1) -> float:
 
     With w1 >= w0*(1-alpha) the weight ratio is at most 1/(1-alpha), so the
     nonpreemptive ratio is bounded by 1 + eps*(sqrt(1/(1-alpha)) - 1).
+    alpha outside (0, 1) or a rate outside [0, 1/2] raises ValueError.
     """
-    a = to_fraction(alpha)
-    eps = (to_fraction(eps0) + to_fraction(eps1)) / 2
-    return 1.0 + float(eps) * (math.sqrt(ONE / (ONE - a)) - 1.0)
+    a, da = unit_ratio("alpha", to_fraction(alpha))
+    p0, q0 = rate_ratio("eps0", to_fraction(eps0))
+    p1, q1 = rate_ratio("eps1", to_fraction(eps1))
+    return 1.0 + (p0 * q1 + p1 * q0) / (2 * q0 * q1) * (math.sqrt(da / (da - a)) - 1.0)
 
 
 def cr_preemptive(model: PredictionModel, params: Parameters) -> CrValue:
@@ -169,18 +191,24 @@ def cr_preemptive(model: PredictionModel, params: Parameters) -> CrValue:
     Flat at 1 + alpha while eps <= w1/w0 (the worst mix is then all
     non-urgent); beyond that the interior maximizer takes over.
     """
-    eps = _mean_eps(model)
-    w0, w1, alpha = params.w0, params.w1, params.alpha
-    if eps <= w1 / w0:
-        return CrValue(float(ONE + alpha), 0.0)
-    factor = (alpha / 2) * (w0 / (w0 - w1))
-    radicand = ONE - 4 * eps + 4 * eps * eps * (w0 / w1)
-    value = float(ONE + factor * (ONE - 2 * eps)) + float(factor) * math.sqrt(float(radicand))
-    r = w1 / (w0 - w1)
-    s = (2 * eps * w0 - 2 * w1 + w0) / (2 * eps * w0 - 2 * w1)
-    m = r * s
-    worst_q = math.sqrt(float(r + m * m)) - float(m)
-    return CrValue(value, worst_q)
+    a, da, p0, q0, p1, q1, w0, w1 = _channel_ints(model, params)
+    en, ed = p0 * q1 + p1 * q0, 2 * q0 * q1  # the mean error rate en/ed
+    if en * w0 <= w1 * ed:
+        return CrValue((da + a) / da, 0.0)
+    gap = w0 - w1
+    fn, fd = a * w0, 2 * da * gap  # factor = (alpha/2) * w0/(w0-w1)
+    radicand = ((ed - 4 * en) * ed * w1 + 4 * en * en * w0) / (ed * ed * w1)
+    value = (fd * ed + fn * (ed - 2 * en)) / (fd * ed) + fn / fd * math.sqrt(radicand)
+    d = 2 * (en * w0 - w1 * ed)  # 2*eps*w0 - 2*w1 in grid units, times ed
+    return CrValue(value, _maximiser(w1, gap, w1 * (d + w0 * ed), gap * d))
+
+
+def _mix_coefficient(a, da, p0, q0, p1, q1, w0, w1) -> tuple[int, int]:
+    """lambda as an (ln, ld) pair, with ld = da*(w0-w1)*q0*q1^2."""
+    gap = w0 - w1
+    ln = (p0 * (q1 + p1) * da * gap * q1 + a * w0 * p1 * (q0 - p0) * q1
+          - a * w1 * p1 * p1 * q0)
+    return ln, da * gap * q0 * q1 * q1
 
 
 def hybrid_mix_coefficient(model: PredictionModel, params: Parameters) -> Fraction:
@@ -189,10 +217,7 @@ def hybrid_mix_coefficient(model: PredictionModel, params: Parameters) -> Fracti
     lambda = eps0*(1+eps1) + (alpha*w0/(w0-w1))*eps1*(1-eps0)
            - (alpha*w1/(w0-w1))*eps1^2.
     """
-    w0, w1, alpha = params.w0, params.w1, params.alpha
-    e0, e1 = model.eps0, model.eps1
-    gap = w0 - w1
-    return e0 * (ONE + e1) + (alpha * w0 / gap) * e1 * (ONE - e0) - (alpha * w1 / gap) * e1 * e1
+    return Fraction(*_mix_coefficient(*_channel_ints(model, params)))
 
 
 def cr_hybrid(model: PredictionModel, params: Parameters) -> HybridCrValue:
@@ -203,29 +228,26 @@ def cr_hybrid(model: PredictionModel, params: Parameters) -> HybridCrValue:
     The decomposition bound splits that into gains relative to the
     nonpreemptive ratio and a quadratic probe-cost term.
     """
-    w0, w1, alpha = params.w0, params.w1, params.alpha
-    e1 = model.eps1
-    lam = hybrid_mix_coefficient(model, params)
-    a = alpha * e1 * e1
-    radicand = (w0 / w1) * lam * lam + (w0 / (w0 - w1)) * a * a
-    value = float(ONE + (a - lam) / 2) + math.sqrt(float(radicand)) / 2
-
+    ints = _channel_ints(model, params)
+    a, _, _, q0, p1, _, w0, w1 = ints
+    ln, ld = _mix_coefficient(*ints)
+    gap = w0 - w1
+    an = a * p1 * p1 * gap * q0  # alpha*eps1^2 = an/ld
+    value = ((2 * ld + an - ln) / (2 * ld)
+             + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
     bound = (
         1.0
-        + float(lam / 2) * (math.sqrt(w0 / w1) - 1.0)
-        + float(a / 2) * (1.0 + math.sqrt(w0 / (w0 - w1)))
+        + ln / (2 * ld) * (math.sqrt(w0 / w1) - 1.0)
+        + an / (2 * ld) * (1.0 + math.sqrt(w0 / gap))
     )
-
-    r = w1 / (w0 - w1)
-    denom = lam - r * a
-    if lam == ZERO and a == ZERO:
+    dn = ln * gap - w1 * an  # lambda - (w1/(w0-w1))*alpha*eps1^2 = dn/(ld*gap)
+    if ln == 0 and an == 0:
         worst_q: Optional[float] = 0.0
-    elif denom > ZERO:
-        m = r * (lam + a) / denom
-        worst_q = math.sqrt(float(r + m * m)) - float(m)
+    elif dn > 0:
+        worst_q = _maximiser(w1, gap, w1 * (ln + an), dn)
     else:
         worst_q = None  # stationary-point formula degenerates outside the weight-gap regime
-    return HybridCrValue(value, worst_q, float(lam), bound)
+    return HybridCrValue(value, worst_q, ln / ld, bound)
 
 
 @dataclass(frozen=True)

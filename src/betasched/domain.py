@@ -38,6 +38,22 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def unit_ratio(name: str, value: Fraction) -> tuple[int, int]:
+    """`value.as_integer_ratio()`, refusing a value outside the open interval (0, 1)."""
+    num, den = value.as_integer_ratio()
+    if not 0 < num < den:
+        raise ValueError(f"{name} must lie strictly in (0,1), got {value}")
+    return num, den
+
+
+def rate_ratio(name: str, value: Fraction) -> tuple[int, int]:
+    """`value.as_integer_ratio()`, refusing an error rate outside [0, 1/2]."""
+    num, den = value.as_integer_ratio()
+    if not 0 <= 2 * num <= den:
+        raise ValueError(f"{name} must lie in [0, 1/2], got {value}")
+    return num, den
+
+
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as `num` or `num/den` for the text formats."""
     if value.denominator == 1:
@@ -62,8 +78,7 @@ class Parameters:
         object.__setattr__(self, "alpha", to_fraction(alpha))
         object.__setattr__(self, "w0", to_fraction(w0))
         object.__setattr__(self, "w1", to_fraction(w1))
-        if not (ZERO < self.alpha < ONE):
-            raise ValueError(f"alpha must lie strictly in (0,1), got {self.alpha}")
+        unit_ratio("alpha", self.alpha)
         if not (self.w0 > self.w1 > ZERO):
             raise ValueError(f"weights must satisfy w0 > w1 > 0, got w0={self.w0}, w1={self.w1}")
         b = (self.alpha / (ONE - self.alpha)) * (self.w1 / (self.w0 - self.w1))
@@ -101,22 +116,15 @@ class PredictionModel:
         object.__setattr__(self, "rho", to_fraction(rho))
         object.__setattr__(self, "eps0", to_fraction(eps0))
         object.__setattr__(self, "eps1", to_fraction(eps1))
-        if not (ZERO < self.rho < ONE):
-            raise ValueError(f"rho must lie strictly in (0,1), got {self.rho}")
-        for name in ("eps0", "eps1"):
-            rate = getattr(self, name)
-            if not (ZERO <= rate <= HALF):
-                raise ValueError(f"{name} must lie in [0, 1/2], got {rate}")
-        p_label0 = (ONE - self.eps0) * self.rho + self.eps1 * (ONE - self.rho)
-        object.__setattr__(self, "_label0_rate", p_label0)
-        object.__setattr__(
-            self,
-            "_posteriors",
-            (
-                (ONE - self.eps0) * self.rho / p_label0,
-                self.eps0 * self.rho / (ONE - p_label0),
-            ),
-        )
+        rn, rd = unit_ratio("rho", self.rho)
+        p0, q0 = rate_ratio("eps0", self.eps0)
+        p1, q1 = rate_ratio("eps1", self.eps1)
+        # over q0*q1*rd: urgent and labelled 0, non-urgent and labelled 0, urgent and labelled 1
+        u0, v0, u1 = (q0 - p0) * rn * q1, p1 * (rd - rn) * q0, p0 * rn * q1
+        den = q0 * q1 * rd
+        object.__setattr__(self, "_label0_rate", Fraction(u0 + v0, den))
+        object.__setattr__(self, "_posteriors",
+                           (Fraction(u0, u0 + v0), Fraction(u1, den - u0 - v0)))
 
     def label_probability(self, label: int) -> Fraction:
         """Marginal probability that a job receives the given label."""

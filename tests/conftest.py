@@ -9,7 +9,12 @@ from typing import NamedTuple
 
 import pytest
 
-from betasched.analytics import expected_conditional
+from betasched.analytics import (
+    CompetitiveRatioReport,
+    CrValue,
+    HybridCrValue,
+    expected_conditional,
+)
 from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
 from betasched.engine import offline_wspt, offline_wsrpt, run
 from betasched.errors import TerminalStateError
@@ -459,3 +464,99 @@ def search_worst_q(kind, model, params, step=1e-3, tol=1e-10):
             fd = limit_excess_ratio(kind, d, model, params)
     q_star = (a + b) / 2.0
     return q_star, 1.0 + limit_excess_ratio(kind, q_star, model, params)
+
+
+# ---------------------------------------------------------------------------
+# Exact-Fraction oracles of the analytic layer: the bodies the competitive
+# ratios and the channel posteriors had before they moved to integer pairs.
+# Each rational is a Fraction and rounds where it becomes a float.
+# ---------------------------------------------------------------------------
+
+def fraction_posteriors(rho, eps0, eps1):
+    """(P(label 0), P(type 0 | label 0), P(type 0 | label 1)), by Bayes' rule.
+
+    Was the body of `PredictionModel.__init__`.
+    """
+    p_label0 = (ONE - eps0) * rho + eps1 * (ONE - rho)
+    return p_label0, (ONE - eps0) * rho / p_label0, eps0 * rho / (ONE - p_label0)
+
+
+def fraction_maximiser(r, m):
+    """The worst urgent fraction sqrt(r + m^2) - m, as r / (sqrt(r + m^2) + m).
+
+    The second form has no cancellation. Its denominator is 0.0 only where
+    r, r + m^2 and m all round to 0.0; the maximiser is 0.0 then.
+    """
+    root = math.sqrt(float(r + m * m)) + float(m)
+    return float(r) / root if root else 0.0
+
+
+def fraction_cr_nonpreemptive(model, params):
+    eps = (model.eps0 + model.eps1) / 2
+    w0, w1 = params.w0, params.w1
+    value = 1.0 + float(eps) * (math.sqrt(w0 / w1) - 1.0)
+    r = w1 / (w0 - w1)
+    return CrValue(value, fraction_maximiser(r, r))
+
+
+def fraction_cr_nonpreemptive_cap(alpha, eps0, eps1):
+    a = to_fraction(alpha)
+    eps = (to_fraction(eps0) + to_fraction(eps1)) / 2
+    return 1.0 + float(eps) * (math.sqrt(ONE / (ONE - a)) - 1.0)
+
+
+def fraction_cr_preemptive(model, params):
+    eps = (model.eps0 + model.eps1) / 2
+    w0, w1, alpha = params.w0, params.w1, params.alpha
+    if eps <= w1 / w0:
+        return CrValue(float(ONE + alpha), 0.0)
+    factor = (alpha / 2) * (w0 / (w0 - w1))
+    radicand = ONE - 4 * eps + 4 * eps * eps * (w0 / w1)
+    value = float(ONE + factor * (ONE - 2 * eps)) + float(factor) * math.sqrt(float(radicand))
+    r = w1 / (w0 - w1)
+    s = (2 * eps * w0 - 2 * w1 + w0) / (2 * eps * w0 - 2 * w1)
+    return CrValue(value, fraction_maximiser(r, r * s))
+
+
+def fraction_hybrid_mix_coefficient(model, params):
+    w0, w1, alpha = params.w0, params.w1, params.alpha
+    e0, e1 = model.eps0, model.eps1
+    gap = w0 - w1
+    return e0 * (ONE + e1) + (alpha * w0 / gap) * e1 * (ONE - e0) - (alpha * w1 / gap) * e1 * e1
+
+
+def fraction_cr_hybrid(model, params):
+    w0, w1, alpha = params.w0, params.w1, params.alpha
+    e1 = model.eps1
+    lam = fraction_hybrid_mix_coefficient(model, params)
+    a = alpha * e1 * e1
+    radicand = (w0 / w1) * lam * lam + (w0 / (w0 - w1)) * a * a
+    value = float(ONE + (a - lam) / 2) + math.sqrt(float(radicand)) / 2
+    bound = (
+        1.0
+        + float(lam / 2) * (math.sqrt(w0 / w1) - 1.0)
+        + float(a / 2) * (1.0 + math.sqrt(w0 / (w0 - w1)))
+    )
+    r = w1 / (w0 - w1)
+    denom = lam - r * a
+    if lam == 0 and a == 0:
+        worst_q = 0.0
+    elif denom > 0:
+        worst_q = fraction_maximiser(r, r * (lam + a) / denom)
+    else:
+        worst_q = None
+    return HybridCrValue(value, worst_q, float(lam), bound)
+
+
+def fraction_competitive_ratio(model, params):
+    """The report `competitive_ratio` gives, from the Fraction bodies above."""
+    np_cr = fraction_cr_nonpreemptive(model, params)
+    p_cr = fraction_cr_preemptive(model, params)
+    h_cr = fraction_cr_hybrid(model, params)
+    regime = algebra_classify_regime(model, params)
+    selected = {
+        Regime.NONPREEMPTIVE: np_cr.value,
+        Regime.PREEMPTIVE: p_cr.value,
+        Regime.HYBRID: h_cr.value,
+    }[regime]
+    return CompetitiveRatioReport(np_cr, p_cr, h_cr, regime, selected, model, params)

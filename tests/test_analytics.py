@@ -1,10 +1,12 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from betasched.analytics import (
     alpha_point_cr_bound,
@@ -21,7 +23,15 @@ from betasched.analytics import (
 from betasched.domain import Instance, Parameters, PredictionModel, make_job
 from betasched.engine import label_schedule_ticks, wspt_ticks
 from betasched.policies import OPEN_NEXT, POLICIES, Policy, Regime, complete_low, label_flags
-from conftest import LabelClass, limit_excess_ratio, satisfies_weight_gap, search_worst_q
+from conftest import (
+    LabelClass,
+    fraction_competitive_ratio,
+    fraction_cr_nonpreemptive_cap,
+    fraction_hybrid_mix_coefficient,
+    limit_excess_ratio,
+    satisfies_weight_gap,
+    search_worst_q,
+)
 
 F = Fraction
 
@@ -355,6 +365,133 @@ class TestCompetitiveRatioReport:
         assert rep.nonpreemptive.value == 1.0
         assert rep.hybrid.value == 1.0
         assert rep.preemptive.value == float(1 + base_params.alpha)
+
+
+def outcome(fn, *args):
+    """fn(*args), or OverflowError if it raises one."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return OverflowError
+
+
+def assert_matches_fraction_oracle(model, params):
+    want = outcome(fraction_competitive_ratio, model, params)
+    assert outcome(competitive_ratio, model, params) == want, (model, params)
+    assert hybrid_mix_coefficient(model, params) == fraction_hybrid_mix_coefficient(
+        model, params), (model, params)
+    return want
+
+
+# Every feature the integer forms branch or round on: eps 0 and 1/2, mean eps
+# exactly w1/w0 (1/20 at 20/1, also with eps0 != eps1), lambda = a = 0,
+# weight-gap failures (3/2 and 21/20 at alpha 2/5), the hybrid's degenerate
+# stationary point (21/20 at eps 1/2; 19/17 at alpha 2/5 and eps 1/2 puts it
+# exactly at lambda = (w1/(w0-w1))*alpha*eps1^2), weights close together and
+# past the float range, and rho next to 0 and 1.
+ORACLE_ALPHAS = (F(1, 10**20), F(2, 5), F(19, 20), 1 - F(1, 10**20))
+ORACLE_WEIGHTS = ((20, 1), (3, 2), (21, 20), (F(19, 17), 1), (F("1.0001"), 1), (10**200, 1),
+                  (10**400, 1), (1, F(1, 10**400)))
+ORACLE_RHOS = (F(1, 10**30), F(1, 10), 1 - F(1, 10**30))
+ORACLE_EPS = ((0, 0), (F(1, 2), F(1, 2)), (F(1, 20), F(1, 20)), (F(1, 40), F(3, 40)),
+              (F(1, 4), F(5, 12)), (F(1, 3), F(1, 3)), (F(1, 2), 0), (0, F(1, 2)),
+              (F(1, 10**20), F(3, 10**20)))
+
+
+class TestFractionOracle:
+    def test_fixed_grid(self):
+        seen = {"overflow": 0, "degenerate": 0, "flat": 0, "interior": 0, "gap fails": 0}
+        for alpha, (w0, w1), rho, (e0, e1) in product(ORACLE_ALPHAS, ORACLE_WEIGHTS,
+                                                      ORACLE_RHOS, ORACLE_EPS):
+            params = Parameters(alpha, w0, w1)
+            want = assert_matches_fraction_oracle(PredictionModel(rho, e0, e1), params)
+            if want is OverflowError:
+                seen["overflow"] += 1
+                continue
+            seen["degenerate"] += want.hybrid.worst_q is None
+            seen["flat" if want.preemptive.worst_q == 0.0 else "interior"] += 1
+            seen["gap fails"] += not satisfies_weight_gap(params)
+        assert all(seen.values()), seen
+
+    def test_knee_of_the_preemptive_ratio(self):
+        # mean eps exactly w1/w0 is the last flat point; any larger mean is interior
+        for w0, knee in ((20, F(1, 20)), (5, F(1, 5))):
+            params = Parameters(F(2, 5), w0, 1)
+            for e0, e1 in ((knee, knee), (knee / 2, 3 * knee / 2), (knee, knee + F(1, 10**30))):
+                want = assert_matches_fraction_oracle(PredictionModel(F(1, 10), e0, e1), params)
+                assert (want.preemptive.worst_q == 0.0) == (e0 + e1 == 2 * knee)
+
+    @given(
+        alpha=st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+        w1=st.fractions(F(1, 10**6), 10**6, max_denominator=10**6).filter(lambda w: w > 0),
+        gap=st.one_of(
+            st.fractions(F(1, 10**6), 10**6, max_denominator=10**6).filter(lambda g: g > 0),
+            st.sampled_from([F(1, 10**16), F(1, 10**300), F(10**300)]),
+        ),
+        rho=st.one_of(st.fractions(0, 1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+                      st.sampled_from([F(1, 10**30), 1 - F(1, 10**30)])),
+        e0=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6), st.sampled_from([0, F(1, 2)])),
+        e1=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6), st.sampled_from([0, F(1, 2)])),
+    )
+    def test_random_channels(self, alpha, w1, gap, rho, e0, e1):
+        assert_matches_fraction_oracle(PredictionModel(rho, e0, e1), Parameters(alpha, w1 + gap, w1))
+
+    def test_maximiser_underflow_is_zero(self):
+        # w1/(w0-w1), the maximiser and r + m^2 all round to 0.0 here, while
+        # 4*eps^2*w0/w1 still fits a float, so the preemptive ratio is finite
+        eps = F(1, 10**197)
+        model = PredictionModel(F(1, 10), eps, eps)
+        params = Parameters(F(2, 5), 10**700, 1)
+        assert cr_preemptive(model, params).worst_q == 0.0
+
+
+def decimal_maximiser(r, m):
+    """sqrt(r + m^2) - m in 60-digit decimal arithmetic, from the exact r and m."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = lambda x: Decimal(x.numerator) / Decimal(x.denominator)
+        return float((dec(r) + dec(m) ** 2).sqrt() - dec(m))
+
+
+class TestWorstQ:
+    def test_nonpreemptive_at_weights_one_ulp_apart(self):
+        # r = 1e16: the old form sqrt(r + r^2) - r printed 0
+        params = Parameters(F(1, 10), F("1.0000000000000001"), 1)
+        r = params.w1 / (params.w0 - params.w1)
+        got = cr_nonpreemptive(PredictionModel(F(1, 10), F(1, 2), F(1, 2)), params).worst_q
+        assert got == pytest.approx(decimal_maximiser(r, r), rel=1e-15, abs=0)
+        assert round(got, 12) == 0.5
+
+    def test_hybrid_at_close_weights(self):
+        model = PredictionModel(F(1, 10), F(1, 4), F(2, 5))
+        params = Parameters(F(2, 5), 21, 20)
+        r = params.w1 / (params.w0 - params.w1)
+        lam = fraction_hybrid_mix_coefficient(model, params)
+        a = params.alpha * model.eps1 ** 2
+        m = r * (lam + a) / (lam - r * a)
+        got = cr_hybrid(model, params).worst_q
+        assert got == pytest.approx(decimal_maximiser(r, m), rel=1e-15, abs=0)
+        assert f"{got:.12g}" == "0.0936710999812"
+
+
+class TestNonpreemptiveCap:
+    @pytest.mark.parametrize("args, message", [
+        ((1, 0, 0), "alpha must lie strictly in (0,1), got 1"),
+        ((2, 0, 0), "alpha must lie strictly in (0,1), got 2"),
+        ((0, 0, 0), "alpha must lie strictly in (0,1), got 0"),
+        (("2/5", -1, 0), "eps0 must lie in [0, 1/2], got -1"),
+        (("2/5", 0, "0.6"), "eps1 must lie in [0, 1/2], got 3/5"),
+    ])
+    def test_refuses_out_of_range(self, args, message):
+        with pytest.raises(ValueError) as info:
+            cr_nonpreemptive_cap(*args)
+        assert str(info.value) == message
+
+    def test_matches_fraction_oracle(self):
+        for alpha, e0, e1 in product((F(1, 10**20), "2/5", 0.95, 1 - F(1, 10**20)),
+                                     (0, F(1, 7), "0.5"), (0, 0.25, F(1, 2))):
+            assert cr_nonpreemptive_cap(alpha, e0, e1) == fraction_cr_nonpreemptive_cap(
+                alpha, e0, e1)
 
 
 class TestWorstCaseSearch:

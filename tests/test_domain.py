@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from betasched.domain import (
     Instance,
@@ -16,7 +16,13 @@ from betasched.domain import (
     to_fraction,
 )
 from betasched.errors import InvalidInstanceError
-from conftest import priority, satisfies_weight_gap, sort_for_policy, urgent_count
+from conftest import (
+    fraction_posteriors,
+    priority,
+    satisfies_weight_gap,
+    sort_for_policy,
+    urgent_count,
+)
 
 F = Fraction
 
@@ -61,7 +67,7 @@ class TestParameters:
         assert Parameters("0.5", 2, 1).beta() == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha must lie strictly in \(0,1\), got 1$"):
             Parameters(1, 20, 1)
         with pytest.raises(ValueError):
             Parameters("0.4", 1, 20)
@@ -105,6 +111,35 @@ class TestPosterior:
             PredictionModel("0.1", "0.6", "0.1")
         with pytest.raises(ValueError):
             PredictionModel("0.1", "0.1", "-0.1")
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, "0.1", "0.1"), "rho must lie strictly in (0,1), got 0"),
+        (("1", "0.1", "0.1"), "rho must lie strictly in (0,1), got 1"),
+        (("0.1", "0.6", "0.1"), "eps0 must lie in [0, 1/2], got 3/5"),
+        (("0.1", "0.1", "-0.1"), "eps1 must lie in [0, 1/2], got -1/10"),
+        ((2, -1, 1), "rho must lie strictly in (0,1), got 2"),
+    ])
+    def test_validation_messages(self, args, message):
+        with pytest.raises(ValueError) as info:
+            PredictionModel(*args)
+        assert str(info.value) == message
+
+    @given(
+        rho=st.one_of(st.fractions(0, 1, max_denominator=10**9).filter(lambda r: 0 < r < 1),
+                      st.sampled_from([F(1, 10**30), 1 - F(1, 10**30)])),
+        eps0=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**9),
+                       st.sampled_from([F(0), F(1, 2)])),
+        eps1=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**9),
+                       st.sampled_from([F(0), F(1, 2)])),
+    )
+    @example(rho=F(1, 10**30), eps0=F(0), eps1=F(0))
+    @example(rho=1 - F(1, 10**30), eps0=F(1, 2), eps1=F(1, 2))
+    @example(rho=F(1, 10**30), eps0=F(1, 2), eps1=F(0))
+    @example(rho=1 - F(1, 10**30), eps0=F(0), eps1=F(1, 2))
+    def test_matches_fraction_oracle(self, rho, eps0, eps1):
+        m = PredictionModel(rho, eps0, eps1)
+        got = (m.label_probability(0), m.posterior(0), m.posterior(1))
+        assert got == fraction_posteriors(rho, eps0, eps1)
 
     @given(m=models)
     def test_label_zero_never_less_urgent(self, m):
