@@ -167,7 +167,11 @@ def _maximiser(rn: int, rd: int, mn: int, md: int) -> float:
 
 def cr_nonpreemptive(model: PredictionModel, params: Parameters) -> CrValue:
     """Worst-case ratio of a nonpreemptive schedule: 1 + eps*(sqrt(w0/w1)-1)."""
-    _, _, p0, q0, p1, q1, w0, w1 = _channel_ints(model, params)
+    return _cr_nonpreemptive(_channel_ints(model, params))
+
+
+def _cr_nonpreemptive(ints: tuple[int, ...]) -> CrValue:
+    _, _, p0, q0, p1, q1, w0, w1 = ints
     value = 1.0 + (p0 * q1 + p1 * q0) / (2 * q0 * q1) * (math.sqrt(w0 / w1) - 1.0)
     return CrValue(value, _maximiser(w1, w0 - w1, w1, w0 - w1))
 
@@ -191,7 +195,11 @@ def cr_preemptive(model: PredictionModel, params: Parameters) -> CrValue:
     Flat at 1 + alpha while eps <= w1/w0 (the worst mix is then all
     non-urgent); beyond that the interior maximizer takes over.
     """
-    a, da, p0, q0, p1, q1, w0, w1 = _channel_ints(model, params)
+    return _cr_preemptive(_channel_ints(model, params))
+
+
+def _cr_preemptive(ints: tuple[int, ...]) -> CrValue:
+    a, da, p0, q0, p1, q1, w0, w1 = ints
     en, ed = p0 * q1 + p1 * q0, 2 * q0 * q1  # the mean error rate en/ed
     if en * w0 <= w1 * ed:
         return CrValue((da + a) / da, 0.0)
@@ -228,7 +236,10 @@ def cr_hybrid(model: PredictionModel, params: Parameters) -> HybridCrValue:
     The decomposition bound splits that into gains relative to the
     nonpreemptive ratio and a quadratic probe-cost term.
     """
-    ints = _channel_ints(model, params)
+    return _cr_hybrid(_channel_ints(model, params))
+
+
+def _cr_hybrid(ints: tuple[int, ...]) -> HybridCrValue:
     a, _, _, q0, p1, _, w0, w1 = ints
     ln, ld = _mix_coefficient(*ints)
     gap = w0 - w1
@@ -265,9 +276,10 @@ class CompetitiveRatioReport:
 
 def competitive_ratio(model: PredictionModel, params: Parameters) -> CompetitiveRatioReport:
     """Regime-selected worst-case guarantee of the beta threshold rule."""
-    np_cr = cr_nonpreemptive(model, params)
-    p_cr = cr_preemptive(model, params)
-    h_cr = cr_hybrid(model, params)
+    ints = _channel_ints(model, params)
+    np_cr = _cr_nonpreemptive(ints)
+    p_cr = _cr_preemptive(ints)
+    h_cr = _cr_hybrid(ints)
     regime = classify_regime(model, params)
     selected = {
         Regime.NONPREEMPTIVE: np_cr.value,

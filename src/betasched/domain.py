@@ -67,7 +67,8 @@ class Parameters:
 
     alpha is the fraction of a job processed before its true type becomes
     known; w0 and w1 are the per-unit-delay costs of urgent and non-urgent
-    jobs, with w0 > w1 > 0.
+    jobs, with w0 > w1 > 0. `beta_pair` and `slope_pair` hold beta and the
+    modified rule's slope K as (numerator, denominator) ints.
     """
 
     alpha: Fraction
@@ -84,6 +85,9 @@ class Parameters:
         b = (self.alpha / (ONE - self.alpha)) * (self.w1 / (self.w0 - self.w1))
         object.__setattr__(self, "_beta", b)
         object.__setattr__(self, "_theta_slope", b * self.w0 / self.w1)
+        # plain attributes, not fields, so eq, hash and repr stay on the fields
+        object.__setattr__(self, "beta_pair", b.as_integer_ratio())
+        object.__setattr__(self, "slope_pair", self._theta_slope.as_integer_ratio())
 
     def beta(self) -> Fraction:
         """Threshold (alpha/(1-alpha)) * (w1/(w0-w1)), computed once at construction."""

@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .domain import Instance, Parameters, PredictionModel, ZERO, ONE, format_fraction
@@ -585,8 +585,8 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 # ---------------------------------------------------------------------------
 
 # Largest n the tree evaluators accept. The pass visits about n**3/6 states
-# on integers of O(n) digits; at this bound it took 1.0-1.2 s and 22 MiB peak
-# on `verify` default-grid channels (2 vCPUs, CPython 3.11.7).
+# on integers of O(n) digits; at this bound it took 0.7-1.0 s and 21-23 MiB
+# peak RSS on `verify` default-grid channels (2 vCPUs, CPython 3.11.7).
 TREE_N_LIMIT = 200
 
 
@@ -615,8 +615,15 @@ def tree_expected_costs(
     completion to ell - 1). With posteriors a_l/D, alpha = A/Da and weights
     W/Dw on `weight_grid`, a state of layer k holds its value times
     Da * D**(k+1) * Dw, an integer, so open, complete and min are integer
-    operations. Only the Binomial label mixture divides, once per n. Refuses
-    n_max below 1, and past `TREE_N_LIMIT` with ResourceLimitError.
+    operations. Within a row (k, u0) the backlog grows by one set-aside job
+    per ell, so the open value's own cost is affine in ell and the complete
+    value's step cost linear: both advance by one add per state, and a state
+    costs the two children's multiplies by a_l and D - a_l. The flags pick
+    one of three row loops: probe only, hold only (a running sum), or both
+    actions side by side, keeping the smaller. The Binomial label weights
+    of layer k come from layer k - 1's by Pascal's rule, and only their
+    mixture divides, once per n. Refuses n_max below 1, and past
+    `TREE_N_LIMIT` with ResourceLimitError.
     """
     if n_max < 1:
         raise ValueError("n must be at least 1")
@@ -636,36 +643,49 @@ def tree_expected_costs(
 
     # layer 0: set-aside jobs only, completed one after another
     prev = [[(da - big_a) * cw * (ell * (ell + 1) // 2) for ell in range(n_max + 1)]]
+    mix = [1]  # Binomial label weights of layer k, times q.denominator**k
     costs = []
     for k in range(1, n_max + 1):
         dk = d ** (k - 1)
         k_open, k_reveal, k_done = da * dk, big_a * dk, (da - big_a) * dk * d
+        kc = k_done * cw
         cur = []
         for u0 in range(k + 1):
             lab = 0 if u0 else 1
-            al, bl, cl = a[lab], d - a[lab], c[lab]
-            probe = flags is None or flags[lab]
-            hold = flags is None or not flags[lab]
+            al, bl = a[lab], d - a[lab]
             child = prev[u0 - 1] if u0 else prev[0]
-            bi = u0 * c[0] + (k - u0) * c[1]  # backlog weight at ell, times d*dw
-            row = []
-            for ell in range(n_max - k + 1):
-                x = None
-                if probe or not ell:
-                    # urgent with chance a_l/D: done a unit later; else set
-                    # aside at its alpha point, joining the backlog
-                    bc = bi - cl
-                    x = (al * (k_open * (w0 * d + bc) + child[ell])
-                         + bl * (k_reveal * (bc + cw) + child[ell + 1]))
-                if hold and ell:
-                    done = k_done * bi + row[-1]
-                    if x is None or done < x:
-                        x = done
-                row.append(x)
-                bi += cw
+            bi = u0 * c[0] + (k - u0) * c[1]  # backlog weight at ell = 0, times d*dw
+            bc = bi - c[lab]
+            # open: urgent with chance al/d, done a unit later; else set aside
+            # at its alpha point, joining the backlog. Affine in ell but for
+            # the children: lin + al*child[ell] + bl*child[ell + 1].
+            lin = al * k_open * (w0 * d + bc) + bl * k_reveal * (bc + cw)
+            step = (al * k_open + bl * k_reveal) * cw
+            kb = k_done * bi  # complete: kb + row[ell - 1], with kb advanced to ell
+            # ell = 0 has no set-aside job, so it opens under every flag
+            x = lin + al * child[0] + bl * child[1]
+            row = [x]
+            if flags is None:
+                for ell in range(1, n_max - k + 1):
+                    lin += step
+                    kb += kc
+                    o = lin + al * child[ell] + bl * child[ell + 1]
+                    done = kb + x
+                    x = o if o <= done else done
+                    row.append(x)
+            elif flags[lab]:
+                for ell in range(1, n_max - k + 1):
+                    lin += step
+                    row.append(lin + al * child[ell] + bl * child[ell + 1])
+            else:
+                for _ in range(1, n_max - k + 1):
+                    kb += kc
+                    x += kb
+                    row.append(x)
             cur.append(row)
         prev = cur
-        num = sum(comb(k, u0) * qa ** u0 * qb ** (k - u0) * cur[u0][0] for u0 in range(k + 1))
+        mix = [qb * x + qa * y for x, y in zip(mix + [0], [0] + mix)]
+        num = sum(m * row[0] for m, row in zip(mix, cur))
         costs.append(Fraction(num, q.denominator ** k * da * d ** (k + 1) * dw))
     return costs
 

@@ -153,30 +153,42 @@ def _draw_classes(rng: random.Random, n: int, rho: float, e0: float, e1: float):
     return (m0, u0, p0, last0 == m0), (n - m0, u1, p1, last1 == n - m0)
 
 
+def _flag_columns(config: ExperimentConfig,
+                  model: PredictionModel) -> dict[tuple[bool, bool], list[int]]:
+    """Each distinct `label_flags` pair of `config.policies`, with the indices
+    of the policies that have it, so a kernel prices each pair once."""
+    columns: dict[tuple[bool, bool], list[int]] = {}
+    for pi, name in enumerate(config.policies):
+        columns.setdefault(label_flags(get_policy(name), model, config.params), []).append(pi)
+    return columns
+
+
 def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
                  eps1: Fraction, start: int, stop: int):
-    """Costs for replications [start, stop): one row per rep, opt first.
+    """Costs for replications [start, stop): one row per policy, opt first.
 
     A batch replication needs no engine run: each policy's schedule follows
-    from its `label_flags`, so one summary of the draw prices every policy.
+    from its `label_flags`, so one summary of the draw prices every policy,
+    and `label_schedule_ticks` runs once per distinct flag pair.
     """
     params = config.params
-    model = config.model_for(eps0, eps1)
-    flags = [label_flags(get_policy(name), model, params) for name in config.policies]
+    columns = _flag_columns(config, config.model_for(eps0, eps1))
     alpha_ticks, den = params.alpha.numerator, params.alpha.denominator
     wden, w0, w1 = weight_grid(params)  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     n = config.n
-    out = [[0.0] * (stop - start) for _ in range(len(flags) + 1)]
+    out = [[0.0] * (stop - start) for _ in range(len(config.policies) + 1)]
     for rep in range(start, stop):
         rng = _rep_rng(config.seed, grid_index, rep)
         classes = _draw_classes(rng, n, rho_f, e0f, e1f)
         k = rep - start
         s0, s1 = wspt_ticks(n, classes[0][1] + classes[1][1])
         out[0][k] = (w0 * s0 + w1 * s1) / wden
-        for pi, f in enumerate(flags, start=1):
-            s0, s1 = label_schedule_ticks(classes, f, alpha_ticks, den)
-            out[pi][k] = (w0 * s0 + w1 * s1) / (wden * den)
+        for flags, cols in columns.items():
+            s0, s1 = label_schedule_ticks(classes, flags, alpha_ticks, den)
+            cost = (w0 * s0 + w1 * s1) / (wden * den)
+            for pi in cols:
+                out[pi + 1][k] = cost
     return out
 
 
@@ -218,10 +230,7 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     exact integer quotient, which rounds like the float of the Fraction ratio.
     """
     params = config.params
-    model = config.model_for(eps0, eps1)
-    columns: dict[tuple[bool, bool], list[int]] = {}  # flag pair -> its policies' columns
-    for pi, name in enumerate(config.policies):
-        columns.setdefault(label_flags(get_policy(name), model, params), []).append(pi)
+    columns = _flag_columns(config, config.model_for(eps0, eps1))
     alpha_num, alpha_den = params.alpha.numerator, params.alpha.denominator
     _, w0, w1 = weight_grid(params)
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)

@@ -220,7 +220,7 @@ def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
     if not state.unopened:
         return complete_low(state.interrupted.first_id())
     a, b = state.unopened.head_priority().as_integer_ratio()
-    c, d = params.beta().as_integer_ratio()
+    c, d = params.beta_pair
     # p = a/b > beta = c/d  <=>  a*d > c*b, as b, d > 0
     if a * d > c * b:
         return OPEN_NEXT
@@ -258,9 +258,9 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     theta equal to 0 this reduces to the plain beta threshold rule.
 
     theta comes from the interrupted queue's heap in O(1) (the FIFO head
-    under exact revelation), beta and K are stored on `params`, and the
-    comparison is integer-only: theta (a float under posterior reveal), the
-    head p_hat, beta and K are read through `as_integer_ratio()`, so a
+    under exact revelation), beta and K are stored on `params` as integer
+    pairs, and the comparison is integer-only: theta (a float under posterior
+    reveal) and the head p_hat are read through `as_integer_ratio()`, so a
     decision costs no rational arithmetic.
     """
     if not state.interrupted:
@@ -278,8 +278,8 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     #   <=>  (a*d - c*b)/(b*d) > e*g/(f*(h-g))
     #   <=>  (a*d - c*b)*f*(h-g) > e*g*b*d,   as b*d > 0 and f*(h-g) > 0 for theta < 1.
     a, b = state.unopened.head_priority().as_integer_ratio()
-    c, d = params.beta().as_integer_ratio()
-    e, f = params.theta_slope().as_integer_ratio()
+    c, d = params.beta_pair
+    e, f = params.slope_pair
     if (a * d - c * b) * f * (h - g) > e * g * b * d:
         return OPEN_NEXT
     return complete_low(job_id)

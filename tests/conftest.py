@@ -292,8 +292,8 @@ def fraction_beta_threshold_decide(state, params):
 def fraction_tree_expected_cost(n, model, params, flags):
     """Expected cost of n batch jobs on the collapsed decision tree, in Fractions.
 
-    The body `engine._tree_expected_cost` had before the integer bottom-up
-    pass (`engine._tree_expected_costs`): a memoised top-down recursion over
+    The body the tree evaluator had before the integer bottom-up pass
+    (`engine.tree_expected_costs`): a memoised top-down recursion over
     (unopened per label, set-aside) counts with `flags` deciding, or the
     minimum when `flags` is None. An oracle only; its recursion depth grows
     with n, so the tests keep n small.

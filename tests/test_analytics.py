@@ -8,6 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from betasched import analytics
 from betasched.analytics import (
     alpha_point_cr_bound,
     competitive_ratio,
@@ -331,6 +332,21 @@ class TestCrHybrid:
 
 
 class TestCompetitiveRatioReport:
+    def test_channel_read_once(self, monkeypatch, base_params, base_model):
+        calls = []
+        channel_ints = analytics._channel_ints
+
+        def counted(model, params):
+            calls.append((model, params))
+            return channel_ints(model, params)
+
+        monkeypatch.setattr(analytics, "_channel_ints", counted)
+        report = competitive_ratio(base_model, base_params)
+        assert calls == [(base_model, base_params)]
+        assert report.nonpreemptive == cr_nonpreemptive(base_model, base_params)
+        assert report.preemptive == cr_preemptive(base_model, base_params)
+        assert report.hybrid == cr_hybrid(base_model, base_params)
+
     def test_selected_matches_regime(self, base_params, base_model):
         rep = competitive_ratio(base_model, base_params)
         assert rep.regime is Regime.HYBRID

@@ -152,6 +152,24 @@ class TestSweepDriver:
         monkeypatch.setattr(experiments, "_sweep_chunk", engine_sweep_chunk)
         assert rows == run_sweep(config)
 
+    def test_one_price_per_distinct_flag_pair(self, monkeypatch):
+        """At eps = 1/10 beta has hybrid's flags, so four policies take three calls."""
+        priced = []
+        label_schedule_ticks = experiments.label_schedule_ticks
+
+        def counted(classes, flags, alpha_ticks, den):
+            priced.append(flags)
+            return label_schedule_ticks(classes, flags, alpha_ticks, den)
+
+        monkeypatch.setattr(experiments, "label_schedule_ticks", counted)
+        config = small_config(n=20, replications=40, eps_pairs=((F(1, 10), F(1, 10)),))
+        args = (config, 0, F(1, 10), F(1, 10), 0, 40)
+        got = experiments._sweep_chunk(*args)
+        assert len(priced) == 3 * 40
+        assert set(priced) == {(False, False), (True, True), (True, False)}
+        assert got[4] == got[3]  # opt first, then the policies in order
+        assert got == engine_sweep_chunk(*args)
+
     @pytest.mark.parametrize("eps", [(0, 0), (F(1, 2), F(1, 2)), (0, F(1, 2)), (F(1, 2), 0),
                                      (F(1, 10), F(3, 10))])
     def test_fused_draw_summarises_the_list_draw(self, eps):

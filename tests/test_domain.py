@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,15 @@ class TestParameters:
 
     def test_beta_boundary_case(self):
         assert Parameters("0.5", 2, 1).beta() == 1
+
+    def test_integer_pairs_are_not_fields(self):
+        p = Parameters("0.4", 20, 1)
+        assert p.beta_pair == p.beta().as_integer_ratio() == (2, 57)
+        assert p.slope_pair == p.theta_slope().as_integer_ratio() == (40, 57)
+        assert [f.name for f in fields(p)] == ["alpha", "w0", "w1"]
+        assert repr(p) == "Parameters(alpha=Fraction(2, 5), w0=Fraction(20, 1), w1=Fraction(1, 1))"
+        twin = Parameters(F(2, 5), F(20), F(1))
+        assert p == twin and hash(p) == hash(twin)
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^alpha must lie strictly in \(0,1\), got 1$"):

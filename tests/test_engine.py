@@ -1,4 +1,8 @@
+import ast
+import inspect
 import random
+import sys
+import textwrap
 from fractions import Fraction
 from math import comb, lcm
 
@@ -433,6 +437,78 @@ class TestIntegerTree:
             for n in range(1, n_max + 1):
                 want = fraction_tree_expected_cost(n, model, params, flags)
                 assert costs[n - 1] == want, (n, params, model)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_max=st.integers(1, 10),
+        alpha=st.tuples(st.integers(1, 10), st.integers(2, 11)).filter(
+            lambda t: t[0] < t[1]).map(lambda t: F(*t)),
+        w1=st.fractions(F(1, 10), 10, max_denominator=12).filter(lambda w: w > 0),
+        gap=st.one_of(st.fractions(F(1, 10), 20, max_denominator=12).filter(lambda g: g > 0),
+                      st.just("boundary")),
+        rho=st.fractions(0, 1, max_denominator=20).filter(lambda r: 0 < r < 1),
+        e0=st.one_of(st.sampled_from([0, F(1, 2)]), st.fractions(0, F(1, 2), max_denominator=20)),
+        e1=st.one_of(st.sampled_from([0, F(1, 2)]), st.fractions(0, F(1, 2), max_denominator=20)),
+    )
+    # alpha with an odd denominator on the weight-gap boundary (beta = 1), both
+    # labels probed and collapsed posteriors
+    @example(n_max=10, alpha=F(3, 7), w1=F(7, 3), gap="boundary", rho=F(1, 10),
+             e0=F(1, 10), e1=F(3, 10))
+    @example(n_max=10, alpha=F(2, 9), w1=F(3, 2), gap=F(5, 4), rho=F(3, 10), e0=F(1, 2), e1=F(1, 2))
+    @example(n_max=9, alpha=F(1, 3), w1=F(1, 2), gap=F(19, 2), rho=F(2, 5), e0=0, e1=0)
+    def test_random_channels_equal_the_oracle(self, n_max, alpha, w1, gap, rho, e0, e1):
+        """Every flag set, every n <= n_max: equal to the recursive Fraction oracle."""
+        # on the boundary w1 = w0*(1 - alpha), so beta = 1
+        w0 = w1 / (1 - alpha) if gap == "boundary" else w1 + gap
+        params = Parameters(alpha, w0, w1)
+        model = PredictionModel(rho, e0, e1)
+        for flags in FLAG_SETS:
+            costs = tree_expected_costs(n_max, model, params, flags)
+            assert costs == [fraction_tree_expected_cost(n, model, params, flags)
+                             for n in range(1, n_max + 1)], (flags, params, model)
+
+    def test_every_row_loop_runs(self, base_params, base_model):
+        """The pass has three row loops, and each flag set runs the ones it names.
+
+        Both actions (flags None), probe only (a probed label) and hold only
+        (a held label); (True, False) probes label 0 and holds label 1.
+        """
+        lines, first = inspect.getsourcelines(tree_expected_costs)
+        tree = ast.parse(textwrap.dedent("".join(lines)))
+        u0_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
+                       and getattr(node.target, "id", None) == "u0")
+        bodies = {}  # the line of each row loop's first statement, by kind
+        for loop in ast.walk(u0_loop):
+            if isinstance(loop, ast.For) and loop is not u0_loop:
+                names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
+                kind = {(True, True): "both", (True, False): "probe",
+                        (False, True): "hold"}["lin" in names, "kb" in names]
+                assert kind not in bodies
+                bodies[kind] = first - 1 + loop.body[0].lineno
+        assert len(bodies) == 3
+        code = tree_expected_costs.__code__
+
+        def runs(flags):
+            hit = set()
+
+            def trace_lines(frame, event, arg):
+                if event == "line":
+                    hit.add(frame.f_lineno)
+                return trace_lines
+
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg:
+                         trace_lines if frame.f_code is code else None)
+            try:
+                tree_expected_costs(3, base_model, base_params, flags)
+            finally:
+                sys.settrace(previous)
+            return {kind for kind, line in bodies.items() if line in hit}
+
+        assert runs(None) == {"both"}
+        assert runs((True, True)) == {"probe"}
+        assert runs((False, False)) == {"hold"}
+        assert runs((True, False)) == {"probe", "hold"}
 
     def test_public_evaluators_take_the_last_entry(self, base_params, base_model):
         for n in (1, 2, 7):
