@@ -14,6 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .errors import InvalidInstanceError
@@ -175,13 +178,35 @@ def make_job(
     )
 
 
+class RunLayout(NamedTuple):
+    """An instance on its integer tick grid, in the engine's queue order.
+
+    `den` is the lcm of alpha's and the release times' denominators: alpha is
+    `alpha_ticks` ticks of 1/den and every release a whole number of ticks.
+    `true_of` maps job id to true type, urgent jobs first and ids ascending
+    within a type (the clairvoyant batch order). `pend` holds the queue
+    entries (rank, job_id, label, priority) of the jobs released at 0 in
+    queue order, and `future` the (release_ticks, entry) pairs of the rest,
+    sorted. `rank` is an integer ordinal of the negated priority, so tuple
+    order is queue order. Nothing may change `true_of`; `run()` copies
+    `pend` into the list it inserts arrivals into.
+    """
+
+    den: int
+    alpha_ticks: int
+    true_of: dict[int, int]
+    pend: tuple
+    future: tuple
+
+
 @dataclass(frozen=True)
 class Instance:
     """A set of jobs plus the machine parameters and (optionally) the channel.
 
     In binary mode every job carries a label and `model` must be present so
     posteriors can be computed. In probabilistic mode every job carries a
-    `p_hat` estimate and `model` may be omitted.
+    `p_hat` estimate and `model` may be omitted. `run_layout` is built on
+    first access and kept outside the fields, so eq, hash and repr ignore it.
     """
 
     jobs: tuple[Job, ...]
@@ -230,6 +255,42 @@ class Instance:
     @property
     def mode(self) -> str:
         return "binary" if self.jobs[0].label is not None else "probabilistic"
+
+    @cached_property
+    def run_layout(self) -> RunLayout:
+        """The `RunLayout` every run of this instance starts from."""
+        jobs = sorted(self.jobs)  # id order: the id is a Job's first field, and unique
+        alpha = self.params.alpha
+        den = lcm(alpha.denominator, *{job.release_time.denominator for job in jobs})
+        if self.mode == "binary":
+            # label order IS priority order: posterior(0) >= posterior(1), and
+            # a collapsed tie still puts predicted-urgent jobs first
+            post = (self.model.posterior(0), self.model.posterior(1))
+            tagged = [(job.label, job.id, job.label, post[job.label]) for job in jobs]
+        else:
+            # equal Fractions have equal (numerator, denominator) pairs, so only
+            # the distinct values are ranked; correctly rounded a / b is monotone,
+            # so the floats order them, and only equal floats compare Fractions
+            keys = [job.p_hat.as_integer_ratio() for job in jobs]
+            value_of = dict(zip(keys, [job.p_hat for job in jobs]))
+            ranked = sorted([(a / b, value_of[a, b], (a, b)) for a, b in value_of], reverse=True)
+            rank_of = {key: i for i, (_, _, key) in enumerate(ranked)}
+            tagged = [(rank_of[key], job.id, None, job.p_hat) for key, job in zip(keys, jobs)]
+        pend = []
+        future = []
+        for job, entry in zip(jobs, tagged):
+            r = job.release_time
+            if r.numerator:
+                future.append((r.numerator * (den // r.denominator), entry))
+            else:
+                pend.append(entry)
+        # entries are in id order, so a stable sort on the rank is queue order
+        pend.sort(key=itemgetter(0))
+        future.sort()
+        true_of = {job.id: 0 for job in jobs if not job.true_type}
+        true_of.update({job.id: 1 for job in jobs if job.true_type})
+        return RunLayout(den, alpha.numerator * (den // alpha.denominator), true_of,
+                         tuple(pend), tuple(future))
 
 
 def _bernoulli(rng: random.Random, p: Fraction) -> bool:

@@ -106,49 +106,24 @@ def run(
     if not exact_mode and rng is None:
         raise ValueError("probabilistic revelation requires an rng")
 
-    jobs = instance.jobs
-    # the tick grid: lcm of alpha's and the release times' denominators
-    den = lcm(params.alpha.denominator, *(job.release_time.denominator for job in jobs))
-    alpha_ticks = params.alpha.numerator * (den // params.alpha.denominator)
+    # the instance builds its layout on first use and keeps it; each run
+    # copies only pend, which insort below extends with the arrivals
+    den, alpha_ticks, true_of, pend, future = instance.run_layout
+    pend = list(pend)           # sorted (rank, job_id, label, priority)
     tail = den - alpha_ticks
-    true_of = {job.id: job.true_type for job in jobs}
-    # queue entries (rank, job_id, label, priority) carry an integer rank of
-    # the (negated) priority so queue order and arrival insertion avoid
-    # rational arithmetic; in binary mode label order IS priority order
-    # (posterior(0) >= posterior(1), and a collapsed tie still puts
-    # predicted-urgent jobs first)
-    if instance.mode == "binary":
-        post = {0: instance.model.posterior(0), 1: instance.model.posterior(1)}
-        tagged = [(job.label, job.id, job.label, post[job.label]) for job in jobs]
-    else:
-        # equal Fractions have equal (numerator, denominator) pairs, so only
-        # the distinct values are ranked; correctly rounded a / b is monotone,
-        # so the floats order them, and only equal floats compare Fractions
-        keys = [job.p_hat.as_integer_ratio() for job in jobs]
-        value_of = dict(zip(keys, (job.p_hat for job in jobs)))
-        ranked = sorted([(a / b, value_of[a, b], (a, b)) for a, b in value_of], reverse=True)
-        rank_of = {key: i for i, (_, _, key) in enumerate(ranked)}
-        tagged = [(rank_of[key], job.id, None, job.p_hat) for key, job in zip(keys, jobs)]
-    pend = []                   # sorted (rank, job_id, label, priority)
-    future = []                 # (release_ticks, entry) for later arrivals, sorted
-    for job, entry in zip(jobs, tagged):
-        r = job.release_time
-        if r.numerator == 0:
-            pend.append(entry)
-        else:
-            future.append((r.numerator * (den // r.denominator), entry))
-    pend.sort()
-    future.sort()
 
     pi = 0                      # head index into pend
-    fi = 0
+    fi = 0                      # next arrival in future, sorted (release_ticks, entry)
     nf = len(future)
-    # one state and two queue views per run, moved to each decision point;
-    # exact reveals give every job theta 0, so the FIFO head is the argmax
-    # and the interrupted queue keeps no theta heap
+    # one state and two queue views per run, moved to each decision point
+    # with the two counts; exact reveals give every job theta 0, so the FIFO
+    # head is the argmax and the interrupted queue keeps no theta heap
     unopened = UnopenedQueue(pend)
     interrupted = InterruptedQueue([], None if exact_mode else [])
     state = PolicyState(unopened, interrupted, 0, den)
+    add = interrupted.add
+    remove = interrupted.remove
+    sample = None if exact_mode else revelation.sample
 
     decide = policy.decide
     t = 0
@@ -168,18 +143,20 @@ def run(
             insort(pend, future[fi][1], lo=pi)
             pn += 1
             fi += 1
-        have_pend = pi < pn
-        if not have_pend and not held:
+        waiting = pn - pi
+        if not waiting and not held:
             t = future[fi][0]  # idle until the next arrival
             continue
 
         unopened._start = pi
+        state.n_unopened = waiting
+        state.n_interrupted = held
         state._clock_ticks = t
         action = decide(state, params)
         kind = action.kind
         target = action.job_id
         if kind == "open":
-            if not have_pend:
+            if not waiting:
                 raise ContractViolationError(
                     f"policy {policy.name} opened with an empty queue at t={Fraction(t, den)}"
                 )
@@ -202,11 +179,11 @@ def run(
                 trace.append(TraceEvent(Fraction(t + alpha_ticks, den), "alpha_reveal", target, tt))
             t += alpha_ticks
             if not exact_mode or tt:  # set aside; a job revealed urgent runs on
-                interrupted.add(target, ZERO if exact_mode else revelation.sample(tt, rng))
+                add(target, ZERO if exact_mode else sample(tt, rng))
                 held += 1
                 pending = target
                 continue
-        elif interrupted.remove(target):
+        elif remove(target):
             held -= 1
             tt = true_of[target]
         else:
@@ -429,25 +406,24 @@ def offline_wspt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     """Optimal batch schedule with known types: urgent first, back to back.
 
     Only valid when every release time is 0; job j in the sorted order
-    completes exactly at time j.
+    completes exactly at time j. The check and the order come from the
+    instance's `run_layout`, which `run()` shares.
     """
-    if any(job.release_time.numerator != 0 for job in instance.jobs):
+    layout = instance.run_layout
+    if layout.future:
         raise UnsupportedInputError("offline_wspt needs all release times 0; use offline_wsrpt")
+    true_of = layout.true_of  # urgent first, ids ascending within a type
+    n = len(true_of)
+    comp = dict(zip(true_of, range(1, n + 1)))
+    s0, s1 = wspt_ticks(n, n - sum(true_of.values()))
+    trace = None
+    if keep_trace:
+        trace = []
+        for jid, pos in comp.items():
+            tt = true_of[jid]
+            trace.append(TraceEvent(Fraction(pos - 1), "open", jid, tt))
+            trace.append(TraceEvent(Fraction(pos), "complete", jid, tt))
     params = instance.params
-    order = sorted(instance.jobs, key=lambda j: (j.true_type, j.id))
-    comp: dict[int, int] = {}
-    s0 = 0
-    s1 = 0
-    trace = [] if keep_trace else None
-    for pos, job in enumerate(order, start=1):
-        comp[job.id] = pos
-        if job.true_type == 0:
-            s0 += pos
-        else:
-            s1 += pos
-        if trace is not None:
-            trace.append(TraceEvent(Fraction(pos - 1), "open", job.id, job.true_type))
-            trace.append(TraceEvent(Fraction(pos), "complete", job.id, job.true_type))
     total = params.w0 * s0 + params.w1 * s1
     return RunOutcome(comp, 1, total, tuple(trace) if trace is not None else None, 0)
 

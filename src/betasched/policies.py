@@ -157,20 +157,26 @@ class InterruptedQueue:
 
 
 class PolicyState:
-    """What a policy sees at a decision point: queues plus the clock.
+    """What a policy sees at a decision point: queues, their sizes, the clock.
 
     The engine builds one state per run and moves it to each decision
     point: the unopened queue is a view over the engine's sorted list, and
     the engine adds jobs to and removes them from the interrupted queue.
-    So a state is valid only during the `decide` call it is passed to.
+    `n_unopened` and `n_interrupted` are the two queues' lengths; the engine
+    sets them from its own counts before each decision, and a state built
+    anywhere else takes them from `len()`. So a state, its views and its
+    counts are valid only during the `decide` call it is passed to.
     """
 
-    __slots__ = ("unopened", "interrupted", "_clock_ticks", "_clock_den")
+    __slots__ = ("unopened", "interrupted", "n_unopened", "n_interrupted",
+                 "_clock_ticks", "_clock_den")
 
     def __init__(self, unopened: UnopenedQueue, interrupted: InterruptedQueue,
                  clock_ticks: int = 0, clock_den: int = 1):
         self.unopened = unopened
         self.interrupted = interrupted
+        self.n_unopened = len(unopened)
+        self.n_interrupted = len(interrupted)
         self._clock_ticks = clock_ticks
         self._clock_den = clock_den
 
@@ -190,18 +196,18 @@ def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
     A job set aside at its alpha point is thus completed at the next
     decision, as if it had run straight through.
     """
-    if state.interrupted:
+    if state.n_interrupted:
         return complete_low(state.interrupted.first_id())
-    if not state.unopened:
+    if not state.n_unopened:
         raise _no_action(state)
     return OPEN_NEXT
 
 
 def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
     """Open everything available first; finish interrupted work only after."""
-    if state.unopened:
+    if state.n_unopened:
         return OPEN_NEXT
-    if not state.interrupted:
+    if not state.n_interrupted:
         raise _no_action(state)
     return complete_low(state.interrupted.first_id())
 
@@ -213,11 +219,11 @@ def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
     unopened the only move is to finish interrupted work (FIFO). A head
     probability exactly equal to beta completes low.
     """
-    if not state.interrupted:
-        if not state.unopened:
+    if not state.n_interrupted:
+        if not state.n_unopened:
             raise _no_action(state)
         return OPEN_NEXT
-    if not state.unopened:
+    if not state.n_unopened:
         return complete_low(state.interrupted.first_id())
     a, b = state.unopened.head_priority().as_integer_ratio()
     c, d = params.beta_pair
@@ -235,14 +241,14 @@ def hybrid_decide(state: PolicyState, params: Parameters) -> Action:
     order. Requires binary labels: the label is read before any shortcut,
     so the first decision on an unlabelled instance raises.
     """
-    if not state.unopened:
-        if not state.interrupted:
+    if not state.n_unopened:
+        if not state.n_interrupted:
             raise _no_action(state)
         return complete_low(state.interrupted.first_id())
     label = state.unopened.head_label()
     if label is None:
         raise UnsupportedInputError("hybrid policy needs binary labels")
-    if label == 0 or not state.interrupted:
+    if label == 0 or not state.n_interrupted:
         return OPEN_NEXT
     return complete_low(state.interrupted.first_id())
 
@@ -263,12 +269,12 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     reveal) and the head p_hat are read through `as_integer_ratio()`, so a
     decision costs no rational arithmetic.
     """
-    if not state.interrupted:
-        if not state.unopened:
+    if not state.n_interrupted:
+        if not state.n_unopened:
             raise _no_action(state)
         return OPEN_NEXT
     job_id, theta = state.interrupted.argmax_theta()
-    if not state.unopened:
+    if not state.n_unopened:
         return complete_low(job_id)
     g, h = theta.as_integer_ratio()
     if g >= h:  # theta >= 1

@@ -1,6 +1,7 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import comb
@@ -17,7 +18,7 @@ from betasched.analytics import (
 )
 from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
 from betasched.engine import offline_wspt, offline_wsrpt, run
-from betasched.errors import TerminalStateError
+from betasched.errors import TerminalStateError, UnsupportedInputError
 from betasched.experiments import _rep_rng
 from betasched.policies import (
     OPEN_NEXT,
@@ -229,6 +230,21 @@ def engine_arrivals_chunk(config, grid_index, eps0, eps1, start, stop):
             cost = run(inst, pol, keep_trace=False).total_cost
             out[pi][k] = float(cost / opt_cost)
     return out
+
+
+def run_record(inst, policy, revelation, seed, allowed=(UnsupportedInputError,)):
+    """Everything a run gives back, or its error, and the rng state after it.
+
+    Only the error types in `allowed` are recorded (by default the hybrid's
+    refusal of p_hat instances); any other error fails the calling test.
+    """
+    rng = random.Random(seed)
+    try:
+        out = run(inst, policy, revelation, rng=rng)
+    except allowed as exc:
+        return type(exc), str(exc), rng.getstate()
+    return (out.trace, out.completion_ticks, list(out.completion_ticks), out.den,
+            out.total_cost, out.preemption_count, rng.getstate())
 
 
 def scan_argmax_theta(interrupted):

@@ -57,6 +57,7 @@ from conftest import (
     LabelClass,
     SCAN_MODIFIED_BETA,
     fraction_tree_expected_cost,
+    run_record,
     scan_argmax_theta,
     sort_for_policy,
     urgent_count,
@@ -213,6 +214,46 @@ class TestOfflineWspt:
         inst = Instance([Job(1, 0, 0, release_time=F(1, 2))], base_params, base_model)
         with pytest.raises(UnsupportedInputError):
             offline_wspt(inst)
+
+    @staticmethod
+    def sorted_order_outcome(inst):
+        """(completion ticks, cost, trace) of urgent first, ids ascending, back to back."""
+        order = sorted(inst.jobs, key=lambda j: (j.true_type, j.id))
+        comp = {job.id: pos for pos, job in enumerate(order, start=1)}
+        cost = sum(job.weight(inst.params) * comp[job.id] for job in order)
+        trace = tuple(ev for pos, job in enumerate(order, start=1) for ev in (
+            (F(pos - 1), "open", job.id, job.true_type), (F(pos), "complete", job.id, job.true_type)))
+        return comp, cost, trace
+
+    def test_same_outcome_before_and_after_a_run(self, base_params, base_model):
+        rng = random.Random(4)
+        for n in (1, 2, 9, 40):
+            binary = random_batch_instance(rng, base_params, base_model, n)
+            for inst in (binary, p_hat_grid_instance(rng, n, base_params)):
+                before = offline_wspt(inst)
+                assert (before.completion_ticks, before.total_cost, before.trace) == \
+                    self.sorted_order_outcome(inst)
+                run(inst, get_policy("preemptive"), PosteriorRevelation(), rng=random.Random(n))
+                after = offline_wspt(inst)
+                assert after.completion_ticks == before.completion_ticks
+                assert list(after.completion_ticks) == list(before.completion_ticks)
+                assert (after.den, after.total_cost, after.trace, after.preemption_count) == \
+                    (before.den, before.total_cost, before.trace, before.preemption_count)
+                assert offline_wspt(inst, keep_trace=False).trace is None
+
+    def test_refuses_release_dates_before_and_after_a_run(self, base_params, base_model):
+        message = "offline_wspt needs all release times 0; use offline_wsrpt"
+        jobs = [Job(1, 1, 1), Job(2, 0, 0, release_time=F(3, 7))]
+        for inst in (Instance(jobs, base_params, base_model),
+                     Instance([make_job(j.id, j.true_type, p_hat=F(1, 3), release_time=j.release_time)
+                               for j in jobs], base_params)):
+            with pytest.raises(UnsupportedInputError) as err:
+                offline_wspt(inst)
+            assert str(err.value) == message
+            run(inst, get_policy("beta"))
+            with pytest.raises(UnsupportedInputError) as err:
+                offline_wspt(inst)
+            assert str(err.value) == message
 
 
 class TestOfflineWsrpt:
@@ -852,15 +893,6 @@ class FractionRevelation:
 class TestFloatTheta:
     """Every rule runs on the float thetas as on the equal Fractions: same bytes, same draws."""
 
-    def outcome(self, inst, policy, revelation, seed):
-        rng = random.Random(seed)
-        try:
-            out = run(inst, policy, revelation, rng=rng)
-        except UnsupportedInputError as exc:  # hybrid on p_hat instances
-            return repr(exc), rng.getstate()
-        return (out.trace, out.total_cost, out.completion_ticks, out.preemption_count,
-                rng.getstate())
-
     @pytest.mark.parametrize("name", sorted(POLICIES))
     def test_same_runs_as_fraction_thetas(self, name, base_model):
         policy = POLICIES[name]
@@ -877,8 +909,8 @@ class TestFloatTheta:
                 )
                 for inst in (binary, p_hat_grid_instance(rng, n, params, releases)):
                     seed = rng.randrange(10 ** 6)
-                    a = self.outcome(inst, policy, PosteriorRevelation(), seed)
-                    assert a == self.outcome(inst, policy, FractionRevelation(), seed)
+                    a = run_record(inst, policy, PosteriorRevelation(), seed)
+                    assert a == run_record(inst, policy, FractionRevelation(), seed)
 
 
 class RecordingRevelation:
@@ -1016,17 +1048,60 @@ class TestTombstonedQueue:
                                   "at t=1 (1/3 done, 2 unopened, 0 interrupted)")
 
 
-class TestLayoutReuse:
-    """Interleaved runs over two instances must match fresh runs of each."""
+def release_time(draw, n):
+    """0, or a release on one of several grids, far enough out for idle gaps."""
+    if draw(st.booleans()):
+        return F(0)
+    grid = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 10)))
+    return F(draw(st.integers(0, 3 * n * grid)), grid)
 
-    POLICIES = ("nonpreemptive", "preemptive", "hybrid", "beta", "modified-beta")
+
+@st.composite
+def instance_specs(draw):
+    """The data of an instance: binary or p_hat, n >= 1, mixed release grids."""
+    n = draw(st.integers(1, 12))
+    binary = draw(st.booleans())
+    releases = draw(st.booleans())
+    # few distinct releases make equal times likely
+    times = [release_time(draw, n) for _ in range(draw(st.integers(1, 4)))]
+    params = Parameters(F(draw(st.integers(1, 9)), 10), draw(st.integers(2, 40)),
+                        F(draw(st.integers(1, 3)), 2))
+    ids = draw(st.permutations(range(1, n + 1)))
+    rows = []
+    for jid in ids:
+        rows.append((jid, draw(st.integers(0, 1)),
+                     draw(st.integers(0, 1)) if binary else F(draw(st.integers(0, 40)), 40),
+                     draw(st.sampled_from(times)) if releases else F(0)))
+    return binary, params, rows
+
+
+def build_instance(spec, model):
+    binary, params, rows = spec
+    if binary:
+        return Instance([Job(i, tt, p, release_time=r) for i, tt, p, r in rows], params, model)
+    return Instance([make_job(i, tt, p_hat=p, release_time=r) for i, tt, p, r in rows], params)
+
+
+def breaks_after(k):
+    """Opens until k jobs are set aside, then completes a job that never was."""
+    def decide(state, params):
+        if state.n_unopened and state.n_interrupted < k:
+            return OPEN_NEXT
+        return complete_low(-1)
+    return Policy(f"breaks-after-{k}", decide)
+
+
+class TestLayoutReuse:
+    """Runs on used instances, interleaved, must match runs on fresh ones."""
+
+    REVELATIONS = (EXACT_REVELATION, PosteriorRevelation())
 
     def check_alternation(self, a, b):
-        want = {id(inst): {name: run(inst, get_policy(name)) for name in self.POLICIES}
+        want = {id(inst): {name: run(inst, get_policy(name)) for name in POLICIES}
                 for inst in (a, b)}
         assert want[id(a)]["beta"].trace != want[id(b)]["beta"].trace
         for inst in (a, b, a):
-            for name in self.POLICIES:
+            for name in POLICIES:
                 got = run(inst, get_policy(name))
                 ref = want[id(inst)][name]
                 assert got.trace == ref.trace
@@ -1048,6 +1123,31 @@ class TestLayoutReuse:
             return Instance(jobs, base_params, base_model)
 
         self.check_alternation(released(1), released(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=instance_specs(),
+           order=st.permutations([(name, r) for name in sorted(POLICIES) for r in (0, 1)]),
+           breaks=st.lists(st.tuples(st.integers(0, 10), st.integers(0, 13), st.integers(0, 1)),
+                           max_size=2),
+           seed=st.integers(0, 10 ** 6))
+    @example(spec=(False, Parameters(F(2, 5), 20, 1), [(1, 0, F(1, 2), F(0))]),
+             order=[(name, r) for name in sorted(POLICIES) for r in (0, 1)],
+             breaks=[(0, 1, 1)], seed=0)
+    def test_runs_equal_runs_on_a_fresh_instance(self, spec, order, breaks, seed):
+        model = PredictionModel(F(1, 10), F(1, 5), F(1, 10))
+        used = build_instance(spec, model)
+        assert "run_layout" not in vars(used)  # construction builds no layout
+        runs = [(POLICIES[name], self.REVELATIONS[r], (UnsupportedInputError,)) for name, r in order]
+        # runs that raise ContractViolationError partway, at drawn places
+        for at, k, r in breaks:
+            runs.insert(min(at, len(runs)),
+                        (breaks_after(k), self.REVELATIONS[r], (ContractViolationError,)))
+        for i, (policy, revelation, allowed) in enumerate(runs):
+            got = run_record(used, policy, revelation, seed + i, allowed)
+            assert got == run_record(build_instance(spec, model), policy, revelation, seed + i, allowed)
+        assert "run_layout" in vars(used)
+        fresh = build_instance(spec, model)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
 
 def probe_classes(flag0, flag1):

@@ -20,6 +20,7 @@ from betasched.policies import (
     UnopenedQueue,
     beta_threshold_decide,
     classify_regime,
+    complete_low,
     get_policy,
     hybrid_decide,
     label_flags,
@@ -27,7 +28,7 @@ from betasched.policies import (
     nonpreemptive_decide,
     preemptive_decide,
 )
-from conftest import expected_weight, fraction_beta_threshold_decide
+from conftest import expected_weight, fraction_beta_threshold_decide, run_record
 
 F = Fraction
 
@@ -133,6 +134,86 @@ class TestEveryRule:
             assert decide(state(unopened=[(F(1, 2), 1, label), (F(1, 82), 3, 1)]),
                           base_params) == OPEN_NEXT
         assert decide(state(interrupted=[(4, F(0)), (2, F(0))]), base_params) == ("complete", 4)
+
+
+def mixed_instances(rng, params, model):
+    """Binary and p_hat instances with ids shuffled, some with release dates."""
+    for releases in (False, True):
+        for n in (1, 2, 7, 25):
+            ids = rng.sample(range(1, n + 1), n)
+            times = [F(rng.randrange(3 * n), rng.choice((1, 3, 4))) if releases else F(0)
+                     for _ in ids]
+            types = [rng.randint(0, 1) for _ in ids]
+            yield Instance([make_job(i, tt, label=rng.randint(0, 1), release_time=r)
+                            for i, tt, r in zip(ids, types, times)], params, model)
+            yield Instance([make_job(i, tt, p_hat=F(rng.randrange(41), 40), release_time=r)
+                            for i, tt, r in zip(ids, types, times)], params)
+
+
+class TestQueueCounts:
+    """The counts on `PolicyState` are the lengths of its two queue views."""
+
+    def test_counts_equal_the_view_lengths_at_every_decision(self, base_params, base_model):
+        checked = {name: 0 for name in POLICIES}
+
+        def counted(name):
+            def decide(s, params):
+                assert s.n_unopened == len(s.unopened)
+                assert s.n_interrupted == len(s.interrupted)
+                checked[name] += 1
+                return POLICIES[name].decide(s, params)
+            return Policy(name, decide)
+
+        rng = random.Random(31)
+        for inst in mixed_instances(rng, base_params, base_model):
+            for name in POLICIES:
+                for revelation in (EXACT_REVELATION, PosteriorRevelation()):
+                    seed = rng.randrange(10 ** 6)
+                    assert run_record(inst, counted(name), revelation, seed) == \
+                        run_record(inst, POLICIES[name], revelation, seed)
+        assert min(checked.values()) > 100, checked
+
+    def test_a_state_built_directly_counts_its_views(self):
+        s = state(unopened=[(F(1, 2), 1, 0), (F(1, 3), 5, 0), (F(0), 2, 1)],
+                  interrupted=[(4, F(0)), (9, F(1, 2))])
+        assert (s.n_unopened, s.n_interrupted) == (3, 2)
+        assert (state().n_unopened, state().n_interrupted) == (0, 0)
+
+    @staticmethod
+    def nonpreemptive_on_truth(s, params):
+        if s.interrupted:
+            return complete_low(s.interrupted.first_id())
+        if not s.unopened:
+            raise TerminalStateError("no legal action")
+        return OPEN_NEXT
+
+    @staticmethod
+    def preemptive_on_truth(s, params):
+        if s.unopened:
+            return OPEN_NEXT
+        if not s.interrupted:
+            raise TerminalStateError("no legal action")
+        return complete_low(s.interrupted.first_id())
+
+    @staticmethod
+    def beta_on_truth(s, params):
+        if not s.interrupted:
+            if not s.unopened:
+                raise TerminalStateError("no legal action")
+            return OPEN_NEXT
+        if s.unopened and s.unopened.head_priority() > params.beta():
+            return OPEN_NEXT
+        return complete_low(s.interrupted.first_id())
+
+    @pytest.mark.parametrize("name", ["nonpreemptive", "preemptive", "beta"])
+    def test_rules_on_the_views_truth_run_the_same(self, name, base_params, base_model):
+        custom = Policy(name, getattr(self, f"{name}_on_truth"))
+        rng = random.Random(37)
+        for inst in mixed_instances(rng, base_params, base_model):
+            for revelation in (EXACT_REVELATION, PosteriorRevelation()):
+                seed = rng.randrange(10 ** 6)
+                assert run_record(inst, custom, revelation, seed) == \
+                    run_record(inst, POLICIES[name], revelation, seed)
 
 
 class TestFixedPolicies:
