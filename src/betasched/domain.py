@@ -183,12 +183,11 @@ class RunLayout(NamedTuple):
 
     `den` is the lcm of alpha's and the release times' denominators: alpha is
     `alpha_ticks` ticks of 1/den and every release a whole number of ticks.
-    `true_of` maps job id to true type, urgent jobs first and ids ascending
-    within a type (the clairvoyant batch order). `pend` holds the queue
-    entries (rank, job_id, label, priority) of the jobs released at 0 in
-    queue order, and `future` the (release_ticks, entry) pairs of the rest,
-    sorted. `rank` is an integer ordinal of the negated priority, so tuple
-    order is queue order. Nothing may change `true_of`; `run()` copies
+    `true_of` is `Instance.true_of`, the clairvoyant batch order. `pend`
+    holds the queue entries (rank, job_id, label, priority) of the jobs
+    released at 0 in queue order, and `future` the (release_ticks, entry)
+    pairs of the rest, sorted. `rank` is an integer ordinal of the negated
+    priority, so tuple order is queue order. Nothing may change `true_of`; `run()` copies
     `pend` into the list it inserts arrivals into.
     """
 
@@ -205,8 +204,9 @@ class Instance:
 
     In binary mode every job carries a label and `model` must be present so
     posteriors can be computed. In probabilistic mode every job carries a
-    `p_hat` estimate and `model` may be omitted. `run_layout` is built on
-    first access and kept outside the fields, so eq, hash and repr ignore it.
+    `p_hat` estimate and `model` may be omitted. `true_of` and `run_layout`
+    are built on first access and kept outside the fields, so eq, hash and
+    repr ignore them.
     """
 
     jobs: tuple[Job, ...]
@@ -257,6 +257,14 @@ class Instance:
         return "binary" if self.jobs[0].label is not None else "probabilistic"
 
     @cached_property
+    def true_of(self) -> dict[int, int]:
+        """Job id to true type, urgent first and ids ascending within a type."""
+        jobs = sorted(self.jobs)  # id order: the id is a Job's first field, and unique
+        true_of = {job.id: 0 for job in jobs if not job.true_type}
+        true_of.update({job.id: 1 for job in jobs if job.true_type})
+        return true_of
+
+    @cached_property
     def run_layout(self) -> RunLayout:
         """The `RunLayout` every run of this instance starts from."""
         jobs = sorted(self.jobs)  # id order: the id is a Job's first field, and unique
@@ -287,9 +295,7 @@ class Instance:
         # entries are in id order, so a stable sort on the rank is queue order
         pend.sort(key=itemgetter(0))
         future.sort()
-        true_of = {job.id: 0 for job in jobs if not job.true_type}
-        true_of.update({job.id: 1 for job in jobs if job.true_type})
-        return RunLayout(den, alpha.numerator * (den // alpha.denominator), true_of,
+        return RunLayout(den, alpha.numerator * (den // alpha.denominator), self.true_of,
                          tuple(pend), tuple(future))
 
 

@@ -406,13 +406,12 @@ def offline_wspt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     """Optimal batch schedule with known types: urgent first, back to back.
 
     Only valid when every release time is 0; job j in the sorted order
-    completes exactly at time j. The check and the order come from the
-    instance's `run_layout`, which `run()` shares.
+    completes exactly at time j. The order is the instance's `true_of`,
+    which its `run_layout` shares, so no run layout is built here.
     """
-    layout = instance.run_layout
-    if layout.future:
+    if any(job.release_time for job in instance.jobs):
         raise UnsupportedInputError("offline_wspt needs all release times 0; use offline_wsrpt")
-    true_of = layout.true_of  # urgent first, ids ascending within a type
+    true_of = instance.true_of  # urgent first, ids ascending within a type
     n = len(true_of)
     comp = dict(zip(true_of, range(1, n + 1)))
     s0, s1 = wspt_ticks(n, n - sum(true_of.values()))
@@ -560,9 +559,10 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 # Exact expected cost on the decision tree (batch, binary labels)
 # ---------------------------------------------------------------------------
 
-# Largest n the tree evaluators accept. The pass visits about n**3/6 states
-# on integers of O(n) digits; at this bound it took 0.7-1.0 s and 21-23 MiB
-# peak RSS on `verify` default-grid channels (2 vCPUs, CPython 3.11.7).
+# Largest n the tree evaluators accept. On integers of O(n) digits, the
+# expectimax pass visits about n**3/6 states and a rule's pass about n**2/2
+# rows; at this bound they took 0.6-1.0 s and 40-110 ms, and 19-23 MiB peak
+# RSS, on `verify` default-grid channels (2 vCPUs, CPython 3.11.7).
 TREE_N_LIMIT = 200
 
 
@@ -593,10 +593,11 @@ def tree_expected_costs(
     Da * D**(k+1) * Dw, an integer, so open, complete and min are integer
     operations. Within a row (k, u0) the backlog grows by one set-aside job
     per ell, so the open value's own cost is affine in ell and the complete
-    value's step cost linear: both advance by one add per state, and a state
-    costs the two children's multiplies by a_l and D - a_l. The flags pick
-    one of three row loops: probe only, hold only (a running sum), or both
-    actions side by side, keeping the smaller. The Binomial label weights
+    value's step cost linear. With flags None a row is a list: both costs
+    advance by one add per state, which keeps the smaller action. Under
+    fixed flags a row is a quadratic in ell (by induction from layer 0),
+    kept as (P, Q, R) with value P + Q*ell + R*ell*(ell + 1)/2, so the pass
+    costs O(n_max**2) integer operations. The Binomial label weights
     of layer k come from layer k - 1's by Pascal's rule, and only their
     mixture divides, once per n. Refuses n_max below 1, and past
     `TREE_N_LIMIT` with ResourceLimitError.
@@ -618,7 +619,9 @@ def tree_expected_costs(
     qa, qb = q.numerator, q.denominator - q.numerator
 
     # layer 0: set-aside jobs only, completed one after another
-    prev = [[(da - big_a) * cw * (ell * (ell + 1) // 2) for ell in range(n_max + 1)]]
+    r0 = (da - big_a) * cw
+    prev = [[r0 * (ell * (ell + 1) // 2) for ell in range(n_max + 1)] if flags is None
+            else (0, 0, r0)]
     mix = [1]  # Binomial label weights of layer k, times q.denominator**k
     costs = []
     for k in range(1, n_max + 1):
@@ -638,10 +641,10 @@ def tree_expected_costs(
             lin = al * k_open * (w0 * d + bc) + bl * k_reveal * (bc + cw)
             step = (al * k_open + bl * k_reveal) * cw
             kb = k_done * bi  # complete: kb + row[ell - 1], with kb advanced to ell
-            # ell = 0 has no set-aside job, so it opens under every flag
-            x = lin + al * child[0] + bl * child[1]
-            row = [x]
             if flags is None:
+                # ell = 0 has no set-aside job, so it opens
+                x = lin + al * child[0] + bl * child[1]
+                row = [x]
                 for ell in range(1, n_max - k + 1):
                     lin += step
                     kb += kc
@@ -649,15 +652,13 @@ def tree_expected_costs(
                     done = kb + x
                     x = o if o <= done else done
                     row.append(x)
-            elif flags[lab]:
-                for ell in range(1, n_max - k + 1):
-                    lin += step
-                    row.append(lin + al * child[ell] + bl * child[ell + 1])
             else:
-                for _ in range(1, n_max - k + 1):
-                    kb += kc
-                    x += kb
-                    row.append(x)
+                cp, cq, cr = child  # ell = 0 opens under every flag
+                x = lin + d * cp + bl * (cq + cr)
+                if flags[lab]:  # open: lin and the children, summed per power of ell
+                    row = (x, step + d * cq + bl * cr, d * cr)
+                else:  # complete: kb + row[ell - 1] summed from ell = 0
+                    row = (x, kb, kc)
             cur.append(row)
         prev = cur
         mix = [qb * x + qa * y for x, y in zip(mix + [0], [0] + mix)]

@@ -463,9 +463,10 @@ def verify_optimality(grid=None) -> list[str]:
     """Exhaustive-search oracle vs the threshold rule, exact equality.
 
     Returns one description per failing grid point (empty = all equal).
-    Each channel takes one tree pass for the optimum and one for the rule,
-    each pricing every n up to the grid's largest. A grid with an n below 1,
-    or past `TREE_N_LIMIT`, is refused before any channel is priced.
+    Each channel takes one tree pass for the optimum (about n**3/6 states)
+    and one for the rule (about n**2/2 rows), each pricing every n up to the
+    grid's largest. A grid with an n below 1, or past `TREE_N_LIMIT`, is
+    refused before any channel is priced.
     """
     g = dict(DEFAULT_OPTIMALITY_GRID)
     if grid:

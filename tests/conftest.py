@@ -289,6 +289,18 @@ def scan_modified_beta_decide(state, params):
 SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide)
 
 
+def probe_label_1_decide(state, params):
+    """Probes only the predicted non-urgent class: label flags (False, True).
+
+    No built-in rule has these flags.
+    """
+    if len(state.unopened) and (
+        len(state.interrupted) == 0 or state.unopened.head_label() == 1
+    ):
+        return OPEN_NEXT
+    return complete_low(state.interrupted.first_id())
+
+
 def fraction_beta_threshold_decide(state, params):
     """The beta threshold rule comparing the head p_hat with beta as Fractions.
 

@@ -63,6 +63,7 @@ class TestAcceptance:
             alpha=F(2, 5), rho=F(1, 10), w0=F(20), w1=F(1), n=50,
             replications=100_000, seed=0,
             policies=("nonpreemptive", "preemptive", "hybrid"),
+            jobs=2,  # the rows do not depend on the worker count
         )
         rows = run_sweep(config)
         within = 0

@@ -23,13 +23,14 @@ from betasched.analytics import (
 )
 from betasched.domain import Instance, Parameters, PredictionModel, make_job
 from betasched.engine import label_schedule_ticks, wspt_ticks
-from betasched.policies import OPEN_NEXT, POLICIES, Policy, Regime, complete_low, label_flags
+from betasched.policies import POLICIES, Policy, Regime, label_flags
 from conftest import (
     LabelClass,
     fraction_competitive_ratio,
     fraction_cr_nonpreemptive_cap,
     fraction_hybrid_mix_coefficient,
     limit_excess_ratio,
+    probe_label_1_decide,
     satisfies_weight_gap,
     search_worst_q,
 )
@@ -119,15 +120,7 @@ class TestExpectedUnconditional:
 
     def test_for_policy_rejects_flags_without_closed_form(self, base_params, base_model,
                                                           monkeypatch):
-        # probes only the predicted non-urgent class: flags (False, True)
-        def decide(state, params):
-            if len(state.unopened) and (
-                len(state.interrupted) == 0 or state.unopened.head_label() == 1
-            ):
-                return OPEN_NEXT
-            return complete_low(state.interrupted.first_id())
-
-        monkeypatch.setitem(POLICIES, "probe-01", Policy("probe-01", decide))
+        monkeypatch.setitem(POLICIES, "probe-01", Policy("probe-01", probe_label_1_decide))
         assert label_flags(POLICIES["probe-01"], base_model, base_params) == (False, True)
         u = expected_unconditional(6, base_model, base_params)
         with pytest.raises(ValueError, match="^no closed form for policy 'probe-01'$"):

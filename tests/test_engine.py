@@ -241,6 +241,21 @@ class TestOfflineWspt:
                     (before.den, before.total_cost, before.trace, before.preemption_count)
                 assert offline_wspt(inst, keep_trace=False).trace is None
 
+    def test_fresh_instance_builds_no_run_layout(self, base_params, base_model):
+        rng = random.Random(9)
+        for n in (1, 2, 9, 40):
+            binary = random_batch_instance(rng, base_params, base_model, n)
+            for inst in (binary, p_hat_grid_instance(rng, n, base_params)):
+                fresh = offline_wspt(inst)
+                assert "run_layout" not in vars(inst)
+                assert (fresh.completion_ticks, fresh.total_cost, fresh.trace) == \
+                    self.sorted_order_outcome(inst)
+                # the layout reuses the order offline_wspt built
+                assert inst.run_layout.true_of is inst.true_of
+                again = offline_wspt(inst)
+                assert list(again.completion_ticks) == list(fresh.completion_ticks)
+                assert (again.total_cost, again.trace) == (fresh.total_cost, fresh.trace)
+
     def test_refuses_release_dates_before_and_after_a_run(self, base_params, base_model):
         message = "offline_wspt needs all release times 0; use offline_wsrpt"
         jobs = [Job(1, 1, 1), Job(2, 0, 0, release_time=F(3, 7))]
@@ -427,6 +442,16 @@ class TestTreeMatchesEngine:
             brute = bruteforce_unconditional_mean(4, base_model, base_params, rule)
             assert tree == brute, rule
 
+    def test_probing_only_label_1_matches_bruteforce_engine_means(self, base_params, base_model,
+                                                                  monkeypatch):
+        from conftest import bruteforce_unconditional_mean, probe_label_1_decide
+
+        monkeypatch.setitem(POLICIES, "probe-01", Policy("probe-01", probe_label_1_decide))
+        assert label_flags(POLICIES["probe-01"], base_model, base_params) == (False, True)
+        tree = tree_expected_costs(4, base_model, base_params, (False, True))
+        assert rule_expected_cost(4, base_model, base_params, "probe-01") == tree[-1]
+        assert tree[-1] == bruteforce_unconditional_mean(4, base_model, base_params, "probe-01")
+
     def test_unknown_rule_rejected(self, base_params, base_model):
         with pytest.raises(ValueError, match="unknown policy 'nope'"):
             rule_expected_cost(3, base_model, base_params, "nope")
@@ -444,7 +469,7 @@ class TestTreeMatchesEngine:
             assert at_p0_cost != at_p1_cost
 
 
-FLAG_SETS = [None, (True, True), (False, False), (True, False)]
+FLAG_SETS = [None, (True, True), (False, False), (True, False), (False, True)]
 
 
 def tree_channels(alphas, weights, rhos, eps_pairs):
@@ -508,25 +533,29 @@ class TestIntegerTree:
             assert costs == [fraction_tree_expected_cost(n, model, params, flags)
                              for n in range(1, n_max + 1)], (flags, params, model)
 
-    def test_every_row_loop_runs(self, base_params, base_model):
-        """The pass has three row loops, and each flag set runs the ones it names.
+    def test_every_row_branch_runs(self, base_params, base_model):
+        """Each flag set runs the row branches it names, and only those.
 
-        Both actions (flags None), probe only (a probed label) and hold only
-        (a held label); (True, False) probes label 0 and holds label 1.
+        Flags None fill a list row in the min loop. Under fixed flags a row is
+        three coefficients with no loop over ell: a probed label's rows take
+        the probed branch and a held label's the held branch, so (True, False)
+        and (False, True) run both.
         """
         lines, first = inspect.getsourcelines(tree_expected_costs)
         tree = ast.parse(textwrap.dedent("".join(lines)))
         u0_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
                        and getattr(node.target, "id", None) == "u0")
-        bodies = {}  # the line of each row loop's first statement, by kind
-        for loop in ast.walk(u0_loop):
-            if isinstance(loop, ast.For) and loop is not u0_loop:
-                names = {node.id for node in ast.walk(loop) if isinstance(node, ast.Name)}
-                kind = {(True, True): "both", (True, False): "probe",
-                        (False, True): "hold"}["lin" in names, "kb" in names]
-                assert kind not in bodies
-                bodies[kind] = first - 1 + loop.body[0].lineno
-        assert len(bodies) == 3
+        branches = {}  # the first statement of each row branch, by kind
+        for node in ast.walk(u0_loop):
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "flags is None":
+                (min_loop,) = [stmt for stmt in node.body if isinstance(stmt, ast.For)]
+                branches["min"] = min_loop.body[0]
+                assert not any(isinstance(inner, ast.For)
+                               for stmt in node.orelse for inner in ast.walk(stmt))
+            elif isinstance(node, ast.If) and ast.unparse(node.test) == "flags[lab]":
+                branches["probe"], branches["hold"] = node.body[0], node.orelse[0]
+        assert len(branches) == 3
+        bodies = {kind: first - 1 + stmt.lineno for kind, stmt in branches.items()}
         code = tree_expected_costs.__code__
 
         def runs(flags):
@@ -546,10 +575,11 @@ class TestIntegerTree:
                 sys.settrace(previous)
             return {kind for kind, line in bodies.items() if line in hit}
 
-        assert runs(None) == {"both"}
+        assert runs(None) == {"min"}
         assert runs((True, True)) == {"probe"}
         assert runs((False, False)) == {"hold"}
         assert runs((True, False)) == {"probe", "hold"}
+        assert runs((False, True)) == {"probe", "hold"}
 
     def test_public_evaluators_take_the_last_entry(self, base_params, base_model):
         for n in (1, 2, 7):
@@ -581,6 +611,21 @@ class TestTreeMatchesClosedForms:
                 want = expected_unconditional(n, model, params).for_policy(name)
                 assert costs[n - 1] == want, (n, params, model)
             assert rule_expected_cost(self.N_MAX, model, params, name) == costs[-1]
+
+    @pytest.mark.parametrize("name, flags, params, model", [
+        ("preemptive", (True, True),
+         Parameters(F(2, 5), 20, 1), PredictionModel(F(1, 10), F(1, 10), F(3, 10))),
+        ("nonpreemptive", (False, False),
+         Parameters(F(3, 7), F(7, 3), 1), PredictionModel(F(1, 2), F(1, 10), F(1, 10))),
+        ("hybrid", (True, False),
+         Parameters(F(7, 10), 20, 12), PredictionModel(F(1, 10), 0, F(1, 2))),
+    ], ids=["preemptive", "nonpreemptive", "hybrid"])
+    def test_rule_cost_at_the_size_limit(self, name, flags, params, model):
+        # one pass per flag set that has a closed form, each n up to the limit
+        assert label_flags(get_policy(name), model, params) == flags
+        costs = tree_expected_costs(TREE_N_LIMIT, model, params, flags)
+        assert costs == [expected_unconditional(n, model, params).for_policy(name)
+                         for n in range(1, TREE_N_LIMIT + 1)]
 
 
 class TestProbabilisticClassifierMode:
