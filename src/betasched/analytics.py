@@ -16,7 +16,6 @@ from typing import Optional
 
 from .domain import (
     Instance,
-    ONE,
     Parameters,
     PredictionModel,
     rate_ratio,
@@ -45,31 +44,40 @@ class ConditionalExpectation:
     params: Parameters
 
 
-def _expected_costs(n: int, urgent_pairs: Fraction, mixed_pairs: Fraction,
-                    nonurgent_pairs: Fraction, model: PredictionModel, params: Parameters):
+def _expected_costs(n: int, s0: int, s1: int, s2: int, sd: int,
+                    model: PredictionModel, params: Parameters):
     """(opt, nonpreemptive, preemptive, hybrid), linear in three pair statistics.
 
     With n0 urgent and n1 = n - n0 non-urgent jobs the statistics are
     n0(n0+1)/2, n0*n1/2 and n1(n1-1)/2; their expectations give expected costs.
+    They come in as integers over one denominator: s0/sd, s1/sd and s2/sd.
     The clairvoyant optimum is positional. Each policy pays on top of it for
     mispredicted pairs: a nonpreemptive schedule pays the full weight gap per
     inversion; a preemptive schedule pays alpha-scaled probes on inversions
     and on every non-urgent pair; the hybrid switch pays probe costs inside
     the predicted-urgent prefix and full inversions outside it.
+
+    With alpha = a/da, eps0 = p0/q0, eps1 = p1/q1 and the weights W/wd on
+    `weight_grid`, the inverted pairs are (p0*q1 + p1*q0)*s1/(q0*q1*sd), those
+    inside the prefix p1*(q0-p0)*s1/(q0*q1*sd), and the non-urgent pairs
+    inside it p1**2*s2/(q1**2*sd). Every value is an integer over
+    wd*da*q0*q1**2*sd, and only the four returned Fractions reduce.
     """
-    w0, w1, alpha = params.w0, params.w1, params.alpha
-    e0, e1 = model.eps0, model.eps1
-
-    opt = (w0 - w1) * urgent_pairs + w1 * Fraction(n * (n + 1), 2)
-    ex = (e0 + e1) * mixed_pairs              # inverted (non-urgent, urgent) pairs
-    ey = nonurgent_pairs                      # (non-urgent, non-urgent) pairs
-    ex0 = e1 * (ONE - e0) * mixed_pairs       # inversions inside the predicted-urgent prefix
-    ey0 = e1 * e1 * nonurgent_pairs           # non-urgent pairs inside the prefix
-
-    nonpreemptive = opt + (w0 - w1) * ex
-    preemptive = opt + alpha * w0 * ex + alpha * w1 * ey
-    hybrid = opt + alpha * w0 * ex0 + alpha * w1 * ey0 + (w0 - w1) * (ex - ex0)
-    return opt, nonpreemptive, preemptive, hybrid
+    wd, w0, w1 = weight_grid(params)
+    a, da = params.alpha.as_integer_ratio()
+    p0, q0 = model.eps0.as_integer_ratio()
+    p1, q1 = model.eps1.as_integer_ratio()
+    gap = w0 - w1
+    den = wd * da * q0 * q1 * q1 * sd
+    opt = (gap * s0 + w1 * (n * (n + 1) // 2) * sd) * da * q0 * q1 * q1
+    ex = (p0 * q1 + p1 * q0) * s1 * q1  # inverted pairs, times q0*q1**2*sd
+    nonpreemptive = opt + gap * ex * da
+    preemptive = opt + a * (w0 * ex + w1 * s2 * q0 * q1 * q1)
+    # probes inside the prefix; the inversions past it, eps0*(1 + eps1)*s1/sd, at the full gap
+    hybrid = opt + a * (w0 * p1 * (q0 - p0) * s1 * q1 + w1 * p1 * p1 * s2 * q0) \
+        + gap * p0 * (q1 + p1) * s1 * q1 * da
+    return (Fraction(opt, den), Fraction(nonpreemptive, den), Fraction(preemptive, den),
+            Fraction(hybrid, den))
 
 
 def expected_conditional(n: int, n0: int, model: PredictionModel,
@@ -78,8 +86,8 @@ def expected_conditional(n: int, n0: int, model: PredictionModel,
     if not (0 <= n0 <= n):
         raise ValueError(f"n0 must lie in [0, {n}], got {n0}")
     n1 = n - n0
-    pairs = (Fraction(n0 * (n0 + 1), 2), Fraction(n0 * n1, 2), Fraction(n1 * (n1 - 1), 2))
-    return ConditionalExpectation(*_expected_costs(n, *pairs, model, params), n, n0, model, params)
+    costs = _expected_costs(n, n0 * (n0 + 1), n0 * n1, n1 * (n1 - 1), 2, model, params)
+    return ConditionalExpectation(*costs, n, n0, model, params)
 
 
 @dataclass(frozen=True)
@@ -118,10 +126,10 @@ def expected_unconditional(n: int, model: PredictionModel,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rho = model.rho
-    pairs = (n * rho * (2 - rho + n * rho) / 2, n * (n - 1) * rho * (ONE - rho) / 2,
-             n * (n - 1) * (ONE - rho) ** 2 / 2)
-    return ExpectedPerformance(*_expected_costs(n, *pairs, model, params), n, model, params)
+    r, s = model.rho.as_integer_ratio()  # rho = r/s; the pairs are over 2*s**2
+    costs = _expected_costs(n, n * r * (2 * s - r + n * r), n * (n - 1) * r * (s - r),
+                            n * (n - 1) * (s - r) ** 2, 2 * s * s, model, params)
+    return ExpectedPerformance(*costs, n, model, params)
 
 
 # ---------------------------------------------------------------------------

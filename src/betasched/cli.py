@@ -11,7 +11,7 @@ from pathlib import Path
 from .analytics import log_loss
 from .domain import HALF, ZERO, format_fraction, load_instance, to_fraction
 from .engine import format_trace, offline_wsrpt, run
-from .errors import SchedulingError
+from .errors import ResourceLimitError, SchedulingError
 from .experiments import (
     ARRIVAL_COLUMNS,
     CR_COLUMNS,
@@ -30,10 +30,16 @@ from .experiments import (
 from .policies import EXACT_REVELATION, PosteriorRevelation, get_policy
 
 
+# Most points a `start:stop:step` grid may have (the default grid has 11, the
+# `--cr` grid 51)
+GRID_POINT_LIMIT = 10_000
+
+
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     """Grid syntax: `a,b,c` or `start:stop:step`, all exact decimals/fractions.
 
-    A range reaching outside [0, 1/2] is refused before any point is built.
+    A range reaching outside [0, 1/2], or with more than `GRID_POINT_LIMIT`
+    points, is refused before any point is built.
     """
     if ":" in text:
         parts = text.split(":")
@@ -46,11 +52,11 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         bad = start if not ZERO <= start <= HALF else start + step * ((HALF - start) // step + 1)
         if bad <= stop:
             raise ValueError(f"error rates must lie in [0, 1/2], got {bad} in grid {text!r}")
-        values = []
-        v = start
-        while v <= stop:
-            values.append(v)
-            v += step
+        count = max((stop - start) // step + 1, 0)
+        if count > GRID_POINT_LIMIT:
+            raise ResourceLimitError(
+                f"grid {text!r} has more than {GRID_POINT_LIMIT} points")
+        values = [start + step * i for i in range(count)]
     else:
         values = [to_fraction(part) for part in text.split(",") if part.strip()]
     if not values:

@@ -561,20 +561,20 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 
 # Largest n the tree evaluators accept. On integers of O(n) digits, the
 # expectimax pass visits about n**3/6 states and a rule's pass about n**2/2
-# rows; at this bound they took 0.6-1.0 s and 40-110 ms, and 19-23 MiB peak
-# RSS, on `verify` default-grid channels (2 vCPUs, CPython 3.11.7).
+# rows; at this bound `expectimax_optimal` took 0.4-0.8 s and
+# `rule_expected_cost` 25-60 ms, in 19-23 MiB peak RSS, on `verify`
+# default-grid channels (2 vCPUs, CPython 3.11.7). Both mix the labels once,
+# at the n they return; only `tree_expected_costs` mixes them at every n.
 TREE_N_LIMIT = 200
 
 
-def tree_expected_costs(
-    n_max: int,
-    model: PredictionModel,
-    params: Parameters,
-    flags: Optional[tuple[bool, bool]],
-) -> list[Fraction]:
-    """Expected total weighted completion time for every n = 1..n_max, exact.
+def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
+                 flags: Optional[tuple[bool, bool]]):
+    """Yield (rows, den) for each layer k = 1..n_max of the decision tree.
 
-    Entry n - 1 is the expectation over the labels and types of n batch jobs.
+    `rows[u0][0] / den` is the exact expected cost-to-go of the state with
+    u0 label-0 and k - u0 label-1 jobs unopened and none set aside, so the
+    cost for n = k is the Binomial(k, label 0 rate) mixture of those.
     States collapse job identities to (u0, u1, ell): unopened jobs per label
     and set-aside jobs. Posteriors depend only on labels, and jobs are
     exchangeable within a label class. Opening the head (label 0 first) is a
@@ -590,17 +590,15 @@ def tree_expected_costs(
     a layer, keeping only the previous layer (an open moves down a layer, a
     completion to ell - 1). With posteriors a_l/D, alpha = A/Da and weights
     W/Dw on `weight_grid`, a state of layer k holds its value times
-    Da * D**(k+1) * Dw, an integer, so open, complete and min are integer
-    operations. Within a row (k, u0) the backlog grows by one set-aside job
-    per ell, so the open value's own cost is affine in ell and the complete
-    value's step cost linear. With flags None a row is a list: both costs
-    advance by one add per state, which keeps the smaller action. Under
-    fixed flags a row is a quadratic in ell (by induction from layer 0),
+    den = Da * D**(k+1) * Dw, an integer, so open, complete and min are
+    integer operations. Within a row (k, u0) the backlog grows by one
+    set-aside job per ell, so the open value's own cost is affine in ell and
+    the complete value's step cost linear. With flags None a row is a list:
+    both costs advance by one add per state, which keeps the smaller action.
+    Under fixed flags a row is a quadratic in ell (by induction from layer 0),
     kept as (P, Q, R) with value P + Q*ell + R*ell*(ell + 1)/2, so the pass
-    costs O(n_max**2) integer operations. The Binomial label weights
-    of layer k come from layer k - 1's by Pascal's rule, and only their
-    mixture divides, once per n. Refuses n_max below 1, and past
-    `TREE_N_LIMIT` with ResourceLimitError.
+    costs O(n_max**2) integer operations. Refuses n_max below 1, and past
+    `TREE_N_LIMIT` with ResourceLimitError, before the first layer.
     """
     if n_max < 1:
         raise ValueError("n must be at least 1")
@@ -615,15 +613,11 @@ def tree_expected_costs(
     # backlog weight times d*dw of an unopened label-l job, and of a set-aside one
     c = [w1 * d + (w0 - w1) * al for al in a]
     cw = w1 * d
-    q = model.label_probability(0)
-    qa, qb = q.numerator, q.denominator - q.numerator
 
     # layer 0: set-aside jobs only, completed one after another
     r0 = (da - big_a) * cw
     prev = [[r0 * (ell * (ell + 1) // 2) for ell in range(n_max + 1)] if flags is None
             else (0, 0, r0)]
-    mix = [1]  # Binomial label weights of layer k, times q.denominator**k
-    costs = []
     for k in range(1, n_max + 1):
         dk = d ** (k - 1)
         k_open, k_reveal, k_done = da * dk, big_a * dk, (da - big_a) * dk * d
@@ -661,28 +655,73 @@ def tree_expected_costs(
                     row = (x, kb, kc)
             cur.append(row)
         prev = cur
+        yield cur, k_open * d * d * dw
+
+
+def tree_expected_costs(
+    n_max: int,
+    model: PredictionModel,
+    params: Parameters,
+    flags: Optional[tuple[bool, bool]],
+) -> list[Fraction]:
+    """Expected total weighted completion time for every n = 1..n_max, exact.
+
+    Entry n - 1 is the expectation over the labels and types of n batch
+    jobs, under `flags` or, with flags None, under the best non-anticipating
+    policy. One pass of `_tree_layers` prices every n; the Binomial label
+    weights of layer k come from layer k - 1's by Pascal's rule, and only
+    their mixture divides, once per n. Refuses n_max below 1, and past
+    `TREE_N_LIMIT` with ResourceLimitError.
+    """
+    q = model.label_probability(0)
+    qa, qb = q.numerator, q.denominator - q.numerator
+    mix = [1]  # Binomial label weights of layer k, times q.denominator**k
+    qk = 1
+    costs = []
+    for rows, den in _tree_layers(n_max, model, params, flags):
         mix = [qb * x + qa * y for x, y in zip(mix + [0], [0] + mix)]
-        num = sum(m * row[0] for m, row in zip(mix, cur))
-        costs.append(Fraction(num, q.denominator ** k * da * d ** (k + 1) * dw))
+        qk *= q.denominator
+        costs.append(Fraction(sum(m * row[0] for m, row in zip(mix, rows)), qk * den))
     return costs
+
+
+def _tree_expected_cost(n: int, model: PredictionModel, params: Parameters,
+                        flags: Optional[tuple[bool, bool]]) -> Fraction:
+    """`tree_expected_costs(n, ...)[-1]`, with the labels mixed at n only.
+
+    The Binomial weights C(n, u0) * qa**u0 * qb**(n - u0) go by Horner's rule
+    in qb, so the mixture costs O(n) multiplies and one Fraction.
+    """
+    for rows, den in _tree_layers(n, model, params, flags):
+        pass
+    q = model.label_probability(0)
+    qa, qb = q.numerator, q.denominator - q.numerator
+    num, binom, qa_u0 = 0, 1, 1
+    for u0, row in enumerate(rows):
+        num = num * qb + binom * qa_u0 * row[0]
+        binom = binom * (n - u0) // (u0 + 1)
+        qa_u0 *= qa
+    return Fraction(num, q.denominator ** n * den)
 
 
 def expectimax_optimal(n: int, model: PredictionModel, params: Parameters) -> Fraction:
     """Exact expected cost of the best non-anticipating policy (batch, labels).
 
     Full expectimax over the collapsed decision tree, on integers and
-    bottom-up (see `tree_expected_costs`, whose one pass also prices every
-    smaller n). Refuses n past `TREE_N_LIMIT` with ResourceLimitError.
+    bottom-up (see `_tree_layers`); it equals `tree_expected_costs(n, model,
+    params, None)[-1]` but mixes the labels at n only. Refuses n past
+    `TREE_N_LIMIT` with ResourceLimitError.
     """
-    return tree_expected_costs(n, model, params, None)[-1]
+    return _tree_expected_cost(n, model, params, None)
 
 
 def rule_expected_cost(n: int, model: PredictionModel, params: Parameters,
                        rule: str = "beta") -> Fraction:
     """Exact expected cost of the policy named `rule` on the same tree.
 
-    Its `label_flags` decide. Refuses n past `TREE_N_LIMIT` with
-    ResourceLimitError.
+    Its `label_flags` decide. Equals `tree_expected_costs(n, model, params,
+    flags)[-1]`, with the labels mixed at n only. Refuses n past
+    `TREE_N_LIMIT` with ResourceLimitError.
     """
     flags = label_flags(get_policy(rule), model, params)
-    return tree_expected_costs(n, model, params, flags)[-1]
+    return _tree_expected_cost(n, model, params, flags)

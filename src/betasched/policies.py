@@ -373,14 +373,14 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     theta = 0, does it open the head (True) or complete the interrupted job
     (False)? The nonpreemptive rule completes it, so it probes no class. The
     batch kernel, the closed forms, the tree oracle and the regime all read
-    a policy's batch behaviour from here.
+    a policy's batch behaviour from here. One probe state serves both
+    questions: its head entry is swapped from label 0 to label 1.
     """
+    head = [None]  # the probe's one unopened entry, set per label
+    state = PolicyState(UnopenedQueue(head), InterruptedQueue([(1, ZERO)], None))
     flags = []
     for label in (0, 1):
-        state = PolicyState(
-            UnopenedQueue([(0, 2, label, model.posterior(label))]),
-            InterruptedQueue([(1, ZERO)], None),
-        )
+        head[0] = (0, 2, label, model.posterior(label))
         action = policy.decide(state, params)
         if action.kind not in ("open", "complete") or (
             action.kind == "complete" and action.job_id != 1

@@ -9,6 +9,7 @@ from operator import not_
 from typing import NamedTuple
 
 import pytest
+from hypothesis import strategies as st
 
 from betasched.analytics import (
     CompetitiveRatioReport,
@@ -111,6 +112,29 @@ def mixture_unconditional(n, model, params):
             totals[i] += weight * value
     scale = b ** n
     return tuple(total / scale for total in totals)
+
+
+# hypothesis strategies for one channel: alpha with odd denominators, weights
+# on or off the weight-gap boundary, and error rates with 0 and 1/2 (exact and
+# collapsed posteriors); `drawn_channel` turns a draw into (params, model)
+CHANNEL = dict(
+    alpha=st.tuples(st.integers(1, 10), st.integers(2, 11)).filter(
+        lambda t: t[0] < t[1]).map(lambda t: Fraction(*t)),
+    w1=st.fractions(Fraction(1, 10), 10, max_denominator=12).filter(lambda w: w > 0),
+    gap=st.one_of(st.fractions(Fraction(1, 10), 20, max_denominator=12).filter(lambda g: g > 0),
+                  st.just("boundary")),
+    rho=st.fractions(0, 1, max_denominator=20).filter(lambda r: 0 < r < 1),
+    e0=st.one_of(st.sampled_from([0, Fraction(1, 2)]),
+                 st.fractions(0, Fraction(1, 2), max_denominator=20)),
+    e1=st.one_of(st.sampled_from([0, Fraction(1, 2)]),
+                 st.fractions(0, Fraction(1, 2), max_denominator=20)),
+)
+
+
+def drawn_channel(alpha, w1, gap, rho, e0, e1):
+    # on the boundary w1 = w0*(1 - alpha), so beta = 1
+    w0 = w1 / (1 - alpha) if gap == "boundary" else w1 + gap
+    return Parameters(alpha, w0, w1), PredictionModel(rho, e0, e1)
 
 
 def algebra_classify_regime(model, params):
@@ -588,3 +612,37 @@ def fraction_competitive_ratio(model, params):
         Regime.HYBRID: h_cr.value,
     }[regime]
     return CompetitiveRatioReport(np_cr, p_cr, h_cr, regime, selected, model, params)
+
+
+def fraction_expected_costs(n, urgent_pairs, mixed_pairs, nonurgent_pairs, model, params):
+    """(opt, nonpreemptive, preemptive, hybrid) from the three pair statistics.
+
+    Was the body of `analytics._expected_costs`, which now reads the
+    statistics as integers over one denominator.
+    """
+    w0, w1, alpha = params.w0, params.w1, params.alpha
+    e0, e1 = model.eps0, model.eps1
+
+    opt = (w0 - w1) * urgent_pairs + w1 * Fraction(n * (n + 1), 2)
+    ex = (e0 + e1) * mixed_pairs              # inverted (non-urgent, urgent) pairs
+    ey = nonurgent_pairs                      # (non-urgent, non-urgent) pairs
+    ex0 = e1 * (ONE - e0) * mixed_pairs       # inversions inside the predicted-urgent prefix
+    ey0 = e1 * e1 * nonurgent_pairs           # non-urgent pairs inside the prefix
+
+    nonpreemptive = opt + (w0 - w1) * ex
+    preemptive = opt + alpha * w0 * ex + alpha * w1 * ey
+    hybrid = opt + alpha * w0 * ex0 + alpha * w1 * ey0 + (w0 - w1) * (ex - ex0)
+    return opt, nonpreemptive, preemptive, hybrid
+
+
+def fraction_expected_conditional(n, n0, model, params):
+    n1 = n - n0
+    pairs = (Fraction(n0 * (n0 + 1), 2), Fraction(n0 * n1, 2), Fraction(n1 * (n1 - 1), 2))
+    return fraction_expected_costs(n, *pairs, model, params)
+
+
+def fraction_expected_unconditional(n, model, params):
+    rho = model.rho
+    pairs = (n * rho * (2 - rho + n * rho) / 2, n * (n - 1) * rho * (ONE - rho) / 2,
+             n * (n - 1) * (ONE - rho) ** 2 / 2)
+    return fraction_expected_costs(n, *pairs, model, params)

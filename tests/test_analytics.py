@@ -6,7 +6,7 @@ from itertools import product
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betasched import analytics
 from betasched.analytics import (
@@ -25,9 +25,13 @@ from betasched.domain import Instance, Parameters, PredictionModel, make_job
 from betasched.engine import label_schedule_ticks, wspt_ticks
 from betasched.policies import POLICIES, Policy, Regime, label_flags
 from conftest import (
+    CHANNEL,
     LabelClass,
+    drawn_channel,
     fraction_competitive_ratio,
     fraction_cr_nonpreemptive_cap,
+    fraction_expected_conditional,
+    fraction_expected_unconditional,
     fraction_hybrid_mix_coefficient,
     limit_excess_ratio,
     probe_label_1_decide,
@@ -452,6 +456,33 @@ class TestFractionOracle:
         model = PredictionModel(F(1, 10), eps, eps)
         params = Parameters(F(2, 5), 10**700, 1)
         assert cr_preemptive(model, params).worst_q == 0.0
+
+
+class TestExpectationOracle:
+    """The integer-pair expectations against their old Fraction body, with ==."""
+
+    @settings(max_examples=150)
+    @given(n=st.one_of(st.sampled_from([1, 2, 10**6]), st.integers(1, 2000)),
+           n0_share=st.fractions(0, 1, max_denominator=50), **CHANNEL)
+    # on the weight-gap boundary (w1 = w0*(1 - alpha), beta = 1) with odd
+    # denominators; exact and collapsed channels at n = 1 and n = 10**6
+    @example(n=10**6, n0_share=F(1, 3), alpha=F(3, 7), w1=F(7, 3), gap="boundary", rho=F(1, 10),
+             e0=F(1, 10), e1=F(3, 10))
+    @example(n=1, n0_share=F(1), alpha=F(2, 9), w1=F(3, 2), gap=F(5, 4), rho=F(3, 10),
+             e0=F(1, 2), e1=F(1, 2))
+    @example(n=10**6, n0_share=F(0), alpha=F(1, 3), w1=F(1, 2), gap=F(19, 2), rho=F(2, 5),
+             e0=0, e1=0)
+    @example(n=1, n0_share=F(0), alpha=F(5, 11), w1=1, gap="boundary", rho=F(1, 99),
+             e0=0, e1=F(1, 2))
+    def test_equals_the_fraction_body(self, n, n0_share, alpha, w1, gap, rho, e0, e1):
+        params, model = drawn_channel(alpha, w1, gap, rho, e0, e1)
+        u = expected_unconditional(n, model, params)
+        assert (u.opt, u.nonpreemptive, u.preemptive, u.hybrid) == \
+            fraction_expected_unconditional(n, model, params)
+        n0 = math.floor(n0_share * n)
+        c = expected_conditional(n, n0, model, params)
+        assert (c.opt, c.nonpreemptive, c.preemptive, c.hybrid) == \
+            fraction_expected_conditional(n, n0, model, params)
 
 
 def decimal_maximiser(r, m):

@@ -564,6 +564,30 @@ class TestCliCommands:
         assert err.startswith(f"error: {message}")
         assert out == ""
 
+    @pytest.mark.parametrize("source", ["eps", "eps0-eps1", "config"])
+    def test_huge_range_grid_is_refused_before_a_point_is_built(self, tmp_path, capsys, source):
+        # 5 * 10**299 points: counted from the three Fractions, never built
+        grid = "0:0.5:1e-300"
+        if source == "config":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"eps-grid={grid}\n")
+            flags = ["--config", str(cfg)]
+        elif source == "eps":
+            flags = ["--eps-grid", grid]
+        else:
+            flags = ["--eps0-grid", grid, "--eps1-grid", "0.1"]
+        rc = main(["sweep", "--reps", "1", "--n", "3"] + flags)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: grid '{grid}' has more than {cli.GRID_POINT_LIMIT} points\n"
+
+    def test_grid_point_limit_is_exact(self):
+        limit = cli.GRID_POINT_LIMIT
+        step = Fraction(1, 2 * limit)
+        assert len(cli._parse_grid(f"0:{(limit - 1) * step}:{step}")) == limit
+        with pytest.raises(ResourceLimitError, match=f"more than {limit} points"):
+            cli._parse_grid(f"0:{limit * step}:{step}")
+
     def test_grid_stop_past_half_without_a_point_there_runs(self, capsys):
         rc = main(["sweep", "--n", "3", "--reps", "5", "--eps-grid", "0:0.55:0.25"])
         out, err = capsys.readouterr()

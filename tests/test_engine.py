@@ -5,6 +5,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from math import comb, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from betasched.domain import (
 )
 from betasched.engine import (
     TREE_N_LIMIT,
+    _tree_layers,
     enumerate_offline_optimum,
     expectimax_optimal,
     format_trace,
@@ -54,9 +56,12 @@ from betasched.policies import (
     hybrid_decide,
 )
 from conftest import (
+    CHANNEL,
     LabelClass,
     SCAN_MODIFIED_BETA,
+    drawn_channel,
     fraction_tree_expected_cost,
+    probe_label_1_decide,
     run_record,
     scan_argmax_theta,
     sort_for_policy,
@@ -481,6 +486,11 @@ def tree_channels(alphas, weights, rhos, eps_pairs):
                     yield params, PredictionModel(rho, e0, e1)
 
 
+# a rule for each fixed flag set; probe-01 probes label 1 only
+RULE_OF_FLAGS = {(True, True): "preemptive", (False, False): "nonpreemptive",
+                 (True, False): "hybrid", (False, True): "probe-01"}
+
+
 class TestIntegerTree:
     """The bottom-up integer pass against the recursive Fraction oracle."""
 
@@ -505,17 +515,7 @@ class TestIntegerTree:
                 assert costs[n - 1] == want, (n, params, model)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        n_max=st.integers(1, 10),
-        alpha=st.tuples(st.integers(1, 10), st.integers(2, 11)).filter(
-            lambda t: t[0] < t[1]).map(lambda t: F(*t)),
-        w1=st.fractions(F(1, 10), 10, max_denominator=12).filter(lambda w: w > 0),
-        gap=st.one_of(st.fractions(F(1, 10), 20, max_denominator=12).filter(lambda g: g > 0),
-                      st.just("boundary")),
-        rho=st.fractions(0, 1, max_denominator=20).filter(lambda r: 0 < r < 1),
-        e0=st.one_of(st.sampled_from([0, F(1, 2)]), st.fractions(0, F(1, 2), max_denominator=20)),
-        e1=st.one_of(st.sampled_from([0, F(1, 2)]), st.fractions(0, F(1, 2), max_denominator=20)),
-    )
+    @given(n_max=st.integers(1, 10), **CHANNEL)
     # alpha with an odd denominator on the weight-gap boundary (beta = 1), both
     # labels probed and collapsed posteriors
     @example(n_max=10, alpha=F(3, 7), w1=F(7, 3), gap="boundary", rho=F(1, 10),
@@ -524,10 +524,7 @@ class TestIntegerTree:
     @example(n_max=9, alpha=F(1, 3), w1=F(1, 2), gap=F(19, 2), rho=F(2, 5), e0=0, e1=0)
     def test_random_channels_equal_the_oracle(self, n_max, alpha, w1, gap, rho, e0, e1):
         """Every flag set, every n <= n_max: equal to the recursive Fraction oracle."""
-        # on the boundary w1 = w0*(1 - alpha), so beta = 1
-        w0 = w1 / (1 - alpha) if gap == "boundary" else w1 + gap
-        params = Parameters(alpha, w0, w1)
-        model = PredictionModel(rho, e0, e1)
+        params, model = drawn_channel(alpha, w1, gap, rho, e0, e1)
         for flags in FLAG_SETS:
             costs = tree_expected_costs(n_max, model, params, flags)
             assert costs == [fraction_tree_expected_cost(n, model, params, flags)
@@ -539,9 +536,10 @@ class TestIntegerTree:
         Flags None fill a list row in the min loop. Under fixed flags a row is
         three coefficients with no loop over ell: a probed label's rows take
         the probed branch and a held label's the held branch, so (True, False)
-        and (False, True) run both.
+        and (False, True) run both. The rows live in `_tree_layers`, the one
+        pass that both of its reductions read.
         """
-        lines, first = inspect.getsourcelines(tree_expected_costs)
+        lines, first = inspect.getsourcelines(_tree_layers)
         tree = ast.parse(textwrap.dedent("".join(lines)))
         u0_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
                        and getattr(node.target, "id", None) == "u0")
@@ -556,7 +554,7 @@ class TestIntegerTree:
                 branches["probe"], branches["hold"] = node.body[0], node.orelse[0]
         assert len(branches) == 3
         bodies = {kind: first - 1 + stmt.lineno for kind, stmt in branches.items()}
-        code = tree_expected_costs.__code__
+        code = _tree_layers.__code__
 
         def runs(flags):
             hit = set()
@@ -580,6 +578,20 @@ class TestIntegerTree:
         assert runs((False, False)) == {"hold"}
         assert runs((True, False)) == {"probe", "hold"}
         assert runs((False, True)) == {"probe", "hold"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(**CHANNEL)
+    def test_evaluators_equal_the_last_entry(self, alpha, w1, gap, rho, e0, e1):
+        """Mixed at n alone, each evaluator equals the every-n mixture's last entry."""
+        params, model = drawn_channel(alpha, w1, gap, rho, e0, e1)
+        with patch.dict(POLICIES, {"probe-01": Policy("probe-01", probe_label_1_decide)}):
+            for n in range(1, 13):
+                assert expectimax_optimal(n, model, params) == \
+                    tree_expected_costs(n, model, params, None)[-1]
+                for flags, name in RULE_OF_FLAGS.items():
+                    assert label_flags(get_policy(name), model, params) == flags
+                    assert rule_expected_cost(n, model, params, name) == \
+                        tree_expected_costs(n, model, params, flags)[-1], (n, flags)
 
     def test_public_evaluators_take_the_last_entry(self, base_params, base_model):
         for n in (1, 2, 7):
@@ -626,6 +638,7 @@ class TestTreeMatchesClosedForms:
         costs = tree_expected_costs(TREE_N_LIMIT, model, params, flags)
         assert costs == [expected_unconditional(n, model, params).for_policy(name)
                          for n in range(1, TREE_N_LIMIT + 1)]
+        assert rule_expected_cost(TREE_N_LIMIT, model, params, name) == costs[-1]
 
 
 class TestProbabilisticClassifierMode:

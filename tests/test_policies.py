@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from betasched.domain import Instance, Parameters, PredictionModel, make_job, sample_instance
 from betasched.engine import run
-from betasched.errors import TerminalStateError, UnsupportedInputError
+from betasched.errors import ContractViolationError, TerminalStateError, UnsupportedInputError
 from betasched.policies import (
     EXACT_REVELATION,
+    Action,
     OPEN_NEXT,
     POLICIES,
     InterruptedQueue,
@@ -28,7 +29,14 @@ from betasched.policies import (
     nonpreemptive_decide,
     preemptive_decide,
 )
-from conftest import expected_weight, fraction_beta_threshold_decide, run_record
+from conftest import (
+    CHANNEL,
+    algebra_classify_regime,
+    drawn_channel,
+    expected_weight,
+    fraction_beta_threshold_decide,
+    run_record,
+)
 
 F = Fraction
 
@@ -455,8 +463,6 @@ class TestRegimeFromFlags:
     """classify_regime reads the beta rule's label flags; the algebra must agree."""
 
     def test_flags_agree_with_the_posterior_algebra(self):
-        from conftest import algebra_classify_regime
-
         grid = product(
             (F(1, 10), F(1, 4), F(2, 5), F(1, 2), F(7, 10), F(9, 10)),  # alpha
             (F(3, 2), F(2), F(3), F(20), F(100)),                       # w0
@@ -482,6 +488,42 @@ class TestRegimeFromFlags:
         assert points == 6000
         assert ties == [47, 35]
         assert regimes == set(Regime)
+
+    @given(**CHANNEL)
+    def test_random_channels_agree_with_the_algebra(self, alpha, w1, gap, rho, e0, e1):
+        params, model = drawn_channel(alpha, w1, gap, rho, e0, e1)
+        assert classify_regime(model, params) is algebra_classify_regime(model, params)
+
+
+class TestLabelFlagsProbe:
+    """`label_flags` asks the policy twice through one probe state."""
+
+    def test_views_show_label_0_then_label_1(self, base_params, base_model):
+        seen = []
+
+        def reader(s, params):
+            unopened, interrupted = s.unopened, s.interrupted
+            seen.append((s.n_unopened, s.n_interrupted, len(unopened), len(interrupted),
+                         unopened.head_label(), unopened.head_priority(),
+                         list(unopened.items()), interrupted.first_id(),
+                         list(interrupted.items())))
+            return OPEN_NEXT if unopened.head_label() == 0 else complete_low(1)
+
+        assert label_flags(Policy("reader", reader), base_model, base_params) == (True, False)
+        assert seen == [
+            (1, 1, 1, 1, label, base_model.posterior(label),
+             [(2, base_model.posterior(label), label)], 1, [(1, 0)])
+            for label in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("answer", [complete_low(2), Action("wait")], ids=["other", "kind"])
+    def test_wrong_answer_names_the_policy(self, base_params, base_model, answer):
+        # right for label 0, wrong for label 1, so the second question is checked too
+        def wrong(s, params):
+            return OPEN_NEXT if s.unopened.head_label() == 0 else answer
+
+        with pytest.raises(ContractViolationError, match="policy wrong-on-1 answered"):
+            label_flags(Policy("wrong-on-1", wrong), base_model, base_params)
 
 
 class TestCmuEquivalence:
