@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .analytics import log_loss
 from .domain import HALF, ZERO, format_fraction, load_instance, to_fraction
-from .engine import format_trace, offline_wsrpt, run
+from .engine import format_trace, offline_wsrpt_cost, run
 from .errors import ResourceLimitError, SchedulingError
 from .experiments import (
     ARRIVAL_COLUMNS,
@@ -212,8 +212,7 @@ def cmd_run_one(args) -> int:
         print(f"log_loss,{ll.value:.12g}")
         print(f"log_loss_clamped,{ll.clamped}")
     if args.against_wsrpt:
-        opt = offline_wsrpt(instance, keep_trace=False).total_cost
-        print(f"wsrpt_cost,{format_fraction(opt)}")
+        print(f"wsrpt_cost,{format_fraction(offline_wsrpt_cost(instance))}")
     return 0
 
 

@@ -183,17 +183,15 @@ class RunLayout(NamedTuple):
 
     `den` is the lcm of alpha's and the release times' denominators: alpha is
     `alpha_ticks` ticks of 1/den and every release a whole number of ticks.
-    `true_of` is `Instance.true_of`, the clairvoyant batch order. `pend`
-    holds the queue entries (rank, job_id, label, priority) of the jobs
-    released at 0 in queue order, and `future` the (release_ticks, entry)
-    pairs of the rest, sorted. `rank` is an integer ordinal of the negated
-    priority, so tuple order is queue order. Nothing may change `true_of`; `run()` copies
-    `pend` into the list it inserts arrivals into.
+    `pend` holds the queue entries (rank, job_id, label, priority) of the
+    jobs released at 0 in queue order, and `future` the (release_ticks,
+    entry) pairs of the rest, sorted. `rank` is an integer ordinal of the
+    negated priority, so tuple order is queue order. `run()` copies `pend`
+    into the list it inserts arrivals into.
     """
 
     den: int
     alpha_ticks: int
-    true_of: dict[int, int]
     pend: tuple
     future: tuple
 
@@ -295,7 +293,7 @@ class Instance:
         # entries are in id order, so a stable sort on the rank is queue order
         pend.sort(key=itemgetter(0))
         future.sort()
-        return RunLayout(den, alpha.numerator * (den // alpha.denominator), self.true_of,
+        return RunLayout(den, alpha.numerator * (den // alpha.denominator),
                          tuple(pend), tuple(future))
 
 

@@ -108,7 +108,8 @@ def run(
 
     # the instance builds its layout on first use and keeps it; each run
     # copies only pend, which insort below extends with the arrivals
-    den, alpha_ticks, true_of, pend, future = instance.run_layout
+    den, alpha_ticks, pend, future = instance.run_layout
+    true_of = instance.true_of
     pend = list(pend)           # sorted (rank, job_id, label, priority)
     tail = den - alpha_ticks
 
@@ -328,7 +329,7 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
 
 
 def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[int, int]:
-    """Completion-tick sums (urgent, non-urgent) of `offline_wsrpt`'s schedule.
+    """Completion-tick sums (urgent, non-urgent) of the clairvoyant WSRPT schedule.
 
     `releases` are the jobs' release ticks in nondecreasing order, `types`
     their true types, `w0` > `w1` the weights on one integer grid and a unit
@@ -402,15 +403,31 @@ def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[in
 # Offline (clairvoyant) schedules
 # ---------------------------------------------------------------------------
 
+def offline_wsrpt_cost(instance: Instance) -> Fraction:
+    """Exact cost of the optimal preemptive schedule with known types and release dates.
+
+    WSRPT (largest weight over remaining work first), priced by
+    `wsrpt_release_ticks` on the lcm of the release denominators.
+    """
+    jobs = sorted(instance.jobs, key=lambda job: job.release_time)
+    den = lcm(*(job.release_time.denominator for job in jobs))
+    wden, w0, w1 = weight_grid(instance.params)
+    s0, s1 = wsrpt_release_ticks(
+        [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
+        [job.true_type for job in jobs], w0, w1, den)
+    return Fraction(w0 * s0 + w1 * s1, wden * den)
+
+
 def offline_wspt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     """Optimal batch schedule with known types: urgent first, back to back.
 
     Only valid when every release time is 0; job j in the sorted order
     completes exactly at time j. The order is the instance's `true_of`,
-    which its `run_layout` shares, so no run layout is built here.
+    which `run()` also reads, so no run layout is built here.
     """
     if any(job.release_time for job in instance.jobs):
-        raise UnsupportedInputError("offline_wspt needs all release times 0; use offline_wsrpt")
+        raise UnsupportedInputError(
+            "offline_wspt needs all release times 0; use offline_wsrpt_cost")
     true_of = instance.true_of  # urgent first, ids ascending within a type
     n = len(true_of)
     comp = dict(zip(true_of, range(1, n + 1)))
@@ -425,86 +442,6 @@ def offline_wspt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     params = instance.params
     total = params.w0 * s0 + params.w1 * s1
     return RunOutcome(comp, 1, total, tuple(trace) if trace is not None else None, 0)
-
-
-def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
-    """Optimal preemptive schedule with known types and release dates.
-
-    At every release and completion, processes the available job with the
-    largest weight-to-remaining-work ratio; ties go to smaller remaining work,
-    then smaller id. With unit jobs and two weight classes, preemption is only
-    ever triggered by an arrival. All arithmetic is integer on the tick grid.
-    """
-    params = instance.params
-    den = lcm(*(job.release_time.denominator for job in instance.jobs))
-    wden, *w_int = weight_grid(params)  # w_int[true type]: weights on one integer grid
-
-    jobs = instance.jobs
-    releases = sorted(
-        (job.release_time.numerator * (den // job.release_time.denominator), job.id)
-        for job in jobs
-    )
-    true_of = {j.id: j.true_type for j in jobs}
-    remaining: dict[int, int] = {j.id: den for j in jobs}  # den ticks = 1 unit
-
-    t = 0
-    ri = 0
-    available: list[int] = []
-    comp_ticks: dict[int, int] = {}
-    cost_scaled = 0  # sum of w_int * completion ticks
-    trace: Optional[list[TraceEvent]] = [] if keep_trace else None
-    started: set[int] = set()
-    current: Optional[int] = None
-    preemptions = 0
-    n = len(jobs)
-
-    while len(comp_ticks) < n:
-        while ri < n and releases[ri][0] <= t:
-            available.append(releases[ri][1])
-            ri += 1
-        if not available:
-            t = releases[ri][0]
-            continue
-
-        best = available[0]
-        bw, bx = w_int[true_of[best]], remaining[best]
-        for jid in available[1:]:
-            jw, jx = w_int[true_of[jid]], remaining[jid]
-            lhs = jw * bx
-            rhs = bw * jx
-            if lhs > rhs or (lhs == rhs and (jx, jid) < (bx, best)):
-                best, bw, bx = jid, jw, jx
-
-        if current is not None and current != best and remaining[current] > 0:
-            if remaining[current] < den:
-                preemptions += 1
-                if trace is not None:
-                    trace.append(TraceEvent(Fraction(t, den), "preempt", current, true_of[current]))
-        if best not in started:
-            started.add(best)
-            if trace is not None:
-                trace.append(TraceEvent(Fraction(t, den), "open", best, true_of[best]))
-        current = best
-
-        finish = t + bx
-        next_release = releases[ri][0] if ri < n else None
-        if next_release is None or finish <= next_release:
-            t = finish
-            remaining[best] = 0
-            comp_ticks[best] = t
-            cost_scaled += bw * t
-            if trace is not None:
-                trace.append(TraceEvent(Fraction(t, den), "complete", best, true_of[best]))
-            available.remove(best)
-            current = None
-        else:
-            remaining[best] = bx - (next_release - t)
-            t = next_release
-
-    total = Fraction(cost_scaled, wden * den)
-    return RunOutcome(
-        comp_ticks, den, total, tuple(trace) if trace is not None else None, preemptions
-    )
 
 
 def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
@@ -561,10 +498,9 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 
 # Largest n the tree evaluators accept. On integers of O(n) digits, the
 # expectimax pass visits about n**3/6 states and a rule's pass about n**2/2
-# rows; at this bound `expectimax_optimal` took 0.4-0.8 s and
-# `rule_expected_cost` 25-60 ms, in 19-23 MiB peak RSS, on `verify`
-# default-grid channels (2 vCPUs, CPython 3.11.7). Both mix the labels once,
-# at the n they return; only `tree_expected_costs` mixes them at every n.
+# rows, so the bound caps the time and memory of one call (the README's
+# oracle bullet gives them at this n). Both mix the labels once, at the n
+# they return; only `tree_expected_costs` mixes them at every n.
 TREE_N_LIMIT = 200
 
 

@@ -36,7 +36,7 @@ from .engine import (
     enumerate_offline_optimum,
     label_release_ticks,
     label_schedule_ticks,
-    offline_wsrpt,
+    offline_wsrpt_cost,
     run,
     tree_expected_costs,
     weight_grid,
@@ -507,26 +507,11 @@ def random_release_instance(rng: random.Random, params: Parameters,
     return Instance(jobs, params, model)
 
 
-def wsrpt_kernel_cost(instance: Instance) -> Fraction:
-    """`offline_wsrpt`'s exact cost through `wsrpt_release_ticks`.
-
-    The jobs go in release order over the lcm of the release denominators,
-    the weights on the lcm of theirs.
-    """
-    jobs = sorted(instance.jobs, key=lambda job: job.release_time)
-    den = math.lcm(*(job.release_time.denominator for job in jobs))
-    wden, w0, w1 = weight_grid(instance.params)
-    s0, s1 = wsrpt_release_ticks(
-        [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
-        [job.true_type for job in jobs], w0, w1, den)
-    return Fraction(w0 * s0 + w1 * s1, wden * den)
-
-
 def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[str]:
-    """Clairvoyant preemptive schedules vs exhaustive grid search, exact.
+    """The clairvoyant preemptive schedule's cost vs exhaustive grid search, exact.
 
-    Both `offline_wsrpt` and the kernel the arrival sweeps use
-    (`wsrpt_kernel_cost`) must equal the enumerated optimum.
+    `offline_wsrpt_cost`, which prices through `wsrpt_release_ticks` as the
+    arrival sweeps do, must equal the enumerated optimum.
     """
     rng = random.Random(f"wsrpt:{seed}")
     weight_choices = [(2, 1), (3, 2), (20, 1), (100, 7)]
@@ -536,12 +521,10 @@ def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[s
         params = Parameters(Fraction(2, 5), w0, w1)
         inst = random_release_instance(rng, params, n_max)
         want = enumerate_offline_optimum(inst, limit=n_max)
-        for name, got in (("wsrpt", offline_wsrpt(inst, keep_trace=False).total_cost),
-                          ("wsrpt kernel", wsrpt_kernel_cost(inst))):
-            if got != want:
-                failures.append(
-                    f"{name} {got} != enumerated optimum {want} on:\n{dump_instance(inst)}"
-                )
+        got = offline_wsrpt_cost(inst)
+        if got != want:
+            failures.append(f"wsrpt {got} != enumerated optimum {want} on:\n"
+                            f"{dump_instance(inst)}")
     return failures
 
 

@@ -4,9 +4,9 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, compress, product
-from math import comb
+from math import comb, lcm
 from operator import not_
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import strategies as st
@@ -18,7 +18,7 @@ from betasched.analytics import (
     expected_conditional,
 )
 from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
-from betasched.engine import offline_wspt, offline_wsrpt, run
+from betasched.engine import RunOutcome, TraceEvent, offline_wspt, run, weight_grid
 from betasched.errors import TerminalStateError, UnsupportedInputError
 from betasched.experiments import _rep_rng
 from betasched.policies import (
@@ -207,6 +207,86 @@ def draw_releases(rng, n, mean):
         t += rng.expovariate(lam)
         times.append(Fraction(t))
     return times
+
+
+def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
+    """Optimal preemptive schedule with known types and release dates.
+
+    At every release and completion, processes the available job with the
+    largest weight-to-remaining-work ratio; ties go to smaller remaining work,
+    then smaller id. With unit jobs and two weight classes, preemption is only
+    ever triggered by an arrival. All arithmetic is integer on the tick grid.
+    """
+    params = instance.params
+    den = lcm(*(job.release_time.denominator for job in instance.jobs))
+    wden, *w_int = weight_grid(params)  # w_int[true type]: weights on one integer grid
+
+    jobs = instance.jobs
+    releases = sorted(
+        (job.release_time.numerator * (den // job.release_time.denominator), job.id)
+        for job in jobs
+    )
+    true_of = {j.id: j.true_type for j in jobs}
+    remaining: dict[int, int] = {j.id: den for j in jobs}  # den ticks = 1 unit
+
+    t = 0
+    ri = 0
+    available: list[int] = []
+    comp_ticks: dict[int, int] = {}
+    cost_scaled = 0  # sum of w_int * completion ticks
+    trace: Optional[list[TraceEvent]] = [] if keep_trace else None
+    started: set[int] = set()
+    current: Optional[int] = None
+    preemptions = 0
+    n = len(jobs)
+
+    while len(comp_ticks) < n:
+        while ri < n and releases[ri][0] <= t:
+            available.append(releases[ri][1])
+            ri += 1
+        if not available:
+            t = releases[ri][0]
+            continue
+
+        best = available[0]
+        bw, bx = w_int[true_of[best]], remaining[best]
+        for jid in available[1:]:
+            jw, jx = w_int[true_of[jid]], remaining[jid]
+            lhs = jw * bx
+            rhs = bw * jx
+            if lhs > rhs or (lhs == rhs and (jx, jid) < (bx, best)):
+                best, bw, bx = jid, jw, jx
+
+        if current is not None and current != best and remaining[current] > 0:
+            if remaining[current] < den:
+                preemptions += 1
+                if trace is not None:
+                    trace.append(TraceEvent(Fraction(t, den), "preempt", current, true_of[current]))
+        if best not in started:
+            started.add(best)
+            if trace is not None:
+                trace.append(TraceEvent(Fraction(t, den), "open", best, true_of[best]))
+        current = best
+
+        finish = t + bx
+        next_release = releases[ri][0] if ri < n else None
+        if next_release is None or finish <= next_release:
+            t = finish
+            remaining[best] = 0
+            comp_ticks[best] = t
+            cost_scaled += bw * t
+            if trace is not None:
+                trace.append(TraceEvent(Fraction(t, den), "complete", best, true_of[best]))
+            available.remove(best)
+            current = None
+        else:
+            remaining[best] = bx - (next_release - t)
+            t = next_release
+
+    total = Fraction(cost_scaled, wden * den)
+    return RunOutcome(
+        comp_ticks, den, total, tuple(trace) if trace is not None else None, preemptions
+    )
 
 
 def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):

@@ -25,7 +25,7 @@ from betasched.domain import (
     sample_instance,
     to_fraction,
 )
-from betasched.engine import offline_wspt, offline_wsrpt, run
+from betasched.engine import offline_wspt, offline_wsrpt_cost, run
 from betasched.experiments import (
     ExperimentConfig,
     run_arrivals,
@@ -216,7 +216,7 @@ class TestAcceptance:
                 model = PredictionModel(F(1, 2), 0, 0)
                 inst = Instance(jobs, params, model)
                 cost = run(inst, get_policy("beta"), keep_trace=False).total_cost
-                opt = offline_wsrpt(inst, keep_trace=False).total_cost
+                opt = offline_wsrpt_cost(inst)
                 sandwich_ok &= cost >= opt  # clairvoyant schedule is a true lower bound
                 worst = max(worst, float(cost / opt))
             ok = worst <= bound + 1e-9 and sandwich_ok

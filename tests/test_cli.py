@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from betasched import cli, experiments
+from betasched import cli, engine, experiments
 from betasched.analytics import expected_unconditional
 from betasched.cli import main
 from betasched.domain import dump_instance, sample_instance
@@ -390,6 +390,25 @@ class TestVerifySuites:
 
     def test_wsrpt_suite_clean(self):
         assert verify_wsrpt(instances=120, seed=3) == []
+
+    def test_wsrpt_suite_catches_a_kernel_one_tick_off(self, monkeypatch, capsys):
+        kernel = engine.wsrpt_release_ticks
+
+        def late(*args):  # one more tick on the urgent sum: every cost moves
+            s0, s1 = kernel(*args)
+            return s0 + 1, s1
+
+        # the arrival sweeps and offline_wsrpt_cost share this kernel
+        monkeypatch.setattr(engine, "wsrpt_release_ticks", late)
+        failures = verify_wsrpt(instances=30, seed=3)
+        assert len(failures) == 30
+        assert all(f.startswith("wsrpt ") for f in failures)
+        rc = main(["verify", "--n-max", "1", "--instances", "30", "--samples", "5"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert out[0] == "PASS optimality"
+        assert out[1] == "FAIL wsrpt: 30 failing case(s)"
+        assert out[-1] == "PASS regimes"
 
     def test_regimes_suite_clean(self):
         assert verify_regimes(samples=60, seed=3) == []

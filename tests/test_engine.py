@@ -30,7 +30,7 @@ from betasched.engine import (
     label_release_ticks,
     label_schedule_ticks,
     offline_wspt,
-    offline_wsrpt,
+    offline_wsrpt_cost,
     rule_expected_cost,
     run,
     tree_expected_costs,
@@ -42,7 +42,6 @@ from betasched.errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from betasched.experiments import wsrpt_kernel_cost
 from betasched.policies import (
     EXACT_REVELATION,
     MAX_BETA_SHAPE,
@@ -61,6 +60,7 @@ from conftest import (
     SCAN_MODIFIED_BETA,
     drawn_channel,
     fraction_tree_expected_cost,
+    offline_wsrpt,
     probe_label_1_decide,
     run_record,
     scan_argmax_theta,
@@ -255,14 +255,12 @@ class TestOfflineWspt:
                 assert "run_layout" not in vars(inst)
                 assert (fresh.completion_ticks, fresh.total_cost, fresh.trace) == \
                     self.sorted_order_outcome(inst)
-                # the layout reuses the order offline_wspt built
-                assert inst.run_layout.true_of is inst.true_of
                 again = offline_wspt(inst)
                 assert list(again.completion_ticks) == list(fresh.completion_ticks)
                 assert (again.total_cost, again.trace) == (fresh.total_cost, fresh.trace)
 
     def test_refuses_release_dates_before_and_after_a_run(self, base_params, base_model):
-        message = "offline_wspt needs all release times 0; use offline_wsrpt"
+        message = "offline_wspt needs all release times 0; use offline_wsrpt_cost"
         jobs = [Job(1, 1, 1), Job(2, 0, 0, release_time=F(3, 7))]
         for inst in (Instance(jobs, base_params, base_model),
                      Instance([make_job(j.id, j.true_type, p_hat=F(1, 3), release_time=j.release_time)
@@ -277,6 +275,8 @@ class TestOfflineWspt:
 
 
 class TestOfflineWsrpt:
+    """The event-loop reference in conftest; pinned costs hold the kernel too."""
+
     def test_batch_reduces_to_wspt(self, base_params, base_model):
         for seed in range(25):
             inst = sample_instance(random.Random(seed).randint(1, 12), base_model,
@@ -290,16 +290,19 @@ class TestOfflineWsrpt:
         assert out.completion_times[2] == F(3, 2)
         assert out.completion_times[1] == 2
         assert out.total_cost == 32
+        assert offline_wsrpt_cost(inst) == 32
         assert out.preemption_count == 1
         assert enumerate_offline_optimum(inst) == 32
 
     def test_late_arrival_inside_no_preempt_window(self, base_params, base_model):
         # remaining work 1/20 at the arrival 0.96 beats switching: 1/0.04 > 20
         jobs = [Job(1, 1, 1), Job(2, 0, 0, release_time=F(96, 100))]
-        out = offline_wsrpt(Instance(jobs, base_params, base_model))
+        inst = Instance(jobs, base_params, base_model)
+        out = offline_wsrpt(inst)
         assert out.completion_times[1] == 1
         assert out.completion_times[2] == 2
         assert out.total_cost == 41
+        assert offline_wsrpt_cost(inst) == 41
         assert out.preemption_count == 0
 
     def test_matches_enumeration_on_random_instances(self, base_params):
@@ -1365,7 +1368,7 @@ class TestReleaseKernels:
             params = Parameters(F(2, 5), w0, w1)
             for _ in range(60):
                 inst = random_arrival_instance(rng, params, base_model, rng.randint(1, 30))
-                assert wsrpt_kernel_cost(inst) == offline_wsrpt(inst, keep_trace=False).total_cost
+                assert offline_wsrpt_cost(inst) == offline_wsrpt(inst, keep_trace=False).total_cost
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1384,7 +1387,7 @@ class TestReleaseKernels:
         inst = Instance([Job(i, tt, tt, release_time=F(k, 8))
                          for i, (tt, k) in enumerate(jobs, start=1)],
                         params, PredictionModel(F(1, 2), 0, 0))
-        cost = wsrpt_kernel_cost(inst)
+        cost = offline_wsrpt_cost(inst)
         assert cost == offline_wsrpt(inst, keep_trace=False).total_cost
         assert cost == enumerate_offline_optimum(inst, limit=5)
 

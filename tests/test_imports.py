@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import betasched
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "betasched"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -19,6 +21,11 @@ def private_sibling_imports(path):
         for alias in node.names:
             if alias.name.startswith("_"):
                 yield f"{path.name}:{node.lineno}: {alias.name}"
+
+
+def test_every_exported_name_resolves():
+    # a stale entry would break `from betasched import *`
+    assert [name for name in betasched.__all__ if not hasattr(betasched, name)] == []
 
 
 def test_every_module_is_checked():
