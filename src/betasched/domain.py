@@ -29,16 +29,29 @@ HALF = Fraction(1, 2)
 
 
 def to_fraction(value: RationalLike) -> Fraction:
-    """Coerce a number to an exact Fraction (floats go through str repr)."""
+    """Coerce a number to an exact Fraction (floats go through str repr).
+
+    A zero denominator is a ValueError; ASCII `d`, `d/d`, `d.d` skip `Fraction`'s regex.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
+        value = str(value)
+    elif not isinstance(value, str):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    head, sep, tail = value.partition("/" if "/" in value else ".")
+    if head.isascii() and head.isdigit() and (not sep or tail.isascii() and tail.isdigit()):
+        num, den = int(head), int(tail) if sep == "/" else 10 ** len(tail)
+        if sep == ".":
+            num = num * den + int(tail)
+        if den:
+            return Fraction(num, den)
+    try:
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def unit_ratio(name: str, value: Fraction) -> tuple[int, int]:
@@ -129,13 +142,14 @@ class PredictionModel:
         # over q0*q1*rd: urgent and labelled 0, non-urgent and labelled 0, urgent and labelled 1
         u0, v0, u1 = (q0 - p0) * rn * q1, p1 * (rd - rn) * q0, p0 * rn * q1
         den = q0 * q1 * rd
-        object.__setattr__(self, "_label0_rate", Fraction(u0 + v0, den))
+        object.__setattr__(self, "_label0_rate", (u0 + v0, den))
         object.__setattr__(self, "_posteriors",
                            (Fraction(u0, u0 + v0), Fraction(u1, den - u0 - v0)))
 
     def label_probability(self, label: int) -> Fraction:
         """Marginal probability that a job receives the given label."""
-        return self._label0_rate if label == 0 else ONE - self._label0_rate
+        num, den = self._label0_rate
+        return Fraction(num if label == 0 else den - num, den)
 
     def posterior(self, label: int) -> Fraction:
         """P(true type is 0 | predicted label), by Bayes' rule, exact."""
@@ -336,22 +350,15 @@ def sample_instance(
 # ---------------------------------------------------------------------------
 
 def dump_instance(instance: Instance) -> str:
-    lines = [
-        f"# alpha={format_fraction(instance.params.alpha)}",
-        f"# w0={format_fraction(instance.params.w0)}",
-        f"# w1={format_fraction(instance.params.w1)}",
-        f"# mode={instance.mode}",
-    ]
-    if instance.model is not None:
-        lines.append(f"# rho={format_fraction(instance.model.rho)}")
-        lines.append(f"# eps0={format_fraction(instance.model.eps0)}")
-        lines.append(f"# eps1={format_fraction(instance.model.eps1)}")
+    p, m = instance.params, instance.model
+    lines = [f"# {key}={format_fraction(getattr(p, key))}" for key in ("alpha", "w0", "w1")]
+    lines.append(f"# mode={instance.mode}")
+    if m is not None:
+        lines += [f"# {key}={format_fraction(getattr(m, key))}" for key in ("rho", "eps0", "eps1")]
     lines.append("# columns=id,true_type,prediction,release_time")
     for job in instance.jobs:
         pred = str(job.label) if job.label is not None else format_fraction(job.p_hat)
-        lines.append(
-            f"{job.id},{job.true_type},{pred},{format_fraction(job.release_time)}"
-        )
+        lines.append(f"{job.id},{job.true_type},{pred},{format_fraction(job.release_time)}")
     return "\n".join(lines) + "\n"
 
 

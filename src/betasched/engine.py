@@ -496,11 +496,9 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 # Exact expected cost on the decision tree (batch, binary labels)
 # ---------------------------------------------------------------------------
 
-# Largest n the tree evaluators accept. On integers of O(n) digits, the
+# Largest n the tree evaluators accept: on integers of O(n) digits, the
 # expectimax pass visits about n**3/6 states and a rule's pass about n**2/2
-# rows, so the bound caps the time and memory of one call (the README's
-# oracle bullet gives them at this n). Both mix the labels once, at the n
-# they return; only `tree_expected_costs` mixes them at every n.
+# rows (the README's oracle bullet gives the time and memory at this n).
 TREE_N_LIMIT = 200
 
 
@@ -508,32 +506,23 @@ def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
                  flags: Optional[tuple[bool, bool]]):
     """Yield (rows, den) for each layer k = 1..n_max of the decision tree.
 
-    `rows[u0][0] / den` is the exact expected cost-to-go of the state with
-    u0 label-0 and k - u0 label-1 jobs unopened and none set aside, so the
-    cost for n = k is the Binomial(k, label 0 rate) mixture of those.
-    States collapse job identities to (u0, u1, ell): unopened jobs per label
-    and set-aside jobs. Posteriors depend only on labels, and jobs are
-    exchangeable within a label class. Opening the head (label 0 first) is a
+    `rows[u0][0] / den` is the exact expected cost-to-go of the state with u0
+    label-0 and k - u0 label-1 jobs unopened and none set aside; the cost for
+    n = k is their Binomial(k, label 0 rate) mixture. A state is (u0, u1,
+    ell), ell the set-aside jobs. Opening the head (label 0 first) is a
     chance node on its label's posterior: an urgent job completes a unit
     later, a non-urgent one is set aside at its alpha point. Completing the
     first set-aside job takes 1 - alpha. A decision node opens iff `flags`
     (see `label_flags`) probes the head's label, or takes the cheaper action
-    when `flags` is None. Values are cost-to-go from the decision instant
-    (the evolution is translation invariant in time), so they do not depend
-    on n, and one pass prices every n <= n_max from layer n at ell = 0.
+    when `flags` is None. Values are cost-to-go, so one pass prices every n.
 
-    The pass is bottom-up: layers k = u0 + u1 ascending, ell ascending within
-    a layer, keeping only the previous layer (an open moves down a layer, a
-    completion to ell - 1). With posteriors a_l/D, alpha = A/Da and weights
-    W/Dw on `weight_grid`, a state of layer k holds its value times
-    den = Da * D**(k+1) * Dw, an integer, so open, complete and min are
-    integer operations. Within a row (k, u0) the backlog grows by one
-    set-aside job per ell, so the open value's own cost is affine in ell and
-    the complete value's step cost linear. With flags None a row is a list:
-    both costs advance by one add per state, which keeps the smaller action.
-    Under fixed flags a row is a quadratic in ell (by induction from layer 0),
-    kept as (P, Q, R) with value P + Q*ell + R*ell*(ell + 1)/2, so the pass
-    costs O(n_max**2) integer operations. Refuses n_max below 1, and past
+    Layers go bottom-up, layer k times den = Da * D**(k+1) * Dw (posteriors
+    a_l/D, alpha = A/Da, weights on `weight_grid`), so every step is on
+    integers. Each label's terms are built once per layer, and a row's own
+    costs advance by one add per row and per ell. With flags None a row is a
+    list over ell, filled by a min loop; under fixed flags it is the quadratic
+    P + Q*ell + R*ell*(ell + 1)/2, kept as (P, Q, R), so the pass costs
+    O(n_max**2) integer operations. Refuses n_max below 1, and past
     `TREE_N_LIMIT` with ResourceLimitError, before the first layer.
     """
     if n_max < 1:
@@ -548,7 +537,7 @@ def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
     dw, w0, w1 = weight_grid(params)
     # backlog weight times d*dw of an unopened label-l job, and of a set-aside one
     c = [w1 * d + (w0 - w1) * al for al in a]
-    cw = w1 * d
+    cw, w0d, dc = w1 * d, w0 * d, c[0] - c[1]
 
     # layer 0: set-aside jobs only, completed one after another
     r0 = (da - big_a) * cw
@@ -557,39 +546,43 @@ def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
     for k in range(1, n_max + 1):
         dk = d ** (k - 1)
         k_open, k_reveal, k_done = da * dk, big_a * dk, (da - big_a) * dk * d
-        kc = k_done * cw
+        kc, kb_row = k_done * cw, k_done * dc  # kb_row: per row, as u0 grows
         cur = []
-        for u0 in range(k + 1):
-            lab = 0 if u0 else 1
+        # the label-1 row (u0 = 0), then the label-0 rows u0 = 1..k on children
+        # u0 - 1; bi: backlog weight of a label's first row at ell = 0, times d*dw
+        b1 = k * c[1]
+        for lab, bi, children in ((1, b1, prev[:1]), (0, b1 + dc, prev)):
             al, bl = a[lab], d - a[lab]
-            child = prev[u0 - 1] if u0 else prev[0]
-            bi = u0 * c[0] + (k - u0) * c[1]  # backlog weight at ell = 0, times d*dw
-            bc = bi - c[lab]
+            urgent, aside = al * k_open, bl * k_reveal
             # open: urgent with chance al/d, done a unit later; else set aside
             # at its alpha point, joining the backlog. Affine in ell but for
             # the children: lin + al*child[ell] + bl*child[ell + 1].
-            lin = al * k_open * (w0 * d + bc) + bl * k_reveal * (bc + cw)
-            step = (al * k_open + bl * k_reveal) * cw
+            lin = (urgent + aside) * (bi - c[lab]) + urgent * w0d + aside * cw
+            step, lin_row = (urgent + aside) * cw, (urgent + aside) * dc
             kb = k_done * bi  # complete: kb + row[ell - 1], with kb advanced to ell
-            if flags is None:
-                # ell = 0 has no set-aside job, so it opens
-                x = lin + al * child[0] + bl * child[1]
-                row = [x]
-                for ell in range(1, n_max - k + 1):
-                    lin += step
-                    kb += kc
-                    o = lin + al * child[ell] + bl * child[ell + 1]
-                    done = kb + x
-                    x = o if o <= done else done
-                    row.append(x)
-            else:
-                cp, cq, cr = child  # ell = 0 opens under every flag
-                x = lin + d * cp + bl * (cq + cr)
-                if flags[lab]:  # open: lin and the children, summed per power of ell
-                    row = (x, step + d * cq + bl * cr, d * cr)
-                else:  # complete: kb + row[ell - 1] summed from ell = 0
-                    row = (x, kb, kc)
-            cur.append(row)
+            for child in children:
+                if flags is None:
+                    # ell = 0 has no set-aside job, so it opens
+                    x = lin + al * child[0] + bl * child[1]
+                    row = [x]
+                    lo, ko = lin, kb  # this row's own costs, advanced per ell
+                    for ell in range(1, n_max - k + 1):
+                        lo += step
+                        ko += kc
+                        o = lo + al * child[ell] + bl * child[ell + 1]
+                        done = ko + x
+                        x = o if o <= done else done
+                        row.append(x)
+                else:
+                    cp, cq, cr = child  # ell = 0 opens under every flag
+                    x = lin + d * cp + bl * (cq + cr)
+                    if flags[lab]:  # open: lin and the children, summed per power of ell
+                        row = (x, step + d * cq + bl * cr, d * cr)
+                    else:  # complete: kb + row[ell - 1] summed from ell = 0
+                        row = (x, kb, kc)
+                cur.append(row)
+                lin += lin_row
+                kb += kb_row
         prev = cur
         yield cur, k_open * d * d * dw
 
@@ -643,10 +636,9 @@ def _tree_expected_cost(n: int, model: PredictionModel, params: Parameters,
 def expectimax_optimal(n: int, model: PredictionModel, params: Parameters) -> Fraction:
     """Exact expected cost of the best non-anticipating policy (batch, labels).
 
-    Full expectimax over the collapsed decision tree, on integers and
-    bottom-up (see `_tree_layers`); it equals `tree_expected_costs(n, model,
-    params, None)[-1]` but mixes the labels at n only. Refuses n past
-    `TREE_N_LIMIT` with ResourceLimitError.
+    Full expectimax over the collapsed tree of `_tree_layers`: equal to
+    `tree_expected_costs(n, model, params, None)[-1]`, but with the labels
+    mixed at n only. Refuses n past `TREE_N_LIMIT` with ResourceLimitError.
     """
     return _tree_expected_cost(n, model, params, None)
 
@@ -655,9 +647,8 @@ def rule_expected_cost(n: int, model: PredictionModel, params: Parameters,
                        rule: str = "beta") -> Fraction:
     """Exact expected cost of the policy named `rule` on the same tree.
 
-    Its `label_flags` decide. Equals `tree_expected_costs(n, model, params,
-    flags)[-1]`, with the labels mixed at n only. Refuses n past
-    `TREE_N_LIMIT` with ResourceLimitError.
+    Its `label_flags` decide: equal to `tree_expected_costs(n, model, params,
+    flags)[-1]`, mixed at n only. Refuses n past `TREE_N_LIMIT` likewise.
     """
     flags = label_flags(get_policy(rule), model, params)
     return _tree_expected_cost(n, model, params, flags)

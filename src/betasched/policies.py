@@ -33,7 +33,8 @@ OPEN_NEXT = Action("open")
 
 
 def complete_low(job_id: int) -> Action:
-    return Action("complete", job_id)
+    # tuple.__new__ skips the namedtuple's Python-level __new__
+    return tuple.__new__(Action, ("complete", job_id))
 
 
 class UnopenedQueue:

@@ -473,6 +473,7 @@ class TestCliCommands:
         ("1e-320", "mean interarrival is too small: its rate 1/mean overflows a float"),
         ("5e-309", "mean interarrival is too small: its rate 1/mean overflows a float"),
         ("1e308", "release times overflow a float at this mean interarrival"),
+        ("1/0", "zero denominator in '1/0'"),
     ])
     def test_extreme_interarrival_fails_cleanly(self, capsys, mean, message):
         rc = main(["arrivals", "--n", "20", "--reps", "2", "--eps-grid", "0",
@@ -575,6 +576,8 @@ class TestCliCommands:
          "error rates must lie in [0, 1/2], got 11/20 in grid '0:0.6:0.05'"),
         (["--eps-grid", "0:0.5"], "grid '0:0.5' must be a,b,c or start:stop:step"),
         (["--eps-grid", "0:0.5:0.1:0.1"], "grid '0:0.5:0.1:0.1' must be a,b,c or start:stop:step"),
+        (["--eps-grid", "1/0"], "zero denominator in '1/0'"),
+        (["--eps-grid", "0:1/0:0.1"], "zero denominator in '1/0'"),
     ])
     def test_bad_error_grid_fails(self, capsys, grid, message):
         rc = main(["sweep", "--n", "3", "--reps", "5"] + grid)
@@ -599,6 +602,13 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err == f"error: grid '{grid}' has more than {cli.GRID_POINT_LIMIT} points\n"
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1/0"), ("--w0", "3/0"), ("--rho", "0/0")])
+    def test_zero_denominator_flag_fails_cleanly(self, capsys, flag, value):
+        rc = main(["sweep", "--reps", "2", "--eps-grid", "0.1", flag, value])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: zero denominator in '{value}'\n"
 
     def test_grid_point_limit_is_exact(self):
         limit = cli.GRID_POINT_LIMIT
@@ -719,6 +729,20 @@ class TestCliCommands:
         rc = main(["run-one", "/nonexistent/file"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, row, text", [
+        ("alpha=2/5", "1,0,1/0,0", "1/0"),  # p_hat
+        ("alpha=2/5", "1,0,1/2,3/0", "3/0"),  # release time
+        ("alpha=1/0", "1,0,1/2,0", "1/0"),
+    ])
+    def test_zero_denominator_in_instance_fails_cleanly(self, tmp_path, capsys, header, row, text):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"# {header}\n# w0=20\n# w1=1\n# mode=probabilistic\n"
+                        f"# columns=id,true_type,prediction,release_time\n{row}\n")
+        rc = main(["run-one", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: zero denominator in '{text}'\n"
 
 
 class TestConfigValidation:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -58,6 +59,36 @@ class TestToFraction:
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
             to_fraction(object())
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0", "-1/00"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match=f"^zero denominator in {re.escape(repr(text))}$"):
+            to_fraction(text)
+
+    @given(st.text(alphabet="0123456789/.-+_e \n٣²", max_size=12))
+    @example("01/10")
+    @example("2/4")
+    @example(" 1/2")
+    @example("1/0")
+    @example("١/٢")
+    @example("7" * 5000)  # past int's default digit limit
+    @example("1/" + "7" * 5000)
+    @example("1." + "7" * 5000)
+    def test_strings_read_like_fraction(self, text):
+        """Equal to `Fraction(text)`, or the same error, bar a zero denominator."""
+        try:
+            want = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="^zero denominator in "):
+                to_fraction(text)
+            return
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                to_fraction(text)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            return
+        got = to_fraction(text)
+        assert type(got) is Fraction and got == want
 
 
 class TestParameters:

@@ -544,10 +544,10 @@ class TestIntegerTree:
         """
         lines, first = inspect.getsourcelines(_tree_layers)
         tree = ast.parse(textwrap.dedent("".join(lines)))
-        u0_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
-                       and getattr(node.target, "id", None) == "u0")
+        row_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
+                        and getattr(node.target, "id", None) == "child")
         branches = {}  # the first statement of each row branch, by kind
-        for node in ast.walk(u0_loop):
+        for node in ast.walk(row_loop):
             if isinstance(node, ast.If) and ast.unparse(node.test) == "flags is None":
                 (min_loop,) = [stmt for stmt in node.body if isinstance(stmt, ast.For)]
                 branches["min"] = min_loop.body[0]

@@ -359,6 +359,14 @@ class TestInterruptedQueueArgmax:
         assert action.kind == "complete" and action.job_id == 7
 
 
+class TestAction:
+    def test_complete_low_is_an_action(self):
+        action = complete_low(7)
+        assert action == Action("complete", 7)
+        assert type(action) is Action
+        assert (action.kind, action.job_id) == ("complete", 7)
+
+
 class TestInterruptedQueueOps:
     """`add` and `remove` against a plain FIFO list, read back after every operation."""
 
