@@ -22,27 +22,12 @@ from .domain import (
     to_fraction,
     unit_ratio,
 )
-from .engine import weight_grid
 from .policies import POLICIES, REGIME_OF_FLAGS, Regime, classify_regime, label_flags
 
 
 # ---------------------------------------------------------------------------
 # Exact expected cost, given the urgent count or averaged over it
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConditionalExpectation:
-    """Expected total weighted completion time given the urgent count n0."""
-
-    opt: Fraction
-    nonpreemptive: Fraction
-    preemptive: Fraction
-    hybrid: Fraction
-    n: int
-    n0: int
-    model: PredictionModel
-    params: Parameters
-
 
 def _expected_costs(n: int, s0: int, s1: int, s2: int, sd: int,
                     model: PredictionModel, params: Parameters):
@@ -57,16 +42,15 @@ def _expected_costs(n: int, s0: int, s1: int, s2: int, sd: int,
     and on every non-urgent pair; the hybrid switch pays probe costs inside
     the predicted-urgent prefix and full inversions outside it.
 
-    With alpha = a/da, eps0 = p0/q0, eps1 = p1/q1 and the weights W/wd on
-    `weight_grid`, the inverted pairs are (p0*q1 + p1*q0)*s1/(q0*q1*sd), those
-    inside the prefix p1*(q0-p0)*s1/(q0*q1*sd), and the non-urgent pairs
-    inside it p1**2*s2/(q1**2*sd). Every value is an integer over
-    wd*da*q0*q1**2*sd, and only the four returned Fractions reduce.
+    With the channel's `_channel_ints` and the weights W/wd on
+    `Parameters.weight_grid`, the inverted pairs are
+    (p0*q1 + p1*q0)*s1/(q0*q1*sd), those inside the prefix
+    p1*(q0-p0)*s1/(q0*q1*sd), and the non-urgent pairs inside it
+    p1**2*s2/(q1**2*sd). Every value is an integer over wd*da*q0*q1**2*sd,
+    and only the four returned Fractions reduce.
     """
-    wd, w0, w1 = weight_grid(params)
-    a, da = params.alpha.as_integer_ratio()
-    p0, q0 = model.eps0.as_integer_ratio()
-    p1, q1 = model.eps1.as_integer_ratio()
+    a, da, p0, q0, p1, q1, w0, w1 = _channel_ints(model, params)
+    wd = params.weight_grid[0]
     gap = w0 - w1
     den = wd * da * q0 * q1 * q1 * sd
     opt = (gap * s0 + w1 * (n * (n + 1) // 2) * sd) * da * q0 * q1 * q1
@@ -80,19 +64,9 @@ def _expected_costs(n: int, s0: int, s1: int, s2: int, sd: int,
             Fraction(hybrid, den))
 
 
-def expected_conditional(n: int, n0: int, model: PredictionModel,
-                         params: Parameters) -> ConditionalExpectation:
-    """Exact per-policy expectation given n0 urgent jobs among n."""
-    if not (0 <= n0 <= n):
-        raise ValueError(f"n0 must lie in [0, {n}], got {n0}")
-    n1 = n - n0
-    costs = _expected_costs(n, n0 * (n0 + 1), n0 * n1, n1 * (n1 - 1), 2, model, params)
-    return ConditionalExpectation(*costs, n, n0, model, params)
-
-
 @dataclass(frozen=True)
 class ExpectedPerformance:
-    """Exact expectations over n0 ~ Binomial(n, rho), from its first two moments."""
+    """Exact per-policy expected costs of n jobs, averaged over n0 ~ Binomial(n, rho)."""
 
     opt: Fraction
     nonpreemptive: Fraction
@@ -115,6 +89,23 @@ class ExpectedPerformance:
         if regime is None:
             raise ValueError(f"no closed form for policy {name!r}")
         return getattr(self, regime.value)
+
+
+@dataclass(frozen=True)
+class ConditionalExpectation(ExpectedPerformance):
+    """`ExpectedPerformance` given the urgent count n0 instead."""
+
+    n0: int
+
+
+def expected_conditional(n: int, n0: int, model: PredictionModel,
+                         params: Parameters) -> ConditionalExpectation:
+    """Exact per-policy expectation given n0 urgent jobs among n."""
+    if not (0 <= n0 <= n):
+        raise ValueError(f"n0 must lie in [0, {n}], got {n0}")
+    n1 = n - n0
+    costs = _expected_costs(n, n0 * (n0 + 1), n0 * n1, n1 * (n1 - 1), 2, model, params)
+    return ConditionalExpectation(*costs, n, model, params, n0)
 
 
 def expected_unconditional(n: int, model: PredictionModel,
@@ -153,11 +144,11 @@ class HybridCrValue:
 def _channel_ints(model: PredictionModel, params: Parameters) -> tuple[int, ...]:
     """(a, da, p0, q0, p1, q1, w0, w1): alpha = a/da, eps0 = p0/q0, eps1 = p1/q1.
 
-    w0 and w1 are the weights' numerators on `weight_grid`; the ratios read
-    them only as w0/w1, w0/(w0-w1) and w1/(w0-w1), so the grid's denominator
-    cancels.
+    w0 and w1 are the weights' numerators on `Parameters.weight_grid`; the
+    ratios read them only as w0/w1, w0/(w0-w1) and w1/(w0-w1), so the grid's
+    denominator cancels.
     """
-    _, w0, w1 = weight_grid(params)
+    _, w0, w1 = params.weight_grid
     return (*params.alpha.as_integer_ratio(), *model.eps0.as_integer_ratio(),
             *model.eps1.as_integer_ratio(), w0, w1)
 
@@ -301,9 +292,10 @@ def alpha_point_cr_bound(alpha) -> float:
     """Guarantee for reveal-point-limited preemption with known types.
 
     max(1+alpha, 2/(1+alpha)); minimized at alpha = sqrt(2)-1 where both
-    branches equal sqrt(2).
+    branches equal sqrt(2). alpha outside (0, 1) raises ValueError.
     """
-    a = float(to_fraction(alpha))
+    num, den = unit_ratio("alpha", to_fraction(alpha))
+    a = num / den  # the float of the Fraction
     return max(1.0 + a, 2.0 / (1.0 + a))
 
 

@@ -84,7 +84,9 @@ class Parameters:
     alpha is the fraction of a job processed before its true type becomes
     known; w0 and w1 are the per-unit-delay costs of urgent and non-urgent
     jobs, with w0 > w1 > 0. `beta_pair` and `slope_pair` hold beta and the
-    modified rule's slope K as (numerator, denominator) ints.
+    modified rule's slope K as (numerator, denominator) ints, and
+    `weight_grid` is (wden, W0, W1): w0 = W0/wden and w1 = W1/wden, so costs
+    on it are integers, and a quotient of two rounds like the exact Fraction.
     """
 
     alpha: Fraction
@@ -104,6 +106,10 @@ class Parameters:
         # plain attributes, not fields, so eq, hash and repr stay on the fields
         object.__setattr__(self, "beta_pair", b.as_integer_ratio())
         object.__setattr__(self, "slope_pair", self._theta_slope.as_integer_ratio())
+        wden = lcm(self.w0.denominator, self.w1.denominator)
+        object.__setattr__(self, "weight_grid", (
+            wden, self.w0.numerator * (wden // self.w0.denominator),
+            self.w1.numerator * (wden // self.w1.denominator)))
 
     def beta(self) -> Fraction:
         """Threshold (alpha/(1-alpha)) * (w1/(w0-w1)), computed once at construction."""
@@ -147,9 +153,11 @@ class PredictionModel:
                            (Fraction(u0, u0 + v0), Fraction(u1, den - u0 - v0)))
 
     def label_probability(self, label: int) -> Fraction:
-        """Marginal probability that a job receives the given label."""
+        """Marginal probability that a job receives the given label, 0 or 1."""
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label}")
         num, den = self._label0_rate
-        return Fraction(num if label == 0 else den - num, den)
+        return Fraction(den - num if label else num, den)
 
     def posterior(self, label: int) -> Fraction:
         """P(true type is 0 | predicted label), by Bayes' rule, exact."""

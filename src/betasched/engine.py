@@ -71,17 +71,6 @@ def format_trace(outcome: RunOutcome) -> str:
     return "\n".join(lines) + "\n"
 
 
-def weight_grid(params: Parameters) -> tuple[int, int, int]:
-    """(wden, W0, W1): w0 = W0/wden and w1 = W1/wden on one integer grid.
-
-    Costs on it are integers, and the quotient of two of them (`int / int`)
-    rounds like the float of the exact Fraction.
-    """
-    wden = lcm(params.w0.denominator, params.w1.denominator)
-    return (wden, params.w0.numerator * (wden // params.w0.denominator),
-            params.w1.numerator * (wden // params.w1.denominator))
-
-
 def run(
     instance: Instance,
     policy: Policy,
@@ -117,10 +106,10 @@ def run(
     fi = 0                      # next arrival in future, sorted (release_ticks, entry)
     nf = len(future)
     # one state and two queue views per run, moved to each decision point
-    # with the two counts; exact reveals give every job theta 0, so the FIFO
-    # head is the argmax and the interrupted queue keeps no theta heap
+    # with the two counts; exact reveals give every job theta 0, so the
+    # theta heap's top is the FIFO head
     unopened = UnopenedQueue(pend)
-    interrupted = InterruptedQueue([], None if exact_mode else [])
+    interrupted = InterruptedQueue([])
     state = PolicyState(unopened, interrupted, 0, den)
     add = interrupted.add
     remove = interrupted.remove
@@ -411,7 +400,7 @@ def offline_wsrpt_cost(instance: Instance) -> Fraction:
     """
     jobs = sorted(instance.jobs, key=lambda job: job.release_time)
     den = lcm(*(job.release_time.denominator for job in jobs))
-    wden, w0, w1 = weight_grid(instance.params)
+    wden, w0, w1 = instance.params.weight_grid
     s0, s1 = wsrpt_release_ticks(
         [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
         [job.true_type for job in jobs], w0, w1, den)
@@ -502,8 +491,8 @@ def enumerate_offline_optimum(instance: Instance, limit: int = 4) -> Fraction:
 TREE_N_LIMIT = 200
 
 
-def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
-                 flags: Optional[tuple[bool, bool]]):
+def tree_layers(n_max: int, model: PredictionModel, params: Parameters,
+                flags: Optional[tuple[bool, bool]]):
     """Yield (rows, den) for each layer k = 1..n_max of the decision tree.
 
     `rows[u0][0] / den` is the exact expected cost-to-go of the state with u0
@@ -517,10 +506,11 @@ def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
     when `flags` is None. Values are cost-to-go, so one pass prices every n.
 
     Layers go bottom-up, layer k times den = Da * D**(k+1) * Dw (posteriors
-    a_l/D, alpha = A/Da, weights on `weight_grid`), so every step is on
-    integers. Each label's terms are built once per layer, and a row's own
-    costs advance by one add per row and per ell. With flags None a row is a
-    list over ell, filled by a min loop; under fixed flags it is the quadratic
+    a_l/D, alpha = A/Da, weights on `Parameters.weight_grid`), so every step
+    is on integers, and two passes over one channel share each den. Each
+    label's terms are built once per layer, and a row's own costs advance by
+    one add per row and per ell. With flags None a row is a list over ell,
+    filled by a min loop; under fixed flags it is the quadratic
     P + Q*ell + R*ell*(ell + 1)/2, kept as (P, Q, R), so the pass costs
     O(n_max**2) integer operations. Refuses n_max below 1, and past
     `TREE_N_LIMIT` with ResourceLimitError, before the first layer.
@@ -534,7 +524,7 @@ def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
     d = lcm(p[0].denominator, p[1].denominator)
     a = [post.numerator * (d // post.denominator) for post in p]
     big_a, da = params.alpha.numerator, params.alpha.denominator
-    dw, w0, w1 = weight_grid(params)
+    dw, w0, w1 = params.weight_grid
     # backlog weight times d*dw of an unopened label-l job, and of a set-aside one
     c = [w1 * d + (w0 - w1) * al for al in a]
     cw, w0d, dc = w1 * d, w0 * d, c[0] - c[1]
@@ -587,41 +577,14 @@ def _tree_layers(n_max: int, model: PredictionModel, params: Parameters,
         yield cur, k_open * d * d * dw
 
 
-def tree_expected_costs(
-    n_max: int,
-    model: PredictionModel,
-    params: Parameters,
-    flags: Optional[tuple[bool, bool]],
-) -> list[Fraction]:
-    """Expected total weighted completion time for every n = 1..n_max, exact.
-
-    Entry n - 1 is the expectation over the labels and types of n batch
-    jobs, under `flags` or, with flags None, under the best non-anticipating
-    policy. One pass of `_tree_layers` prices every n; the Binomial label
-    weights of layer k come from layer k - 1's by Pascal's rule, and only
-    their mixture divides, once per n. Refuses n_max below 1, and past
-    `TREE_N_LIMIT` with ResourceLimitError.
-    """
-    q = model.label_probability(0)
-    qa, qb = q.numerator, q.denominator - q.numerator
-    mix = [1]  # Binomial label weights of layer k, times q.denominator**k
-    qk = 1
-    costs = []
-    for rows, den in _tree_layers(n_max, model, params, flags):
-        mix = [qb * x + qa * y for x, y in zip(mix + [0], [0] + mix)]
-        qk *= q.denominator
-        costs.append(Fraction(sum(m * row[0] for m, row in zip(mix, rows)), qk * den))
-    return costs
-
-
 def _tree_expected_cost(n: int, model: PredictionModel, params: Parameters,
                         flags: Optional[tuple[bool, bool]]) -> Fraction:
-    """`tree_expected_costs(n, ...)[-1]`, with the labels mixed at n only.
+    """Expected cost of n batch jobs: layer n of `tree_layers`, labels mixed.
 
     The Binomial weights C(n, u0) * qa**u0 * qb**(n - u0) go by Horner's rule
     in qb, so the mixture costs O(n) multiplies and one Fraction.
     """
-    for rows, den in _tree_layers(n, model, params, flags):
+    for rows, den in tree_layers(n, model, params, flags):
         pass
     q = model.label_probability(0)
     qa, qb = q.numerator, q.denominator - q.numerator
@@ -636,9 +599,8 @@ def _tree_expected_cost(n: int, model: PredictionModel, params: Parameters,
 def expectimax_optimal(n: int, model: PredictionModel, params: Parameters) -> Fraction:
     """Exact expected cost of the best non-anticipating policy (batch, labels).
 
-    Full expectimax over the collapsed tree of `_tree_layers`: equal to
-    `tree_expected_costs(n, model, params, None)[-1]`, but with the labels
-    mixed at n only. Refuses n past `TREE_N_LIMIT` with ResourceLimitError.
+    Full expectimax over the collapsed tree of `tree_layers`, with flags
+    None. Refuses n past `TREE_N_LIMIT` with ResourceLimitError.
     """
     return _tree_expected_cost(n, model, params, None)
 
@@ -647,8 +609,8 @@ def rule_expected_cost(n: int, model: PredictionModel, params: Parameters,
                        rule: str = "beta") -> Fraction:
     """Exact expected cost of the policy named `rule` on the same tree.
 
-    Its `label_flags` decide: equal to `tree_expected_costs(n, model, params,
-    flags)[-1]`, mixed at n only. Refuses n past `TREE_N_LIMIT` likewise.
+    Its `label_flags` decide at each decision node. Refuses n past
+    `TREE_N_LIMIT` likewise.
     """
     flags = label_flags(get_policy(rule), model, params)
     return _tree_expected_cost(n, model, params, flags)

@@ -16,7 +16,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, product, repeat
 from operator import not_
 from typing import Optional
 
@@ -38,8 +38,7 @@ from .engine import (
     label_schedule_ticks,
     offline_wsrpt_cost,
     run,
-    tree_expected_costs,
-    weight_grid,
+    tree_layers,
     wsrpt_release_ticks,
     wspt_ticks,
 )
@@ -174,7 +173,7 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     params = config.params
     columns = _flag_columns(config, config.model_for(eps0, eps1))
     alpha_ticks, den = params.alpha.numerator, params.alpha.denominator
-    wden, w0, w1 = weight_grid(params)  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
+    wden, w0, w1 = params.weight_grid  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     n = config.n
     out = [[0.0] * (stop - start) for _ in range(len(config.policies) + 1)]
@@ -232,7 +231,7 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     params = config.params
     columns = _flag_columns(config, config.model_for(eps0, eps1))
     alpha_num, alpha_den = params.alpha.numerator, params.alpha.denominator
-    _, w0, w1 = weight_grid(params)
+    _, w0, w1 = params.weight_grid
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     lam = 1.0 / float(config.interarrival)
     n = config.n
@@ -462,11 +461,13 @@ DEFAULT_OPTIMALITY_GRID = {
 def verify_optimality(grid=None) -> list[str]:
     """Exhaustive-search oracle vs the threshold rule, exact equality.
 
-    Returns one description per failing grid point (empty = all equal).
-    Each channel takes one tree pass for the optimum (about n**3/6 states)
-    and one for the rule (about n**2/2 rows), each pricing every n up to the
-    grid's largest. A grid with an n below 1, or past `TREE_N_LIMIT`, is
-    refused before any channel is priced.
+    Returns one description per failing (channel, n), naming the first state
+    whose values differ (empty = all equal). Per channel the expectimax pass
+    (about n**3/6 states) and the rule's (about n**2/2 rows) of `tree_layers`
+    run side by side to the largest n, comparing each layer's roots. No rule
+    value is below the optimum's, and each root has a positive label weight,
+    so the expected costs at n are equal iff every root of layer n is. A grid
+    with an n below 1, or past `TREE_N_LIMIT`, is refused before any pricing.
     """
     g = dict(DEFAULT_OPTIMALITY_GRID)
     if grid:
@@ -475,23 +476,22 @@ def verify_optimality(grid=None) -> list[str]:
         raise ValueError("n must be at least 1")
     n_max = max(g["n"])
     failures = []
-    for alpha in g["alpha"]:
-        for ratio in g["weight_ratio"]:
-            params = Parameters(alpha, ratio, 1)
-            for rho in g["rho"]:
-                for e0 in g["eps"]:
-                    for e1 in g["eps"]:
-                        model = PredictionModel(rho, e0, e1)
-                        # the first pass refuses an n_max past the limit
-                        best = tree_expected_costs(n_max, model, params, None)
-                        flags = label_flags(get_policy("beta"), model, params)
-                        rule = tree_expected_costs(n_max, model, params, flags)
-                        for n in g["n"]:
-                            if best[n - 1] != rule[n - 1]:
-                                failures.append(
-                                    f"n={n} alpha={alpha} w0/w1={ratio} rho={rho} "
-                                    f"eps0={e0} eps1={e1}: optimal {best[n - 1]} != rule {rule[n - 1]}"
-                                )
+    channels = product(g["alpha"], g["weight_ratio"], g["rho"], g["eps"], g["eps"])
+    for alpha, ratio, rho, e0, e1 in channels:
+        params, model = Parameters(alpha, ratio, 1), PredictionModel(rho, e0, e1)
+        flags = label_flags(get_policy("beta"), model, params)
+        # the expectimax pass refuses an n_max past the limit first
+        layers = zip(tree_layers(n_max, model, params, None),
+                     tree_layers(n_max, model, params, flags), strict=True)
+        found = {}  # n: its failure line
+        for n, ((best, den), (rule, _)) in enumerate(layers, 1):
+            diff = [u0 for u0, (b, r) in enumerate(zip(best, rule)) if b[0] != r[0]]
+            if diff:
+                u0 = diff[0]
+                found[n] = (f"n={n} alpha={alpha} w0/w1={ratio} rho={rho} eps0={e0} "
+                            f"eps1={e1}: at u0={u0} optimal {Fraction(best[u0][0], den)} "
+                            f"!= rule {Fraction(rule[u0][0], den)}")
+        failures += [found[n] for n in g["n"] if n in found]
     return failures
 
 

@@ -90,19 +90,19 @@ class InterruptedQueue:
     for `argmax_theta`. A read that finds the heap empty builds it from the
     live entries; while it is non-empty `add` pushes in O(log n) and
     `remove` pops the entries of removed jobs lazily, so it runs empty again
-    when the queue drains. Under exact revelation every theta is 0, there is
-    no heap (`heap` is None), and the FIFO head is the answer. Under
-    posterior revelation each theta is the float its Beta draw returned.
+    when the queue drains. Under exact revelation every theta is 0, so the
+    heap's top is the FIFO head. Under posterior revelation each theta is the
+    float its Beta draw returned.
     """
 
     __slots__ = ("_entries", "_slot", "_start", "_heap")
 
-    def __init__(self, entries: list, heap: Optional[list]):
-        # a FIFO list without tombstones and an empty heap (or None)
+    def __init__(self, entries: list):
+        # a FIFO list without tombstones; the heap is built on the first read
         self._entries = entries
         self._slot = {entry[0]: seq for seq, entry in enumerate(entries)}
         self._start = 0
-        self._heap = heap
+        self._heap = []
 
     def __len__(self) -> int:
         return len(self._slot)
@@ -144,8 +144,6 @@ class InterruptedQueue:
     def argmax_theta(self):
         """(job_id, theta) with the largest theta; FIFO order breaks ties."""
         heap = self._heap
-        if heap is None:
-            return self._entries[self._start]
         if not heap:
             entries = self._entries
             for seq in range(self._start, len(entries)):
@@ -264,11 +262,10 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     (FIFO among ties). theta = 1 forces that completion outright. With every
     theta equal to 0 this reduces to the plain beta threshold rule.
 
-    theta comes from the interrupted queue's heap in O(1) (the FIFO head
-    under exact revelation), beta and K are stored on `params` as integer
-    pairs, and the comparison is integer-only: theta (a float under posterior
-    reveal) and the head p_hat are read through `as_integer_ratio()`, so a
-    decision costs no rational arithmetic.
+    theta comes from the interrupted queue's heap in O(1), beta and K are
+    stored on `params` as integer pairs, and the comparison is integer-only:
+    theta (a float under posterior reveal) and the head p_hat are read
+    through `as_integer_ratio()`, so a decision costs no rational arithmetic.
     """
     if not state.n_interrupted:
         if not state.n_unopened:
@@ -378,7 +375,7 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     questions: its head entry is swapped from label 0 to label 1.
     """
     head = [None]  # the probe's one unopened entry, set per label
-    state = PolicyState(UnopenedQueue(head), InterruptedQueue([(1, ZERO)], None))
+    state = PolicyState(UnopenedQueue(head), InterruptedQueue([(1, ZERO)]))
     flags = []
     for label in (0, 1):
         head[0] = (0, 2, label, model.posterior(label))

@@ -18,7 +18,7 @@ from betasched.analytics import (
     expected_conditional,
 )
 from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
-from betasched.engine import RunOutcome, TraceEvent, offline_wspt, run, weight_grid
+from betasched.engine import RunOutcome, TraceEvent, offline_wspt, run, tree_layers
 from betasched.errors import TerminalStateError, UnsupportedInputError
 from betasched.experiments import _rep_rng
 from betasched.policies import (
@@ -219,7 +219,7 @@ def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     """
     params = instance.params
     den = lcm(*(job.release_time.denominator for job in instance.jobs))
-    wden, *w_int = weight_grid(params)  # w_int[true type]: weights on one integer grid
+    wden, *w_int = params.weight_grid  # w_int[true type]: weights on one integer grid
 
     jobs = instance.jobs
     releases = sorted(
@@ -425,7 +425,7 @@ def fraction_tree_expected_cost(n, model, params, flags):
     """Expected cost of n batch jobs on the collapsed decision tree, in Fractions.
 
     The body the tree evaluator had before the integer bottom-up pass
-    (`engine.tree_expected_costs`): a memoised top-down recursion over
+    (`engine.tree_layers`): a memoised top-down recursion over
     (unopened per label, set-aside) counts with `flags` deciding, or the
     minimum when `flags` is None. An oracle only; its recursion depth grows
     with n, so the tests keep n small.
@@ -483,6 +483,27 @@ def fraction_tree_expected_cost(n, model, params, flags):
         if weight > 0:
             total += weight * value(u0, n - u0, 0)
     return total
+
+
+def tree_expected_costs(n_max, model, params, flags):
+    """Expected cost for every n = 1..n_max, exact: each layer of `tree_layers` mixed.
+
+    Entry n - 1 is the expectation over the labels and types of n batch
+    jobs, under `flags` or, with flags None, under the best non-anticipating
+    policy. The Binomial label weights of layer k come from layer k - 1's by
+    Pascal's rule. Was `engine.tree_expected_costs`, which `verify` read
+    before it compared the layers' roots instead.
+    """
+    q = model.label_probability(0)
+    qa, qb = q.numerator, q.denominator - q.numerator
+    mix = [1]  # Binomial label weights of layer k, times q.denominator**k
+    qk = 1
+    costs = []
+    for rows, den in tree_layers(n_max, model, params, flags):
+        mix = [qb * x + qa * y for x, y in zip(mix + [0], [0] + mix)]
+        qk *= q.denominator
+        costs.append(Fraction(sum(m * row[0] for m, row in zip(mix, rows)), qk * den))
+    return costs
 
 
 def expected_weight(priority, params):

@@ -1,0 +1,189 @@
+"""Mutation gate: each listed edit of the package must make its named tests fail.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+Each entry of `MUTANTS` names a file of `src/betasched`, an exact piece of
+its text, the text to put in its place, and the test ids that must catch the
+edit. The script first runs every named test on an unedited copy of `src/`
+and `tests/`, and all of them must pass. Then, for each entry, it makes a new
+copy, applies the edit and runs that entry's tests in a subprocess. The entry
+passes only if every named test fails (for a parametrized test, at least one
+of its cases; a run that stops early, on an import error say, fails them
+all). An entry whose old text is gone, or no longer unique, fails too, so
+the list cannot rot silently. Hypothesis runs with a fixed seed, so a
+run is repeatable. The exit code is 1 if anything failed. Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/betasched
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+TREE_ORACLE = (
+    "tests/test_engine.py::TestIntegerTree::test_one_pass_equals_the_oracle_at_every_n",
+    "tests/test_engine.py::TestIntegerTree::test_random_channels_equal_the_oracle",
+)
+
+MUTANTS = (
+    Mutant(
+        "verify compares only the root with no label-0 job",
+        "experiments.py",
+        "enumerate(zip(best, rule)) if b[0] != r[0]]",
+        "enumerate(zip(best[:1], rule[:1])) if b[0] != r[0]]",
+        ("tests/test_cli.py::TestVerifySuites::"
+         "test_optimality_failures_match_the_every_n_reference[shift-1e-1]",),
+    ),
+    Mutant(
+        "w1 on the weight grid without its scale",
+        "domain.py",
+        "self.w1.numerator * (wden // self.w1.denominator)))",
+        "self.w1.numerator * wden))",
+        ("tests/test_domain.py::TestParameters::test_integer_pairs_are_not_fields",
+         "tests/test_engine.py::TestIntegerTree::test_random_channels_equal_the_oracle",
+         "tests/test_analytics.py::TestExpectationOracle::test_equals_the_fraction_body"),
+    ),
+    Mutant(
+        "argmax_theta returns the newest entry",
+        "policies.py",
+        "        top = heap[0]\n        return top[3], top[4]\n",
+        "        return next(entry for entry in reversed(self._entries) if entry is not None)\n",
+        ("tests/test_policies.py::TestInterruptedQueueOps::test_matches_a_plain_list[exact-reveal]",
+         "tests/test_policies.py::TestInterruptedQueueOps::"
+         "test_matches_a_plain_list[posterior-reveal]",
+         "tests/test_policies.py::TestInterruptedQueueArgmax"),
+    ),
+    Mutant(
+        "label_probability takes any label",
+        "domain.py",
+        "        if label not in (0, 1):\n            raise ValueError(f\"label must be 0 or 1, "
+        "got {label}\")\n        num, den = self._label0_rate\n",
+        "        num, den = self._label0_rate\n",
+        ("tests/test_domain.py::TestPosterior::test_refuses_a_label_other_than_0_or_1",),
+    ),
+    Mutant(
+        "alpha_point_cr_bound takes any alpha",
+        "analytics.py",
+        'num, den = unit_ratio("alpha", to_fraction(alpha))',
+        "num, den = to_fraction(alpha).as_integer_ratio()",
+        ("tests/test_analytics.py::TestAlphaPointBound::"
+         "test_alpha_outside_the_unit_interval_is_refused",),
+    ),
+    # the tree-row mutants: each breaks one hoisted term of a layer
+    Mutant(
+        "lin not advanced per row",
+        "engine.py",
+        "                lin += lin_row\n",
+        "",
+        TREE_ORACLE,
+    ),
+    Mutant(
+        "kb started at the label-0 base for u0 = 0",
+        "engine.py",
+        "kb = k_done * bi  #",
+        "kb = k_done * (b1 + dc)  #",
+        TREE_ORACLE,
+    ),
+    Mutant(
+        "the two labels' hoisted products swapped",
+        "engine.py",
+        "al, bl = a[lab], d - a[lab]",
+        "al, bl = a[1 - lab], d - a[1 - lab]",
+        TREE_ORACLE,
+    ),
+    Mutant(
+        "the label-1 row reads prev[1]",
+        "engine.py",
+        "(1, b1, prev[:1])",
+        "(1, b1, prev[1:2])",
+        TREE_ORACLE,
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def failed_tests(tree: Path, tests) -> tuple[int, list[str]]:
+    """(pytest's exit code, the FAILED and ERROR ids it reports) for `tests` in `tree`.
+
+    A run that ends before its tests do (exit code 2 or more: an import or
+    collection error, say) counts every one of them as failed.
+    """
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=900,
+    )
+    if proc.returncode > 1:
+        return proc.returncode, list(tests)
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1]
+    return proc.returncode, failed
+
+
+def caught(test: str, failed: list[str]) -> bool:
+    """Whether `test`, one of its cases or the file holding it is among `failed`."""
+    return any(f == test or f.startswith((test + "[", test + "::")) or test.startswith(f + "::")
+               for f in failed)
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        every_test = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        code, failed = failed_tests(base, every_test)
+        if code:
+            print(f"FAIL unedited copy: pytest exit code {code}, failed {failed}")
+            return 1
+        print(f"ok   unedited copy: {len(every_test)} named tests pass")
+        for i, mutant in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant-{i}"
+            copy_tree(tree)
+            path = tree / "src" / "betasched" / mutant.file
+            text = path.read_text()
+            count = text.count(mutant.old)
+            if count != 1:
+                print(f"FAIL {mutant.name}: old text found {count} times in {mutant.file}")
+                bad += 1
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new))
+            _, failed = failed_tests(tree, mutant.tests)
+            survived = [test for test in mutant.tests if not caught(test, failed)]
+            if survived:
+                print(f"FAIL {mutant.name}: these tests still pass: {survived}")
+                bad += 1
+            else:
+                print(f"ok   {mutant.name}: caught by {len(mutant.tests)} test(s)")
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -595,6 +595,18 @@ class TestAlphaPointBound:
         assert alpha_point_cr_bound(F(1, 10 ** 9)) == pytest.approx(2.0, abs=1e-6)
         assert alpha_point_cr_bound(F(10 ** 9 - 1, 10 ** 9)) == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [2, -1, 0, 1, "3/2"])
+    def test_alpha_outside_the_unit_interval_is_refused(self, alpha):
+        # the message Parameters and cr_nonpreemptive_cap give
+        message = f"alpha must lie strictly in (0,1), got {F(alpha)}"
+        for bound in (alpha_point_cr_bound, lambda a: cr_nonpreemptive_cap(a, 0, 0)):
+            with pytest.raises(ValueError) as info:
+                bound(alpha)
+            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            Parameters(alpha, 20, 1)
+        assert str(info.value) == message
+
 
 class TestLogLoss:
     def probabilistic_instance(self, params, trues, p_hats):

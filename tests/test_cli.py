@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 from decimal import Decimal, localcontext
 from concurrent.futures import Future
 from dataclasses import replace
@@ -11,11 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from betasched import cli, engine, experiments
 from betasched.analytics import expected_unconditional
 from betasched.cli import main
-from betasched.domain import dump_instance, sample_instance
-from betasched.engine import TREE_N_LIMIT
+from betasched.domain import Parameters, PredictionModel, dump_instance, sample_instance
+from betasched.engine import TREE_N_LIMIT, tree_layers
 from betasched.errors import ResourceLimitError
 from betasched.experiments import (
     ARRIVAL_COLUMNS,
+    DEFAULT_OPTIMALITY_GRID,
     SWEEP_COLUMNS,
     ExperimentConfig,
     default_eps_grid,
@@ -26,8 +28,21 @@ from betasched.experiments import (
     verify_regimes,
     verify_wsrpt,
 )
-from betasched.policies import OPEN_NEXT, POLICIES, Policy, beta_threshold_decide, complete_low
-from conftest import LabelClass, draw_class_types, engine_arrivals_chunk, engine_sweep_chunk
+from betasched.policies import (
+    OPEN_NEXT,
+    POLICIES,
+    Policy,
+    beta_threshold_decide,
+    complete_low,
+    label_flags,
+)
+from conftest import (
+    LabelClass,
+    draw_class_types,
+    engine_arrivals_chunk,
+    engine_sweep_chunk,
+    tree_expected_costs,
+)
 
 F = Fraction
 
@@ -35,14 +50,13 @@ F = Fraction
 def record_tree_passes(monkeypatch):
     """The channels the verify suite prices: each completed tree pass's arguments."""
     priced = []
-    tree_expected_costs = experiments.tree_expected_costs
+    tree_layers = experiments.tree_layers
 
     def recorded(*args):
-        costs = tree_expected_costs(*args)
+        yield from tree_layers(*args)
         priced.append(args)
-        return costs
 
-    monkeypatch.setattr(experiments, "tree_expected_costs", recorded)
+    monkeypatch.setattr(experiments, "tree_layers", recorded)
     return priced
 
 
@@ -352,23 +366,67 @@ class TestArrivalsDriver:
         assert abs(float(b["mc_mean_ratio"]) - float(a["mc_mean_ratio"])) <= tol
 
 
+def shifted_beta(shift):
+    """The beta rule at threshold beta + shift, under the name `beta`."""
+    def decide(state, params):
+        if state.unopened.head_priority() > params.beta() + shift:
+            return OPEN_NEXT
+        return complete_low(state.interrupted.first_id())
+
+    return Policy("beta", decide)
+
+
 class TestVerifySuites:
+    SHIFTED_GRID = {"n": (2, 3, 4), "eps": (F(1, 10), F(3, 10))}
+
     def test_optimality_clean_on_reduced_grid(self):
         grid = {"n": (1, 2, 3), "eps": (F(0), F(3, 10))}
         assert verify_optimality(grid) == []
 
     def test_optimality_catches_perturbed_threshold(self, monkeypatch):
-        def shifted_beta(state, params):  # the beta rule at threshold beta + 1/1000
-            if state.unopened.head_priority() > params.beta() + F(1, 1000):
-                return OPEN_NEXT
-            return complete_low(state.interrupted.first_id())
-
         # the suite reads the rule's label flags, which ask this decide
-        monkeypatch.setitem(POLICIES, "beta", Policy("beta", shifted_beta))
-        grid = {"n": (2, 3, 4), "eps": (F(1, 10), F(3, 10))}
-        failures = verify_optimality(grid)
+        monkeypatch.setitem(POLICIES, "beta", shifted_beta(F(1, 1000)))
+        failures = verify_optimality(self.SHIFTED_GRID)
         assert failures  # a shifted threshold must lose somewhere on the grid
         assert {f.split()[0] for f in failures} <= {"n=2", "n=3", "n=4"}
+
+    # beta + 1/10 also holds label-0 jobs the optimum probes, so some (channel,
+    # n) differ only at roots with a label-0 job
+    @pytest.mark.parametrize("shift", [F(1, 1000), F(1, 10)], ids=["shift-1e-3", "shift-1e-1"])
+    def test_optimality_failures_match_the_every_n_reference(self, monkeypatch, shift):
+        """Exactly the (channel, n) whose expected costs differ, mixed at every n.
+
+        Each line also names the first root state (u0 label-0 jobs, none set
+        aside) whose two values differ, and gives them.
+        """
+        monkeypatch.setitem(POLICIES, "beta", shifted_beta(shift))
+        grid = dict(DEFAULT_OPTIMALITY_GRID, **self.SHIFTED_GRID)
+        failures = verify_optimality(self.SHIFTED_GRID)
+        got = dict(line.split(": ") for line in failures)  # channel and n: the state
+        want = []
+        for alpha, ratio, rho, e0, e1 in product(grid["alpha"], grid["weight_ratio"], grid["rho"],
+                                                 grid["eps"], grid["eps"]):
+            params, model = Parameters(alpha, ratio, 1), PredictionModel(rho, e0, e1)
+            flags = label_flags(POLICIES["beta"], model, params)
+            best = tree_expected_costs(4, model, params, None)
+            rule = tree_expected_costs(4, model, params, flags)
+            layers = list(zip(tree_layers(4, model, params, None),
+                              tree_layers(4, model, params, flags)))
+            for n in grid["n"]:
+                if best[n - 1] == rule[n - 1]:
+                    continue
+                want.append(f"n={n} alpha={alpha} w0/w1={ratio} rho={rho} eps0={e0} eps1={e1}")
+                if want[-1] not in got:
+                    continue  # the last assertion reports it
+                # "at u0=<u0> optimal <value> != rule <value>"
+                _, u0, _, opt_value, _, _, rule_value = got[want[-1]].split()
+                u0 = int(u0.removeprefix("u0="))
+                (opt_rows, den), (rule_rows, _) = layers[n - 1]
+                assert [row[0] for row in opt_rows[:u0]] == [row[0] for row in rule_rows[:u0]]
+                assert F(opt_value) == F(opt_rows[u0][0], den) != F(rule_value) == \
+                    F(rule_rows[u0][0], den)
+        assert [line.split(": ")[0] for line in failures] == want
+        assert len(want) > 1
 
     @pytest.mark.parametrize("sizes, error, message", [
         ((1, TREE_N_LIMIT + 1), ResourceLimitError, "exceeds the limit"),

@@ -102,6 +102,8 @@ class TestParameters:
         p = Parameters("0.4", 20, 1)
         assert p.beta_pair == p.beta().as_integer_ratio() == (2, 57)
         assert p.slope_pair == p.theta_slope().as_integer_ratio() == (40, 57)
+        assert p.weight_grid == (1, 20, 1)
+        assert Parameters("0.4", "7/3", "1/2").weight_grid == (6, 14, 3)  # 14/6 and 3/6
         assert [f.name for f in fields(p)] == ["alpha", "w0", "w1"]
         assert repr(p) == "Parameters(alpha=Fraction(2, 5), w0=Fraction(20, 1), w1=Fraction(1, 1))"
         twin = Parameters(F(2, 5), F(20), F(1))
@@ -190,6 +192,14 @@ class TestPosterior:
     def test_posteriors_collapse_only_at_half(self, m):
         if m.posterior(0) == m.posterior(1):
             assert m.eps0 + m.eps1 == 1
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_refuses_a_label_other_than_0_or_1(self, label):
+        m = PredictionModel("1/10", "1/10", "1/10")
+        for method in (m.label_probability, m.posterior):
+            with pytest.raises(ValueError) as info:
+                method(label)
+            assert str(info.value) == f"label must be 0 or 1, got {label}"
 
     @given(m=models)
     def test_law_of_total_probability(self, m):

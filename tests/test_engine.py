@@ -22,7 +22,6 @@ from betasched.domain import (
 )
 from betasched.engine import (
     TREE_N_LIMIT,
-    _tree_layers,
     enumerate_offline_optimum,
     expectimax_optimal,
     format_trace,
@@ -33,7 +32,7 @@ from betasched.engine import (
     offline_wsrpt_cost,
     rule_expected_cost,
     run,
-    tree_expected_costs,
+    tree_layers,
     wsrpt_release_ticks,
     wspt_ticks,
 )
@@ -65,6 +64,7 @@ from conftest import (
     run_record,
     scan_argmax_theta,
     sort_for_policy,
+    tree_expected_costs,
     urgent_count,
     worked_example_instance,
 )
@@ -533,16 +533,38 @@ class TestIntegerTree:
             assert costs == [fraction_tree_expected_cost(n, model, params, flags)
                              for n in range(1, n_max + 1)], (flags, params, model)
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_max=st.integers(1, 10), **CHANNEL)
+    @example(n_max=10, alpha=F(3, 7), w1=F(7, 3), gap="boundary", rho=F(1, 10),
+             e0=F(1, 10), e1=F(3, 10))
+    @example(n_max=8, alpha=F(2, 9), w1=F(3, 2), gap=F(5, 4), rho=F(3, 10), e0=F(1, 2), e1=F(1, 2))
+    def test_roots_decide_the_mixture(self, n_max, alpha, w1, gap, rho, e0, e1):
+        """No rule's root is below the optimum's, and at each n the two mixtures
+        are equal iff every root of layer n is: what `verify_optimality` relies on.
+        """
+        params, model = drawn_channel(alpha, w1, gap, rho, e0, e1)
+        best_costs = tree_expected_costs(n_max, model, params, None)
+        best_layers = list(tree_layers(n_max, model, params, None))
+        for flags in FLAG_SETS:
+            costs = tree_expected_costs(n_max, model, params, flags)
+            layers = zip(best_layers, tree_layers(n_max, model, params, flags), strict=True)
+            for n, ((best, den), (rule, rule_den)) in enumerate(layers, 1):
+                assert den == rule_den
+                roots = [(b[0], r[0]) for b, r in zip(best, rule, strict=True)]
+                assert len(roots) == n + 1 and all(r >= b for b, r in roots)
+                assert (costs[n - 1] == best_costs[n - 1]) == all(r == b for b, r in roots), \
+                    (n, flags, params, model)
+
     def test_every_row_branch_runs(self, base_params, base_model):
         """Each flag set runs the row branches it names, and only those.
 
         Flags None fill a list row in the min loop. Under fixed flags a row is
         three coefficients with no loop over ell: a probed label's rows take
         the probed branch and a held label's the held branch, so (True, False)
-        and (False, True) run both. The rows live in `_tree_layers`, the one
-        pass that both of its reductions read.
+        and (False, True) run both. The rows live in `tree_layers`, the one
+        pass that the evaluators and `verify_optimality` read.
         """
-        lines, first = inspect.getsourcelines(_tree_layers)
+        lines, first = inspect.getsourcelines(tree_layers)
         tree = ast.parse(textwrap.dedent("".join(lines)))
         row_loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
                         and getattr(node.target, "id", None) == "child")
@@ -557,7 +579,7 @@ class TestIntegerTree:
                 branches["probe"], branches["hold"] = node.body[0], node.orelse[0]
         assert len(branches) == 3
         bodies = {kind: first - 1 + stmt.lineno for kind, stmt in branches.items()}
-        code = _tree_layers.__code__
+        code = tree_layers.__code__
 
         def runs(flags):
             hit = set()

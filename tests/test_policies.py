@@ -44,12 +44,11 @@ F = Fraction
 def state(unopened=(), interrupted=()):
     """unopened: (priority, job_id, label) triples, best first; interrupted: (job_id, theta).
 
-    The unopened entries are ranked by their place. The interrupted queue gets
-    an empty theta heap, as under posterior reveals, so `argmax_theta` reads
-    every theta.
+    The unopened entries are ranked by their place. The interrupted queue
+    starts with an empty theta heap, so `argmax_theta` reads every theta.
     """
     ranked = [(rank, jid, label, p) for rank, (p, jid, label) in enumerate(unopened)]
-    return PolicyState(UnopenedQueue(ranked), InterruptedQueue(list(interrupted), []))
+    return PolicyState(UnopenedQueue(ranked), InterruptedQueue(list(interrupted)))
 
 
 class TestBetaThreshold:
@@ -314,7 +313,7 @@ class TestInterruptedQueueArgmax:
     ABOVE_THIRD = F(1, 3) + F(1, 10 ** 30)  # the same float as 1/3
 
     def argmax(self, entries):
-        return InterruptedQueue(list(entries), []).argmax_theta()
+        return InterruptedQueue(list(entries)).argmax_theta()
 
     def test_float_tie_is_a_real_tie_here(self):
         assert float(self.THIRD) == float(self.ABOVE_THIRD) and self.THIRD < self.ABOVE_THIRD
@@ -381,12 +380,13 @@ class TestInterruptedQueueOps:
             # Python's max keeps the first of equal maxima: FIFO among ties
             assert queue.argmax_theta() == (fifo[0] if exact else max(fifo, key=lambda e: e[1]))
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["heap-None", "heap-empty"])
+    # exact reveals give every job theta 0, so the argmax is the FIFO head
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact-reveal", "posterior-reveal"])
     def test_matches_a_plain_list(self, exact):
         rng = random.Random(11)
         for _ in range(60):
-            heap = None if exact else []
-            queue, fifo = InterruptedQueue([], heap), []
+            queue, fifo = InterruptedQueue([]), []
+            heap = queue._heap
             next_id, gone = 1, [0]  # 0 is never added
             for _ in range(rng.randint(1, 40)):
                 r = rng.random()
@@ -408,16 +408,16 @@ class TestInterruptedQueueOps:
             while fifo:
                 assert queue.remove(fifo.pop(0)[0]) is True
                 self.check(queue, fifo, exact)
-            assert heap is None or heap == []
-            for theta in (F(1, 2), F(1), F(0), F(1)):
+            assert heap == []
+            for theta in (F(0),) * 4 if exact else (F(1, 2), F(1), F(0), F(1)):
                 queue.add(next_id, theta)
                 fifo.append((next_id, theta))
                 next_id += 1
                 self.check(queue, fifo, exact)
-            assert heap is None or len(heap) == len(fifo)
+            assert len(heap) == len(fifo)
 
     def test_built_from_entries(self):
-        queue = InterruptedQueue([(5, F(1, 4)), (2, F(3, 4))], [])
+        queue = InterruptedQueue([(5, F(1, 4)), (2, F(3, 4))])
         assert len(queue) == 2 and queue.argmax_theta() == (2, F(3, 4))
         assert queue.remove(2) and not queue.remove(2)
         assert list(queue.items()) == [(5, F(1, 4))] and queue.argmax_theta() == (5, F(1, 4))
