@@ -27,11 +27,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
+# Fraction builds 10**exponent before anything can refuse the value, and a
+# result past 4 300 digits cannot even be printed in an error message
+MAX_DECIMAL_EXPONENT = 1000
+
 
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce a number to an exact Fraction (floats go through str repr).
 
-    A zero denominator is a ValueError; ASCII `d`, `d/d`, `d.d` skip `Fraction`'s regex.
+    A zero denominator is a ValueError, and so is a decimal exponent (the
+    int after the last e or E) past `MAX_DECIMAL_EXPONENT` in magnitude;
+    ASCII `d`, `d/d`, `d.d` skip `Fraction`'s regex.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,6 +54,14 @@ def to_fraction(value: RationalLike) -> Fraction:
             num = num * den + int(tail)
         if den:
             return Fraction(num, den)
+    cut = max(value.rfind("e"), value.rfind("E"))
+    try:
+        exponent = int(value[cut + 1:]) if cut >= 0 else 0
+    except ValueError:
+        exponent = 0  # no exponent: Fraction gives its own error
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {value!r} is outside "
+                         f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
     try:
         return Fraction(value)
     except ZeroDivisionError:

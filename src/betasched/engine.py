@@ -13,7 +13,9 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
+from operator import not_
 from typing import NamedTuple, Optional
 
 from .domain import Instance, Parameters, PredictionModel, ZERO, ONE, format_fraction
@@ -270,9 +272,12 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
     aside work the policy opens that head iff its class is probed, else it
     finishes a set-aside job (1 - alpha). Set-aside jobs are all non-urgent,
     so only their count matters. With nothing set aside the head is opened,
-    and with nothing released the machine idles to the next release. A
-    never-preempting policy probes no class, which finishes each non-urgent
-    job at its alpha point at once: the same ticks as running it through.
+    and with nothing released the machine idles to the next release. An
+    unprobed class's head is opened only with nothing set aside, so a
+    non-urgent one is finished in the step that opens it unless the next
+    decision opens a probed head. A never-preempting policy probes no class,
+    so it finishes each non-urgent job at its alpha point at once: the same
+    ticks as running it through.
     """
     (r0, y0), (r1, y1) = classes
     # each release list ends in one sentinel tick past every completion (each
@@ -287,25 +292,35 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
     while True:  # each branch does its own step, with no action value to dispatch on
         if n0 <= t:
             if f0 or not held:  # open the label-0 head
-                if y0[h0]:
-                    t += alpha_ticks
-                    held += 1
-                else:
-                    t += den
-                    s0 += t
+                y = y0[h0]
                 h0 += 1
                 n0 = r0[h0]
+                if not y:
+                    t += den
+                    s0 += t
+                    continue
+                t += alpha_ticks
+                if f0 or f1 and n1 <= t < n0:  # the next decision opens a probed head
+                    held += 1
+                else:  # it would finish this job, the only one set aside
+                    t += tail
+                    s1 += t
                 continue
         elif n1 <= t:
             if f1 or not held:  # open the label-1 head
-                if y1[h1]:
-                    t += alpha_ticks
-                    held += 1
-                else:
-                    t += den
-                    s0 += t
+                y = y1[h1]
                 h1 += 1
                 n1 = r1[h1]
+                if not y:
+                    t += den
+                    s0 += t
+                    continue
+                t += alpha_ticks
+                if f1 or f0 and n0 <= t:  # the next decision opens a probed head
+                    held += 1
+                else:  # it would finish this job, the only one set aside
+                    t += tail
+                    s1 += t
                 continue
         elif not held:  # nothing to run: idle until the next release
             t = n1 if n1 < n0 else n0
@@ -322,70 +337,56 @@ def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[in
 
     `releases` are the jobs' release ticks in nondecreasing order, `types`
     their true types, `w0` > `w1` the weights on one integer grid and a unit
-    den ticks. With unit jobs and two weights at most one job of each type
-    is ever partly processed. A started urgent job outranks every other job:
-    it beat them all when it started, its ratio w0/x only grows, and an
-    arrival is a fresh job with ratio at most w0/den. A started non-urgent
-    job with x ticks left outranks every fresh non-urgent job and yields
-    only to a fresh urgent one, exactly when w0*x > w1*den (at equality the
-    smaller remaining work wins). So the state is two fresh counts and two
-    remaining-tick slots, and after the last release the rest runs in three
-    blocks priced in closed form.
+    den ticks. With unit jobs and two weights the loop takes one step per
+    job, plus one per yield and per idle stretch, because:
+    - A started urgent job is never preempted: it beat every job when it
+      started, its ratio w0/x only grows, and an arrival is a fresh job with
+      ratio at most w0/den. So a released urgent job runs whole.
+    - A started non-urgent job with x ticks left yields to a fresh urgent
+      one iff w0*x > w1*den; at equality the non-urgent job keeps the
+      machine (the smaller remaining work wins). So it runs toward the next
+      urgent release, and completes by then, yields there, or runs on.
+    - A yielded job keeps its x, which still beats the cut, so it never
+      blocks a later urgent job.
+    - A started non-urgent job outranks every fresh one, so at most one is
+      ever partly processed.
+    Each type's releases end in a sentinel tick past every completion, so
+    the schedule ends when the machine would idle to both sentinels.
     """
-    n = len(releases)
-    i = t = s0 = s1 = 0
-    c0 = c1 = 0  # released, never started
-    u = x = 0    # ticks left of the started urgent / non-urgent job, 0 for none
+    # each job holds the machine for at most den ticks
+    end = (releases[-1] if releases else 0) + (len(releases) + 1) * den
+    r0 = [*compress(releases, map(not_, types)), end]  # urgent
+    r1 = [*compress(releases, types), end]             # non-urgent
     cut = w1 * den
+    h0 = h1 = t = s0 = s1 = 0
+    x = 0  # ticks left of the started non-urgent job, 0 for none
+    n0, n1 = r0[0], r1[0]  # the next releases of each type
     while True:
-        while i < n and releases[i] <= t:
-            if types[i]:
-                c1 += 1
+        if n0 <= t:  # run the released urgent job whole
+            t += den
+            s0 += t
+            h0 += 1
+            n0 = r0[h0]
+        elif x or n1 <= t:  # run the started non-urgent job, else a fresh one, toward n0
+            if not x:
+                x = den
+                h1 += 1
+                n1 = r1[h1]
+            t += x
+            if t <= n0:  # done by the urgent release
+                s1 += t
+                x = 0
             else:
-                c0 += 1
-            i += 1
-        if i == n:
-            break
-        nxt = releases[i]
-        while t < nxt:
-            if not u and c0 and (not x or w0 * x > cut):
-                c0 -= 1
-                u = den
-            if u:
-                if t + u <= nxt:
-                    t += u
-                    s0 += t
-                    u = 0
-                else:
-                    u -= nxt - t
-                    t = nxt
-            elif x or c1:
-                if not x:
-                    c1 -= 1
-                    x = den
-                if t + x <= nxt:
-                    t += x
+                x = t - n0  # ticks left at n0
+                if w0 * x <= cut:  # it keeps the machine and runs on
                     s1 += t
                     x = 0
-                else:
-                    x -= nxt - t
-                    t = nxt
-            else:
-                t = nxt  # idle until the release
-    if u:
-        t += u
-        s0 += t
-    if x and w0 * x <= cut:
-        t += x
-        s1 += t
-        x = 0
-    s0 += c0 * t + den * (c0 * (c0 + 1) // 2)
-    t += c0 * den
-    if x:
-        t += x
-        s1 += t
-    s1 += c1 * t + den * (c1 * (c1 + 1) // 2)
-    return s0, s1
+                else:  # it yields to the urgent job released at n0, keeping its x
+                    t = n0
+        else:  # nothing to run: idle until the next release
+            t = n1 if n1 < n0 else n0
+            if t == end:  # both lists at their sentinel: every job is done
+                return s0, s1
 
 
 # ---------------------------------------------------------------------------

@@ -267,15 +267,8 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     return out
 
 
-# Fewest replications that pay for a worker process of their own. On 2 vCPUs
-# (CPython 3.11.7, n = 50, 11-point grid, three policies, median of 7 fresh
-# processes) starting and feeding a pool costs about 10-30 ms and a batch
-# replication about 25 us. Two workers against one, batch: 2 200 replications
-# 50-56 against 49-60 ms, 3 300 70-75 against 93-95 ms, 4 400 83-86 against
-# 106-115 ms. Arrivals were measured on the same machine while it ran about
-# twice as slow: a replication took about 100 us (the best of 40 rounds of
-# 1 100), and two workers against one (median of 9 fresh processes) 220
-# replications 40 against 43 ms, 440 64 against 77 ms, 660 72 against 94 ms.
+# Fewest replications that pay for a worker process of their own: with fewer,
+# two workers were no faster than one. The README gives the measurements.
 SWEEP_MIN_REPS_PER_WORKER = 2000
 ARRIVALS_MIN_REPS_PER_WORKER = 200
 

@@ -43,6 +43,8 @@ TREE_ORACLE = (
     "tests/test_engine.py::TestIntegerTree::test_random_channels_equal_the_oracle",
 )
 
+RELEASE_KERNELS = "tests/test_engine.py::TestReleaseKernels::"
+
 MUTANTS = (
     Mutant(
         "verify compares only the root with no label-0 job",
@@ -115,6 +117,63 @@ MUTANTS = (
         "(1, b1, prev[:1])",
         "(1, b1, prev[1:2])",
         TREE_ORACLE,
+    ),
+    # the release-date kernels: WSRPT's yield, resume and urgent-release
+    # tests, and the label kernel's finish of an unprobed class's job
+    Mutant(
+        "WSRPT yields at the tie",
+        "engine.py",
+        "if w0 * x <= cut:",
+        "if w0 * x < cut:",
+        (RELEASE_KERNELS + "test_urgent_release_at_the_tie_does_not_preempt",
+         RELEASE_KERNELS + "test_wsrpt_kernel_at_release_instants[tie-on-the-last-release]"),
+    ),
+    Mutant(
+        "WSRPT resumes a yielded job with a full unit",
+        "engine.py",
+        "                    t = n0\n",
+        "                    t = n0\n                    x = den\n",
+        (RELEASE_KERNELS + "test_wsrpt_kernel_at_release_instants[two-urgent-while-yielded]",
+         RELEASE_KERNELS + "test_wsrpt_kernel_matches_offline_wsrpt"),
+    ),
+    Mutant(
+        # the machine then makes no progress at that instant; the test's step
+        # budget turns the endless loop into a failure
+        "WSRPT starts a non-urgent job over an urgent one released this instant",
+        "engine.py",
+        "if n0 <= t:  # run the released urgent job whole",
+        "if n0 < t:  # run the released urgent job whole",
+        (RELEASE_KERNELS + "test_wsrpt_kernel_at_release_instants[urgent-at-a-completion]",),
+    ),
+    # the next two keep a job set aside that the next step finishes: the
+    # ticks are the same, one step later, so only the step count sees them
+    Mutant(
+        "label-0 fold kept while the next label-0 head is released",
+        "engine.py",
+        "if f0 or f1 and n1 <= t < n0:",
+        "if f0 or f1 and n1 <= t:",
+        (RELEASE_KERNELS + "test_label_kernel_at_release_instants[label-1-probed]",),
+    ),
+    Mutant(
+        "label-1 fold kept when an unprobed label-0 head is released",
+        "engine.py",
+        "if f1 or f0 and n0 <= t:",
+        "if f1 or n0 <= t:",
+        (RELEASE_KERNELS + "test_label_kernel_at_release_instants[never-preempting]",),
+    ),
+    Mutant(
+        "label-0 fold taken when the probed label-1 head is released at the alpha point",
+        "engine.py",
+        "if f0 or f1 and n1 <= t < n0:",
+        "if f0 or f1 and n1 < t < n0:",
+        (RELEASE_KERNELS + "test_label_kernel_at_release_instants[label-1-head-at-alpha]",),
+    ),
+    Mutant(
+        "label-1 fold taken when the probed label-0 head is released at the alpha point",
+        "engine.py",
+        "if f1 or f0 and n0 <= t:",
+        "if f1 or f0 and n0 < t:",
+        (RELEASE_KERNELS + "test_label_kernel_at_release_instants[label-0-head-at-alpha]",),
     ),
 )
 

@@ -12,7 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from betasched import cli, engine, experiments
 from betasched.analytics import expected_unconditional
 from betasched.cli import main
-from betasched.domain import Parameters, PredictionModel, dump_instance, sample_instance
+from betasched.domain import (
+    MAX_DECIMAL_EXPONENT,
+    Parameters,
+    PredictionModel,
+    dump_instance,
+    sample_instance,
+)
 from betasched.engine import TREE_N_LIMIT, tree_layers
 from betasched.errors import ResourceLimitError
 from betasched.experiments import (
@@ -660,6 +666,16 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err == f"error: grid '{grid}' has more than {cli.GRID_POINT_LIMIT} points\n"
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "1e4000000"), ("--w1", "1e-400000"),
+                                             ("--eps-grid", "0.1,1E1001")])
+    def test_huge_decimal_exponent_flag_fails_cleanly(self, capsys, flag, value):
+        # refused before 10**exponent is built, with a message that prints
+        rc = main(["sweep", "--reps", "1", "--n", "3", "--eps-grid", "0.1", flag, value])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: decimal exponent of '1") and err.endswith(
+            f" is outside [-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]\n")
 
     @pytest.mark.parametrize("flag, value", [("--alpha", "1/0"), ("--w0", "3/0"), ("--rho", "0/0")])
     def test_zero_denominator_flag_fails_cleanly(self, capsys, flag, value):

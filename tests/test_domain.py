@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from betasched.domain import (
+    MAX_DECIMAL_EXPONENT,
     Instance,
     Job,
     Parameters,
@@ -45,6 +46,15 @@ models = st.builds(
 )
 
 
+def decimal_exponent(text):
+    """The int after the last e or E of `text`, 0 where that is no int."""
+    head, e, tail = text.replace("E", "e").rpartition("e")
+    try:
+        return int(tail) if e else 0
+    except ValueError:
+        return 0
+
+
 class TestToFraction:
     def test_decimal_string(self):
         assert to_fraction("0.1") == F(1, 10)
@@ -74,8 +84,20 @@ class TestToFraction:
     @example("7" * 5000)  # past int's default digit limit
     @example("1/" + "7" * 5000)
     @example("1." + "7" * 5000)
+    @example("0e1000000")  # Fraction would build 10**1000000 first
+    @example("1E-4000000")
+    @example("0.5e+1_001")
+    @example("1e1000")  # at the bound
+    @example("-2.5E-1000")
     def test_strings_read_like_fraction(self, text):
-        """Equal to `Fraction(text)`, or the same error, bar a zero denominator."""
+        """Equal to `Fraction(text)`, or the same error, bar a zero denominator
+        and an exponent past the bound."""
+        if abs(decimal_exponent(text)) > MAX_DECIMAL_EXPONENT:
+            bound = MAX_DECIMAL_EXPONENT
+            with pytest.raises(ValueError, match=re.escape(
+                    f"decimal exponent of {text!r} is outside [-{bound}, {bound}]")):
+                to_fraction(text)
+            return
         try:
             want = Fraction(text)
         except ZeroDivisionError:

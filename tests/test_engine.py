@@ -1360,6 +1360,37 @@ def ticks_by_type(outcome, inst):
     return tuple(sums)
 
 
+def loop_steps(kernel, call, budget):
+    """(call(), the number of steps `kernel`'s `while True` loop took in it).
+
+    A step is one run of the loop body's first line, counted by a line
+    tracer. Past `budget` steps the tracer raises, so a kernel that stops
+    making progress fails instead of hanging.
+    """
+    lines, first = inspect.getsourcelines(kernel)
+    loop = next(node for node in ast.walk(ast.parse(textwrap.dedent("".join(lines))))
+                if isinstance(node, ast.While))
+    body_line = first - 1 + loop.body[0].lineno
+    code = kernel.__code__
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == body_line:
+            steps += 1
+            if steps > budget:
+                raise AssertionError(f"{kernel.__name__} took more than {budget} steps")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, steps
+
+
 class TestReleaseKernels:
     """The release-date kernels must price exactly what run() and offline_wsrpt schedule."""
 
@@ -1429,3 +1460,65 @@ class TestReleaseKernels:
         # one tick earlier (unit = 8 ticks) x = 5 and w0 * x > w1 * den: it yields
         assert wsrpt_release_ticks([0, 3], [1, 0], 2, 1, 8) == (11, 16)
         assert wsrpt_release_ticks([0, 3, 40], [1, 0, 1], 2, 1, 8) == (11, 16 + 48)
+
+    @pytest.mark.parametrize("jobs, preemptions", [
+        # an urgent job released exactly when a non-urgent one completes, with
+        # a fresh non-urgent job waiting: the urgent one runs first
+        ([(1, F(0)), (1, F(0)), (0, F(1))], 0),
+        # the non-urgent job yields at 1/8 with 7/8 left; two urgent jobs and a
+        # fresh non-urgent one are released while it waits, and it resumes
+        # after the urgent ones, before the fresh one
+        ([(1, F(0)), (0, F(1, 8)), (0, F(3, 8)), (1, F(1, 2)), (0, F(5, 8))], 1),
+        # a yield at 1/8, then the tie on the last release: at 3/2 the resumed
+        # job has 1/2 left and w0 * x == w1 * unit, so it keeps the machine
+        ([(1, F(0)), (0, F(1, 8)), (0, F(3, 2))], 1),
+    ], ids=["urgent-at-a-completion", "two-urgent-while-yielded", "tie-on-the-last-release"])
+    def test_wsrpt_kernel_at_release_instants(self, jobs, preemptions):
+        """Exact tick sums of offline_wsrpt, in one step per job and per yield.
+
+        The releases leave the machine no idle gap, so the only idle step is
+        the last one, to the sentinels.
+        """
+        inst = Instance([Job(i, tt, tt, release_time=r) for i, (tt, r) in enumerate(jobs, start=1)],
+                        Parameters(F(2, 5), 2, 1), PredictionModel(F(1, 2), 0, 0))
+        out = offline_wsrpt(inst, keep_trace=False)
+        assert out.preemption_count == preemptions
+        ticks = [int(r * out.den) for _, r in jobs]
+        types = [tt for tt, _ in jobs]
+        got, steps = loop_steps(wsrpt_release_ticks,
+                                lambda: wsrpt_release_ticks(ticks, types, 2, 1, out.den),
+                                4 * len(jobs))
+        assert got == ticks_by_type(out, inst)
+        assert steps == len(jobs) + preemptions + 1
+
+    # (true type, label, release) in id order; alpha = 2/5
+    @pytest.mark.parametrize("flags, jobs, steps", [
+        # never preempting: each job is finished in the step that opens it, the
+        # label-1 one although a label-0 job is released by its alpha point
+        ((False, False), [(1, 1, F(0)), (1, 0, F(1, 5)), (1, 0, F(1, 5))], 4),
+        # label 1 probed: the first label-0 job is finished in its step, as the
+        # next label-0 head is released by its alpha point; the second is set
+        # aside, as the label-1 head opens next, and finished after it
+        ((False, True), [(1, 0, F(0)), (1, 0, F(0)), (1, 1, F(0))], 6),
+        # an urgent label-1 head is released at the label-0 job's alpha point:
+        # the set-aside job waits while the probed head runs
+        ((False, True), [(1, 0, F(0)), (0, 1, F(2, 5)), (1, 0, F(1))], 5),
+        # a label-0 head is released at the label-1 job's alpha point, and
+        # label 0 is probed: the label-1 job waits while the head is opened
+        ((True, False), [(1, 1, F(0)), (1, 0, F(2, 5)), (1, 1, F(1))], 6),
+        # label 0 probed, its job set aside when the unprobed label-1 head is
+        # released: the set-aside job is finished first
+        ((True, False), [(1, 0, F(0)), (1, 1, F(2, 5)), (0, 1, F(2, 5))], 5),
+    ], ids=["never-preempting", "label-1-probed", "label-1-head-at-alpha",
+            "label-0-head-at-alpha", "unprobed-head-at-alpha"])
+    def test_label_kernel_at_release_instants(self, base_model, flags, jobs, steps):
+        """Exact tick sums of run(), in one step per job, one per set-aside job
+        finished in a later step, and one to idle to the sentinels."""
+        inst = Instance([Job(i, tt, label, release_time=r)
+                         for i, (tt, label, r) in enumerate(jobs, start=1)],
+                        Parameters(F(2, 5), 2, 1), base_model)
+        out = run(inst, probe_classes(*flags), keep_trace=False)
+        got, took = loop_steps(label_release_ticks, lambda: release_kernel_ticks(inst, flags),
+                               4 * len(jobs))
+        assert got == ticks_by_type(out, inst)
+        assert took == steps
