@@ -202,16 +202,11 @@ def make_job(
     true_type: int,
     label: Optional[int] = None,
     p_hat: Optional[RationalLike] = None,
-    release_time: RationalLike = 0,
+    release_time: RationalLike = ZERO,
 ) -> Job:
-    """Build a Job, coercing numeric fields to exact Fractions."""
-    return Job(
-        id=id,
-        true_type=true_type,
-        label=label,
-        p_hat=None if p_hat is None else to_fraction(p_hat),
-        release_time=to_fraction(release_time),
-    )
+    """Build a Job, coercing numeric fields to exact Fractions; the release defaults to `ZERO`."""
+    return Job(id, true_type, label, None if p_hat is None else to_fraction(p_hat),
+               to_fraction(release_time))
 
 
 class RunLayout(NamedTuple):
@@ -257,29 +252,42 @@ class Instance:
         if not self.jobs:
             raise InvalidInstanceError("an instance needs at least one job")
         seen_ids = set()
-        modes = set()
+        labelled = 0
+        # each field is read once, in the order of the checks; integer ratios
+        # order like the Fractions, and a value without one (nan, an infinity,
+        # a str) is compared as a Fraction, to refuse it the same way
         for job in self.jobs:
             if job.true_type not in (0, 1):
                 raise InvalidInstanceError(f"job {job.id}: true_type must be 0 or 1")
-            has_label = job.label is not None
-            has_prob = job.p_hat is not None
-            if has_label == has_prob:
+            label, p_hat = job.label, job.p_hat
+            if (label is None) == (p_hat is None):
                 raise InvalidInstanceError(
-                    f"job {job.id}: exactly one of label / p_hat must be set"
-                )
-            if has_label and job.label not in (0, 1):
-                raise InvalidInstanceError(f"job {job.id}: label must be 0 or 1")
-            if has_prob and not (ZERO <= job.p_hat <= ONE):
-                raise InvalidInstanceError(f"job {job.id}: p_hat must lie in [0,1]")
-            if job.release_time < ZERO:
+                    f"job {job.id}: exactly one of label / p_hat must be set")
+            if p_hat is None:
+                labelled += 1
+                if label not in (0, 1):
+                    raise InvalidInstanceError(f"job {job.id}: label must be 0 or 1")
+            else:
+                try:
+                    num, den = p_hat.as_integer_ratio()
+                except (AttributeError, ValueError, OverflowError):
+                    num, den = (0, 1) if ZERO <= p_hat <= ONE else (1, 0)
+                if not 0 <= num <= den:
+                    raise InvalidInstanceError(f"job {job.id}: p_hat must lie in [0,1]")
+            release_time = job.release_time
+            try:
+                num = release_time.as_integer_ratio()[0]
+            except (AttributeError, ValueError, OverflowError):
+                num = -1 if release_time < ZERO else 0
+            if num < 0:
                 raise InvalidInstanceError(f"job {job.id}: negative release time")
-            if job.id in seen_ids:
-                raise InvalidInstanceError(f"duplicate job id {job.id}")
-            seen_ids.add(job.id)
-            modes.add("binary" if has_label else "probabilistic")
-        if len(modes) > 1:
+            job_id = job.id
+            if job_id in seen_ids:
+                raise InvalidInstanceError(f"duplicate job id {job_id}")
+            seen_ids.add(job_id)
+        if 0 < labelled < len(self.jobs):
             raise InvalidInstanceError("instance mixes binary labels and probability estimates")
-        if modes == {"binary"} and self.model is None:
+        if labelled and self.model is None:
             raise InvalidInstanceError("binary-label instances need a prediction model")
 
     @property
@@ -333,15 +341,6 @@ class Instance:
                          tuple(pend), tuple(future))
 
 
-def _bernoulli(rng: random.Random, p: Fraction) -> bool:
-    # randrange against the exact denominator: no float rounding in the draw
-    if p == ZERO:
-        return False
-    if p == ONE:
-        return True
-    return rng.randrange(p.denominator) < p.numerator
-
-
 def sample_instance(
     n: int,
     model: PredictionModel,
@@ -350,19 +349,19 @@ def sample_instance(
 ) -> Instance:
     """Draw a batch instance: iid urgent with rate rho, labels flipped per channel.
 
-    All jobs are released at time 0. The draw is an exact function of
-    (n, model, params, seed); identical seeds give identical instances.
+    All jobs are released at time 0. A rate num/den draws `randrange(den) <
+    num`, exact, and a zero rate draws nothing. The draw is an exact function
+    of (n, model, params, seed); identical seeds give identical instances.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rng = random.Random(seed)
+    draw = random.Random(seed).randrange
+    (rn, rd), *flips = [rate.as_integer_ratio() for rate in (model.rho, model.eps0, model.eps1)]
     jobs = []
     for i in range(1, n + 1):
-        true_type = 0 if _bernoulli(rng, model.rho) else 1
-        flip_rate = model.eps0 if true_type == 0 else model.eps1
-        flipped = _bernoulli(rng, flip_rate)
-        label = (1 - true_type) if flipped else true_type
-        jobs.append(Job(id=i, true_type=true_type, label=label))
+        true_type = 0 if draw(rd) < rn else 1
+        num, den = flips[true_type]
+        jobs.append(Job(i, true_type, 1 - true_type if num and draw(den) < num else true_type))
     return Instance(jobs, params, model)
 
 

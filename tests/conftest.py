@@ -19,7 +19,7 @@ from betasched.analytics import (
 )
 from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
 from betasched.engine import RunOutcome, TraceEvent, offline_wspt, run, tree_layers
-from betasched.errors import TerminalStateError, UnsupportedInputError
+from betasched.errors import InvalidInstanceError, TerminalStateError, UnsupportedInputError
 from betasched.experiments import _rep_rng
 from betasched.policies import (
     OPEN_NEXT,
@@ -160,6 +160,58 @@ def draw_jobs(rng, n, rho, e0, e1):
         tt = 0 if rand() < rho else 1
         flip = rand() < (e0 if tt == 0 else e1)
         jobs.append(Job(i, tt, (1 - tt) if flip else tt))
+    return jobs
+
+
+def reference_validate(jobs, model):
+    """`Instance._validate` as a loop of `Fraction` comparisons on `Job` fields.
+
+    Raises what an `Instance` of `jobs` and `model` must raise, or nothing.
+    """
+    if not jobs:
+        raise InvalidInstanceError("an instance needs at least one job")
+    seen_ids = set()
+    modes = set()
+    for job in jobs:
+        if job.true_type not in (0, 1):
+            raise InvalidInstanceError(f"job {job.id}: true_type must be 0 or 1")
+        has_label = job.label is not None
+        has_prob = job.p_hat is not None
+        if has_label == has_prob:
+            raise InvalidInstanceError(f"job {job.id}: exactly one of label / p_hat must be set")
+        if has_label and job.label not in (0, 1):
+            raise InvalidInstanceError(f"job {job.id}: label must be 0 or 1")
+        if has_prob and not (Fraction(0) <= job.p_hat <= ONE):
+            raise InvalidInstanceError(f"job {job.id}: p_hat must lie in [0,1]")
+        if job.release_time < Fraction(0):
+            raise InvalidInstanceError(f"job {job.id}: negative release time")
+        if job.id in seen_ids:
+            raise InvalidInstanceError(f"duplicate job id {job.id}")
+        seen_ids.add(job.id)
+        modes.add("binary" if has_label else "probabilistic")
+    if len(modes) > 1:
+        raise InvalidInstanceError("instance mixes binary labels and probability estimates")
+    if modes == {"binary"} and model is None:
+        raise InvalidInstanceError("binary-label instances need a prediction model")
+
+
+def bernoulli(rng, p):
+    """One exact draw of probability `p`: no draw at 0 or 1, else randrange(den) < num."""
+    if p == 0:
+        return False
+    if p == 1:
+        return True
+    return rng.randrange(p.denominator) < p.numerator
+
+
+def reference_sample_jobs(n, model, seed):
+    """The jobs of `sample_instance(n, model, params, seed)`, one `bernoulli` call per draw."""
+    rng = random.Random(seed)
+    jobs = []
+    for i in range(1, n + 1):
+        true_type = 0 if bernoulli(rng, model.rho) else 1
+        flipped = bernoulli(rng, model.eps0 if true_type == 0 else model.eps1)
+        jobs.append(Job(i, true_type, (1 - true_type) if flipped else true_type))
     return jobs
 
 

@@ -11,10 +11,13 @@ and `tests/`, and all of them must pass. Then, for each entry, it makes a new
 copy, applies the edit and runs that entry's tests in a subprocess. The entry
 passes only if every named test fails (for a parametrized test, at least one
 of its cases; a run that stops early, on an import error say, fails them
-all). An entry whose old text is gone, or no longer unique, fails too, so
-the list cannot rot silently. Hypothesis runs with a fixed seed, so a
-run is repeatable. The exit code is 1 if anything failed. Standard library
-only.
+all). A run that takes longer than `RUN_TIMEOUT` seconds is stopped and
+fails its tests too: a mutant that makes a test loop forever is reported
+as timed out, and the gate goes on to the next entry; on the unedited copy
+a timeout fails the gate. An entry whose old text is gone, or no longer
+unique, fails too, so the list cannot rot silently. Hypothesis runs with a
+fixed seed, so a run is repeatable. The exit code is 1 if anything failed.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# seconds per pytest run: the longest, the unedited copy's, takes a few, and
+# each hanging mutant costs this much of the gate's 3-minute budget
+RUN_TIMEOUT = 30
 
 
 class Mutant(NamedTuple):
@@ -44,6 +50,7 @@ TREE_ORACLE = (
 )
 
 RELEASE_KERNELS = "tests/test_engine.py::TestReleaseKernels::"
+VALIDATION = "tests/test_domain.py::TestInstanceValidation::"
 
 MUTANTS = (
     Mutant(
@@ -175,6 +182,37 @@ MUTANTS = (
         "if f1 or f0 and n0 < t:",
         (RELEASE_KERNELS + "test_label_kernel_at_release_instants[label-0-head-at-alpha]",),
     ),
+    # instance construction on integer ratios
+    Mutant(
+        "p_hat = 1 refused",
+        "domain.py",
+        "if not 0 <= num <= den:",
+        "if not 0 <= num < den:",
+        (VALIDATION + "test_p_hat_ends_accepted", VALIDATION + "test_matches_the_reference_loop"),
+    ),
+    Mutant(
+        "a negative release accepted",
+        "domain.py",
+        "            if num < 0:\n"
+        "                raise InvalidInstanceError(f\"job {job.id}: negative release time\")\n",
+        "",
+        (VALIDATION + "test_negative_release", VALIDATION + "test_checks_in_order"),
+    ),
+    Mutant(
+        "a duplicate id accepted",
+        "domain.py",
+        "            if job_id in seen_ids:\n"
+        "                raise InvalidInstanceError(f\"duplicate job id {job_id}\")\n",
+        "",
+        (VALIDATION + "test_duplicate_ids_rejected", VALIDATION + "test_checks_in_order"),
+    ),
+    Mutant(
+        "a zero error rate still draws",
+        "domain.py",
+        "if num and draw(den) < num else",
+        "if draw(den) < num else",
+        ("tests/test_domain.py::TestSampleInstance::test_matches_the_bernoulli_loop",),
+    ),
 )
 
 
@@ -189,14 +227,19 @@ def failed_tests(tree: Path, tests) -> tuple[int, list[str]]:
     """(pytest's exit code, the FAILED and ERROR ids it reports) for `tests` in `tree`.
 
     A run that ends before its tests do (exit code 2 or more: an import or
-    collection error, say) counts every one of them as failed.
+    collection error, say) counts every one of them as failed, and so does a
+    run stopped after `RUN_TIMEOUT` seconds, whose exit code reads None.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
-        cwd=tree, env=env, capture_output=True, text=True, timeout=900,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        print(f"     {tree.name}: timed out after {RUN_TIMEOUT} s")
+        return None, list(tests)
     if proc.returncode > 1:
         return proc.returncode, list(tests)
     failed = [line.split()[1] for line in proc.stdout.splitlines()
@@ -217,7 +260,7 @@ def main() -> int:
         copy_tree(base)
         every_test = sorted({test for mutant in MUTANTS for test in mutant.tests})
         code, failed = failed_tests(base, every_test)
-        if code:
+        if code != 0:
             print(f"FAIL unedited copy: pytest exit code {code}, failed {failed}")
             return 1
         print(f"ok   unedited copy: {len(every_test)} named tests pass")

@@ -4,10 +4,11 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betasched.domain import (
     MAX_DECIMAL_EXPONENT,
+    ZERO,
     Instance,
     Job,
     Parameters,
@@ -22,12 +23,17 @@ from betasched.errors import InvalidInstanceError
 from conftest import (
     fraction_posteriors,
     priority,
+    reference_sample_jobs,
+    reference_validate,
     satisfies_weight_gap,
     sort_for_policy,
     urgent_count,
 )
 
 F = Fraction
+NAN, INF = float("nan"), float("inf")
+PARAMS = Parameters(F(2, 5), 20, 1)  # the base_params and base_model fixtures' values
+MODEL = PredictionModel(F(1, 10), F(1, 10), F(1, 10))
 
 rationals_01 = st.fractions(min_value=0, max_value=1)
 
@@ -43,6 +49,25 @@ models = st.builds(
     rho=small_fraction(F(1, 60), F(59, 60)),
     eps0=small_fraction(0, F(1, 2)),
     eps1=small_fraction(0, F(1, 2)),
+)
+
+
+flip_rates = st.one_of(
+    st.sampled_from([F(0), F(1, 2), F(10 ** 30 - 1, 2 * 10 ** 30)]),
+    st.fractions(0, F(1, 2), max_denominator=7),
+    st.fractions(0, F(1, 2), max_denominator=10 ** 40),
+)
+
+
+jobs_of_any_fields = st.builds(
+    Job,
+    id=st.one_of(st.integers(0, 3), st.sampled_from([1.0, F(2), True])),
+    true_type=st.sampled_from([0, 1, 2, -1, True, False, 0.0, 1.0, F(1), None, "0", NAN]),
+    label=st.one_of(st.none(), st.sampled_from([0, 1, 2, -1, 1.0, F(0), "1", NAN])),
+    p_hat=st.one_of(st.none(), st.integers(-2, 3), st.fractions(-1, 2), st.floats(-1, 2),
+                    st.sampled_from([NAN, INF, -INF, "1/2", 0.0, 1.0])),
+    release_time=st.one_of(st.integers(-2, 3), st.fractions(-2, 3), st.floats(-2, 3),
+                           st.sampled_from([ZERO, NAN, INF, -INF, None, "0"])),
 )
 
 
@@ -257,6 +282,24 @@ class TestSampleInstance:
         inst = sample_instance(10, base_model, base_params, seed=2)
         assert all(j.release_time == 0 for j in inst.jobs)
 
+    @given(
+        n=st.integers(1, 200),
+        rho=st.one_of(st.sampled_from([F(1, 2), F(1, 3), F(1, 10 ** 30), 1 - F(1, 10 ** 30)]),
+                      st.fractions(0, 1, max_denominator=7).filter(lambda r: 0 < r < 1),
+                      st.fractions(0, 1, max_denominator=10 ** 40).filter(lambda r: 0 < r < 1)),
+        eps0=flip_rates,
+        eps1=flip_rates,
+        seed=st.integers(0, 2 ** 64),
+    )
+    @example(n=200, rho=F(1, 2), eps0=F(0), eps1=F(1, 2), seed=0)
+    @example(n=200, rho=F(1, 2), eps0=F(1, 2), eps1=F(0), seed=1)
+    @example(n=50, rho=F(1, 10), eps0=F(0), eps1=F(0), seed=2)
+    def test_matches_the_bernoulli_loop(self, n, rho, eps0, eps1, seed):
+        """The same jobs as one exact Bernoulli call per draw, none for a zero rate."""
+        model = PredictionModel(rho, eps0, eps1)
+        got = sample_instance(n, model, PARAMS, seed=seed).jobs
+        assert got == tuple(reference_sample_jobs(n, model, seed))
+
 
 class TestSortForPolicy:
     def test_worked_example_blocks(self, base_model, base_params):
@@ -291,28 +334,97 @@ class TestSortForPolicy:
 
 
 class TestInstanceValidation:
-    def test_mixed_modes_rejected(self, base_model, base_params):
+    @staticmethod
+    def refused(jobs, model, message):
+        with pytest.raises(InvalidInstanceError) as info:
+            Instance(jobs, PARAMS, model)
+        assert str(info.value) == message
+
+    def test_empty_rejected(self):
+        self.refused([], MODEL, "an instance needs at least one job")
+
+    def test_mixed_modes_rejected(self):
         jobs = [Job(1, 0, label=0), make_job(2, 1, p_hat="0.5")]
-        with pytest.raises(InvalidInstanceError):
-            Instance(jobs, base_params, base_model)
+        self.refused(jobs, MODEL, "instance mixes binary labels and probability estimates")
 
-    def test_job_needs_exactly_one_prediction(self, base_model, base_params):
-        with pytest.raises(InvalidInstanceError):
-            Instance([Job(1, 0)], base_params, base_model)
-        with pytest.raises(InvalidInstanceError):
-            Instance([Job(1, 0, label=0, p_hat=F(1, 2))], base_params, base_model)
+    def test_job_needs_exactly_one_prediction(self):
+        message = "job 1: exactly one of label / p_hat must be set"
+        self.refused([Job(1, 0)], MODEL, message)
+        self.refused([Job(1, 0, label=0, p_hat=F(1, 2))], MODEL, message)
 
-    def test_binary_mode_needs_model(self, base_params):
-        with pytest.raises(InvalidInstanceError):
-            Instance([Job(1, 0, 0)], base_params, model=None)
+    def test_binary_mode_needs_model(self):
+        self.refused([Job(1, 0, 0)], None, "binary-label instances need a prediction model")
 
-    def test_duplicate_ids_rejected(self, base_model, base_params):
-        with pytest.raises(InvalidInstanceError):
-            Instance([Job(1, 0, 0), Job(1, 1, 1)], base_params, base_model)
+    def test_duplicate_ids_rejected(self):
+        self.refused([Job(1, 0, 0), Job(1, 1, 1)], MODEL, "duplicate job id 1")
+
+    @pytest.mark.parametrize("true_type", [2, -1, None, "0", 0.5])
+    def test_bad_true_type(self, true_type):
+        self.refused([Job(1, 0, 0), Job(7, true_type, 0)], MODEL,
+                     "job 7: true_type must be 0 or 1")
+
+    @pytest.mark.parametrize("label", [2, -1, "1", 0.5])
+    def test_bad_label(self, label):
+        self.refused([Job(3, 1, label)], MODEL, "job 3: label must be 0 or 1")
+
+    @pytest.mark.parametrize("p_hat", [F(-1, 10), -1, F(11, 10), 2, 1 + 1e-9, NAN, INF, -INF,
+                                       F(10 ** 30 + 1, 10 ** 30)])
+    def test_p_hat_outside_the_unit_interval(self, p_hat):
+        self.refused([make_job(2, 0, p_hat="1/2"), Job(4, 0, p_hat=p_hat)], None,
+                     "job 4: p_hat must lie in [0,1]")
+
+    @pytest.mark.parametrize("p_hat", [0, 1, F(0), F(1), 0.0, 1.0, "0", "1", F(1, 10 ** 30)])
+    def test_p_hat_ends_accepted(self, p_hat):
+        inst = Instance([make_job(1, 0, p_hat=p_hat)], PARAMS)
+        assert inst.jobs[0].p_hat == to_fraction(p_hat)
+
+    @pytest.mark.parametrize("release", [F(-1, 3), -1, F(-1, 10 ** 30), -0.5, -INF])
+    def test_negative_release(self, release):
+        jobs = [Job(1, 0, 0), Job(2, 1, 1, release_time=release)]
+        self.refused(jobs, MODEL, "job 2: negative release time")
+
+    def test_checks_in_order(self):
+        """Each job's checks run in order, and the first failing job decides."""
+        self.refused([Job(1, 0, 0), Job(1, 2, 5, release_time=F(-1))], MODEL,
+                     "job 1: true_type must be 0 or 1")
+        self.refused([Job(1, 0, 0), Job(1, 0, 5, release_time=F(-1))], MODEL,
+                     "job 1: label must be 0 or 1")
+        self.refused([Job(1, 0, 0), Job(1, 0, 0, release_time=F(-1))], MODEL,
+                     "job 1: negative release time")
+        self.refused([Job(1, 0, 0), Job(2, 0, p_hat=F(1, 2)), Job(2, 0, 0)], MODEL,
+                     "duplicate job id 2")
+
+    @settings(max_examples=300)
+    @given(jobs=st.lists(st.one_of(jobs_of_any_fields, jobs_of_any_fields.map(tuple)), max_size=5),
+           with_model=st.booleans())
+    def test_matches_the_reference_loop(self, jobs, with_model):
+        """Accepted, or refused with the same exception type and message, as the
+        reference loop of `Fraction` comparisons; a plain tuple is not a Job."""
+        model = MODEL if with_model else None
+
+        def outcome(build):
+            try:
+                build()
+            except Exception as exc:  # noqa: BLE001 - every refusal is compared
+                return type(exc), str(exc)
+            return None
+
+        want = outcome(lambda: reference_validate(tuple(jobs), model))
+        assert outcome(lambda: Instance(jobs, PARAMS, model)) == want
 
     def test_weight_assignment(self, base_model, base_params):
         assert Job(1, 0, 0).weight(base_params) == 20
         assert Job(1, 1, 0).weight(base_params) == 1
+
+
+class TestMakeJob:
+    def test_coerces_to_fractions(self):
+        job = make_job(3, 1, p_hat="0.25", release_time=2)
+        assert job == Job(3, 1, None, F(1, 4), F(2))
+        assert type(job.p_hat) is type(job.release_time) is Fraction
+
+    def test_release_time_defaults_to_the_shared_zero(self):
+        assert make_job(1, 0, label=0).release_time is ZERO
 
 
 class TestSerialization:
