@@ -176,8 +176,8 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} must be at least 1, got {value}")
     suites = [
         ("optimality", lambda: verify_optimality(grid={"n": tuple(range(1, args.n_max + 1))})),
-        ("wsrpt", lambda: verify_wsrpt(instances=args.instances, seed=args.seed or 0)),
-        ("regimes", lambda: verify_regimes(samples=args.samples, seed=args.seed or 0)),
+        ("wsrpt", lambda: verify_wsrpt(instances=args.instances, seed=args.seed)),
+        ("regimes", lambda: verify_regimes(samples=args.samples, seed=args.seed)),
     ]
     failed = 0
     for name, suite in suites:

@@ -85,10 +85,9 @@ def rate_ratio(name: str, value: Fraction) -> tuple[int, int]:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Render a Fraction as `num` or `num/den` for the text formats."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render an exact number, a float as its binary rational, as `num` or `num/den`."""
+    num, den = value.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 @dataclass(frozen=True)
@@ -253,11 +252,11 @@ class Instance:
             raise InvalidInstanceError("an instance needs at least one job")
         seen_ids = set()
         labelled = 0
-        # each field is read once, in the order of the checks; integer ratios
-        # order like the Fractions, and a value without one (nan, an infinity,
-        # a str) is compared as a Fraction, to refuse it the same way
+        # each field is read once, in the order of the checks; an id, a type
+        # and a label are ints, a release an int or a Fraction, none a bool
         for job in self.jobs:
-            if job.true_type not in (0, 1):
+            true_type = job.true_type
+            if type(true_type) is not int or true_type not in (0, 1):
                 raise InvalidInstanceError(f"job {job.id}: true_type must be 0 or 1")
             label, p_hat = job.label, job.p_hat
             if (label is None) == (p_hat is None):
@@ -265,23 +264,23 @@ class Instance:
                     f"job {job.id}: exactly one of label / p_hat must be set")
             if p_hat is None:
                 labelled += 1
-                if label not in (0, 1):
+                if type(label) is not int or label not in (0, 1):
                     raise InvalidInstanceError(f"job {job.id}: label must be 0 or 1")
             else:
                 try:
                     num, den = p_hat.as_integer_ratio()
                 except (AttributeError, ValueError, OverflowError):
-                    num, den = (0, 1) if ZERO <= p_hat <= ONE else (1, 0)
+                    num, den = 1, 0  # nan, an infinity, a str: no integer ratio
                 if not 0 <= num <= den:
                     raise InvalidInstanceError(f"job {job.id}: p_hat must lie in [0,1]")
             release_time = job.release_time
-            try:
-                num = release_time.as_integer_ratio()[0]
-            except (AttributeError, ValueError, OverflowError):
-                num = -1 if release_time < ZERO else 0
-            if num < 0:
+            if type(release_time) not in (int, Fraction):
+                raise InvalidInstanceError(f"job {job.id}: release must be an int or a Fraction")
+            if release_time.numerator < 0:
                 raise InvalidInstanceError(f"job {job.id}: negative release time")
             job_id = job.id
+            if type(job_id) is not int:
+                raise InvalidInstanceError(f"job {job_id!r}: id must be an int")
             if job_id in seen_ids:
                 raise InvalidInstanceError(f"duplicate job id {job_id}")
             seen_ids.add(job_id)

@@ -84,13 +84,16 @@ def run(
     """Simulate one schedule of `instance` under `policy`.
 
     Decision points are job completions, reveal points (alpha after a job is
-    opened), and, when the machine is idle, release times. A job freshly at
-    its reveal point joins the interrupted pool; it counts as preempted only
-    if the next action does not immediately finish it. Under exact revelation
-    a job revealed urgent continues straight to completion; that is the one
-    decision point the policy is not asked at. Newly released jobs become
-    visible at the next decision point and enter the queue in priority order.
-    The engine never idles while released work exists.
+    opened), and, when the machine is idle, release times. There `decide`
+    returns `OPEN_NEXT` (None) to open the next job, or an interrupted job's
+    id to complete it; an open with no job waiting, or any other answer, is
+    a `ContractViolationError`. A job freshly at its reveal point joins the
+    interrupted pool, and counts as preempted iff the next decision is not
+    its id. Under exact revelation a job revealed urgent continues straight
+    to completion; that is the one decision point the policy is not asked
+    at. Newly released jobs become visible at the next decision point and
+    enter the queue in priority order. The engine never idles while
+    released work exists.
     """
     params = instance.params
     exact_mode = isinstance(revelation, ExactRevelation)
@@ -140,29 +143,24 @@ def run(
             t = future[fi][0]  # idle until the next arrival
             continue
 
-        unopened._start = pi
+        unopened._pi = pi
         state.n_unopened = waiting
         state.n_interrupted = held
         state._clock_ticks = t
-        action = decide(state, params)
-        kind = action.kind
-        target = action.job_id
-        if kind == "open":
-            if not waiting:
-                raise ContractViolationError(
-                    f"policy {policy.name} opened with an empty queue at t={Fraction(t, den)}"
-                )
-        elif kind != "complete":
-            raise ContractViolationError(f"unknown action kind {kind!r} from {policy.name}")
+        target = decide(state, params)  # None opens, a job id completes
 
         if pending is not None:
-            if kind != "complete" or target != pending:
+            if target != pending:
                 preemptions += 1
                 if trace is not None:
                     trace.append(TraceEvent(Fraction(t, den), "preempt", pending, true_of[pending]))
             pending = None
 
-        if kind == "open":
+        if target is None:
+            if not waiting:
+                raise ContractViolationError(
+                    f"policy {policy.name} opened with an empty queue at t={Fraction(t, den)}"
+                )
             target = pend[pi][1]
             pi += 1
             tt = true_of[target]

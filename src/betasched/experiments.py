@@ -488,10 +488,13 @@ def verify_optimality(grid=None) -> list[str]:
     return failures
 
 
-def random_release_instance(rng: random.Random, params: Parameters,
-                            n_max: int = 4) -> Instance:
+WSRPT_N_MAX = 4  # jobs per instance of the wsrpt suite, the enumeration's limit
+REGIME_N_MAX = 12  # jobs per instance of the regime suite
+
+
+def random_release_instance(rng: random.Random, params: Parameters) -> Instance:
     """Small instance with rational release times on the 1/8 grid in [0, 4)."""
-    n = rng.randint(1, n_max)
+    n = rng.randint(1, WSRPT_N_MAX)
     jobs = []
     for i in range(1, n + 1):
         tt = rng.randint(0, 1)
@@ -500,7 +503,7 @@ def random_release_instance(rng: random.Random, params: Parameters,
     return Instance(jobs, params, model)
 
 
-def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[str]:
+def verify_wsrpt(instances: int, seed: int = 0) -> list[str]:
     """The clairvoyant preemptive schedule's cost vs exhaustive grid search, exact.
 
     `offline_wsrpt_cost`, which prices through `wsrpt_release_ticks` as the
@@ -512,8 +515,8 @@ def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[s
     for _ in range(instances):
         w0, w1 = rng.choice(weight_choices)
         params = Parameters(Fraction(2, 5), w0, w1)
-        inst = random_release_instance(rng, params, n_max)
-        want = enumerate_offline_optimum(inst, limit=n_max)
+        inst = random_release_instance(rng, params)
+        want = enumerate_offline_optimum(inst, limit=WSRPT_N_MAX)
         got = offline_wsrpt_cost(inst)
         if got != want:
             failures.append(f"wsrpt {got} != enumerated optimum {want} on:\n"
@@ -521,7 +524,7 @@ def verify_wsrpt(instances: int = 1000, seed: int = 0, n_max: int = 4) -> list[s
     return failures
 
 
-def verify_regimes(samples: int = 300, seed: int = 0, n_max: int = 12) -> list[str]:
+def verify_regimes(samples: int, seed: int = 0) -> list[str]:
     """The threshold rule must trace-match the policy its regime names."""
     rng = random.Random(f"regimes:{seed}")
     failures = []
@@ -534,7 +537,7 @@ def verify_regimes(samples: int = 300, seed: int = 0, n_max: int = 12) -> list[s
             Fraction(rng.randint(0, 8), 16),
             Fraction(rng.randint(0, 8), 16),
         )
-        n = rng.randint(1, n_max)
+        n = rng.randint(1, REGIME_N_MAX)
         inst = sample_instance(n, model, params, seed=rng.randrange(2 ** 30))
         regime = classify_regime(model, params)
         mirror = get_policy(regime.value)

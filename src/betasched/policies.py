@@ -1,16 +1,18 @@
-"""Decision rules mapping observed scheduler state to an action.
+"""Decision rules mapping observed scheduler state to the next job.
 
-A policy is a pure function of (state, params). The simulation engine owns
-all mutation; policies only read the state views passed to them.
+A policy is a pure function of (state, params): `OPEN_NEXT` (None) opens the
+next job, and an interrupted job's id completes that job. The simulation
+engine owns all mutation; policies only read the state views passed to them.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .domain import ZERO, Parameters, PredictionModel
 from .errors import ContractViolationError, TerminalStateError, UnsupportedInputError
@@ -22,19 +24,8 @@ class Regime(Enum):
     HYBRID = "hybrid"
 
 
-class Action(NamedTuple):
-    """What a policy asks the machine to do next."""
-
-    kind: str  # "open" or "complete"
-    job_id: Optional[int] = None
-
-
-OPEN_NEXT = Action("open")
-
-
-def complete_low(job_id: int) -> Action:
-    # tuple.__new__ skips the namedtuple's Python-level __new__
-    return tuple.__new__(Action, ("complete", job_id))
+# a decision: None opens the next job, a job id completes that interrupted job
+OPEN_NEXT = None
 
 
 class UnopenedQueue:
@@ -46,25 +37,25 @@ class UnopenedQueue:
     a rank; the id field then breaks ties ascending.
     """
 
-    __slots__ = ("_entries", "_start")
+    __slots__ = ("_pend", "_pi")
 
-    def __init__(self, entries: list):
-        # a view over a sorted list; the engine moves _start before each decision
-        self._entries = entries
-        self._start = 0
+    def __init__(self, pend: list):
+        # a view over a sorted list; the engine moves the head _pi before each decision
+        self._pend = pend
+        self._pi = 0
 
     def __len__(self) -> int:
-        return len(self._entries) - self._start
+        return len(self._pend) - self._pi
 
     def head_priority(self) -> Fraction:
-        return self._entries[self._start][3]
+        return self._pend[self._pi][3]
 
     def head_label(self) -> Optional[int]:
-        return self._entries[self._start][2]
+        return self._pend[self._pi][2]
 
     def items(self):
         """Yield (job_id, priority, label) in scheduling order."""
-        for _, job_id, label, priority in self._entries[self._start:]:
+        for _, job_id, label, priority in self._pend[self._pi:]:
             yield job_id, priority, label
 
 
@@ -83,74 +74,61 @@ def theta_key(theta, seq: int, job_id: int) -> tuple:
 class InterruptedQueue:
     """Partially processed jobs awaiting their final segment, in FIFO order.
 
-    `add` appends a (job_id, theta) entry to the FIFO list, and `remove`
-    leaves None in the job's slot (found through a job-to-slot map), so the
-    list never shrinks: `_start` is the first live slot and `len` counts the
-    live jobs only. Next to it the queue keeps a heap of `theta_key` entries
-    for `argmax_theta`. A read that finds the heap empty builds it from the
-    live entries; while it is non-empty `add` pushes in O(log n) and
-    `remove` pops the entries of removed jobs lazily, so it runs empty again
-    when the queue drains. Under exact revelation every theta is 0, so the
-    heap's top is the FIFO head. Under posterior revelation each theta is the
-    float its Beta draw returned.
+    An ordered map of job_id -> theta keeps the jobs in the order they were
+    added (each at most once), so `add`, `remove` and `first_id` are O(1).
+    For `argmax_theta` a heap of `theta_key` entries is built by the first
+    read that finds it empty; while it is non-empty `add` pushes and
+    `remove` pops the tops whose job has left, so the top is always queued.
+    Under exact revelation every theta is 0 and the top is the FIFO head;
+    under posterior revelation each theta is the float of its Beta draw.
     """
 
-    __slots__ = ("_entries", "_slot", "_start", "_heap")
+    __slots__ = ("_fifo", "_seq", "_heap")
 
     def __init__(self, entries: list):
-        # a FIFO list without tombstones; the heap is built on the first read
-        self._entries = entries
-        self._slot = {entry[0]: seq for seq, entry in enumerate(entries)}
-        self._start = 0
+        # (job_id, theta) pairs in FIFO order; the heap is built on the first read
+        self._fifo = OrderedDict(entries)
         self._heap = []
+        self._seq = 0  # the FIFO place of the next key pushed
 
     def __len__(self) -> int:
-        return len(self._slot)
+        return len(self._fifo)
 
     def add(self, job_id: int, theta) -> None:
-        entries = self._entries
-        seq = len(entries)
-        if self._heap:
-            heappush(self._heap, theta_key(theta, seq, job_id))
-        self._slot[job_id] = seq
-        entries.append((job_id, theta))
-
-    def remove(self, job_id: int) -> bool:
-        """Drop `job_id` from the queue; False if it is not in it."""
-        seq = self._slot.pop(job_id, None)
-        if seq is None:
-            return False
-        entries = self._entries
-        entries[seq] = None
-        if seq == self._start:
-            end = len(entries)
-            while seq < end and entries[seq] is None:
-                seq += 1
-            self._start = seq
         heap = self._heap
-        while heap and entries[heap[0][2]] is None:
+        if heap:
+            heappush(heap, theta_key(theta, self._seq, job_id))
+            self._seq += 1
+        self._fifo[job_id] = theta
+
+    def remove(self, job_id) -> bool:
+        """Drop `job_id` from the queue; False if it is not in it."""
+        fifo = self._fifo
+        try:
+            del fifo[job_id]
+        except (KeyError, TypeError):  # not queued, or not even hashable
+            return False
+        heap = self._heap
+        while heap and heap[0][3] not in fifo:
             heappop(heap)
         return True
 
     def first_id(self) -> int:
-        return self._entries[self._start][0]
+        return next(iter(self._fifo))
 
     def items(self):
         """Yield (job_id, theta) in insertion order."""
-        for entry in self._entries[self._start:]:
-            if entry is not None:
-                yield entry
+        return iter(self._fifo.items())
 
     def argmax_theta(self):
         """(job_id, theta) with the largest theta; FIFO order breaks ties."""
         heap = self._heap
         if not heap:
-            entries = self._entries
-            for seq in range(self._start, len(entries)):
-                entry = entries[seq]
-                if entry is not None:
-                    heap.append(theta_key(entry[1], seq, entry[0]))
+            fifo = self._fifo
+            heap.extend(theta_key(theta, seq, job_id)
+                        for seq, (job_id, theta) in enumerate(fifo.items()))
             heapify(heap)
+            self._seq = len(fifo)
         top = heap[0]
         return top[3], top[4]
 
@@ -189,29 +167,29 @@ def _no_action(state: PolicyState) -> TerminalStateError:
     return TerminalStateError(f"no legal action at t={state.clock}")
 
 
-def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Action:
+def nonpreemptive_decide(state: PolicyState, params: Parameters) -> Optional[int]:
     """Finish interrupted work first (FIFO); open the next job only with none.
 
     A job set aside at its alpha point is thus completed at the next
     decision, as if it had run straight through.
     """
     if state.n_interrupted:
-        return complete_low(state.interrupted.first_id())
+        return state.interrupted.first_id()
     if not state.n_unopened:
         raise _no_action(state)
     return OPEN_NEXT
 
 
-def preemptive_decide(state: PolicyState, params: Parameters) -> Action:
+def preemptive_decide(state: PolicyState, params: Parameters) -> Optional[int]:
     """Open everything available first; finish interrupted work only after."""
     if state.n_unopened:
         return OPEN_NEXT
     if not state.n_interrupted:
         raise _no_action(state)
-    return complete_low(state.interrupted.first_id())
+    return state.interrupted.first_id()
 
 
-def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
+def beta_threshold_decide(state: PolicyState, params: Parameters) -> Optional[int]:
     """Open the next job iff its urgency probability strictly exceeds beta.
 
     With nothing interrupted the only useful move is to open; with nothing
@@ -222,17 +200,16 @@ def beta_threshold_decide(state: PolicyState, params: Parameters) -> Action:
         if not state.n_unopened:
             raise _no_action(state)
         return OPEN_NEXT
-    if not state.n_unopened:
-        return complete_low(state.interrupted.first_id())
-    a, b = state.unopened.head_priority().as_integer_ratio()
-    c, d = params.beta_pair
-    # p = a/b > beta = c/d  <=>  a*d > c*b, as b, d > 0
-    if a * d > c * b:
-        return OPEN_NEXT
-    return complete_low(state.interrupted.first_id())
+    if state.n_unopened:
+        a, b = state.unopened.head_priority().as_integer_ratio()
+        c, d = params.beta_pair
+        # p = a/b > beta = c/d  <=>  a*d > c*b, as b, d > 0
+        if a * d > c * b:
+            return OPEN_NEXT
+    return state.interrupted.first_id()
 
 
-def hybrid_decide(state: PolicyState, params: Parameters) -> Action:
+def hybrid_decide(state: PolicyState, params: Parameters) -> Optional[int]:
     """Label-driven switch: treat predicted-urgent jobs preemptively, the rest not.
 
     Opens while the head job is labelled 0; once only predicted non-urgent
@@ -243,16 +220,16 @@ def hybrid_decide(state: PolicyState, params: Parameters) -> Action:
     if not state.n_unopened:
         if not state.n_interrupted:
             raise _no_action(state)
-        return complete_low(state.interrupted.first_id())
+        return state.interrupted.first_id()
     label = state.unopened.head_label()
     if label is None:
         raise UnsupportedInputError("hybrid policy needs binary labels")
     if label == 0 or not state.n_interrupted:
         return OPEN_NEXT
-    return complete_low(state.interrupted.first_id())
+    return state.interrupted.first_id()
 
 
-def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
+def modified_beta_decide(state: PolicyState, params: Parameters) -> Optional[int]:
     """Threshold rule for uncertain reveals: raise the bar by the best theta.
 
     Let theta be the largest urgency probability among interrupted jobs. The
@@ -272,11 +249,9 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
             raise _no_action(state)
         return OPEN_NEXT
     job_id, theta = state.interrupted.argmax_theta()
-    if not state.n_unopened:
-        return complete_low(job_id)
     g, h = theta.as_integer_ratio()
-    if g >= h:  # theta >= 1
-        return complete_low(job_id)
+    if not state.n_unopened or g >= h:  # nothing to open, or theta >= 1
+        return job_id
     # With p = a/b, beta = c/d, K = e/f and theta = g/h (all denominators
     # positive):  p > beta + K*theta/(1-theta)
     #   <=>  (a*d - c*b)/(b*d) > e*g/(f*(h-g))
@@ -286,7 +261,7 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Action:
     e, f = params.slope_pair
     if (a * d - c * b) * f * (h - g) > e * g * b * d:
         return OPEN_NEXT
-    return complete_low(job_id)
+    return job_id
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +318,7 @@ class Policy:
     """A named decide function; `run()` consults it at every decision point."""
 
     name: str
-    decide: Callable[[PolicyState, Parameters], Action]
+    decide: Callable[[PolicyState, Parameters], Optional[int]]
 
 
 POLICIES: dict[str, Policy] = {
@@ -367,11 +342,12 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     """Which label classes `policy` probes on a batch instance under exact reveal.
 
     flag[l] is the policy's answer to the question `run()` asks at each
-    decision: with the head job labelled l and one job interrupted at
-    theta = 0, does it open the head (True) or complete the interrupted job
-    (False)? The nonpreemptive rule completes it, so it probes no class. The
-    batch kernel, the closed forms, the tree oracle and the regime all read
-    a policy's batch behaviour from here. One probe state serves both
+    decision: with the head job labelled l and job 1 interrupted at
+    theta = 0, does it open the head (`OPEN_NEXT`, True) or complete job 1
+    (False)? Any other answer is a `ContractViolationError`. The
+    nonpreemptive rule completes it, so it probes no class. The batch
+    kernel, the closed forms, the tree oracle and the regime all read a
+    policy's batch behaviour from here. One probe state serves both
     questions: its head entry is swapped from label 0 to label 1.
     """
     head = [None]  # the probe's one unopened entry, set per label
@@ -379,14 +355,12 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     flags = []
     for label in (0, 1):
         head[0] = (0, 2, label, model.posterior(label))
-        action = policy.decide(state, params)
-        if action.kind not in ("open", "complete") or (
-            action.kind == "complete" and action.job_id != 1
-        ):
+        target = policy.decide(state, params)
+        if target is not None and target != 1:
             raise ContractViolationError(
-                f"policy {policy.name} answered {action} with one job interrupted"
+                f"policy {policy.name} answered {target!r} with job 1 interrupted"
             )
-        flags.append(action.kind == "open")
+        flags.append(target is None)
     return flags[0], flags[1]
 
 

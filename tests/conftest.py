@@ -25,7 +25,6 @@ from betasched.policies import (
     OPEN_NEXT,
     Policy,
     Regime,
-    complete_low,
     get_policy,
 )
 
@@ -167,24 +166,32 @@ def reference_validate(jobs, model):
     """`Instance._validate` as a loop of `Fraction` comparisons on `Job` fields.
 
     Raises what an `Instance` of `jobs` and `model` must raise, or nothing.
+    A type, a label and an id are ints, a release time an int or a Fraction
+    (none a bool), and a p_hat an int, a float or a Fraction.
     """
     if not jobs:
         raise InvalidInstanceError("an instance needs at least one job")
     seen_ids = set()
     modes = set()
     for job in jobs:
-        if job.true_type not in (0, 1):
+        if job.true_type not in (0, 1) or isinstance(job.true_type, (bool, float, Fraction)):
             raise InvalidInstanceError(f"job {job.id}: true_type must be 0 or 1")
         has_label = job.label is not None
         has_prob = job.p_hat is not None
         if has_label == has_prob:
             raise InvalidInstanceError(f"job {job.id}: exactly one of label / p_hat must be set")
-        if has_label and job.label not in (0, 1):
+        if has_label and (job.label not in (0, 1)
+                          or isinstance(job.label, (bool, float, Fraction))):
             raise InvalidInstanceError(f"job {job.id}: label must be 0 or 1")
-        if has_prob and not (Fraction(0) <= job.p_hat <= ONE):
+        if has_prob and not (isinstance(job.p_hat, (int, float, Fraction))
+                             and Fraction(0) <= job.p_hat <= ONE):
             raise InvalidInstanceError(f"job {job.id}: p_hat must lie in [0,1]")
+        if isinstance(job.release_time, bool) or not isinstance(job.release_time, (int, Fraction)):
+            raise InvalidInstanceError(f"job {job.id}: release must be an int or a Fraction")
         if job.release_time < Fraction(0):
             raise InvalidInstanceError(f"job {job.id}: negative release time")
+        if isinstance(job.id, bool) or not isinstance(job.id, int):
+            raise InvalidInstanceError(f"job {job.id!r}: id must be an int")
         if job.id in seen_ids:
             raise InvalidInstanceError(f"duplicate job id {job.id}")
         seen_ids.add(job.id)
@@ -427,19 +434,19 @@ def scan_modified_beta_decide(state, params):
         raise TerminalStateError(f"no legal action at t={state.clock}")
     if len(state.unopened) == 0:
         job_id, _ = scan_argmax_theta(state.interrupted)
-        return complete_low(job_id)
+        return job_id
     if len(state.interrupted) == 0:
         return OPEN_NEXT
     job_id, theta = scan_argmax_theta(state.interrupted)
     theta = Fraction(theta)  # a float theta would make tau a float
     if theta >= ONE:
-        return complete_low(job_id)
+        return job_id
     alpha, w0, w1 = params.alpha, params.w0, params.w1
     beta = (alpha / (ONE - alpha)) * (w1 / (w0 - w1))
     tau = beta + (alpha / (ONE - alpha)) * (w0 / (w0 - w1)) * (theta / (ONE - theta))
     if state.unopened.head_priority() > tau:
         return OPEN_NEXT
-    return complete_low(job_id)
+    return job_id
 
 
 SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide)
@@ -454,7 +461,7 @@ def probe_label_1_decide(state, params):
         len(state.interrupted) == 0 or state.unopened.head_label() == 1
     ):
         return OPEN_NEXT
-    return complete_low(state.interrupted.first_id())
+    return state.interrupted.first_id()
 
 
 def fraction_beta_threshold_decide(state, params):
@@ -465,12 +472,12 @@ def fraction_beta_threshold_decide(state, params):
     if len(state.unopened) == 0 and len(state.interrupted) == 0:
         raise TerminalStateError(f"no legal action at t={state.clock}")
     if len(state.unopened) == 0:
-        return complete_low(state.interrupted.first_id())
+        return state.interrupted.first_id()
     if len(state.interrupted) == 0:
         return OPEN_NEXT
     if state.unopened.head_priority() > params.beta():
         return OPEN_NEXT
-    return complete_low(state.interrupted.first_id())
+    return state.interrupted.first_id()
 
 
 def fraction_tree_expected_cost(n, model, params, flags):

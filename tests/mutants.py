@@ -74,11 +74,45 @@ MUTANTS = (
         "argmax_theta returns the newest entry",
         "policies.py",
         "        top = heap[0]\n        return top[3], top[4]\n",
-        "        return next(entry for entry in reversed(self._entries) if entry is not None)\n",
+        "        return next(reversed(self._fifo.items()))\n",
         ("tests/test_policies.py::TestInterruptedQueueOps::test_matches_a_plain_list[exact-reveal]",
          "tests/test_policies.py::TestInterruptedQueueOps::"
          "test_matches_a_plain_list[posterior-reveal]",
          "tests/test_policies.py::TestInterruptedQueueArgmax"),
+    ),
+    Mutant(
+        "first_id returns the newest job",
+        "policies.py",
+        "        return next(iter(self._fifo))\n",
+        "        return next(reversed(self._fifo))\n",
+        ("tests/test_policies.py::TestInterruptedQueueOps::test_matches_a_plain_list[exact-reveal]",
+         "tests/test_policies.py::TestFixedPolicies::"
+         "test_nonpreemptive_completes_interrupted_work_first"),
+    ),
+    Mutant(
+        "remove leaves dead heap tops",
+        "policies.py",
+        "        while heap and heap[0][3] not in fifo:\n            heappop(heap)\n",
+        "",
+        ("tests/test_policies.py::TestInterruptedQueueOps::"
+         "test_matches_a_plain_list[posterior-reveal]",
+         "tests/test_engine.py::TestThetaHeapDifferential::test_stale_heap_entries"),
+    ),
+    Mutant(
+        "run() counts no preemption when the next decision opens",
+        "engine.py",
+        "            if target != pending:\n",
+        "            if target is not None and target != pending:\n",
+        ("tests/test_engine.py::TestWorkedExample",
+         "tests/test_engine.py::TestReleaseDates::test_arrival_visible_at_reveal_point_preempts"),
+    ),
+    Mutant(
+        "label_flags accepts any answer",
+        "policies.py",
+        "        if target is not None and target != 1:\n",
+        "        if False:\n",
+        ("tests/test_policies.py::TestLabelFlagsProbe::test_wrong_answer_names_the_policy",
+         "tests/test_engine.py::TestLabelKernel::test_flags_reject_an_illegal_answer"),
     ),
     Mutant(
         "label_probability takes any label",
@@ -193,7 +227,7 @@ MUTANTS = (
     Mutant(
         "a negative release accepted",
         "domain.py",
-        "            if num < 0:\n"
+        "            if release_time.numerator < 0:\n"
         "                raise InvalidInstanceError(f\"job {job.id}: negative release time\")\n",
         "",
         (VALIDATION + "test_negative_release", VALIDATION + "test_checks_in_order"),
@@ -205,6 +239,48 @@ MUTANTS = (
         "                raise InvalidInstanceError(f\"duplicate job id {job_id}\")\n",
         "",
         (VALIDATION + "test_duplicate_ids_rejected", VALIDATION + "test_checks_in_order"),
+    ),
+    # the type checks: each value below once validated, then broke run() or
+    # the instance file
+    Mutant(
+        "a bool or float true_type accepted",
+        "domain.py",
+        "if type(true_type) is not int or true_type not in (0, 1):",
+        "if true_type not in (0, 1):",
+        (VALIDATION + "test_true_type_must_be_an_int",
+         VALIDATION + "test_matches_the_reference_loop"),
+    ),
+    Mutant(
+        "a bool, float or Fraction label accepted",
+        "domain.py",
+        "if type(label) is not int or label not in (0, 1):",
+        "if label not in (0, 1):",
+        (VALIDATION + "test_label_must_be_an_int", VALIDATION + "test_matches_the_reference_loop"),
+    ),
+    Mutant(
+        "a p_hat without an integer ratio reaches the range check",
+        "domain.py",
+        "except (AttributeError, ValueError, OverflowError):\n                    num, den = 1, 0",
+        "except (ValueError, OverflowError):\n                    num, den = 1, 0",
+        (VALIDATION + "test_str_p_hat",),
+    ),
+    Mutant(
+        "a float release accepted",
+        "domain.py",
+        "            if type(release_time) not in (int, Fraction):\n"
+        "                raise InvalidInstanceError(f\"job {job.id}: release must be an int or a "
+        "Fraction\")\n",
+        "",
+        (VALIDATION + "test_release_must_be_an_int_or_a_fraction",
+         VALIDATION + "test_matches_the_reference_loop"),
+    ),
+    Mutant(
+        "a float or bool id accepted",
+        "domain.py",
+        "            if type(job_id) is not int:\n"
+        "                raise InvalidInstanceError(f\"job {job_id!r}: id must be an int\")\n",
+        "",
+        (VALIDATION + "test_id_must_be_an_int", VALIDATION + "test_matches_the_reference_loop"),
     ),
     Mutant(
         "a zero error rate still draws",

@@ -189,7 +189,7 @@ class TestAcceptance:
 
     def test_06_preemptive_oracle_equivalence(self):
         """Clairvoyant preemptive schedule equals exhaustive search, exactly."""
-        failures = verify_wsrpt(instances=1000, seed=606, n_max=4)
+        failures = verify_wsrpt(instances=1000, seed=606)
         report("release-date schedule vs exhaustive search (exact)",
                not failures, "1000 instances")
         assert failures == []

@@ -39,7 +39,6 @@ from betasched.policies import (
     POLICIES,
     Policy,
     beta_threshold_decide,
-    complete_low,
     label_flags,
 )
 from conftest import (
@@ -377,7 +376,7 @@ def shifted_beta(shift):
     def decide(state, params):
         if state.unopened.head_priority() > params.beta() + shift:
             return OPEN_NEXT
-        return complete_low(state.interrupted.first_id())
+        return state.interrupted.first_id()
 
     return Policy("beta", decide)
 

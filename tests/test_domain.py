@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from dataclasses import fields
 from fractions import Fraction
@@ -19,7 +20,9 @@ from betasched.domain import (
     sample_instance,
     to_fraction,
 )
-from betasched.errors import InvalidInstanceError
+from betasched.engine import offline_wspt, offline_wsrpt_cost, run
+from betasched.errors import InvalidInstanceError, SchedulingError
+from betasched.policies import EXACT_REVELATION, POLICIES, PosteriorRevelation
 from conftest import (
     fraction_posteriors,
     priority,
@@ -69,6 +72,25 @@ jobs_of_any_fields = st.builds(
     release_time=st.one_of(st.integers(-2, 3), st.fractions(-2, 3), st.floats(-2, 3),
                            st.sampled_from([ZERO, NAN, INF, -INF, None, "0"])),
 )
+
+p_hats = st.one_of(st.fractions(0, 1, max_denominator=10 ** 6), st.floats(0, 1),
+                  st.sampled_from([0, 1, True]))
+releases = st.one_of(st.integers(0, 3), st.fractions(0, 3, max_denominator=12), st.just(ZERO))
+odd_values = st.sampled_from([True, False, 1.0, 0.0, 0.5, F(0), F(1), NAN, INF, "1/2", None, -1])
+
+
+@st.composite
+def near_valid_jobs(draw):
+    """Jobs of one mode that validate, or would but for one field of an odd type."""
+    labelled = draw(st.booleans())
+    jobs = [Job(i, draw(st.sampled_from([0, 1])),
+                draw(st.sampled_from([0, 1])) if labelled else None,
+                None if labelled else draw(p_hats), draw(releases))
+            for i in range(1, draw(st.integers(1, 4)) + 1)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(jobs) - 1))
+        jobs[k] = jobs[k]._replace(**{draw(st.sampled_from(Job._fields)): draw(odd_values)})
+    return jobs
 
 
 def decimal_exponent(text):
@@ -378,10 +400,42 @@ class TestInstanceValidation:
         inst = Instance([make_job(1, 0, p_hat=p_hat)], PARAMS)
         assert inst.jobs[0].p_hat == to_fraction(p_hat)
 
-    @pytest.mark.parametrize("release", [F(-1, 3), -1, F(-1, 10 ** 30), -0.5, -INF])
+    @pytest.mark.parametrize("release", [F(-1, 3), -1, F(-1, 10 ** 30)])
     def test_negative_release(self, release):
         jobs = [Job(1, 0, 0), Job(2, 1, 1, release_time=release)]
         self.refused(jobs, MODEL, "job 2: negative release time")
+
+    # each of these once validated: a float release then broke run()'s tick
+    # grid, a float or Fraction label its posterior lookup, a bool label the
+    # instance file, a str p_hat the range check, and a float id the file too
+    @pytest.mark.parametrize("release", [0.5, NAN, 0.0, -0.5, -INF, "0", None, True])
+    def test_release_must_be_an_int_or_a_fraction(self, release):
+        jobs = [Job(1, 0, 0), Job(2, 1, 1, release_time=release)]
+        self.refused(jobs, MODEL, "job 2: release must be an int or a Fraction")
+
+    @pytest.mark.parametrize("label", [1.0, F(0), True, False])
+    def test_label_must_be_an_int(self, label):
+        self.refused([Job(3, 1, label)], MODEL, "job 3: label must be 0 or 1")
+
+    @pytest.mark.parametrize("true_type", [1.0, F(0), True, False])
+    def test_true_type_must_be_an_int(self, true_type):
+        self.refused([Job(3, true_type, 1)], MODEL, "job 3: true_type must be 0 or 1")
+
+    @pytest.mark.parametrize("p_hat", ["1/2", "0"])
+    def test_str_p_hat(self, p_hat):
+        self.refused([Job(4, 0, p_hat=p_hat)], None, "job 4: p_hat must lie in [0,1]")
+
+    @pytest.mark.parametrize("job_id", [1.0, F(2), True, "1"])
+    def test_id_must_be_an_int(self, job_id):
+        self.refused([Job(job_id, 0, 0)], MODEL, f"job {job_id!r}: id must be an int")
+
+    def test_accepted_odd_types_run_and_round_trip(self):
+        # an int release, and a float or bool p_hat, are exact numbers
+        jobs = [Job(1, 0, p_hat=0.1, release_time=2), Job(2, 1, p_hat=True)]
+        inst = Instance(jobs, PARAMS)
+        assert load_instance(dump_instance(inst)) == inst
+        out = run(inst, POLICIES["modified-beta"])
+        assert out.completion_ticks == {2: 5, 1: 15}
 
     def test_checks_in_order(self):
         """Each job's checks run in order, and the first failing job decides."""
@@ -395,11 +449,13 @@ class TestInstanceValidation:
                      "duplicate job id 2")
 
     @settings(max_examples=300)
-    @given(jobs=st.lists(st.one_of(jobs_of_any_fields, jobs_of_any_fields.map(tuple)), max_size=5),
+    @given(jobs=st.one_of(st.lists(st.one_of(jobs_of_any_fields, jobs_of_any_fields.map(tuple)),
+                                   max_size=5), near_valid_jobs()),
            with_model=st.booleans())
     def test_matches_the_reference_loop(self, jobs, with_model):
         """Accepted, or refused with the same exception type and message, as the
-        reference loop of `Fraction` comparisons; a plain tuple is not a Job."""
+        reference loop of `Fraction` comparisons; a plain tuple is not a Job.
+        An accepted instance runs and round-trips through its file."""
         model = MODEL if with_model else None
 
         def outcome(build):
@@ -411,6 +467,23 @@ class TestInstanceValidation:
 
         want = outcome(lambda: reference_validate(tuple(jobs), model))
         assert outcome(lambda: Instance(jobs, PARAMS, model)) == want
+        if want is not None:
+            return
+        # what validates runs, or is refused with a SchedulingError, under
+        # every policy and reveal, and survives its instance file
+        inst = Instance(jobs, PARAMS, model)
+        for policy in POLICIES.values():
+            for revelation in (EXACT_REVELATION, PosteriorRevelation()):
+                try:
+                    run(inst, policy, revelation, rng=random.Random(0))
+                except SchedulingError:
+                    pass
+        for oracle in (offline_wspt, offline_wsrpt_cost):
+            try:
+                oracle(inst)
+            except SchedulingError:
+                pass
+        assert load_instance(dump_instance(inst)) == inst
 
     def test_weight_assignment(self, base_model, base_params):
         assert Job(1, 0, 0).weight(base_params) == 20

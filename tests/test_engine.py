@@ -46,10 +46,8 @@ from betasched.policies import (
     MAX_BETA_SHAPE,
     OPEN_NEXT,
     POLICIES,
-    Action,
     Policy,
     PosteriorRevelation,
-    complete_low,
     get_policy,
     hybrid_decide,
 )
@@ -158,11 +156,17 @@ class TestRunBasics:
             assert b <= a2  # one job at a time
 
     def test_illegal_action_reported_with_context(self, base_params, base_model):
-        bad = Policy("bad", lambda s, p: Action("complete", 99))
+        bad = Policy("bad", lambda s, p: 99)
         inst = Instance([Job(1, 0, 0)], base_params, base_model)
         with pytest.raises(ContractViolationError) as err:
             run(inst, bad)
         assert "job 99" in str(err.value)
+
+    def test_unhashable_answer_is_a_contract_error(self, base_params, base_model):
+        inst = Instance([Job(1, 1, 1), Job(2, 1, 1)], base_params, base_model)
+        bad = Policy("listy", lambda s, p: [1] if s.n_interrupted else OPEN_NEXT)
+        with pytest.raises(ContractViolationError, match=r"completed job \[1\], which is not"):
+            run(inst, bad)
 
     def test_trace_dump_format(self, base_params, base_model):
         inst = Instance([Job(1, 1, 0), Job(2, 0, 1)], base_params, base_model)
@@ -312,7 +316,7 @@ class TestOfflineWsrpt:
         for _ in range(150):
             w0, w1 = random.Random(rng.random()).choice([(2, 1), (20, 1), (7, 3)])
             params = Parameters(F(2, 5), w0, w1)
-            inst = random_release_instance(rng, params, n_max=4)
+            inst = random_release_instance(rng, params)
             assert offline_wsrpt(inst).total_cost == enumerate_offline_optimum(inst)
 
     def test_enumeration_size_guard(self, base_params, base_model):
@@ -378,7 +382,7 @@ class TestExpectimax:
         """
         from itertools import product
 
-        from betasched.policies import OPEN_NEXT, Policy, complete_low
+        from betasched.policies import OPEN_NEXT, Policy
         from conftest import label_prob
 
         n = 3
@@ -398,12 +402,12 @@ class TestExpectimax:
                 u1 = len(state.unopened) - u0
                 ell = len(state.interrupted)
                 if u0 + u1 == 0:
-                    return complete_low(state.interrupted.first_id())
+                    return state.interrupted.first_id()
                 if ell == 0:
                     return OPEN_NEXT
                 if choice[(u0, u1, ell)] == "open":
                     return OPEN_NEXT
-                return complete_low(state.interrupted.first_id())
+                return state.interrupted.first_id()
 
             return Policy("table", decide)
 
@@ -713,7 +717,7 @@ class TestEveryDecisionConsulted:
         def decide(state, params):
             if len(state.unopened) and (state.clock < 1 or len(state.interrupted) == 0):
                 return OPEN_NEXT
-            return complete_low(state.interrupted.first_id())
+            return state.interrupted.first_id()
 
         out = run(self.five_nonurgent(base_params, base_model), Policy("clocked", decide))
         assert format_trace(out).splitlines() == [
@@ -735,7 +739,7 @@ class TestEveryDecisionConsulted:
         def decide(state, params):
             if len(state.unopened) and len(state.interrupted) <= 1:
                 return OPEN_NEXT
-            return complete_low(state.interrupted.first_id())
+            return state.interrupted.first_id()
 
         out = run(self.five_nonurgent(base_params, base_model), Policy("backlog", decide))
         assert out.completion_times == {1: F(7, 5), 2: F(12, 5), 3: F(17, 5),
@@ -951,8 +955,8 @@ class TestThetaHeapDifferential:
                 if k == 0 or (len(state.unopened) and k < 3):
                     return OPEN_NEXT
                 if k % 2:
-                    return complete_low(state.interrupted.first_id())
-                return complete_low(argmax(state.interrupted)[0])
+                    return state.interrupted.first_id()
+                return argmax(state.interrupted)[0]
             return Policy("mixed", decide)
 
         heap = fifo_then_argmax(lambda q: q.argmax_theta())
@@ -1012,9 +1016,9 @@ class RecordingRevelation:
 class TestTombstonedQueue:
     """The interrupted queue a policy sees, against a plain list the policy keeps.
 
-    The policy completes interrupted jobs in an order drawn from its own
-    state, so many completions leave a tombstone in the middle of the FIFO,
-    and reads `argmax_theta` only now and then: first once several jobs are
+    (The name is from the queue's earlier tombstoned list.) The policy
+    completes interrupted jobs in an order drawn from its own state, so many
+    completions take a job from the middle of the FIFO, and reads `argmax_theta` only now and then: first once several jobs are
     set aside, then at random, and again whenever the queue has drained and
     refilled (a read sometimes starts a drain), so the theta heap is built,
     kept, run empty and rebuilt.
@@ -1062,7 +1066,7 @@ class TestTombstonedQueue:
                 target = model[h % len(model)][0]
                 seen["head" if target == model[0][0] else "non-head"] += 1
             model.remove(next(e for e in model if e[0] == target))
-            return complete_low(target)
+            return target
 
         return Policy("checked", decide)
 
@@ -1097,12 +1101,12 @@ class TestTombstonedQueue:
         def decide(state, params):
             if len(state.unopened) and len(state.interrupted) < 2 and len(todo) == len(targets):
                 return OPEN_NEXT
-            return complete_low(todo.pop(0))
+            return todo.pop(0)
 
         return Policy("scripted", decide)
 
     @pytest.mark.parametrize("targets, message", [
-        # 2 is a non-head job: completing it leaves a tombstone behind
+        # 2 is a non-head job: completing it takes it from the middle of the FIFO
         ((2, 2), "policy scripted completed job 2, which is not interrupted, "
                  "at t=7/5 (1/4 done, 2 unopened, 1 interrupted)"),
         ((1, 1), "policy scripted completed job 1, which is not interrupted, "
@@ -1122,7 +1126,7 @@ class TestTombstonedQueue:
         def decide(state, params):
             if len(state.unopened) == 3:
                 return OPEN_NEXT
-            return complete_low(1)
+            return 1
 
         inst = Instance([Job(1, 0, 0), Job(2, 1, 1), Job(3, 1, 1)], base_params, base_model)
         with pytest.raises(ContractViolationError) as err:
@@ -1170,7 +1174,7 @@ def breaks_after(k):
     def decide(state, params):
         if state.n_unopened and state.n_interrupted < k:
             return OPEN_NEXT
-        return complete_low(-1)
+        return -1
     return Policy(f"breaks-after-{k}", decide)
 
 
@@ -1242,7 +1246,7 @@ def probe_classes(flag0, flag1):
             len(state.interrupted) == 0 or flags[state.unopened.head_label()]
         ):
             return OPEN_NEXT
-        return complete_low(state.interrupted.first_id())
+        return state.interrupted.first_id()
 
     return Policy(f"probe-{int(flag0)}{int(flag1)}", decide)
 
@@ -1300,7 +1304,7 @@ class TestLabelKernel:
         assert label_flags(get_policy("beta"), tie, params) == (False, False)
 
     def test_flags_reject_an_illegal_answer(self, base_params, base_model):
-        rogue = Policy("rogue", lambda state, params: complete_low(99))
+        rogue = Policy("rogue", lambda state, params: 99)
         with pytest.raises(ContractViolationError):
             label_flags(rogue, base_model, base_params)
 

@@ -10,7 +10,6 @@ from betasched.engine import run
 from betasched.errors import ContractViolationError, TerminalStateError, UnsupportedInputError
 from betasched.policies import (
     EXACT_REVELATION,
-    Action,
     OPEN_NEXT,
     POLICIES,
     InterruptedQueue,
@@ -21,7 +20,6 @@ from betasched.policies import (
     UnopenedQueue,
     beta_threshold_decide,
     classify_regime,
-    complete_low,
     get_policy,
     hybrid_decide,
     label_flags,
@@ -54,26 +52,23 @@ def state(unopened=(), interrupted=()):
 class TestBetaThreshold:
     def test_empty_queue_completes(self, base_params):
         s = state(interrupted=[(4, F(0)), (9, F(0))])
-        action = beta_threshold_decide(s, base_params)
-        assert action.kind == "complete"
-        assert action.job_id == 4  # FIFO head
+        assert beta_threshold_decide(s, base_params) == 4  # FIFO head
 
     def test_no_backlog_opens(self, base_params):
         s = state(unopened=[(F(1, 82), 3, 1)])
-        assert beta_threshold_decide(s, base_params).kind == "open"
+        assert beta_threshold_decide(s, base_params) is OPEN_NEXT
 
     def test_above_threshold_opens(self, base_params):
         s = state(unopened=[(F(1, 2), 1, 0)], interrupted=[(2, F(0))])
-        assert beta_threshold_decide(s, base_params).kind == "open"
+        assert beta_threshold_decide(s, base_params) is OPEN_NEXT
 
     def test_below_threshold_completes(self, base_params):
         s = state(unopened=[(F(1, 82), 1, 1)], interrupted=[(2, F(0))])
-        action = beta_threshold_decide(s, base_params)
-        assert action.kind == "complete" and action.job_id == 2
+        assert beta_threshold_decide(s, base_params) == 2
 
     def test_exactly_at_threshold_completes(self, base_params):
         s = state(unopened=[(F(2, 57), 1, 0)], interrupted=[(2, F(0))])
-        assert beta_threshold_decide(s, base_params).kind == "complete"
+        assert beta_threshold_decide(s, base_params) == 2
 
     def test_integer_test_equals_the_fraction_test(self):
         # p_hat at beta and one step of a grid through beta above and below
@@ -92,7 +87,7 @@ class TestBetaThreshold:
                 got = beta_threshold_decide(s, params)
                 assert got == fraction_beta_threshold_decide(s, params), (params, p)
                 if where is not None:
-                    assert got.kind == ("open" if where == "above" else "complete")
+                    assert got == (OPEN_NEXT if where == "above" else 2)
                     seen[where] += 1
         assert min(seen.values()) > 100
 
@@ -140,7 +135,7 @@ class TestEveryRule:
         for label in (0, 1):
             assert decide(state(unopened=[(F(1, 2), 1, label), (F(1, 82), 3, 1)]),
                           base_params) == OPEN_NEXT
-        assert decide(state(interrupted=[(4, F(0)), (2, F(0))]), base_params) == ("complete", 4)
+        assert decide(state(interrupted=[(4, F(0)), (2, F(0))]), base_params) == 4
 
 
 def mixed_instances(rng, params, model):
@@ -189,7 +184,7 @@ class TestQueueCounts:
     @staticmethod
     def nonpreemptive_on_truth(s, params):
         if s.interrupted:
-            return complete_low(s.interrupted.first_id())
+            return s.interrupted.first_id()
         if not s.unopened:
             raise TerminalStateError("no legal action")
         return OPEN_NEXT
@@ -200,7 +195,7 @@ class TestQueueCounts:
             return OPEN_NEXT
         if not s.interrupted:
             raise TerminalStateError("no legal action")
-        return complete_low(s.interrupted.first_id())
+        return s.interrupted.first_id()
 
     @staticmethod
     def beta_on_truth(s, params):
@@ -210,7 +205,7 @@ class TestQueueCounts:
             return OPEN_NEXT
         if s.unopened and s.unopened.head_priority() > params.beta():
             return OPEN_NEXT
-        return complete_low(s.interrupted.first_id())
+        return s.interrupted.first_id()
 
     @pytest.mark.parametrize("name", ["nonpreemptive", "preemptive", "beta"])
     def test_rules_on_the_views_truth_run_the_same(self, name, base_params, base_model):
@@ -226,8 +221,8 @@ class TestQueueCounts:
 class TestFixedPolicies:
     def test_nonpreemptive_completes_interrupted_work_first(self, base_params):
         s = state(unopened=[(F(1, 2), 1, 0)], interrupted=[(4, F(0)), (2, F(0))])
-        assert nonpreemptive_decide(s, base_params) == ("complete", 4)  # FIFO head
-        assert nonpreemptive_decide(state(unopened=[(F(1, 82), 1, 1)]), base_params).kind == "open"
+        assert nonpreemptive_decide(s, base_params) == 4  # FIFO head
+        assert nonpreemptive_decide(state(unopened=[(F(1, 82), 1, 1)]), base_params) is OPEN_NEXT
         with pytest.raises(TerminalStateError):
             nonpreemptive_decide(state(), base_params)
 
@@ -242,15 +237,15 @@ class TestFixedPolicies:
 
     def test_preemptive_opens_until_queue_empty(self, base_params):
         s = state(unopened=[(F(1, 82), 1, 1)], interrupted=[(k, F(0)) for k in range(2, 7)])
-        assert preemptive_decide(s, base_params).kind == "open"
+        assert preemptive_decide(s, base_params) is OPEN_NEXT
         s2 = state(interrupted=[(3, F(0))])
-        assert preemptive_decide(s2, base_params).kind == "complete"
+        assert preemptive_decide(s2, base_params) == 3
 
     def test_hybrid_follows_head_label(self, base_params):
         s0 = state(unopened=[(F(1, 2), 1, 0)], interrupted=[(2, F(0))])
-        assert hybrid_decide(s0, base_params).kind == "open"
+        assert hybrid_decide(s0, base_params) is OPEN_NEXT
         s1 = state(unopened=[(F(1, 2), 1, 1)], interrupted=[(2, F(0))])
-        assert hybrid_decide(s1, base_params).kind == "complete"
+        assert hybrid_decide(s1, base_params) == 2
 
     def test_hybrid_needs_labels(self, base_params):
         s = state(unopened=[(F(1, 2), 1, None)], interrupted=[(2, F(0))])
@@ -264,46 +259,44 @@ class TestModifiedBeta:
 
     def test_zero_theta_reduces_to_plain_threshold(self, base_params):
         s = state(unopened=[(F(1, 2), 1, 0)], interrupted=[(2, F(0))])
-        assert modified_beta_decide(s, base_params).kind == "open"
+        assert modified_beta_decide(s, base_params) is OPEN_NEXT
         s2 = state(unopened=[(F(1, 82), 1, 1)], interrupted=[(2, F(0))])
-        assert modified_beta_decide(s2, base_params).kind == "complete"
+        assert modified_beta_decide(s2, base_params) == 2
 
     def test_raised_threshold_between(self, base_params):
         s = state(unopened=[(F(40, 57), 1, 0)], interrupted=[(2, F(1, 2))])
-        action = modified_beta_decide(s, base_params)
-        assert action.kind == "complete" and action.job_id == 2
+        assert modified_beta_decide(s, base_params) == 2
 
     def test_raised_threshold_exceeded(self, base_params):
         s = state(unopened=[(F(43, 57), 1, 0)], interrupted=[(2, F(1, 2))])
-        assert modified_beta_decide(s, base_params).kind == "open"
+        assert modified_beta_decide(s, base_params) is OPEN_NEXT
 
     def test_certain_urgency_forces_completion(self, base_params):
         s = state(unopened=[(F(999, 1000), 1, 0)], interrupted=[(2, F(1)), (3, F(0))])
-        action = modified_beta_decide(s, base_params)
-        assert action.kind == "complete" and action.job_id == 2
+        assert modified_beta_decide(s, base_params) == 2
 
     def test_head_exactly_at_raised_threshold_completes(self, base_params):
         # tau(1/3) = 2/57 + (40/57) * (1/2) = 22/57; the rule is strict
         s = state(unopened=[(F(22, 57), 1, 0)], interrupted=[(2, F(1, 3))])
-        assert modified_beta_decide(s, base_params).kind == "complete"
+        assert modified_beta_decide(s, base_params) == 2
         s = state(unopened=[(F(22, 57) + F(1, 10 ** 30), 1, 0)], interrupted=[(2, F(1, 3))])
-        assert modified_beta_decide(s, base_params).kind == "open"
+        assert modified_beta_decide(s, base_params) is OPEN_NEXT
 
     def test_float_theta_is_read_exactly(self, base_params):
         # the float 0.1 is 3602879701896397/2**55; a tau rounded to a float
         # could not tell the three heads apart
         bar = F(2, 57) + F(40, 57) * F(0.1) / (1 - F(0.1))
-        for head, kind in ((bar, "complete"), (bar - F(1, 10 ** 30), "complete"),
-                           (bar + F(1, 10 ** 30), "open")):
+        for head, target in ((bar, 2), (bar - F(1, 10 ** 30), 2),
+                             (bar + F(1, 10 ** 30), OPEN_NEXT)):
             s = state(unopened=[(head, 1, 0)], interrupted=[(2, 0.1)])
-            assert modified_beta_decide(s, base_params).kind == kind
+            assert modified_beta_decide(s, base_params) == target
         s = state(unopened=[(F(999, 1000), 1, 0)], interrupted=[(3, 0.5), (2, 1.0)])
-        assert modified_beta_decide(s, base_params) == ("complete", 2)
+        assert modified_beta_decide(s, base_params) == 2
 
     def test_completes_largest_theta_fifo_ties(self, base_params):
         s = state(interrupted=[(5, F(1, 4)), (2, F(3, 4)), (9, F(3, 4))])
-        action = modified_beta_decide(s, base_params)
-        assert action.job_id == 2  # first of the maximal thetas in arrival order
+        # the first of the maximal thetas in arrival order
+        assert modified_beta_decide(s, base_params) == 2
 
 
 class TestInterruptedQueueArgmax:
@@ -354,16 +347,7 @@ class TestInterruptedQueueArgmax:
     def test_modified_beta_completes_the_exact_largest(self, base_params):
         s = state(unopened=[(F(1, 82), 1, 1)],
                   interrupted=[(4, self.THIRD), (7, self.ABOVE_THIRD), (8, self.THIRD)])
-        action = modified_beta_decide(s, base_params)
-        assert action.kind == "complete" and action.job_id == 7
-
-
-class TestAction:
-    def test_complete_low_is_an_action(self):
-        action = complete_low(7)
-        assert action == Action("complete", 7)
-        assert type(action) is Action
-        assert (action.kind, action.job_id) == ("complete", 7)
+        assert modified_beta_decide(s, base_params) == 7
 
 
 class TestInterruptedQueueOps:
@@ -515,7 +499,7 @@ class TestLabelFlagsProbe:
                          unopened.head_label(), unopened.head_priority(),
                          list(unopened.items()), interrupted.first_id(),
                          list(interrupted.items())))
-            return OPEN_NEXT if unopened.head_label() == 0 else complete_low(1)
+            return OPEN_NEXT if unopened.head_label() == 0 else 1
 
         assert label_flags(Policy("reader", reader), base_model, base_params) == (True, False)
         assert seen == [
@@ -524,7 +508,7 @@ class TestLabelFlagsProbe:
             for label in (0, 1)
         ]
 
-    @pytest.mark.parametrize("answer", [complete_low(2), Action("wait")], ids=["other", "kind"])
+    @pytest.mark.parametrize("answer", [2, "wait"], ids=["other", "not-an-id"])
     def test_wrong_answer_names_the_policy(self, base_params, base_model, answer):
         # right for label 0, wrong for label 1, so the second question is checked too
         def wrong(s, params):

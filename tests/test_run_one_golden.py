@@ -4,7 +4,8 @@ The digests are SHA-256 of the whole `run-one --against-wsrpt` text (trace,
 completions, cost, preemptions, log loss, WSRPT cost), so any change to the
 order of events, to which job completes, or to the rng draws shows here, not
 only a change of cost. They were recorded from the engine before its
-interrupted FIFO was tombstoned and its theta heap built on first read.
+interrupted FIFO was tombstoned and its theta heap built on first read, and
+hold for the ordered map that replaced the tombstoned list.
 """
 
 import hashlib
