@@ -42,15 +42,18 @@ def _expected_costs(n: int, s0: int, s1: int, s2: int, sd: int,
     and on every non-urgent pair; the hybrid switch pays probe costs inside
     the predicted-urgent prefix and full inversions outside it.
 
-    With the channel's `_channel_ints` and the weights W/wd on
+    With alpha = a/da, eps0 = p0/q0 and eps1 = p1/q1 (the pairs stored on
+    the channel and the parameters) and the weights W/wd on
     `Parameters.weight_grid`, the inverted pairs are
     (p0*q1 + p1*q0)*s1/(q0*q1*sd), those inside the prefix
     p1*(q0-p0)*s1/(q0*q1*sd), and the non-urgent pairs inside it
     p1**2*s2/(q1**2*sd). Every value is an integer over wd*da*q0*q1**2*sd,
     and only the four returned Fractions reduce.
     """
-    a, da, p0, q0, p1, q1, w0, w1 = _channel_ints(model, params)
-    wd = params.weight_grid[0]
+    a, da = params.alpha_pair
+    p0, q0 = model.eps0_pair
+    p1, q1 = model.eps1_pair
+    wd, w0, w1 = params.weight_grid
     gap = w0 - w1
     den = wd * da * q0 * q1 * q1 * sd
     opt = (gap * s0 + w1 * (n * (n + 1) // 2) * sd) * da * q0 * q1 * q1
@@ -117,7 +120,7 @@ def expected_unconditional(n: int, model: PredictionModel,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    r, s = model.rho.as_integer_ratio()  # rho = r/s; the pairs are over 2*s**2
+    r, s = model.rho_pair  # rho = r/s; the pairs are over 2*s**2
     costs = _expected_costs(n, n * r * (2 * s - r + n * r), n * (n - 1) * r * (s - r),
                             n * (n - 1) * (s - r) ** 2, 2 * s * s, model, params)
     return ExpectedPerformance(*costs, n, model, params)
@@ -141,18 +144,6 @@ class HybridCrValue:
     decomposition_bound: float
 
 
-def _channel_ints(model: PredictionModel, params: Parameters) -> tuple[int, ...]:
-    """(a, da, p0, q0, p1, q1, w0, w1): alpha = a/da, eps0 = p0/q0, eps1 = p1/q1.
-
-    w0 and w1 are the weights' numerators on `Parameters.weight_grid`; the
-    ratios read them only as w0/w1, w0/(w0-w1) and w1/(w0-w1), so the grid's
-    denominator cancels.
-    """
-    _, w0, w1 = params.weight_grid
-    return (*params.alpha.as_integer_ratio(), *model.eps0.as_integer_ratio(),
-            *model.eps1.as_integer_ratio(), w0, w1)
-
-
 def _maximiser(rn: int, rd: int, mn: int, md: int) -> float:
     """The worst urgent fraction sqrt(r + m^2) - m at r = rn/rd, m = mn/md.
 
@@ -164,15 +155,69 @@ def _maximiser(rn: int, rd: int, mn: int, md: int) -> float:
     return rn / rd / root if root else 0.0
 
 
+def _mix_coefficient(a, da, p0, q0, p1, q1, w0, w1) -> tuple[int, int]:
+    """lambda as an (ln, ld) pair, with ld = da*(w0-w1)*q0*q1^2."""
+    gap = w0 - w1
+    ln = (p0 * (q1 + p1) * da * gap * q1 + a * w0 * p1 * (q0 - p0) * q1
+          - a * w1 * p1 * p1 * q0)
+    return ln, da * gap * q0 * q1 * q1
+
+
+def _worst_case_ratios(model: PredictionModel, params: Parameters,
+                       only: Optional[Regime] = None) -> tuple:
+    """(nonpreemptive, preemptive, hybrid): the worst-case ratios of one channel.
+
+    They read alpha = a/da, eps0 = p0/q0 and eps1 = p1/q1 from the pairs
+    stored on the parameters and the channel, and the weights' numerators
+    w0, w1 on `Parameters.weight_grid`: the ratios read those only as w0/w1,
+    w0/(w0-w1) and w1/(w0-w1), so the grid's denominator cancels. With
+    `only` set, just the ratio of that regime is built and the other two are
+    None, so a ratio whose floats overflow never stops another one.
+    """
+    a, da = params.alpha_pair
+    p0, q0 = model.eps0_pair
+    p1, q1 = model.eps1_pair
+    _, w0, w1 = params.weight_grid
+    gap = w0 - w1
+    en, ed = p0 * q1 + p1 * q0, 2 * q0 * q1  # the mean error rate en/ed
+    nonpreemptive = preemptive = hybrid = None
+    if only is not Regime.PREEMPTIVE:
+        root_ratio = math.sqrt(w0 / w1)
+    if only is None or only is Regime.NONPREEMPTIVE:
+        nonpreemptive = CrValue(1.0 + en / ed * (root_ratio - 1.0), _maximiser(w1, gap, w1, gap))
+    if only is None or only is Regime.PREEMPTIVE:
+        if en * w0 <= w1 * ed:
+            preemptive = CrValue((da + a) / da, 0.0)
+        else:
+            fn, fd = a * w0, 2 * da * gap  # factor = (alpha/2) * w0/(w0-w1)
+            radicand = ((ed - 4 * en) * ed * w1 + 4 * en * en * w0) / (ed * ed * w1)
+            value = (fd * ed + fn * (ed - 2 * en)) / (fd * ed) + fn / fd * math.sqrt(radicand)
+            d = 2 * (en * w0 - w1 * ed)  # 2*eps*w0 - 2*w1 in grid units, times ed
+            preemptive = CrValue(value, _maximiser(w1, gap, w1 * (d + w0 * ed), gap * d))
+    if only is None or only is Regime.HYBRID:
+        ln, ld = _mix_coefficient(a, da, p0, q0, p1, q1, w0, w1)
+        an = a * p1 * p1 * gap * q0  # alpha*eps1^2 = an/ld
+        value = ((2 * ld + an - ln) / (2 * ld)
+                 + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
+        bound = (
+            1.0
+            + ln / (2 * ld) * (root_ratio - 1.0)
+            + an / (2 * ld) * (1.0 + math.sqrt(w0 / gap))
+        )
+        dn = ln * gap - w1 * an  # lambda - (w1/(w0-w1))*alpha*eps1^2 = dn/(ld*gap)
+        if ln == 0 and an == 0:
+            worst_q: Optional[float] = 0.0
+        elif dn > 0:
+            worst_q = _maximiser(w1, gap, w1 * (ln + an), dn)
+        else:
+            worst_q = None  # stationary-point formula degenerates outside the weight-gap regime
+        hybrid = HybridCrValue(value, worst_q, ln / ld, bound)
+    return nonpreemptive, preemptive, hybrid
+
+
 def cr_nonpreemptive(model: PredictionModel, params: Parameters) -> CrValue:
     """Worst-case ratio of a nonpreemptive schedule: 1 + eps*(sqrt(w0/w1)-1)."""
-    return _cr_nonpreemptive(_channel_ints(model, params))
-
-
-def _cr_nonpreemptive(ints: tuple[int, ...]) -> CrValue:
-    _, _, p0, q0, p1, q1, w0, w1 = ints
-    value = 1.0 + (p0 * q1 + p1 * q0) / (2 * q0 * q1) * (math.sqrt(w0 / w1) - 1.0)
-    return CrValue(value, _maximiser(w1, w0 - w1, w1, w0 - w1))
+    return _worst_case_ratios(model, params, Regime.NONPREEMPTIVE)[0]
 
 
 def cr_nonpreemptive_cap(alpha, eps0, eps1) -> float:
@@ -194,28 +239,7 @@ def cr_preemptive(model: PredictionModel, params: Parameters) -> CrValue:
     Flat at 1 + alpha while eps <= w1/w0 (the worst mix is then all
     non-urgent); beyond that the interior maximizer takes over.
     """
-    return _cr_preemptive(_channel_ints(model, params))
-
-
-def _cr_preemptive(ints: tuple[int, ...]) -> CrValue:
-    a, da, p0, q0, p1, q1, w0, w1 = ints
-    en, ed = p0 * q1 + p1 * q0, 2 * q0 * q1  # the mean error rate en/ed
-    if en * w0 <= w1 * ed:
-        return CrValue((da + a) / da, 0.0)
-    gap = w0 - w1
-    fn, fd = a * w0, 2 * da * gap  # factor = (alpha/2) * w0/(w0-w1)
-    radicand = ((ed - 4 * en) * ed * w1 + 4 * en * en * w0) / (ed * ed * w1)
-    value = (fd * ed + fn * (ed - 2 * en)) / (fd * ed) + fn / fd * math.sqrt(radicand)
-    d = 2 * (en * w0 - w1 * ed)  # 2*eps*w0 - 2*w1 in grid units, times ed
-    return CrValue(value, _maximiser(w1, gap, w1 * (d + w0 * ed), gap * d))
-
-
-def _mix_coefficient(a, da, p0, q0, p1, q1, w0, w1) -> tuple[int, int]:
-    """lambda as an (ln, ld) pair, with ld = da*(w0-w1)*q0*q1^2."""
-    gap = w0 - w1
-    ln = (p0 * (q1 + p1) * da * gap * q1 + a * w0 * p1 * (q0 - p0) * q1
-          - a * w1 * p1 * p1 * q0)
-    return ln, da * gap * q0 * q1 * q1
+    return _worst_case_ratios(model, params, Regime.PREEMPTIVE)[1]
 
 
 def hybrid_mix_coefficient(model: PredictionModel, params: Parameters) -> Fraction:
@@ -224,7 +248,8 @@ def hybrid_mix_coefficient(model: PredictionModel, params: Parameters) -> Fracti
     lambda = eps0*(1+eps1) + (alpha*w0/(w0-w1))*eps1*(1-eps0)
            - (alpha*w1/(w0-w1))*eps1^2.
     """
-    return Fraction(*_mix_coefficient(*_channel_ints(model, params)))
+    return Fraction(*_mix_coefficient(*params.alpha_pair, *model.eps0_pair, *model.eps1_pair,
+                                      *params.weight_grid[1:]))
 
 
 def cr_hybrid(model: PredictionModel, params: Parameters) -> HybridCrValue:
@@ -235,29 +260,7 @@ def cr_hybrid(model: PredictionModel, params: Parameters) -> HybridCrValue:
     The decomposition bound splits that into gains relative to the
     nonpreemptive ratio and a quadratic probe-cost term.
     """
-    return _cr_hybrid(_channel_ints(model, params))
-
-
-def _cr_hybrid(ints: tuple[int, ...]) -> HybridCrValue:
-    a, _, _, q0, p1, _, w0, w1 = ints
-    ln, ld = _mix_coefficient(*ints)
-    gap = w0 - w1
-    an = a * p1 * p1 * gap * q0  # alpha*eps1^2 = an/ld
-    value = ((2 * ld + an - ln) / (2 * ld)
-             + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
-    bound = (
-        1.0
-        + ln / (2 * ld) * (math.sqrt(w0 / w1) - 1.0)
-        + an / (2 * ld) * (1.0 + math.sqrt(w0 / gap))
-    )
-    dn = ln * gap - w1 * an  # lambda - (w1/(w0-w1))*alpha*eps1^2 = dn/(ld*gap)
-    if ln == 0 and an == 0:
-        worst_q: Optional[float] = 0.0
-    elif dn > 0:
-        worst_q = _maximiser(w1, gap, w1 * (ln + an), dn)
-    else:
-        worst_q = None  # stationary-point formula degenerates outside the weight-gap regime
-    return HybridCrValue(value, worst_q, ln / ld, bound)
+    return _worst_case_ratios(model, params, Regime.HYBRID)[2]
 
 
 @dataclass(frozen=True)
@@ -275,16 +278,10 @@ class CompetitiveRatioReport:
 
 def competitive_ratio(model: PredictionModel, params: Parameters) -> CompetitiveRatioReport:
     """Regime-selected worst-case guarantee of the beta threshold rule."""
-    ints = _channel_ints(model, params)
-    np_cr = _cr_nonpreemptive(ints)
-    p_cr = _cr_preemptive(ints)
-    h_cr = _cr_hybrid(ints)
+    np_cr, p_cr, h_cr = _worst_case_ratios(model, params)
     regime = classify_regime(model, params)
-    selected = {
-        Regime.NONPREEMPTIVE: np_cr.value,
-        Regime.PREEMPTIVE: p_cr.value,
-        Regime.HYBRID: h_cr.value,
-    }[regime]
+    selected = (h_cr if regime is Regime.HYBRID else
+                p_cr if regime is Regime.PREEMPTIVE else np_cr).value
     return CompetitiveRatioReport(np_cr, p_cr, h_cr, regime, selected, model, params)
 
 

@@ -96,10 +96,11 @@ class Parameters:
 
     alpha is the fraction of a job processed before its true type becomes
     known; w0 and w1 are the per-unit-delay costs of urgent and non-urgent
-    jobs, with w0 > w1 > 0. `beta_pair` and `slope_pair` hold beta and the
-    modified rule's slope K as (numerator, denominator) ints, and
-    `weight_grid` is (wden, W0, W1): w0 = W0/wden and w1 = W1/wden, so costs
-    on it are integers, and a quotient of two rounds like the exact Fraction.
+    jobs, with w0 > w1 > 0. `alpha_pair`, `beta_pair` and `slope_pair` hold
+    alpha, beta and the modified rule's slope K as (numerator, denominator)
+    ints, and `weight_grid` is (wden, W0, W1): w0 = W0/wden and w1 = W1/wden,
+    so costs on it are integers, and a quotient of two rounds like the exact
+    Fraction.
     """
 
     alpha: Fraction
@@ -110,13 +111,14 @@ class Parameters:
         object.__setattr__(self, "alpha", to_fraction(alpha))
         object.__setattr__(self, "w0", to_fraction(w0))
         object.__setattr__(self, "w1", to_fraction(w1))
-        unit_ratio("alpha", self.alpha)
+        alpha_pair = unit_ratio("alpha", self.alpha)
         if not (self.w0 > self.w1 > ZERO):
             raise ValueError(f"weights must satisfy w0 > w1 > 0, got w0={self.w0}, w1={self.w1}")
         b = (self.alpha / (ONE - self.alpha)) * (self.w1 / (self.w0 - self.w1))
         object.__setattr__(self, "_beta", b)
         object.__setattr__(self, "_theta_slope", b * self.w0 / self.w1)
         # plain attributes, not fields, so eq, hash and repr stay on the fields
+        object.__setattr__(self, "alpha_pair", alpha_pair)
         object.__setattr__(self, "beta_pair", b.as_integer_ratio())
         object.__setattr__(self, "slope_pair", self._theta_slope.as_integer_ratio())
         wden = lcm(self.w0.denominator, self.w1.denominator)
@@ -144,7 +146,8 @@ class PredictionModel:
     rho is the marginal probability a job is urgent (type 0). eps0 is the
     false negative rate (urgent job labelled 1), eps1 the false positive rate
     (non-urgent job labelled 0). Both error rates are capped at one half so
-    label 0 never signals *less* urgency than label 1.
+    label 0 never signals *less* urgency than label 1. `rho_pair`,
+    `eps0_pair` and `eps1_pair` hold the rates as (numerator, denominator) ints.
     """
 
     rho: Fraction
@@ -158,6 +161,9 @@ class PredictionModel:
         rn, rd = unit_ratio("rho", self.rho)
         p0, q0 = rate_ratio("eps0", self.eps0)
         p1, q1 = rate_ratio("eps1", self.eps1)
+        object.__setattr__(self, "rho_pair", (rn, rd))
+        object.__setattr__(self, "eps0_pair", (p0, q0))
+        object.__setattr__(self, "eps1_pair", (p1, q1))
         # over q0*q1*rd: urgent and labelled 0, non-urgent and labelled 0, urgent and labelled 1
         u0, v0, u1 = (q0 - p0) * rn * q1, p1 * (rd - rn) * q0, p0 * rn * q1
         den = q0 * q1 * rd
@@ -355,7 +361,7 @@ def sample_instance(
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     draw = random.Random(seed).randrange
-    (rn, rd), *flips = [rate.as_integer_ratio() for rate in (model.rho, model.eps0, model.eps1)]
+    (rn, rd), *flips = model.rho_pair, model.eps0_pair, model.eps1_pair
     jobs = []
     for i in range(1, n + 1):
         true_type = 0 if draw(rd) < rn else 1

@@ -522,7 +522,7 @@ def tree_layers(n_max: int, model: PredictionModel, params: Parameters,
     p = (model.posterior(0), model.posterior(1))
     d = lcm(p[0].denominator, p[1].denominator)
     a = [post.numerator * (d // post.denominator) for post in p]
-    big_a, da = params.alpha.numerator, params.alpha.denominator
+    big_a, da = params.alpha_pair
     dw, w0, w1 = params.weight_grid
     # backlog weight times d*dw of an unopened label-l job, and of a set-aside one
     c = [w1 * d + (w0 - w1) * al for al in a]

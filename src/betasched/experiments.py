@@ -13,9 +13,9 @@ import math
 import os
 import random
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress, product, repeat
 from operator import not_
 from typing import Optional
@@ -90,8 +90,9 @@ class ExperimentConfig:
             if name in self.policies[:k]:  # two rows of one name: an ambiguous CSV
                 raise ValueError(f"policy named twice: {name}")
 
-    @property
+    @cached_property
     def params(self) -> Parameters:
+        """Built on first use, so a bad alpha or weight pair fails there; then kept."""
         return Parameters(self.alpha, self.w0, self.w1)
 
     def model_for(self, eps0: Fraction, eps1: Fraction) -> PredictionModel:
@@ -172,7 +173,7 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     """
     params = config.params
     columns = _flag_columns(config, config.model_for(eps0, eps1))
-    alpha_ticks, den = params.alpha.numerator, params.alpha.denominator
+    alpha_ticks, den = params.alpha_pair
     wden, w0, w1 = params.weight_grid  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     n = config.n
@@ -230,7 +231,7 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     """
     params = config.params
     columns = _flag_columns(config, config.model_for(eps0, eps1))
-    alpha_num, alpha_den = params.alpha.numerator, params.alpha.denominator
+    alpha_num, alpha_den = params.alpha_pair
     _, w0, w1 = params.weight_grid
     rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
     lam = 1.0 / float(config.interarrival)
@@ -267,10 +268,11 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     return out
 
 
-# Fewest replications that pay for a worker process of their own: with fewer,
-# two workers were no faster than one. The README gives the measurements.
-SWEEP_MIN_REPS_PER_WORKER = 2000
-ARRIVALS_MIN_REPS_PER_WORKER = 200
+# Fewest replications that pay for a worker process of their own, counting the
+# pool's import at a process's first pool: with fewer, two workers were no
+# faster than one. The README gives the measurements.
+SWEEP_MIN_REPS_PER_WORKER = 3000
+ARRIVALS_MIN_REPS_PER_WORKER = 700
 
 
 def _chunks(total: int, jobs: int):
@@ -278,6 +280,14 @@ def _chunks(total: int, jobs: int):
     workers = min(jobs, os.cpu_count() or 1)
     size = max(1, math.ceil(total / workers))
     return [(s, min(s + size, total)) for s in range(0, total, size)]
+
+
+def _process_pool(workers: int):
+    """A pool of `workers` processes. Its modules (`multiprocessing` and what
+    it pulls in) load here, at a process's first pool, not at every import."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
@@ -298,7 +308,7 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
         for (task,) in plan:
             yield worker(*task)
         return
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    with _process_pool(len(spans)) as pool:
         pending = deque([pool.submit(worker, *task) for task in point] for point in plan)
         while pending:  # popped, so a reduced point's results can be freed
             blocks = [f.result() for f in pending.popleft()]

@@ -774,6 +774,83 @@ def fraction_competitive_ratio(model, params):
     return CompetitiveRatioReport(np_cr, p_cr, h_cr, regime, selected, model, params)
 
 
+# ---------------------------------------------------------------------------
+# The integer-pair worst-case ratios as three separate bodies, one per ratio,
+# each reading the channel's integers again: what `analytics` had before one
+# body built all three. Every float expression keeps its operation order, so
+# the shared body must match these bit for bit, and raise OverflowError for
+# exactly the same calls.
+# ---------------------------------------------------------------------------
+
+def split_channel_ints(model, params):
+    """(a, da, p0, q0, p1, q1, w0, w1): alpha = a/da, eps0 = p0/q0, eps1 = p1/q1."""
+    _, w0, w1 = params.weight_grid
+    return (*params.alpha.as_integer_ratio(), *model.eps0.as_integer_ratio(),
+            *model.eps1.as_integer_ratio(), w0, w1)
+
+
+def split_maximiser(rn, rd, mn, md):
+    root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md
+    return rn / rd / root if root else 0.0
+
+
+def split_cr_nonpreemptive(model, params):
+    _, _, p0, q0, p1, q1, w0, w1 = split_channel_ints(model, params)
+    value = 1.0 + (p0 * q1 + p1 * q0) / (2 * q0 * q1) * (math.sqrt(w0 / w1) - 1.0)
+    return CrValue(value, split_maximiser(w1, w0 - w1, w1, w0 - w1))
+
+
+def split_cr_preemptive(model, params):
+    a, da, p0, q0, p1, q1, w0, w1 = split_channel_ints(model, params)
+    en, ed = p0 * q1 + p1 * q0, 2 * q0 * q1
+    if en * w0 <= w1 * ed:
+        return CrValue((da + a) / da, 0.0)
+    gap = w0 - w1
+    fn, fd = a * w0, 2 * da * gap
+    radicand = ((ed - 4 * en) * ed * w1 + 4 * en * en * w0) / (ed * ed * w1)
+    value = (fd * ed + fn * (ed - 2 * en)) / (fd * ed) + fn / fd * math.sqrt(radicand)
+    d = 2 * (en * w0 - w1 * ed)
+    return CrValue(value, split_maximiser(w1, gap, w1 * (d + w0 * ed), gap * d))
+
+
+def split_cr_hybrid(model, params):
+    a, da, p0, q0, p1, q1, w0, w1 = split_channel_ints(model, params)
+    gap = w0 - w1
+    ln = (p0 * (q1 + p1) * da * gap * q1 + a * w0 * p1 * (q0 - p0) * q1
+          - a * w1 * p1 * p1 * q0)
+    ld = da * gap * q0 * q1 * q1
+    an = a * p1 * p1 * gap * q0
+    value = ((2 * ld + an - ln) / (2 * ld)
+             + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
+    bound = (
+        1.0
+        + ln / (2 * ld) * (math.sqrt(w0 / w1) - 1.0)
+        + an / (2 * ld) * (1.0 + math.sqrt(w0 / gap))
+    )
+    dn = ln * gap - w1 * an
+    if ln == 0 and an == 0:
+        worst_q = 0.0
+    elif dn > 0:
+        worst_q = split_maximiser(w1, gap, w1 * (ln + an), dn)
+    else:
+        worst_q = None
+    return HybridCrValue(value, worst_q, ln / ld, bound)
+
+
+def split_competitive_ratio(model, params):
+    """The report `competitive_ratio` gives, from the three bodies above."""
+    np_cr = split_cr_nonpreemptive(model, params)
+    p_cr = split_cr_preemptive(model, params)
+    h_cr = split_cr_hybrid(model, params)
+    regime = algebra_classify_regime(model, params)
+    selected = {
+        Regime.NONPREEMPTIVE: np_cr.value,
+        Regime.PREEMPTIVE: p_cr.value,
+        Regime.HYBRID: h_cr.value,
+    }[regime]
+    return CompetitiveRatioReport(np_cr, p_cr, h_cr, regime, selected, model, params)
+
+
 def fraction_expected_costs(n, urgent_pairs, mixed_pairs, nonurgent_pairs, model, params):
     """(opt, nonpreemptive, preemptive, hybrid) from the three pair statistics.
 

@@ -8,15 +8,18 @@ Each entry of `MUTANTS` names a file of `src/betasched`, an exact piece of
 its text, the text to put in its place, and the test ids that must catch the
 edit. The script first runs every named test on an unedited copy of `src/`
 and `tests/`, and all of them must pass. Then, for each entry, it makes a new
-copy, applies the edit and runs that entry's tests in a subprocess. The entry
-passes only if every named test fails (for a parametrized test, at least one
-of its cases; a run that stops early, on an import error say, fails them
-all). A run that takes longer than `RUN_TIMEOUT` seconds is stopped and
-fails its tests too: a mutant that makes a test loop forever is reported
-as timed out, and the gate goes on to the next entry; on the unedited copy
-a timeout fails the gate. An entry whose old text is gone, or no longer
-unique, fails too, so the list cannot rot silently. Hypothesis runs with a
-fixed seed, so a run is repeatable. The exit code is 1 if anything failed.
+copy, applies the edit and runs that entry's tests in a subprocess; up to one
+entry per CPU runs at once, each in its own copy and working directory, and
+the report lines come out in `MUTANTS` order. The entry passes only if every
+named test fails (for a parametrized test, at least one of its cases; a run
+that stops early, on an import error say, fails them all). A run that takes
+longer than `RUN_TIMEOUT` seconds is stopped and fails its tests too: a
+mutant that makes a test loop forever is reported as timed out, and the gate
+goes on; on the unedited copy a timeout fails the gate. An entry whose old
+text is gone, or no longer unique, fails too, so the list cannot rot
+silently. Hypothesis runs with a fixed seed, so a run is repeatable; it also
+seeds its search from literals in `src/`, so a property test catches a
+mutant for sure only through an explicit example. The exit code is 1 if anything failed.
 Standard library only.
 """
 
@@ -27,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,6 +64,13 @@ MUTANTS = (
         "enumerate(zip(best[:1], rule[:1])) if b[0] != r[0]]",
         ("tests/test_cli.py::TestVerifySuites::"
          "test_optimality_failures_match_the_every_n_reference[shift-1e-1]",),
+    ),
+    Mutant(
+        "the process pool imported with the package",
+        "experiments.py",
+        "from collections import deque\n",
+        "from collections import deque\nfrom concurrent.futures import ProcessPoolExecutor\n",
+        ("tests/test_imports.py::test_a_one_worker_sweep_never_imports_the_process_pool",),
     ),
     Mutant(
         "w1 on the weight grid without its scale",
@@ -314,7 +325,6 @@ def failed_tests(tree: Path, tests) -> tuple[int, list[str]]:
             cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
-        print(f"     {tree.name}: timed out after {RUN_TIMEOUT} s")
         return None, list(tests)
     if proc.returncode > 1:
         return proc.returncode, list(tests)
@@ -329,36 +339,46 @@ def caught(test: str, failed: list[str]) -> bool:
                for f in failed)
 
 
+def check_mutant(tree: Path, mutant: Mutant) -> str:
+    """The gate's report line for `mutant`, run in a fresh copy at `tree`:
+    it starts with "ok" only if every named test failed."""
+    copy_tree(tree)
+    try:
+        path = tree / "src" / "betasched" / mutant.file
+        text = path.read_text()
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"FAIL {mutant.name}: old text found {count} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        code, failed = failed_tests(tree, mutant.tests)
+    finally:
+        shutil.rmtree(tree)
+    survived = [test for test in mutant.tests if not caught(test, failed)]
+    if survived:
+        return f"FAIL {mutant.name}: these tests still pass: {survived}"
+    timed_out = f" (timed out after {RUN_TIMEOUT} s)" if code is None else ""
+    return f"ok   {mutant.name}: caught by {len(mutant.tests)} test(s){timed_out}"
+
+
 def main() -> int:
-    bad = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
         every_test = sorted({test for mutant in MUTANTS for test in mutant.tests})
         code, failed = failed_tests(base, every_test)
         if code != 0:
-            print(f"FAIL unedited copy: pytest exit code {code}, failed {failed}")
+            reason = f"timed out after {RUN_TIMEOUT} s" if code is None else f"exit code {code}"
+            print(f"FAIL unedited copy: pytest {reason}, failed {failed}")
             return 1
-        print(f"ok   unedited copy: {len(every_test)} named tests pass")
-        for i, mutant in enumerate(MUTANTS):
-            tree = Path(tmp) / f"mutant-{i}"
-            copy_tree(tree)
-            path = tree / "src" / "betasched" / mutant.file
-            text = path.read_text()
-            count = text.count(mutant.old)
-            if count != 1:
-                print(f"FAIL {mutant.name}: old text found {count} times in {mutant.file}")
-                bad += 1
-                continue
-            path.write_text(text.replace(mutant.old, mutant.new))
-            _, failed = failed_tests(tree, mutant.tests)
-            survived = [test for test in mutant.tests if not caught(test, failed)]
-            if survived:
-                print(f"FAIL {mutant.name}: these tests still pass: {survived}")
-                bad += 1
-            else:
-                print(f"ok   {mutant.name}: caught by {len(mutant.tests)} test(s)")
-            shutil.rmtree(tree)
+        print(f"ok   unedited copy: {len(every_test)} named tests pass", flush=True)
+        # each mutant has its own copy and working directory, so up to one per
+        # CPU run at once; `map` hands the lines back in `MUTANTS` order
+        bad = 0
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+            trees = [Path(tmp) / f"mutant-{i}" for i in range(len(MUTANTS))]
+            for line in pool.map(check_mutant, trees, MUTANTS):
+                print(line, flush=True)
+                bad += not line.startswith("ok")
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants caught")
     return 1 if bad else 0
 

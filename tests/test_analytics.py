@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import astuple, is_dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -37,6 +38,10 @@ from conftest import (
     probe_label_1_decide,
     satisfies_weight_gap,
     search_worst_q,
+    split_competitive_ratio,
+    split_cr_hybrid,
+    split_cr_nonpreemptive,
+    split_cr_preemptive,
 )
 
 F = Fraction
@@ -331,13 +336,13 @@ class TestCrHybrid:
 class TestCompetitiveRatioReport:
     def test_channel_read_once(self, monkeypatch, base_params, base_model):
         calls = []
-        channel_ints = analytics._channel_ints
+        worst_case_ratios = analytics._worst_case_ratios
 
-        def counted(model, params):
-            calls.append((model, params))
-            return channel_ints(model, params)
+        def counted(*args):
+            calls.append(args)
+            return worst_case_ratios(*args)
 
-        monkeypatch.setattr(analytics, "_channel_ints", counted)
+        monkeypatch.setattr(analytics, "_worst_case_ratios", counted)
         report = competitive_ratio(base_model, base_params)
         assert calls == [(base_model, base_params)]
         assert report.nonpreemptive == cr_nonpreemptive(base_model, base_params)
@@ -456,6 +461,53 @@ class TestFractionOracle:
         model = PredictionModel(F(1, 10), eps, eps)
         params = Parameters(F(2, 5), 10**700, 1)
         assert cr_preemptive(model, params).worst_q == 0.0
+
+
+def float_bits(value):
+    """A ratio or a report as nested tuples with each float as its exact hex
+    (so 0.0 and -0.0 differ), or OverflowError."""
+    if value is OverflowError:
+        return value
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(float_bits, value))
+    return float_bits(astuple(value)) if is_dataclass(value) else value
+
+
+WIDE_FRACTION = st.fractions(F(1, 10**6), 10**6, max_denominator=10**6).filter(lambda x: x > 0)
+# past the float range on either side, so some ratios overflow and others not
+EXTREME = st.sampled_from([F(1, 10**16), F(1, 10**200), F(1, 10**400), F(10**200), F(10**700)])
+
+
+class TestSharedRatioBody:
+    """The one body of the three worst-case ratios against the three bodies it
+    replaced: every float bit for bit, and OverflowError for the same calls,
+    for each ratio alone and for the report."""
+
+    @settings(max_examples=150)
+    @given(alpha=st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+           w1=st.one_of(WIDE_FRACTION, EXTREME),
+           gap=st.one_of(WIDE_FRACTION, EXTREME),
+           rho=st.fractions(0, 1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+           e0=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6),
+                        st.sampled_from([0, F(1, 2), F(1, 10**197)])),
+           e1=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6),
+                        st.sampled_from([0, F(1, 2), F(1, 10**197)])))
+    # only the preemptive ratio fits a float: w0/w1 overflows, but eps is so
+    # small that 4*eps^2*w0/w1 fits
+    @example(alpha=F(2, 5), w1=1, gap=F(10**700), rho=F(1, 10), e0=F(1, 10**197),
+             e1=F(1, 10**197))
+    # w1/(w0-w1) overflows the nonpreemptive maximiser; the preemptive ratio is flat
+    @example(alpha=F(2, 5), w1=1, gap=F(1, 10**400), rho=F(1, 10), e0=F(1, 10), e1=F(1, 10))
+    def test_equals_the_split_bodies(self, alpha, w1, gap, rho, e0, e1):
+        model, params = PredictionModel(rho, e0, e1), Parameters(alpha, w1 + gap, w1)
+        for got, want in ((cr_nonpreemptive, split_cr_nonpreemptive),
+                          (cr_preemptive, split_cr_preemptive),
+                          (cr_hybrid, split_cr_hybrid),
+                          (competitive_ratio, split_competitive_ratio)):
+            assert float_bits(outcome(got, model, params)) == \
+                float_bits(outcome(want, model, params)), (got.__name__, model, params)
 
 
 class TestExpectationOracle:

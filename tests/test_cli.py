@@ -85,7 +85,7 @@ def inline_pools(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments, "_process_pool", InlinePool)
     return pools
 
 
@@ -125,6 +125,31 @@ class TestSweepDriver:
         reps = experiments.SWEEP_MIN_REPS_PER_WORKER
         assert run_sweep(small_config(replications=reps, jobs=2)) == \
             run_sweep(small_config(replications=reps, jobs=1))
+
+    def test_one_parameters_per_config(self, monkeypatch):
+        """`ExperimentConfig.params` is built on first use and kept: a sweep and
+        an arrival run each build one `Parameters` for their config."""
+        built = []
+        init = Parameters.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Parameters, "__init__", counted)
+        config = small_config()
+        rows = run_sweep(config)
+        assert built == [(config.alpha, config.w0, config.w1)]
+        assert run_sweep(config) == rows and len(built) == 1  # kept on the config
+        run_arrivals(small_config(replications=40))
+        assert len(built) == 2
+
+    def test_bad_parameters_fail_at_first_use(self):
+        config = small_config(w0=F(1), w1=F(1))  # built lazily: the config itself is accepted
+        message = r"^weights must satisfy w0 > w1 > 0, got w0=1, w1=1$"
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(ValueError, match=message):
+                config.params
 
     def test_worker_processes_capped_at_cpu_count(self, monkeypatch, inline_pools):
         """A huge --jobs plans at most one chunk per CPU; no process is started."""

@@ -452,6 +452,13 @@ class TestInstanceValidation:
     @given(jobs=st.one_of(st.lists(st.one_of(jobs_of_any_fields, jobs_of_any_fields.map(tuple)),
                                    max_size=5), near_valid_jobs()),
            with_model=st.booleans())
+    # one job per type check, and p_hat = 1: the search alone finds these only
+    # by chance, and Hypothesis seeds it from literals in the package's source
+    @example(jobs=[Job(1, True, 1)], with_model=True)
+    @example(jobs=[Job(1, 0, 1.0)], with_model=True)
+    @example(jobs=[Job(1, 0, 0, release_time=0.5)], with_model=True)
+    @example(jobs=[Job(1.0, 0, 0)], with_model=True)
+    @example(jobs=[Job(1, 0, p_hat=F(1))], with_model=False)
     def test_matches_the_reference_loop(self, jobs, with_model):
         """Accepted, or refused with the same exception type and message, as the
         reference loop of `Fraction` comparisons; a plain tuple is not a Job.
