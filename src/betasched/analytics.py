@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .domain import (
     Instance,
@@ -130,14 +130,12 @@ def expected_unconditional(n: int, model: PredictionModel,
 # Competitive ratios (worst case over the urgent fraction q)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrValue:
+class CrValue(NamedTuple):
     value: float
     worst_q: Optional[float]
 
 
-@dataclass(frozen=True)
-class HybridCrValue:
+class HybridCrValue(NamedTuple):
     value: float
     worst_q: Optional[float]
     lam: float
@@ -263,8 +261,7 @@ def cr_hybrid(model: PredictionModel, params: Parameters) -> HybridCrValue:
     return _worst_case_ratios(model, params, Regime.HYBRID)[2]
 
 
-@dataclass(frozen=True)
-class CompetitiveRatioReport:
+class CompetitiveRatioReport(NamedTuple):
     """All three worst-case ratios plus the one the threshold rule realizes."""
 
     nonpreemptive: CrValue
@@ -300,8 +297,7 @@ def alpha_point_cr_bound(alpha) -> float:
 # Log loss for probabilistic classifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogLossResult:
+class LogLossResult(NamedTuple):
     value: float
     clamped: int  # estimates pushed off an exact 0/1 endpoint
 

@@ -108,23 +108,20 @@ class Parameters:
     w1: Fraction
 
     def __init__(self, alpha: RationalLike, w0: RationalLike, w1: RationalLike):
-        object.__setattr__(self, "alpha", to_fraction(alpha))
-        object.__setattr__(self, "w0", to_fraction(w0))
-        object.__setattr__(self, "w1", to_fraction(w1))
-        alpha_pair = unit_ratio("alpha", self.alpha)
-        if not (self.w0 > self.w1 > ZERO):
-            raise ValueError(f"weights must satisfy w0 > w1 > 0, got w0={self.w0}, w1={self.w1}")
-        b = (self.alpha / (ONE - self.alpha)) * (self.w1 / (self.w0 - self.w1))
-        object.__setattr__(self, "_beta", b)
-        object.__setattr__(self, "_theta_slope", b * self.w0 / self.w1)
-        # plain attributes, not fields, so eq, hash and repr stay on the fields
-        object.__setattr__(self, "alpha_pair", alpha_pair)
-        object.__setattr__(self, "beta_pair", b.as_integer_ratio())
-        object.__setattr__(self, "slope_pair", self._theta_slope.as_integer_ratio())
-        wden = lcm(self.w0.denominator, self.w1.denominator)
-        object.__setattr__(self, "weight_grid", (
-            wden, self.w0.numerator * (wden // self.w0.denominator),
-            self.w1.numerator * (wden // self.w1.denominator)))
+        alpha, w0, w1 = to_fraction(alpha), to_fraction(w0), to_fraction(w1)
+        a, da = alpha_pair = unit_ratio("alpha", alpha)
+        if not (w0 > w1 > ZERO):
+            raise ValueError(f"weights must satisfy w0 > w1 > 0, got w0={w0}, w1={w1}")
+        wden = lcm(w0.denominator, w1.denominator)
+        grid = (wden, w0.numerator * (wden // w0.denominator),
+                w1.numerator * (wden // w1.denominator))
+        # beta = (a/(da-a)) * (w1/(w0-w1)) and K = beta * w0/w1; wden cancels
+        scale = (da - a) * (grid[1] - grid[2])
+        b, slope = Fraction(a * grid[2], scale), Fraction(a * grid[1], scale)
+        # the fields, then plain attributes, so eq, hash and repr stay on the fields
+        vars(self).update(alpha=alpha, w0=w0, w1=w1, _beta=b, _theta_slope=slope,
+                          alpha_pair=alpha_pair, beta_pair=b.as_integer_ratio(),
+                          slope_pair=slope.as_integer_ratio(), weight_grid=grid)
 
     def beta(self) -> Fraction:
         """Threshold (alpha/(1-alpha)) * (w1/(w0-w1)), computed once at construction."""
@@ -147,7 +144,10 @@ class PredictionModel:
     false negative rate (urgent job labelled 1), eps1 the false positive rate
     (non-urgent job labelled 0). Both error rates are capped at one half so
     label 0 never signals *less* urgency than label 1. `rho_pair`,
-    `eps0_pair` and `eps1_pair` hold the rates as (numerator, denominator) ints.
+    `eps0_pair` and `eps1_pair` hold the rates as (numerator, denominator)
+    ints. They and the two posteriors are built once, in the one dict update
+    that also sets the fields; as plain attributes outside the fields they
+    leave eq, hash and repr on rho, eps0 and eps1.
     """
 
     rho: Fraction
@@ -155,21 +155,16 @@ class PredictionModel:
     eps1: Fraction
 
     def __init__(self, rho: RationalLike, eps0: RationalLike, eps1: RationalLike):
-        object.__setattr__(self, "rho", to_fraction(rho))
-        object.__setattr__(self, "eps0", to_fraction(eps0))
-        object.__setattr__(self, "eps1", to_fraction(eps1))
-        rn, rd = unit_ratio("rho", self.rho)
-        p0, q0 = rate_ratio("eps0", self.eps0)
-        p1, q1 = rate_ratio("eps1", self.eps1)
-        object.__setattr__(self, "rho_pair", (rn, rd))
-        object.__setattr__(self, "eps0_pair", (p0, q0))
-        object.__setattr__(self, "eps1_pair", (p1, q1))
+        rho, eps0, eps1 = to_fraction(rho), to_fraction(eps0), to_fraction(eps1)
+        rn, rd = rho_pair = unit_ratio("rho", rho)
+        p0, q0 = eps0_pair = rate_ratio("eps0", eps0)
+        p1, q1 = eps1_pair = rate_ratio("eps1", eps1)
         # over q0*q1*rd: urgent and labelled 0, non-urgent and labelled 0, urgent and labelled 1
         u0, v0, u1 = (q0 - p0) * rn * q1, p1 * (rd - rn) * q0, p0 * rn * q1
         den = q0 * q1 * rd
-        object.__setattr__(self, "_label0_rate", (u0 + v0, den))
-        object.__setattr__(self, "_posteriors",
-                           (Fraction(u0, u0 + v0), Fraction(u1, den - u0 - v0)))
+        vars(self).update(rho=rho, eps0=eps0, eps1=eps1, rho_pair=rho_pair, eps0_pair=eps0_pair,
+                          eps1_pair=eps1_pair, _label0_rate=(u0 + v0, den),
+                          _posteriors=(Fraction(u0, u0 + v0), Fraction(u1, den - u0 - v0)))
 
     def label_probability(self, label: int) -> Fraction:
         """Marginal probability that a job receives the given label, 0 or 1."""

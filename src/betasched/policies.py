@@ -338,6 +338,31 @@ def get_policy(name: str) -> Policy:
         raise UnsupportedInputError(f"unknown policy {name!r} (known: {known})") from None
 
 
+class _ProbeQueue(InterruptedQueue):
+    """An interrupted queue that refuses `add` and `remove`, so one serves every probe."""
+
+    __slots__ = ()
+
+    def add(self, *args):
+        raise ContractViolationError("a policy may not change a label_flags probe's queue")
+
+    remove = add
+
+
+# job 1 interrupted at theta = 0, in every `label_flags` probe
+_PROBE_INTERRUPTED = _ProbeQueue([(1, ZERO)])
+
+
+def _probe_opens(policy: Policy, state: PolicyState, params: Parameters) -> bool:
+    """The policy's answer at a `label_flags` probe: True opens the head."""
+    target = policy.decide(state, params)
+    if target is not None and target != 1:
+        raise ContractViolationError(
+            f"policy {policy.name} answered {target!r} with job 1 interrupted"
+        )
+    return target is None
+
+
 def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> tuple[bool, bool]:
     """Which label classes `policy` probes on a batch instance under exact reveal.
 
@@ -348,20 +373,16 @@ def label_flags(policy: Policy, model: PredictionModel, params: Parameters) -> t
     nonpreemptive rule completes it, so it probes no class. The batch
     kernel, the closed forms, the tree oracle and the regime all read a
     policy's batch behaviour from here. One probe state serves both
-    questions: its head entry is swapped from label 0 to label 1.
+    questions: its head entry is swapped from label 0 to label 1. Its
+    interrupted queue is built once and shared by every call; it refuses
+    `add` and `remove` with a `ContractViolationError`, so no rule can
+    change what a later call, or a call nested in `decide`, sees.
     """
-    head = [None]  # the probe's one unopened entry, set per label
-    state = PolicyState(UnopenedQueue(head), InterruptedQueue([(1, ZERO)]))
-    flags = []
-    for label in (0, 1):
-        head[0] = (0, 2, label, model.posterior(label))
-        target = policy.decide(state, params)
-        if target is not None and target != 1:
-            raise ContractViolationError(
-                f"policy {policy.name} answered {target!r} with job 1 interrupted"
-            )
-        flags.append(target is None)
-    return flags[0], flags[1]
+    head = [(0, 2, 0, model.posterior(0))]
+    state = PolicyState(UnopenedQueue(head), _PROBE_INTERRUPTED)
+    flag0 = _probe_opens(policy, state, params)
+    head[0] = (0, 2, 1, model.posterior(1))
+    return flag0, _probe_opens(policy, state, params)
 
 
 # The paper's regimes probe neither label class, both, or only the predicted

@@ -17,14 +17,22 @@ from betasched.analytics import (
     HybridCrValue,
     expected_conditional,
 )
-from betasched.domain import Instance, Job, Parameters, PredictionModel, to_fraction
+from betasched.domain import ZERO, Instance, Job, Parameters, PredictionModel, to_fraction
 from betasched.engine import RunOutcome, TraceEvent, offline_wspt, run, tree_layers
-from betasched.errors import InvalidInstanceError, TerminalStateError, UnsupportedInputError
+from betasched.errors import (
+    ContractViolationError,
+    InvalidInstanceError,
+    TerminalStateError,
+    UnsupportedInputError,
+)
 from betasched.experiments import _rep_rng
 from betasched.policies import (
     OPEN_NEXT,
+    InterruptedQueue,
     Policy,
+    PolicyState,
     Regime,
+    UnopenedQueue,
     get_policy,
 )
 
@@ -149,6 +157,26 @@ def algebra_classify_regime(model, params):
     if model.rho <= b:
         return Regime.NONPREEMPTIVE
     return Regime.PREEMPTIVE
+
+
+def reference_label_flags(policy, model, params):
+    """`label_flags` with a fresh probe state per call, asked in a loop over the labels.
+
+    The body `policies.label_flags` had before every call shared one
+    read-only interrupted queue.
+    """
+    head = [None]  # the probe's one unopened entry, set per label
+    state = PolicyState(UnopenedQueue(head), InterruptedQueue([(1, ZERO)]))
+    flags = []
+    for label in (0, 1):
+        head[0] = (0, 2, label, model.posterior(label))
+        target = policy.decide(state, params)
+        if target is not None and target != 1:
+            raise ContractViolationError(
+                f"policy {policy.name} answered {target!r} with job 1 interrupted"
+            )
+        flags.append(target is None)
+    return flags[0], flags[1]
 
 
 def draw_jobs(rng, n, rho, e0, e1):

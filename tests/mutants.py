@@ -55,6 +55,10 @@ TREE_ORACLE = (
 
 RELEASE_KERNELS = "tests/test_engine.py::TestReleaseKernels::"
 VALIDATION = "tests/test_domain.py::TestInstanceValidation::"
+PROBE = "tests/test_policies.py::"
+POSTERIOR = "tests/test_domain.py::TestPosterior::"
+RECORDS = "tests/test_analytics.py::TestRatioRecords::"
+REFUSAL = "        raise ContractViolationError(\"a policy may not change a label_flags probe's queue\")\n"
 
 MUTANTS = (
     Mutant(
@@ -75,8 +79,8 @@ MUTANTS = (
     Mutant(
         "w1 on the weight grid without its scale",
         "domain.py",
-        "self.w1.numerator * (wden // self.w1.denominator)))",
-        "self.w1.numerator * wden))",
+        "w1.numerator * (wden // w1.denominator))",
+        "w1.numerator * wden)",
         ("tests/test_domain.py::TestParameters::test_integer_pairs_are_not_fields",
          "tests/test_engine.py::TestIntegerTree::test_random_channels_equal_the_oracle",
          "tests/test_analytics.py::TestExpectationOracle::test_equals_the_fraction_body"),
@@ -120,8 +124,8 @@ MUTANTS = (
     Mutant(
         "label_flags accepts any answer",
         "policies.py",
-        "        if target is not None and target != 1:\n",
-        "        if False:\n",
+        "    if target is not None and target != 1:\n",
+        "    if False:\n",
         ("tests/test_policies.py::TestLabelFlagsProbe::test_wrong_answer_names_the_policy",
          "tests/test_engine.py::TestLabelKernel::test_flags_reject_an_illegal_answer"),
     ),
@@ -292,6 +296,70 @@ MUTANTS = (
         "                raise InvalidInstanceError(f\"job {job_id!r}: id must be an int\")\n",
         "",
         (VALIDATION + "test_id_must_be_an_int", VALIDATION + "test_matches_the_reference_loop"),
+    ),
+    # a channel's model, the regime probe and the ratio records, built
+    # without per-call object overhead
+    Mutant(
+        "label_flags asks about label 1 with the label-0 head",
+        "policies.py",
+        "    head[0] = (0, 2, 1, model.posterior(1))\n",
+        "",
+        (PROBE + "TestLabelFlagsProbe::test_views_show_label_0_then_label_1",
+         PROBE + "TestLabelFlagsReference::test_equals_the_fresh_probe"),
+    ),
+    Mutant(
+        "posterior(1) over every job, not over the label-1 jobs",
+        "domain.py",
+        "Fraction(u1, den - u0 - v0)",
+        "Fraction(u1, den)",
+        (POSTERIOR + "test_pairs_and_posteriors_are_not_fields",
+         POSTERIOR + "test_matches_fraction_oracle"),
+    ),
+    Mutant(
+        "the two posteriors swapped",
+        "domain.py",
+        "_posteriors=(Fraction(u0, u0 + v0), Fraction(u1, den - u0 - v0))",
+        "_posteriors=(Fraction(u1, den - u0 - v0), Fraction(u0, u0 + v0))",
+        (POSTERIOR + "test_pairs_and_posteriors_are_not_fields",
+         POSTERIOR + "test_matches_fraction_oracle"),
+    ),
+    Mutant(
+        "CrValue's two fields in swapped order",
+        "analytics.py",
+        "    value: float\n    worst_q: Optional[float]\n\n\nclass HybridCrValue",
+        "    worst_q: Optional[float]\n    value: float\n\n\nclass HybridCrValue",
+        (RECORDS + "test_fields_in_order", RECORDS + "test_repr_text",
+         "tests/test_sweep_cr_golden.py::test_sweep_cr_output_is_golden"),
+    ),
+    Mutant(
+        "the probe's job 1 at theta = 1/2",
+        "policies.py",
+        "_ProbeQueue([(1, ZERO)])",
+        "_ProbeQueue([(1, Fraction(1, 2))])",
+        (PROBE + "TestLabelFlagsReference::test_equals_the_fresh_probe",
+         PROBE + "TestLabelFlagsRobustness::test_every_call_shows_job_1_at_zero"),
+    ),
+    Mutant(
+        "the probe's interrupted job is job 2",
+        "policies.py",
+        "_ProbeQueue([(1, ZERO)])",
+        "_ProbeQueue([(2, ZERO)])",
+        (PROBE + "TestLabelFlagsReference::test_equals_the_fresh_probe",
+         PROBE + "TestLabelFlagsRobustness::test_every_call_shows_job_1_at_zero"),
+    ),
+    Mutant(
+        "the shared probe queue lets a rule remove job 1",
+        "policies.py",
+        "    remove = add\n",
+        "",
+        (PROBE + "TestLabelFlagsRobustness::test_later_calls_unchanged[remover]",),
+    ),
+    Mutant(
+        "the shared probe queue lets a rule add a job",
+        "policies.py",
+        "    def add(self, *args):\n" + REFUSAL + "\n    remove = add\n",
+        "    def remove(self, *args):\n" + REFUSAL,
+        (PROBE + "TestLabelFlagsRobustness::test_later_calls_unchanged[adder]",),
     ),
     Mutant(
         "a zero error rate still draws",

@@ -11,6 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from betasched import analytics
 from betasched.analytics import (
+    CompetitiveRatioReport,
+    CrValue,
+    HybridCrValue,
+    LogLossResult,
     alpha_point_cr_bound,
     competitive_ratio,
     cr_hybrid,
@@ -414,6 +418,59 @@ ORACLE_RHOS = (F(1, 10**30), F(1, 10), 1 - F(1, 10**30))
 ORACLE_EPS = ((0, 0), (F(1, 2), F(1, 2)), (F(1, 20), F(1, 20)), (F(1, 40), F(3, 40)),
               (F(1, 4), F(5, 12)), (F(1, 3), F(1, 3)), (F(1, 2), 0), (0, F(1, 2)),
               (F(1, 10**20), F(3, 10**20)))
+
+
+# the repr the frozen dataclasses gave at the base channel, before the records
+# became named tuples
+BASE_REPORT_REPR = (
+    "CompetitiveRatioReport(nonpreemptive=CrValue(value=1.347213595499958, "
+    "worst_q=0.1827439976315568), preemptive=CrValue(value=1.417519148762089, "
+    "worst_q=0.04379787190522274), hybrid=HybridCrValue(value=1.2583962037202512, "
+    "worst_q=0.18158187274821647, lam=0.14768421052631578, "
+    "decomposition_bound=1.2604417853812446), regime=<Regime.HYBRID: 'hybrid'>, "
+    "selected=1.2583962037202512, model=PredictionModel(rho=Fraction(1, 10), "
+    "eps0=Fraction(1, 10), eps1=Fraction(1, 10)), params=Parameters(alpha=Fraction(2, 5), "
+    "w0=Fraction(20, 1), w1=Fraction(1, 1)))"
+)
+
+
+class TestRatioRecords:
+    """The ratio and log-loss records: fields, repr text, equality, hash, immutability."""
+
+    def test_fields_in_order(self):
+        assert CrValue._fields == ("value", "worst_q")
+        assert HybridCrValue._fields == ("value", "worst_q", "lam", "decomposition_bound")
+        assert CompetitiveRatioReport._fields == (
+            "nonpreemptive", "preemptive", "hybrid", "regime", "selected", "model", "params")
+        assert LogLossResult._fields == ("value", "clamped")
+
+    def test_repr_text(self, base_params, base_model):
+        assert repr(competitive_ratio(base_model, base_params)) == BASE_REPORT_REPR
+        assert repr(CrValue(1.5, None)) == "CrValue(value=1.5, worst_q=None)"
+        assert repr(LogLossResult(0.5, 2)) == "LogLossResult(value=0.5, clamped=2)"
+
+    def test_equal_and_hashed_by_value(self, base_params, base_model):
+        # a twin channel built from other inputs gives an equal report
+        twin = competitive_ratio(PredictionModel("0.1", "1/10", 0.1),
+                                 Parameters("2/5", F(20), "1"))
+        report = competitive_ratio(base_model, base_params)
+        assert twin == report and hash(twin) == hash(report)
+        assert report.hybrid == HybridCrValue(*report.hybrid)
+        assert hash(report.hybrid) == hash(HybridCrValue(*report.hybrid))
+        assert CrValue(1.5, 0.25) != CrValue(1.5, 0.5)
+        assert CrValue(1.5, 0.25) != CrValue(0.25, 1.5)
+        assert LogLossResult(0.5, 2) == LogLossResult(0.5, 2) != LogLossResult(0.5, 1)
+
+    def test_refuse_assignment(self, base_params, base_model):
+        report = competitive_ratio(base_model, base_params)
+        records = [(report, "selected"), (report.nonpreemptive, "value"),
+                   (report.hybrid, "lam"), (LogLossResult(0.5, 2), "clamped")]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, -1.0)
+            with pytest.raises(AttributeError):
+                record.note = "new"  # no instance dict either
+            assert getattr(record, name) != -1.0
 
 
 class TestFractionOracle:

@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -178,6 +178,22 @@ class TestParameters:
         twin = Parameters(F(2, 5), F(20), F(1))
         assert p == twin and hash(p) == hash(twin)
 
+    @given(alpha=small_fraction(F(1, 60), F(59, 60)),
+           w1=st.fractions(F(1, 30), F(50), max_denominator=30).filter(lambda w: w > 0),
+           gap=st.fractions(F(1, 30), F(50), max_denominator=30).filter(lambda g: g > 0))
+    @example(alpha=F(2, 5), w1=F(1, 2), gap=F(11, 6))
+    def test_stored_values_equal_the_fraction_formulas(self, alpha, w1, gap):
+        p = Parameters(alpha, w1 + gap, w1)
+        beta = (alpha / (1 - alpha)) * (w1 / gap)
+        slope = beta * (w1 + gap) / w1
+        assert (p.beta(), p.theta_slope()) == (beta, slope)
+        assert (p.beta_pair, p.slope_pair) == (beta.as_integer_ratio(), slope.as_integer_ratio())
+        wden, g0, g1 = p.weight_grid
+        assert wden == math.lcm((w1 + gap).denominator, w1.denominator)
+        assert (F(g0, wden), F(g1, wden)) == (w1 + gap, w1)
+        with pytest.raises(FrozenInstanceError):
+            p.alpha = F(1, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError, match=r"^alpha must lie strictly in \(0,1\), got 1$"):
             Parameters(1, 20, 1)
@@ -261,6 +277,21 @@ class TestPosterior:
     def test_posteriors_collapse_only_at_half(self, m):
         if m.posterior(0) == m.posterior(1):
             assert m.eps0 + m.eps1 == 1
+
+    def test_pairs_and_posteriors_are_not_fields(self):
+        m = PredictionModel("1/10", "1/20", F(1, 4))
+        assert (m.rho_pair, m.eps0_pair, m.eps1_pair) == ((1, 10), (1, 20), (1, 4))
+        # 0.095/0.32 urgent among label 0, 0.005/0.68 among label 1
+        assert (m.posterior(0), m.posterior(1)) == (F(19, 64), F(1, 136))
+        assert m.label_probability(0) == F(8, 25)
+        assert [f.name for f in fields(m)] == ["rho", "eps0", "eps1"]
+        assert repr(m) == ("PredictionModel(rho=Fraction(1, 10), eps0=Fraction(1, 20), "
+                           "eps1=Fraction(1, 4))")
+        twin = PredictionModel(F(1, 10), 0.05, "0.25")
+        assert m == twin and hash(m) == hash(twin)
+        assert m != PredictionModel("1/10", "1/4", "1/20")
+        with pytest.raises(FrozenInstanceError):
+            m.rho = F(1, 2)
 
     @pytest.mark.parametrize("label", [2, -1])
     def test_refuses_a_label_other_than_0_or_1(self, label):

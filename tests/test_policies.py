@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from betasched.domain import Instance, Parameters, PredictionModel, make_job, sample_instance
 from betasched.engine import run
@@ -29,10 +29,13 @@ from betasched.policies import (
 )
 from conftest import (
     CHANNEL,
+    SCAN_MODIFIED_BETA,
     algebra_classify_regime,
     drawn_channel,
     expected_weight,
     fraction_beta_threshold_decide,
+    probe_label_1_decide,
+    reference_label_flags,
     run_record,
 )
 
@@ -516,6 +519,136 @@ class TestLabelFlagsProbe:
 
         with pytest.raises(ContractViolationError, match="policy wrong-on-1 answered"):
             label_flags(Policy("wrong-on-1", wrong), base_model, base_params)
+
+
+def _answer_the_head_priority(s, params):
+    """Opens a head above 1/2 and answers any other head with its priority."""
+    p = s.unopened.head_priority()
+    return OPEN_NEXT if p > F(1, 2) else p
+
+
+# every named rule, the test rules of conftest, and one that breaks the
+# probe's contract on some channels
+PROBED_RULES = tuple(POLICIES.values()) + (
+    SCAN_MODIFIED_BETA,
+    Policy("probe-01", probe_label_1_decide),
+    Policy("fraction-beta", fraction_beta_threshold_decide),
+    Policy("answers-a-priority", _answer_the_head_priority),
+)
+
+
+def flags_or_message(flags_of, policy, model, params):
+    """`flags_of`'s flags, or the message of the `ContractViolationError` it raised."""
+    try:
+        return flags_of(policy, model, params)
+    except ContractViolationError as err:
+        return str(err)
+
+
+@st.composite
+def probed_channels(draw):
+    """(params, model): a `CHANNEL` draw, or one whose beta is moved onto a posterior.
+
+    At w1 = 1 and w0 = 1 + alpha/(p*(1 - alpha)), beta = p exactly: the tie
+    that the beta rule completes.
+    """
+    params, model = drawn_channel(**draw(st.fixed_dictionaries(CHANNEL)))
+    label = draw(st.sampled_from([None, 0, 1]))
+    p = F(0) if label is None else model.posterior(label)
+    if p:
+        alpha = params.alpha
+        params = Parameters(alpha, 1 + alpha / (p * (1 - alpha)), 1)
+        assert params.beta() == p
+    return params, model
+
+
+BASE_CHANNEL = (Parameters(F(2, 5), 20, 1), PredictionModel(F(1, 10), F(1, 10), F(1, 10)))
+
+
+class TestLabelFlagsReference:
+    """`label_flags` with its shared probe queue against a fresh probe per call."""
+
+    @given(channel=probed_channels())
+    @example(channel=BASE_CHANNEL)
+    # beta = 1/2 = posterior(0): the tie completes, and the priority rule answers 1/2
+    @example(channel=(Parameters(F(2, 5), F(7, 3), 1), BASE_CHANNEL[1]))
+    def test_equals_the_fresh_probe(self, channel):
+        params, model = channel
+        for rule in PROBED_RULES:
+            want = flags_or_message(reference_label_flags, rule, model, params)
+            assert flags_or_message(label_flags, rule, model, params) == want, rule.name
+
+    def test_base_channel_flags(self):
+        params, model = BASE_CHANNEL
+        got = {rule.name: flags_or_message(label_flags, rule, model, params)
+               for rule in PROBED_RULES}
+        assert got == {
+            "nonpreemptive": (False, False), "preemptive": (True, True), "beta": (True, False),
+            "hybrid": (True, False), "modified-beta": (True, False),
+            "modified-beta-scan": (True, False), "probe-01": (False, True),
+            "fraction-beta": (True, False),
+            "answers-a-priority": "policy answers-a-priority answered Fraction(1, 2) "
+                                  "with job 1 interrupted",
+        }
+
+
+def _probe_users(model):
+    """Rules that try to change the probe's interrupted queue, read its theta
+    heap, or ask `label_flags` again inside `decide`."""
+
+    def remover(s, params):
+        s.interrupted.remove(1)
+        return 1
+
+    def adder(s, params):
+        s.interrupted.add(7, F(9, 10))
+        return OPEN_NEXT
+
+    def theta_reader(s, params):
+        job_id, theta = s.interrupted.argmax_theta()  # builds the queue's theta heap
+        return OPEN_NEXT if s.unopened.head_priority() > theta else job_id
+
+    def re_asker(s, params):
+        inner = label_flags(POLICIES["beta"], model, params)
+        return OPEN_NEXT if inner[s.unopened.head_label()] else 1
+
+    return {f.__name__: Policy(f.__name__, f) for f in (remover, adder, theta_reader, re_asker)}
+
+
+class TestLabelFlagsRobustness:
+    """The probe's interrupted queue is shared by every call and read-only, so
+    no rule changes the flags of a later call."""
+
+    REFUSED = "a policy may not change a label_flags probe's queue"
+
+    @pytest.mark.parametrize("name", ["remover", "adder", "theta_reader", "re_asker"])
+    def test_later_calls_unchanged(self, name, base_params):
+        for model in (BASE_CHANNEL[1], PredictionModel(F(1, 10), F(1, 2), F(1, 2))):
+            user = _probe_users(model)[name]
+            for _ in range(2):
+                got = flags_or_message(label_flags, user, model, base_params)
+                if name in ("remover", "adder"):
+                    assert got == self.REFUSED
+                else:
+                    assert got == reference_label_flags(user, model, base_params)
+                for rule in PROBED_RULES:
+                    assert flags_or_message(label_flags, rule, model, base_params) == \
+                        flags_or_message(reference_label_flags, rule, model, base_params), \
+                        rule.name
+
+    def test_every_call_shows_job_1_at_zero(self, base_params, base_model):
+        seen = []
+
+        def reader(s, params):
+            seen.append((s.n_interrupted, list(s.interrupted.items()),
+                         s.interrupted.first_id(), s.interrupted.argmax_theta()))
+            return 1
+
+        for _ in range(2):
+            label_flags(Policy("reader", reader), base_model, base_params)
+        assert seen == [(1, [(1, 0)], 1, (1, 0))] * 4
+        assert all(type(theta) is F for _, entries, _, _ in seen for _, theta in entries)
+        assert all(type(entry[3][1]) is F for entry in seen)
 
 
 class TestCmuEquivalence:
