@@ -153,19 +153,15 @@ def _add_common_flags(p, include_interarrival: bool) -> None:
 def cmd_sweep(args) -> int:
     config = _build_config(args, default_reps=100_000)
     if args.cr:
-        rows = run_cr_sweep(config)
-        header = config.header("cr")
-        _emit(args, header, CR_COLUMNS, rows)
+        _emit(args, config.header("cr"), CR_COLUMNS, run_cr_sweep(config))
     else:
-        rows = run_sweep(config)
-        _emit(args, config.header("sweep"), SWEEP_COLUMNS, rows)
+        _emit(args, config.header("sweep"), SWEEP_COLUMNS, run_sweep(config))
     return 0
 
 
 def cmd_arrivals(args) -> int:
     config = _build_config(args, default_reps=10_000)
-    rows = run_arrivals(config)
-    _emit(args, config.header("arrivals"), ARRIVAL_COLUMNS, rows)
+    _emit(args, config.header("arrivals"), ARRIVAL_COLUMNS, run_arrivals(config))
     return 0
 
 

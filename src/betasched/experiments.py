@@ -42,7 +42,16 @@ from .engine import (
     wsrpt_release_ticks,
     wspt_ticks,
 )
+from .errors import ResourceLimitError
 from .policies import classify_regime, get_policy, label_flags
+
+# Most replications per error point: a point keeps one float per replication
+# for each policy, about 24 bytes each, so 1 000 000 at six columns is about
+# 150 MB (ten times the batch default)
+REPLICATION_LIMIT = 1_000_000
+# Most jobs in an arrival instance: a replication builds its lists of n types,
+# labels, release times and ticks, about 130 bytes a job
+ARRIVAL_N_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,9 @@ class ExperimentConfig:
                 raise ValueError(f"error rates must lie in [0, 1/2], got ({e0}, {e1})")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.replications > REPLICATION_LIMIT:
+            raise ResourceLimitError(f"{self.replications} replications per error point "
+                                     f"exceed the limit {REPLICATION_LIMIT}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.interarrival <= ZERO:
@@ -343,8 +355,16 @@ ARRIVAL_COLUMNS = ("eps0", "eps1", "policy", "mc_mean_ratio", "mc_stderr",
 CR_COLUMNS = ("eps0", "eps1", "policy", "cr", "worst_q", "regime")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _cell(value) -> str:
+    """A float to 12 significant digits, None as an empty cell, else its str."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return "" if value is None else str(value)
+
+
+def _row(columns, e0: Fraction, e1: Fraction, policy: str, *cells) -> dict[str, str]:
+    """One row in `columns` order: the error point, the policy, then `cells`."""
+    return dict(zip(columns, map(_cell, (float(e0), float(e1), policy, *cells)), strict=True))
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
@@ -354,46 +374,36 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     `opt` row checks the simulated optimum against that same baseline.
     """
     rows = []
-    names = ("opt",) + config.policies
     grid = _run_grid(_sweep_chunk, config, SWEEP_MIN_REPS_PER_WORKER)
     try:  # a cost, its mean or its squared spread past the float range
         for (e0, e1), costs in zip(config.eps_pairs, grid):
-            model = config.model_for(e0, e1)
-            perf = expected_unconditional(config.n, model, config.params)
+            perf = expected_unconditional(config.n, config.model_for(e0, e1), config.params)
             opt_mean = float(perf.opt)
-            for ci, name in enumerate(names):
-                mean, stderr = _mean_stderr(costs[ci])
-                analytic = float(perf.for_policy(name)) / opt_mean
-                rows.append({
-                    "eps0": _fmt(float(e0)),
-                    "eps1": _fmt(float(e1)),
-                    "policy": name,
-                    "analytic_ratio": _fmt(analytic),
-                    "mc_mean_ratio": _fmt(mean / opt_mean),
-                    "mc_stderr": _fmt(stderr / opt_mean),
-                    "replications": str(config.replications),
-                })
+            for name, column in zip(("opt", *config.policies), costs):
+                mean, stderr = _mean_stderr(column)
+                rows.append(_row(SWEEP_COLUMNS, e0, e1, name,
+                                 float(perf.for_policy(name)) / opt_mean,
+                                 mean / opt_mean, stderr / opt_mean, config.replications))
     except OverflowError:
         raise ValueError("costs overflow a float at these weights") from None
     return rows
 
 
 def run_arrivals(config: ExperimentConfig) -> list[dict[str, str]]:
-    """Arrival-mode rows: per-replication ratio against the clairvoyant schedule."""
+    """Arrival-mode rows: per-replication ratio against the clairvoyant schedule.
+
+    An n past `ARRIVAL_N_LIMIT` is refused before any replication is drawn.
+    """
+    if config.n > ARRIVAL_N_LIMIT:
+        raise ResourceLimitError(
+            f"an arrival instance of {config.n} jobs exceeds the limit {ARRIVAL_N_LIMIT}")
     rows = []
     grid = _run_grid(_arrivals_chunk, config, ARRIVALS_MIN_REPS_PER_WORKER)
     for (e0, e1), ratios in zip(config.eps_pairs, grid):
-        for ci, name in enumerate(config.policies):
-            mean, stderr = _mean_stderr(ratios[ci])
-            rows.append({
-                "eps0": _fmt(float(e0)),
-                "eps1": _fmt(float(e1)),
-                "policy": name,
-                "mc_mean_ratio": _fmt(mean),
-                "mc_stderr": _fmt(stderr),
-                "mc_max_ratio": _fmt(max(ratios[ci])),
-                "replications": str(config.replications),
-            })
+        for name, column in zip(config.policies, ratios):
+            mean, stderr = _mean_stderr(column)
+            rows.append(_row(ARRIVAL_COLUMNS, e0, e1, name, mean, stderr, max(column),
+                             config.replications))
     return rows
 
 
@@ -401,32 +411,14 @@ def run_cr_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     """Worst-case ratio curves per error point, plus the regime-selected value."""
     rows = []
     for e0, e1 in config.eps_pairs:
-        model = config.model_for(e0, e1)
         try:
-            report = competitive_ratio(model, config.params)
+            report = competitive_ratio(config.model_for(e0, e1), config.params)
         except OverflowError:
             raise ValueError("competitive ratios overflow a float at these weights") from None
-        for name, cr in (
-            ("nonpreemptive", report.nonpreemptive),
-            ("preemptive", report.preemptive),
-            ("hybrid", report.hybrid),
-        ):
-            rows.append({
-                "eps0": _fmt(float(e0)),
-                "eps1": _fmt(float(e1)),
-                "policy": name,
-                "cr": _fmt(cr.value),
-                "worst_q": "" if cr.worst_q is None else _fmt(cr.worst_q),
-                "regime": "",
-            })
-        rows.append({
-            "eps0": _fmt(float(e0)),
-            "eps1": _fmt(float(e1)),
-            "policy": "selected",
-            "cr": _fmt(report.selected),
-            "worst_q": "",
-            "regime": report.regime.value,
-        })
+        for name, cr in zip(("nonpreemptive", "preemptive", "hybrid"), report):
+            rows.append(_row(CR_COLUMNS, e0, e1, name, cr.value, cr.worst_q, None))
+        rows.append(_row(CR_COLUMNS, e0, e1, "selected", report.selected, None,
+                         report.regime.value))
     return rows
 
 
@@ -438,7 +430,7 @@ def render_csv(header: dict[str, str], columns, rows: list[dict[str, str]]) -> s
     lines = [f"# {k}={v}" for k, v in header.items()]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(row.get(c, "") for c in columns))
+        lines.append(",".join(row[c] for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -58,6 +58,8 @@ VALIDATION = "tests/test_domain.py::TestInstanceValidation::"
 PROBE = "tests/test_policies.py::"
 POSTERIOR = "tests/test_domain.py::TestPosterior::"
 RECORDS = "tests/test_analytics.py::TestRatioRecords::"
+GOLDEN = "tests/test_products_golden.py::test_data_product_is_golden"
+LIMITS = "tests/test_cli.py::TestConfigValidation::"
 REFUSAL = "        raise ContractViolationError(\"a policy may not change a label_flags probe's queue\")\n"
 
 MUTANTS = (
@@ -367,6 +369,57 @@ MUTANTS = (
         "if num and draw(den) < num else",
         "if draw(den) < num else",
         ("tests/test_domain.py::TestSampleInstance::test_matches_the_bernoulli_loop",),
+    ),
+    Mutant(
+        "eps0 written into the eps1 cell",
+        "experiments.py",
+        "map(_cell, (float(e0), float(e1), policy, *cells))",
+        "map(_cell, (float(e0), float(e0), policy, *cells))",
+        (GOLDEN + "[sweep-csv]", GOLDEN + "[arrivals-json]", GOLDEN + "[cr-csv]"),
+    ),
+    Mutant(
+        "arrivals' mean and max cells swapped",
+        "experiments.py",
+        "_row(ARRIVAL_COLUMNS, e0, e1, name, mean, stderr, max(column),",
+        "_row(ARRIVAL_COLUMNS, e0, e1, name, max(column), stderr, mean,",
+        (GOLDEN + "[arrivals-csv]", GOLDEN + "[arrivals-json]"),
+    ),
+    Mutant(
+        "the regime cell written on every cr row",
+        "experiments.py",
+        "cr.value, cr.worst_q, None))",
+        "cr.value, cr.worst_q, report.regime.value))",
+        (GOLDEN + "[cr-csv]", GOLDEN + "[cr-json]"),
+    ),
+    Mutant(
+        "the replication limit refuses its own value",
+        "experiments.py",
+        "if self.replications > REPLICATION_LIMIT:",
+        "if self.replications >= REPLICATION_LIMIT:",
+        (LIMITS + "test_replication_limit_is_exact",),
+    ),
+    # the dropped checks are caught by tests that build a config or stub the
+    # grid out, never by one that would draw the oversized run
+    Mutant(
+        "no replication limit",
+        "experiments.py",
+        "if self.replications > REPLICATION_LIMIT:",
+        "if False:",
+        (LIMITS + "test_replication_limit_is_exact",),
+    ),
+    Mutant(
+        "the arrival n limit refuses its own value",
+        "experiments.py",
+        "if config.n > ARRIVAL_N_LIMIT:",
+        "if config.n >= ARRIVAL_N_LIMIT:",
+        (LIMITS + "test_arrival_n_limit_is_exact",),
+    ),
+    Mutant(
+        "no arrival n limit",
+        "experiments.py",
+        "if config.n > ARRIVAL_N_LIMIT:",
+        "if False:",
+        (LIMITS + "test_arrival_n_limit_is_exact",),
     ),
 )
 

@@ -715,6 +715,19 @@ class TestCliCommands:
         with pytest.raises(ResourceLimitError, match=f"more than {limit} points"):
             cli._parse_grid(f"0:{limit * step}:{step}")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--n", "1", "--reps", "1000000000000", "--eps-grid", "0.1"],
+         "1000000000000 replications per error point exceed the limit 1000000"),
+        (["arrivals", "--n", "1", "--reps", "1000000000000", "--eps-grid", "0.1"],
+         "1000000000000 replications per error point exceed the limit 1000000"),
+        (["arrivals", "--n", "1000000000", "--reps", "1"],
+         "an arrival instance of 1000000000 jobs exceeds the limit 1000000"),
+    ], ids=["sweep-reps", "arrivals-reps", "arrivals-n"])
+    def test_oversized_run_is_refused_before_it_allocates(self, capsys, argv, message):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_grid_stop_past_half_without_a_point_there_runs(self, capsys):
         rc = main(["sweep", "--n", "3", "--reps", "5", "--eps-grid", "0:0.55:0.25"])
         out, err = capsys.readouterr()
@@ -851,6 +864,20 @@ class TestConfigValidation:
     def test_bad_replications(self):
         with pytest.raises(ValueError):
             ExperimentConfig(replications=0)
+
+    def test_replication_limit_is_exact(self):
+        limit = experiments.REPLICATION_LIMIT
+        assert ExperimentConfig(replications=limit).replications == limit
+        with pytest.raises(ResourceLimitError, match=f"^{limit + 1} replications per error"):
+            ExperimentConfig(replications=limit + 1)
+
+    def test_arrival_n_limit_is_exact(self, monkeypatch):
+        # no grid runs, so an instance at the limit is never drawn
+        monkeypatch.setattr(experiments, "_run_grid", lambda *args: iter(()))
+        limit = experiments.ARRIVAL_N_LIMIT
+        assert run_arrivals(ExperimentConfig(n=limit)) == []
+        with pytest.raises(ResourceLimitError, match=f"of {limit + 1} jobs exceeds the limit"):
+            run_arrivals(ExperimentConfig(n=limit + 1))
 
     def test_unknown_policy(self):
         with pytest.raises(Exception):
