@@ -13,9 +13,8 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import repeat
 from math import lcm
-from operator import not_
 from typing import NamedTuple, Optional
 
 from .domain import Instance, Parameters, PredictionModel, ZERO, ONE, format_fraction
@@ -258,12 +257,44 @@ def wspt_ticks(n: int, n0: int) -> tuple[int, int]:
 # Release-date kernels: binary labels, exact reveal, ids rising with release
 # ---------------------------------------------------------------------------
 
+def release_lists(ticks, types, labels, den: int):
+    """(classes, urgent, non_urgent): the release kernels' inputs, in one pass.
+
+    `ticks` are the release ticks of at least one job in id order, which is
+    nondecreasing, `types` their true types and `labels` their labels (true:
+    label 1). `classes[l]` is (release ticks, true types) of the label-l jobs,
+    and `urgent` and `non_urgent` are the release ticks of each true type.
+    Each of the four tick lists ends in the same sentinel, `ticks[-1] +
+    (n + 1) * den`: each job holds the machine for at most den ticks, so the
+    sentinel is past every completion, and no kernel's head runs off its list.
+    """
+    end = ticks[-1] + (len(ticks) + 1) * den
+    r0, y0, r1, y1, urgent, non_urgent = [], [], [], [], [], []
+    for tick, y, label in zip(ticks, types, labels):
+        if label:
+            r1.append(tick)
+            y1.append(y)
+        else:
+            r0.append(tick)
+            y0.append(y)
+        if y:
+            non_urgent.append(tick)
+        else:
+            urgent.append(tick)
+    r0.append(end)
+    r1.append(end)
+    urgent.append(end)
+    non_urgent.append(end)
+    return ((r0, y0), (r1, y1)), urgent, non_urgent
+
+
 def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int, int]:
     """Completion-tick sums (urgent, non-urgent) of one schedule with release dates.
 
     `classes[l]` is (release ticks, true types) of the label-l jobs in id
-    order. The schedule is the one `run()` gives a policy with these
-    `label_flags` under exact reveal when job ids rise with release time
+    order, each tick list ended by `release_lists`' sentinel. The schedule is
+    the one `run()` gives a policy with these `label_flags` under exact
+    reveal when job ids rise with release time
     (equal times allowed): an arrival then always joins the end of its label
     class, so the unopened jobs are two FIFOs and the head is the first
     released label-0 job, else the first released label-1 job. With set
@@ -278,11 +309,7 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
     ticks as running it through.
     """
     (r0, y0), (r1, y1) = classes
-    # each release list ends in one sentinel tick past every completion (each
-    # job holds the machine for at most den ticks), so no head runs off its list
-    end = max(r0[-1] if r0 else 0, r1[-1] if r1 else 0) + (len(r0) + len(r1) + 1) * den
-    r0 = [*r0, end]
-    r1 = [*r1, end]
+    end = r0[-1]  # the sentinel
     f0, f1 = flags
     tail = den - alpha_ticks
     h0 = h1 = t = s0 = s1 = held = 0
@@ -330,13 +357,14 @@ def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int
         held -= 1
 
 
-def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[int, int]:
+def wsrpt_release_ticks(r0, r1, w0: int, w1: int, den: int) -> tuple[int, int]:
     """Completion-tick sums (urgent, non-urgent) of the clairvoyant WSRPT schedule.
 
-    `releases` are the jobs' release ticks in nondecreasing order, `types`
-    their true types, `w0` > `w1` the weights on one integer grid and a unit
-    den ticks. With unit jobs and two weights the loop takes one step per
-    job, plus one per yield and per idle stretch, because:
+    `r0` and `r1` are the release ticks of the urgent and the non-urgent jobs
+    in nondecreasing order, each ended by `release_lists`' sentinel, `w0` >
+    `w1` the weights on one integer grid and a unit den ticks. With unit jobs
+    and two weights the loop takes one step per job, plus one per yield and
+    per idle stretch, because:
     - A started urgent job is never preempted: it beat every job when it
       started, its ratio w0/x only grows, and an arrival is a fresh job with
       ratio at most w0/den. So a released urgent job runs whole.
@@ -348,13 +376,9 @@ def wsrpt_release_ticks(releases, types, w0: int, w1: int, den: int) -> tuple[in
       blocks a later urgent job.
     - A started non-urgent job outranks every fresh one, so at most one is
       ever partly processed.
-    Each type's releases end in a sentinel tick past every completion, so
-    the schedule ends when the machine would idle to both sentinels.
+    The schedule ends when the machine would idle to both sentinels.
     """
-    # each job holds the machine for at most den ticks
-    end = (releases[-1] if releases else 0) + (len(releases) + 1) * den
-    r0 = [*compress(releases, map(not_, types)), end]  # urgent
-    r1 = [*compress(releases, types), end]             # non-urgent
+    end = r0[-1]  # the sentinel
     cut = w1 * den
     h0 = h1 = t = s0 = s1 = 0
     x = 0  # ticks left of the started non-urgent job, 0 for none
@@ -400,9 +424,10 @@ def offline_wsrpt_cost(instance: Instance) -> Fraction:
     jobs = sorted(instance.jobs, key=lambda job: job.release_time)
     den = lcm(*(job.release_time.denominator for job in jobs))
     wden, w0, w1 = instance.params.weight_grid
-    s0, s1 = wsrpt_release_ticks(
+    _, urgent, non_urgent = release_lists(
         [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
-        [job.true_type for job in jobs], w0, w1, den)
+        [job.true_type for job in jobs], repeat(0), den)  # no labels: the classes go unread
+    s0, s1 = wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)
     return Fraction(w0 * s0 + w1 * s1, wden * den)
 
 

@@ -16,8 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, product, repeat
-from operator import not_
+from itertools import product
+from math import log
 from typing import Optional
 
 from .analytics import competitive_ratio, expected_unconditional
@@ -37,6 +37,7 @@ from .engine import (
     label_release_ticks,
     label_schedule_ticks,
     offline_wsrpt_cost,
+    release_lists,
     run,
     tree_layers,
     wsrpt_release_ticks,
@@ -52,6 +53,9 @@ REPLICATION_LIMIT = 1_000_000
 # Most jobs in an arrival instance: a replication builds its lists of n types,
 # labels, release times and ticks, about 130 bytes a job
 ARRIVAL_N_LIMIT = 1_000_000
+# Most jobs in a batch instance: a replication keeps no per-job list, but it
+# draws each job in Python, about 0.1 us a job, so one at the limit takes 0.1 s
+SWEEP_N_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class ExperimentConfig:
             mean = math.inf
         if not 0.0 < mean < math.inf:
             raise ValueError("mean interarrival must round to a positive finite float")
-        if 1.0 / mean == math.inf:  # expovariate(inf) draws 0: every release at 0
+        if 1.0 / mean == math.inf:  # every gap at rate inf is 0: every release at 0
             raise ValueError("mean interarrival is too small: its rate 1/mean overflows a float")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -226,20 +230,37 @@ def _release_ticks(times: list[float], alpha_den: int) -> tuple[list[int], int]:
         return [a * (den // d) for a, d in ratios], den
 
 
+def _release_times(rand, n: int, lam: float) -> list[float]:
+    """Release times of a Poisson stream of n jobs at rate `lam`, the first at 0.
+
+    Each gap is `-log(1.0 - rand()) / lam`, the body of
+    `random.Random.expovariate(lam)`: the same `random()` calls, so the same
+    floats and the same stream state after them.
+    """
+    times = [0.0]
+    t = 0.0
+    for _ in range(n - 1):
+        t += -log(1.0 - rand()) / lam
+        times.append(t)
+    return times
+
+
 def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
                     eps1: Fraction, start: int, stop: int):
     """Per-replication cost ratios against the clairvoyant preemptive optimum.
 
     An arrival replication needs no engine run either. Each job draws its
-    type and label flip (`_draw_classes`' order), then the n - 1 gaps of a
-    Poisson stream follow, with the first job released at 0. Every release
-    time is a float, so an exact binary fraction, and `_release_ticks` puts
-    them all on one integer grid from the ulp of the first positive release.
-    Job ids rise with release time, so `label_release_ticks` prices each
-    distinct `label_flags` pair once, for every policy that has it, and
-    `wsrpt_release_ticks` prices the clairvoyant schedule. The kernels are
-    linear in ticks, so any common grid gives the same ratios; each is one
-    exact integer quotient, which rounds like the float of the Fraction ratio.
+    type and label flip (`_draw_classes`' order), then `_release_times` draws
+    the n - 1 gaps of a Poisson stream, with the first job released at 0.
+    Every release time is a float, so an exact binary fraction, and
+    `_release_ticks` puts them all on one integer grid from the ulp of the
+    first positive release. One pass of `release_lists` then splits the
+    ticks by label and by type. Job ids rise with release time, so
+    `label_release_ticks` prices each distinct `label_flags` pair once, for
+    every policy that has it, and `wsrpt_release_ticks` prices the
+    clairvoyant schedule. The kernels are linear in ticks, so any common grid
+    gives the same ratios; each is one exact integer quotient, which rounds
+    like the float of the Fraction ratio.
     """
     params = config.params
     columns = _flag_columns(config, config.model_for(eps0, eps1))
@@ -261,15 +282,13 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
             else:  # non-urgent, labelled 0 when flipped
                 types.append(1)
                 labels.append(not rand() < e1f)
-        times = list(accumulate(map(rng.expovariate, repeat(lam, n - 1)), initial=0.0))
+        times = _release_times(rand, n, lam)
         if not math.isfinite(times[-1]):
             raise ValueError("release times overflow a float at this mean interarrival")
         ticks, den = _release_ticks(times, alpha_den)
         alpha_ticks = alpha_num * (den // alpha_den)
-        label0 = list(map(not_, labels))
-        classes = ((list(compress(ticks, label0)), list(compress(types, label0))),
-                   (list(compress(ticks, labels)), list(compress(types, labels))))
-        o0, o1 = wsrpt_release_ticks(ticks, types, w0, w1, den)
+        classes, urgent, non_urgent = release_lists(ticks, types, labels, den)
+        o0, o1 = wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)
         opt = w0 * o0 + w1 * o1
         k = rep - start
         for flags, cols in columns.items():
@@ -371,8 +390,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     """Batch sweep rows: analytic and Monte Carlo cost ratios per policy.
 
     Ratios are normalized by the analytic expected clairvoyant optimum. The
-    `opt` row checks the simulated optimum against that same baseline.
+    `opt` row checks the simulated optimum against that same baseline. An n
+    past `SWEEP_N_LIMIT` is refused before any replication is drawn.
     """
+    if config.n > SWEEP_N_LIMIT:
+        raise ResourceLimitError(
+            f"a batch instance of {config.n} jobs exceeds the limit {SWEEP_N_LIMIT}")
     rows = []
     grid = _run_grid(_sweep_chunk, config, SWEEP_MIN_REPS_PER_WORKER)
     try:  # a cost, its mean or its squared spread past the float range

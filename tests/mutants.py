@@ -60,6 +60,7 @@ POSTERIOR = "tests/test_domain.py::TestPosterior::"
 RECORDS = "tests/test_analytics.py::TestRatioRecords::"
 GOLDEN = "tests/test_products_golden.py::test_data_product_is_golden"
 LIMITS = "tests/test_cli.py::TestConfigValidation::"
+ARRIVALS = "tests/test_cli.py::TestArrivalsDriver::"
 REFUSAL = "        raise ContractViolationError(\"a policy may not change a label_flags probe's queue\")\n"
 
 MUTANTS = (
@@ -232,6 +233,55 @@ MUTANTS = (
         "if f1 or f0 and n0 <= t:",
         "if f1 or f0 and n0 < t:",
         (RELEASE_KERNELS + "test_label_kernel_at_release_instants[label-0-head-at-alpha]",),
+    ),
+    # the arrival driver's one split and its inline gaps
+    Mutant(
+        "the split sends an urgent label-0 job to label 1",
+        "engine.py",
+        "        if label:\n            r1.append(tick)\n",
+        "        if label or not y:\n            r1.append(tick)\n",
+        ("tests/test_engine.py::TestReleaseLists::test_equals_the_compress_split_plus_the_sentinel",
+         ARRIVALS + "test_ratios_equal_the_engine_path", GOLDEN + "[arrivals-csv]"),
+    ),
+    Mutant(
+        "the per-type lists swapped in the WSRPT call",
+        "experiments.py",
+        "wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)",
+        "wsrpt_release_ticks(non_urgent, urgent, w0, w1, den)",
+        (ARRIVALS + "test_ratios_equal_the_engine_path", GOLDEN + "[arrivals-csv]"),
+    ),
+    Mutant(
+        "a gap drawn from u, not 1.0 - u",
+        "experiments.py",
+        "t += -log(1.0 - rand()) / lam",
+        "t += -log(rand()) / lam",
+        (ARRIVALS + "test_release_times_draw_like_expovariate",
+         ARRIVALS + "test_ratios_equal_the_engine_path", GOLDEN + "[arrivals-csv]"),
+    ),
+    # run()'s unopened head, the theta heap and the grid's point count
+    Mutant(
+        "run() never advances the unopened head",
+        "engine.py",
+        "            target = pend[pi][1]\n            pi += 1\n",
+        "            target = pend[pi][1]\n",
+        ("tests/test_engine.py::TestWorkedExample",
+         "tests/test_engine.py::TestThetaHeapDifferential::test_release_dates"),
+    ),
+    Mutant(
+        "add pushes no entry onto a built theta heap",
+        "policies.py",
+        "            heappush(heap, theta_key(theta, self._seq, job_id))\n",
+        "",
+        ("tests/test_policies.py::TestInterruptedQueueOps::"
+         "test_matches_a_plain_list[posterior-reveal]",
+         "tests/test_engine.py::TestThetaHeapDifferential::test_p_hat_grid"),
+    ),
+    Mutant(
+        "the grid point limit refuses its own value",
+        "cli.py",
+        "if count > GRID_POINT_LIMIT:",
+        "if count >= GRID_POINT_LIMIT:",
+        ("tests/test_cli.py::TestCliCommands::test_grid_point_limit_is_exact",),
     ),
     # instance construction on integer ratios
     Mutant(
@@ -420,6 +470,13 @@ MUTANTS = (
         "if config.n > ARRIVAL_N_LIMIT:",
         "if False:",
         (LIMITS + "test_arrival_n_limit_is_exact",),
+    ),
+    Mutant(
+        "no batch n limit",
+        "experiments.py",
+        "if config.n > SWEEP_N_LIMIT:",
+        "if False:",
+        (LIMITS + "test_sweep_n_limit_is_exact",),
     ),
 )
 

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import accumulate, product
 from decimal import Decimal, localcontext
 from concurrent.futures import Future
 from dataclasses import replace
@@ -295,31 +295,42 @@ class TestArrivalsDriver:
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
 
     def test_equal_release_times_equal_the_engine_path(self, monkeypatch):
-        monkeypatch.setattr(random.Random, "expovariate", lambda self, lam: 0.0)
+        # each job draws twice (type, label flip); from draw 2n + 1 on every
+        # gap is -log(1.0 - 0.0) / lam = -0.0
         config = small_config(n=15, replications=100,
                               eps_pairs=((F(1, 10), F(1, 10)), (F(1, 2), F(0))),
                               policies=tuple(POLICIES))
+        zero_draws(monkeypatch, lambda k: k > 2 * config.n)
         for gi, (e0, e1) in enumerate(config.eps_pairs):
             args = (config, gi, e0, e1, 0, config.replications)
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
 
     def test_zero_first_gap_equals_the_engine_path(self, monkeypatch):
         """Two jobs at 0, so the grid comes from the second gap on."""
-        expovariate = random.Random.expovariate
-
-        def first_gap_zero(rng, lam):
-            if not getattr(rng, "drew_a_gap", False):
-                rng.drew_a_gap = True
-                return 0.0
-            return expovariate(rng, lam)
-
-        monkeypatch.setattr(random.Random, "expovariate", first_gap_zero)
         config = small_config(n=10, replications=100, policies=tuple(POLICIES))
         for n in (2, 10):
+            zero_draws(monkeypatch, lambda k, n=n: k == 2 * n + 1)
             config = replace(config, n=n)
             for gi, (e0, e1) in enumerate(config.eps_pairs):
                 args = (config, gi, e0, e1, 0, config.replications)
                 assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
+
+    @pytest.mark.parametrize("interarrival", [F(9, 10), F(1, 5), F(3), F(1, 10 ** 6),
+                                              F(3, 10 ** 308), F(10 ** 307)])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_release_times_draw_like_expovariate(self, interarrival, n):
+        """Each gap is the float `expovariate` draws, and the stream ends in its state."""
+        lam = 1.0 / float(interarrival)
+        for seed in range(20):
+            inline, stdlib = random.Random(seed), random.Random(seed)
+            for _ in range(n - 1):  # one gap at a time: 0.0 + gap is the gap
+                assert experiments._release_times(inline.random, 2, lam) == \
+                    [0.0, stdlib.expovariate(lam)]
+            assert inline.getstate() == stdlib.getstate()
+            times = experiments._release_times(inline.random, n, lam)
+            gaps = [stdlib.expovariate(lam) for _ in range(n - 1)]
+            assert times == list(accumulate(gaps, initial=0.0))
+            assert inline.getstate() == stdlib.getstate()
 
     def test_one_price_per_distinct_flag_pair(self, monkeypatch):
         """At eps = 1/10 beta has hybrid's flags, so four policies take three calls."""
@@ -394,6 +405,18 @@ class TestArrivalsDriver:
         a = crowded[0]
         tol = 4 * (float(b["mc_stderr"]) + float(a["mc_stderr"])) + 5e-3
         assert abs(float(b["mc_mean_ratio"]) - float(a["mc_mean_ratio"])) <= tol
+
+
+def zero_draws(monkeypatch, zero):
+    """Make `random.Random.random` return 0.0 at each draw k, counted from 1 in
+    each stream, for which `zero(k)` holds, and draw as before at the others."""
+    draw = random.Random.random
+
+    def patched(rng):
+        rng.draws = getattr(rng, "draws", 0) + 1
+        return 0.0 if zero(rng.draws) else draw(rng)
+
+    monkeypatch.setattr(random.Random, "random", patched)
 
 
 def shifted_beta(shift):
@@ -722,7 +745,9 @@ class TestCliCommands:
          "1000000000000 replications per error point exceed the limit 1000000"),
         (["arrivals", "--n", "1000000000", "--reps", "1"],
          "an arrival instance of 1000000000 jobs exceeds the limit 1000000"),
-    ], ids=["sweep-reps", "arrivals-reps", "arrivals-n"])
+        (["sweep", "--n", "1000000000", "--reps", "1", "--eps-grid", "0.1", "--policy", "beta"],
+         "a batch instance of 1000000000 jobs exceeds the limit 1000000"),
+    ], ids=["sweep-reps", "arrivals-reps", "arrivals-n", "sweep-n"])
     def test_oversized_run_is_refused_before_it_allocates(self, capsys, argv, message):
         rc = main(argv)
         out, err = capsys.readouterr()
@@ -878,6 +903,14 @@ class TestConfigValidation:
         assert run_arrivals(ExperimentConfig(n=limit)) == []
         with pytest.raises(ResourceLimitError, match=f"of {limit + 1} jobs exceeds the limit"):
             run_arrivals(ExperimentConfig(n=limit + 1))
+
+    def test_sweep_n_limit_is_exact(self, monkeypatch):
+        # no grid runs, so an instance at the limit is never drawn
+        monkeypatch.setattr(experiments, "_run_grid", lambda *args: iter(()))
+        limit = experiments.SWEEP_N_LIMIT
+        assert run_sweep(ExperimentConfig(n=limit)) == []
+        with pytest.raises(ResourceLimitError, match=f"^a batch instance of {limit + 1} jobs "):
+            run_sweep(ExperimentConfig(n=limit + 1))
 
     def test_unknown_policy(self):
         with pytest.raises(Exception):

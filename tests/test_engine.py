@@ -4,7 +4,9 @@ import random
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from math import comb, lcm
+from operator import not_
 from unittest.mock import patch
 
 import pytest
@@ -30,6 +32,7 @@ from betasched.engine import (
     label_schedule_ticks,
     offline_wspt,
     offline_wsrpt_cost,
+    release_lists,
     rule_expected_cost,
     run,
     tree_layers,
@@ -1350,10 +1353,16 @@ def release_kernel_ticks(inst, flags):
     """`label_release_ticks` on `inst` over the tick grid `run()` uses."""
     alpha = inst.params.alpha
     den = lcm(alpha.denominator, *(job.release_time.denominator for job in inst.jobs))
-    classes = [([j.release_time.numerator * (den // j.release_time.denominator)
-                 for j in inst.jobs if j.label == label],
-                [j.true_type for j in inst.jobs if j.label == label]) for label in (0, 1)]
+    classes, _, _ = release_lists(
+        [j.release_time.numerator * (den // j.release_time.denominator) for j in inst.jobs],
+        [j.true_type for j in inst.jobs], [j.label for j in inst.jobs], den)
     return label_release_ticks(classes, flags, alpha.numerator * (den // alpha.denominator), den)
+
+
+def wsrpt_kernel_ticks(ticks, types, w0, w1, den):
+    """`wsrpt_release_ticks` on releases in id order, split by `release_lists`."""
+    _, urgent, non_urgent = release_lists(ticks, types, repeat(0), den)
+    return wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)
 
 
 def ticks_by_type(outcome, inst):
@@ -1393,6 +1402,31 @@ def loop_steps(kernel, call, budget):
     finally:
         sys.settrace(previous)
     return result, steps
+
+
+class TestReleaseLists:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        jobs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1), st.booleans()),
+                      min_size=1, max_size=12),
+        den=st.integers(1, 10),
+    )
+    @example(jobs=[(5, 0, True)], den=1)  # n = 1: label 0 and the non-urgent type empty
+    @example(jobs=[(0, 1, True), (2, 0, True), (2, 1, True)], den=3)  # no label-0 job, a tie
+    @example(jobs=[(0, 1, False), (0, 1, True), (0, 1, False)], den=2)  # no urgent job, all tied
+    @example(jobs=[(1, 0, False), (0, 0, True), (3, 0, False)], den=5)  # no non-urgent job
+    def test_equals_the_compress_split_plus_the_sentinel(self, jobs, den):
+        """(gap, true type, label) per job in id order, the first gap from 0."""
+        ticks = list(accumulate(gap for gap, _, _ in jobs))
+        types = [y for _, y, _ in jobs]
+        labels = [label for _, _, label in jobs]
+        end = ticks[-1] + (len(jobs) + 1) * den
+        label0 = list(map(not_, labels))
+        want = (((list(compress(ticks, label0)) + [end], list(compress(types, label0))),
+                 (list(compress(ticks, labels)) + [end], list(compress(types, labels)))),
+                list(compress(ticks, map(not_, types))) + [end],
+                list(compress(ticks, types)) + [end])
+        assert release_lists(ticks, types, labels, den) == want
 
 
 class TestReleaseKernels:
@@ -1460,10 +1494,10 @@ class TestReleaseKernels:
             assert out.preemption_count == 0
             ticks = [int(job.release_time * 2) for job in jobs]
             types = [job.true_type for job in jobs]
-            assert wsrpt_release_ticks(ticks, types, 2, 1, 2) == ticks_by_type(out, tie)
+            assert wsrpt_kernel_ticks(ticks, types, 2, 1, 2) == ticks_by_type(out, tie)
         # one tick earlier (unit = 8 ticks) x = 5 and w0 * x > w1 * den: it yields
-        assert wsrpt_release_ticks([0, 3], [1, 0], 2, 1, 8) == (11, 16)
-        assert wsrpt_release_ticks([0, 3, 40], [1, 0, 1], 2, 1, 8) == (11, 16 + 48)
+        assert wsrpt_kernel_ticks([0, 3], [1, 0], 2, 1, 8) == (11, 16)
+        assert wsrpt_kernel_ticks([0, 3, 40], [1, 0, 1], 2, 1, 8) == (11, 16 + 48)
 
     @pytest.mark.parametrize("jobs, preemptions", [
         # an urgent job released exactly when a non-urgent one completes, with
@@ -1490,7 +1524,7 @@ class TestReleaseKernels:
         ticks = [int(r * out.den) for _, r in jobs]
         types = [tt for tt, _ in jobs]
         got, steps = loop_steps(wsrpt_release_ticks,
-                                lambda: wsrpt_release_ticks(ticks, types, 2, 1, out.den),
+                                lambda: wsrpt_kernel_ticks(ticks, types, 2, 1, out.den),
                                 4 * len(jobs))
         assert got == ticks_by_type(out, inst)
         assert steps == len(jobs) + preemptions + 1
