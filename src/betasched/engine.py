@@ -288,6 +288,14 @@ def release_lists(ticks, types, labels, den: int):
     return ((r0, y0), (r1, y1)), urgent, non_urgent
 
 
+def type_release_lists(ticks, types, den: int):
+    """(urgent, non_urgent): `release_lists`' per-type tick lists alone, the
+    inputs of `wsrpt_release_ticks`. The jobs pass as unlabelled, so the
+    sentinel and the type split stay written once."""
+    _, urgent, non_urgent = release_lists(ticks, types, repeat(False), den)
+    return urgent, non_urgent
+
+
 def label_release_ticks(classes, flags, alpha_ticks: int, den: int) -> tuple[int, int]:
     """Completion-tick sums (urgent, non-urgent) of one schedule with release dates.
 
@@ -361,7 +369,8 @@ def wsrpt_release_ticks(r0, r1, w0: int, w1: int, den: int) -> tuple[int, int]:
     """Completion-tick sums (urgent, non-urgent) of the clairvoyant WSRPT schedule.
 
     `r0` and `r1` are the release ticks of the urgent and the non-urgent jobs
-    in nondecreasing order, each ended by `release_lists`' sentinel, `w0` >
+    in nondecreasing order, each ended by the sentinel as `type_release_lists`
+    or `release_lists` gives them, `w0` >
     `w1` the weights on one integer grid and a unit den ticks. With unit jobs
     and two weights the loop takes one step per job, plus one per yield and
     per idle stretch, because:
@@ -424,9 +433,9 @@ def offline_wsrpt_cost(instance: Instance) -> Fraction:
     jobs = sorted(instance.jobs, key=lambda job: job.release_time)
     den = lcm(*(job.release_time.denominator for job in jobs))
     wden, w0, w1 = instance.params.weight_grid
-    _, urgent, non_urgent = release_lists(
+    urgent, non_urgent = type_release_lists(
         [job.release_time.numerator * (den // job.release_time.denominator) for job in jobs],
-        [job.true_type for job in jobs], repeat(0), den)  # no labels: the classes go unread
+        [job.true_type for job in jobs], den)
     s0, s1 = wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)
     return Fraction(w0 * s0 + w1 * s1, wden * den)
 

@@ -1,3 +1,4 @@
+import _random
 import json
 import random
 from itertools import accumulate, product
@@ -301,19 +302,27 @@ class TestArrivalsDriver:
                               eps_pairs=((F(1, 10), F(1, 10)), (F(1, 2), F(0))),
                               policies=tuple(POLICIES))
         zero_draws(monkeypatch, lambda k: k > 2 * config.n)
+        seen = record_release_times(monkeypatch)
         for gi, (e0, e1) in enumerate(config.eps_pairs):
             args = (config, gi, e0, e1, 0, config.replications)
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
+        assert len(seen) == len(config.eps_pairs) * config.replications
+        assert all(times == [0.0] * config.n for times in seen)
 
     def test_zero_first_gap_equals_the_engine_path(self, monkeypatch):
         """Two jobs at 0, so the grid comes from the second gap on."""
         config = small_config(n=10, replications=100, policies=tuple(POLICIES))
+        zero_draws(monkeypatch, lambda k: k == 2 * config.n + 1)  # reads the n of the loop
+        seen = record_release_times(monkeypatch)
         for n in (2, 10):
-            zero_draws(monkeypatch, lambda k, n=n: k == 2 * n + 1)
             config = replace(config, n=n)
+            seen.clear()
             for gi, (e0, e1) in enumerate(config.eps_pairs):
                 args = (config, gi, e0, e1, 0, config.replications)
                 assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
+            assert len(seen) == len(config.eps_pairs) * config.replications
+            assert all(times[:2] == [0.0, 0.0] for times in seen)
+        assert all(times[2] > 0 for times in seen)  # at n = 10 the second gap is drawn
 
     @pytest.mark.parametrize("interarrival", [F(9, 10), F(1, 5), F(3), F(1, 10 ** 6),
                                               F(3, 10 ** 308), F(10 ** 307)])
@@ -409,14 +418,32 @@ class TestArrivalsDriver:
 
 def zero_draws(monkeypatch, zero):
     """Make `random.Random.random` return 0.0 at each draw k, counted from 1 in
-    each stream, for which `zero(k)` holds, and draw as before at the others."""
-    draw = random.Random.random
+    each stream, for which `zero(k)` holds, and draw as before at the others.
+
+    The draws come from the C base class's method, so a second call replaces
+    the first patch instead of wrapping it.
+    """
+    draw = _random.Random.random
 
     def patched(rng):
         rng.draws = getattr(rng, "draws", 0) + 1
         return 0.0 if zero(rng.draws) else draw(rng)
 
     monkeypatch.setattr(random.Random, "random", patched)
+
+
+def record_release_times(monkeypatch):
+    """The list of every release-time list `_arrivals_chunk` draws from now on."""
+    seen = []
+    release_times = experiments._release_times
+
+    def recorded(rand, n, lam):
+        times = release_times(rand, n, lam)
+        seen.append(times)
+        return times
+
+    monkeypatch.setattr(experiments, "_release_times", recorded)
+    return seen
 
 
 def shifted_beta(shift):

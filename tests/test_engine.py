@@ -4,7 +4,7 @@ import random
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from math import comb, lcm
 from operator import not_
 from unittest.mock import patch
@@ -36,6 +36,7 @@ from betasched.engine import (
     rule_expected_cost,
     run,
     tree_layers,
+    type_release_lists,
     wsrpt_release_ticks,
     wspt_ticks,
 )
@@ -1360,9 +1361,8 @@ def release_kernel_ticks(inst, flags):
 
 
 def wsrpt_kernel_ticks(ticks, types, w0, w1, den):
-    """`wsrpt_release_ticks` on releases in id order, split by `release_lists`."""
-    _, urgent, non_urgent = release_lists(ticks, types, repeat(0), den)
-    return wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)
+    """`wsrpt_release_ticks` on releases in id order, split by `type_release_lists`."""
+    return wsrpt_release_ticks(*type_release_lists(ticks, types, den), w0, w1, den)
 
 
 def ticks_by_type(outcome, inst):
@@ -1427,6 +1427,7 @@ class TestReleaseLists:
                 list(compress(ticks, map(not_, types))) + [end],
                 list(compress(ticks, types)) + [end])
         assert release_lists(ticks, types, labels, den) == want
+        assert type_release_lists(ticks, types, den) == want[1:]
 
 
 class TestReleaseKernels:
