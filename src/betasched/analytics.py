@@ -15,10 +15,10 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .domain import (
+    HALF,
     Instance,
     Parameters,
     PredictionModel,
-    rate_ratio,
     to_fraction,
     unit_ratio,
 )
@@ -222,13 +222,14 @@ def cr_nonpreemptive_cap(alpha, eps0, eps1) -> float:
     """Ratio cap when the weight gap fails and the rule never preempts.
 
     With w1 >= w0*(1-alpha) the weight ratio is at most 1/(1-alpha), so the
-    nonpreemptive ratio is bounded by 1 + eps*(sqrt(1/(1-alpha)) - 1).
-    alpha outside (0, 1) or a rate outside [0, 1/2] raises ValueError.
+    nonpreemptive ratio is bounded by its value there, 1 + eps*(sqrt(1/(1-alpha)) - 1).
+    alpha outside (0, 1), then a rate outside [0, 1/2], raises ValueError.
+    Like `cr_nonpreemptive` it raises OverflowError at 1 - alpha below about
+    1e-308, and at alpha below about 1e-154, where its worst urgent fraction does.
     """
-    a, da = unit_ratio("alpha", to_fraction(alpha))
-    p0, q0 = rate_ratio("eps0", to_fraction(eps0))
-    p1, q1 = rate_ratio("eps1", to_fraction(eps1))
-    return 1.0 + (p0 * q1 + p1 * q0) / (2 * q0 * q1) * (math.sqrt(da / (da - a)) - 1.0)
+    alpha = to_fraction(alpha)
+    params = Parameters(alpha, 1, 1 - alpha)
+    return cr_nonpreemptive(PredictionModel(HALF, eps0, eps1), params).value
 
 
 def cr_preemptive(model: PredictionModel, params: Parameters) -> CrValue:

@@ -15,7 +15,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import log
 from typing import Optional
@@ -60,7 +59,8 @@ SWEEP_N_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs; flags and config files both build this."""
+    """Everything a sweep needs; flags and config files both build this. Building it
+    refuses a bad channel by the domain types' own checks and sets `params`."""
 
     alpha: Fraction = Fraction(2, 5)
     rho: Fraction = Fraction(1, 10)
@@ -79,14 +79,11 @@ class ExperimentConfig:
             object.__setattr__(self, "eps_pairs", default_eps_grid())
         elif not self.eps_pairs:
             raise ValueError("error grid has no points")
-        for e0, e1 in self.eps_pairs:
-            if not (ZERO <= e0 <= HALF) or not (ZERO <= e1 <= HALF):
-                raise ValueError(f"error rates must lie in [0, 1/2], got ({e0}, {e1})")
+        object.__setattr__(self, "params", Parameters(self.alpha, self.w0, self.w1))
+        for e0, e1 in self.eps_pairs:  # not kept: every pool task pickles the config
+            self.model_for(e0, e1)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.replications > REPLICATION_LIMIT:
-            raise ResourceLimitError(f"{self.replications} replications per error point "
-                                     f"exceed the limit {REPLICATION_LIMIT}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.interarrival <= ZERO:
@@ -105,11 +102,6 @@ class ExperimentConfig:
             get_policy(name)
             if name in self.policies[:k]:  # two rows of one name: an ambiguous CSV
                 raise ValueError(f"policy named twice: {name}")
-
-    @cached_property
-    def params(self) -> Parameters:
-        """Built on first use, so a bad alpha or weight pair fails there; then kept."""
-        return Parameters(self.alpha, self.w0, self.w1)
 
     def model_for(self, eps0: Fraction, eps1: Fraction) -> PredictionModel:
         return PredictionModel(self.rho, eps0, eps1)
@@ -328,8 +320,12 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
     at least `min_reps_per_worker` replications. Every (grid point, span)
     chunk is planned up front; with more than one span they all go to a
     single process pool. Chunks are reduced in grid and replication order, so
-    the split never shows in the output.
+    the split never shows in the output. A replication count past
+    `REPLICATION_LIMIT` is refused before any chunk is planned.
     """
+    if config.replications > REPLICATION_LIMIT:
+        raise ResourceLimitError(f"{config.replications} replications per error point "
+                                 f"exceed the limit {REPLICATION_LIMIT}")
     grid_reps = config.replications * len(config.eps_pairs)
     spans = _chunks(config.replications,
                     max(1, min(config.jobs, grid_reps // min_reps_per_worker)))

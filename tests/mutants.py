@@ -177,6 +177,28 @@ MUTANTS = (
         "(1, b1, prev[1:2])",
         TREE_ORACLE,
     ),
+    Mutant(
+        "a row's own costs not advanced per ell",
+        "engine.py",
+        "                        lo += step\n",
+        "",
+        TREE_ORACLE,
+    ),
+    Mutant(
+        "bl * cr dropped from a probed row's ell coefficient",
+        "engine.py",
+        "row = (x, step + d * cq + bl * cr, d * cr)",
+        "row = (x, step + d * cq, d * cr)",
+        TREE_ORACLE,
+    ),
+    Mutant(
+        "the label mixture's Horner rule run in qa",
+        "engine.py",
+        "num = num * qb + binom * qa_u0 * row[0]",
+        "num = num * qa + binom * qa_u0 * row[0]",
+        ("tests/test_engine.py::TestTreeMatchesClosedForms::test_rule_cost_equals_expected_unconditional",
+         "tests/test_engine.py::TestIntegerTree::test_public_evaluators_take_the_last_entry"),
+    ),
     # the release-date kernels: WSRPT's yield, resume and urgent-release
     # tests, and the label kernel's finish of an unprobed class's job
     Mutant(
@@ -282,6 +304,42 @@ MUTANTS = (
         "if count > GRID_POINT_LIMIT:",
         "if count >= GRID_POINT_LIMIT:",
         ("tests/test_cli.py::TestCliCommands::test_grid_point_limit_is_exact",),
+    ),
+    # run() keeps one list on the instance and inserts each run's arrivals
+    # into it, so a second run of the instance starts from the first's queue
+    Mutant(
+        "pend kept as the list run() inserts into",
+        "engine.py",
+        "    pend = list(pend)           # sorted (rank, job_id, label, priority)\n",
+        "    pend = instance.__dict__.setdefault('_pend', list(pend))\n",
+        # (the property test beside it fails too, after about 30 s of shrinking)
+        ("tests/test_engine.py::TestLayoutReuse::test_release_date_instances",),
+    ),
+    # posterior reveal without rational arithmetic
+    Mutant(
+        "a Fraction sample",
+        "policies.py",
+        "            return rng.betavariate(self.a0, self.b0)\n",
+        "            return Fraction(rng.betavariate(self.a0, self.b0))\n",
+        ("tests/test_engine.py::TestPosteriorRevelation::test_sample_is_the_float_draw",),
+    ),
+    Mutant(
+        "tau computed in floats",
+        "policies.py",
+        "    if (a * d - c * b) * f * (h - g) > e * g * b * d:\n",
+        "    if a / b > c / d + e / f * g / (h - g):\n",
+        ("tests/test_policies.py::TestModifiedBeta::test_head_exactly_at_raised_threshold_completes",
+         "tests/test_policies.py::TestModifiedBeta::test_float_theta_is_read_exactly",
+         "tests/test_engine.py::TestThetaHeapDifferential::test_threshold_boundaries"),
+    ),
+    Mutant(
+        "the old worst_q form, sqrt(r + m^2) - m",
+        "analytics.py",
+        "    root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md\n"
+        "    return rn / rd / root if root else 0.0\n",
+        "    return math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) - mn / md\n",
+        ("tests/test_analytics.py::TestWorstQ::test_nonpreemptive_at_weights_one_ulp_apart",
+         "tests/test_analytics.py::TestWorstQ::test_hybrid_at_close_weights"),
     ),
     # instance construction on integer ratios
     Mutant(
@@ -444,18 +502,28 @@ MUTANTS = (
     Mutant(
         "the replication limit refuses its own value",
         "experiments.py",
-        "if self.replications > REPLICATION_LIMIT:",
-        "if self.replications >= REPLICATION_LIMIT:",
+        "if config.replications > REPLICATION_LIMIT:",
+        "if config.replications >= REPLICATION_LIMIT:",
         (LIMITS + "test_replication_limit_is_exact",),
     ),
     # the dropped checks are caught by tests that build a config or stub the
-    # grid out, never by one that would draw the oversized run
+    # grid's worker or the grid itself out, never by one that would draw the
+    # oversized run
     Mutant(
         "no replication limit",
         "experiments.py",
-        "if self.replications > REPLICATION_LIMIT:",
+        "if config.replications > REPLICATION_LIMIT:",
         "if False:",
         (LIMITS + "test_replication_limit_is_exact",),
+    ),
+    Mutant(
+        "a config that leaves rho and the rates to the first chunk",
+        "experiments.py",
+        "        for e0, e1 in self.eps_pairs:  # not kept: every pool task pickles the config\n"
+        "            self.model_for(e0, e1)\n",
+        "",
+        ("tests/test_imports.py::test_a_bad_channel_is_refused_before_any_pool_starts",
+         LIMITS + "test_the_config_refuses_a_bad_channel"),
     ),
     Mutant(
         "the arrival n limit refuses its own value",

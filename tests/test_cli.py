@@ -128,8 +128,8 @@ class TestSweepDriver:
             run_sweep(small_config(replications=reps, jobs=1))
 
     def test_one_parameters_per_config(self, monkeypatch):
-        """`ExperimentConfig.params` is built on first use and kept: a sweep and
-        an arrival run each build one `Parameters` for their config."""
+        """`ExperimentConfig.params` is built with the config and kept: a sweep
+        and an arrival run each build one `Parameters` for their config."""
         built = []
         init = Parameters.__init__
 
@@ -144,13 +144,6 @@ class TestSweepDriver:
         assert run_sweep(config) == rows and len(built) == 1  # kept on the config
         run_arrivals(small_config(replications=40))
         assert len(built) == 2
-
-    def test_bad_parameters_fail_at_first_use(self):
-        config = small_config(w0=F(1), w1=F(1))  # built lazily: the config itself is accepted
-        message = r"^weights must satisfy w0 > w1 > 0, got w0=1, w1=1$"
-        for _ in range(2):  # a failed build is not kept
-            with pytest.raises(ValueError, match=message):
-                config.params
 
     def test_worker_processes_capped_at_cpu_count(self, monkeypatch, inline_pools):
         """A huge --jobs plans at most one chunk per CPU; no process is started."""
@@ -909,6 +902,22 @@ class TestCliCommands:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("fields, message", [
+        ({"alpha": F(3, 2)}, "alpha must lie strictly in (0,1), got 3/2"),
+        ({"w0": F(1), "w1": F(1)}, "weights must satisfy w0 > w1 > 0, got w0=1, w1=1"),
+        ({"w0": F(1), "w1": F(2)}, "weights must satisfy w0 > w1 > 0, got w0=1, w1=2"),
+        ({"rho": F(2)}, "rho must lie strictly in (0,1), got 2"),
+        # the second point's rate: every point is checked, not just the first
+        ({"eps_pairs": ((F(0), F(0)), (F(3, 5), F(3, 5)))}, "eps0 must lie in [0, 1/2], got 3/5"),
+        ({"eps_pairs": ((F(0), F(-1, 10)),)}, "eps1 must lie in [0, 1/2], got -1/10"),
+    ], ids=["alpha", "equal-weights", "w0-below-w1", "rho", "eps0-second-point", "eps1"])
+    def test_the_config_refuses_a_bad_channel(self, fields, message):
+        """The config itself refuses, with the domain type's own message, so a
+        sweep stops before its first chunk and any pool."""
+        with pytest.raises(ValueError) as info:
+            small_config(**fields)
+        assert str(info.value) == message
+
     def test_bad_eps_range(self):
         with pytest.raises(ValueError):
             ExperimentConfig(eps_pairs=((F(3, 5), F(0)),))
@@ -918,10 +927,33 @@ class TestConfigValidation:
             ExperimentConfig(replications=0)
 
     def test_replication_limit_is_exact(self):
+        """The grid refuses a count past the limit before its worker ever runs."""
+        calls = []
+
+        def worker(config, gi, e0, e1, start, stop):
+            calls.append((start, stop))
+            return [[]]
+
         limit = experiments.REPLICATION_LIMIT
-        assert ExperimentConfig(replications=limit).replications == limit
+        past = ExperimentConfig(replications=limit + 1, eps_pairs=((F(0), F(0)),))
         with pytest.raises(ResourceLimitError, match=f"^{limit + 1} replications per error"):
-            ExperimentConfig(replications=limit + 1)
+            next(experiments._run_grid(worker, past, 1))
+        assert calls == []
+        at_limit = replace(past, replications=limit)
+        assert list(experiments._run_grid(worker, at_limit, 1)) == [[[]]]
+        assert calls == [(0, limit)]
+
+    def test_a_cr_sweep_takes_any_replication_count(self, tmp_path):
+        """A cr sweep draws nothing, so the replication limit is not its concern."""
+        rows = {}
+        for reps in ("1", "1000001"):
+            out = tmp_path / f"cr-{reps}.csv"
+            assert main(["sweep", "--cr", "--reps", reps, "--eps-grid", "0,0.1",
+                         "--out", str(out)]) == 0
+            rows[reps] = [line for line in out.read_text().splitlines()
+                          if not line.startswith("#")]
+        assert len(rows["1"]) == 1 + 2 * 4  # the columns, then four rows per point
+        assert rows["1000001"] == rows["1"]
 
     def test_arrival_n_limit_is_exact(self, monkeypatch):
         # no grid runs, so an instance at the limit is never drawn
