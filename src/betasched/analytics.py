@@ -147,10 +147,19 @@ def _maximiser(rn: int, rd: int, mn: int, md: int) -> float:
 
     Evaluated as r / (sqrt(r + m^2) + m), which has no cancellation. Its
     denominator is 0.0 only where r, r + m^2 and m all round to 0.0; the
-    maximiser is 0.0 then.
+    maximiser is 0.0 then. Where r + m^2 overflows a float (w0 and w1 within
+    about 1e-154 of each other), the maximiser is still at most sqrt(r): it is
+    homogeneous, q(r, m) = 2^j q(r / 4^j, m / 2^j), so it is taken at a j that
+    brings r + m^2 under 2^1000, and scaled back. A power of two scales each
+    rounding step exactly, so the float is the one an unbounded exponent gives.
     """
-    root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md
-    return rn / rd / root if root else 0.0
+    try:
+        root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md
+        return rn / rd / root if root else 0.0
+    except OverflowError:
+        pass
+    j = ((rn * md * md + mn * mn * rd).bit_length() - (rd * md * md).bit_length() - 1000) // 2 + 1
+    return math.ldexp(_maximiser(rn, rd << 2 * j, mn, md << j), j)
 
 
 def _mix_coefficient(a, da, p0, q0, p1, q1, w0, w1) -> tuple[int, int]:
@@ -225,7 +234,7 @@ def cr_nonpreemptive_cap(alpha, eps0, eps1) -> float:
     nonpreemptive ratio is bounded by its value there, 1 + eps*(sqrt(1/(1-alpha)) - 1).
     alpha outside (0, 1), then a rate outside [0, 1/2], raises ValueError.
     Like `cr_nonpreemptive` it raises OverflowError at 1 - alpha below about
-    1e-308, and at alpha below about 1e-154, where its worst urgent fraction does.
+    1e-308, where w0/w1 = 1/(1 - alpha) does.
     """
     alpha = to_fraction(alpha)
     params = Parameters(alpha, 1, 1 - alpha)

@@ -13,7 +13,7 @@ import math
 import os
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import log
@@ -319,7 +319,9 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
     The whole grid's replication count sets the number of workers, each given
     at least `min_reps_per_worker` replications. Every (grid point, span)
     chunk is planned up front; with more than one span they all go to a
-    single process pool. Chunks are reduced in grid and replication order, so
+    single process pool. A pool task pickles its config, so each point's
+    tasks carry a copy whose grid is that point alone: a task's size does not
+    grow with the grid. Chunks are reduced in grid and replication order, so
     the split never shows in the output. A replication count past
     `REPLICATION_LIMIT` is refused before any chunk is planned.
     """
@@ -329,14 +331,14 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
     grid_reps = config.replications * len(config.eps_pairs)
     spans = _chunks(config.replications,
                     max(1, min(config.jobs, grid_reps // min_reps_per_worker)))
-    plan = [[(config, gi, e0, e1, s, e) for s, e in spans]
-            for gi, (e0, e1) in enumerate(config.eps_pairs)]
     if len(spans) == 1:
-        for (task,) in plan:
-            yield worker(*task)
+        for gi, (e0, e1) in enumerate(config.eps_pairs):
+            yield worker(config, gi, e0, e1, *spans[0])
         return
+    plan = [(replace(config, eps_pairs=((e0, e1),)), gi, e0, e1)
+            for gi, (e0, e1) in enumerate(config.eps_pairs)]
     with _process_pool(len(spans)) as pool:
-        pending = deque([pool.submit(worker, *task) for task in point] for point in plan)
+        pending = deque([pool.submit(worker, *point, s, e) for s, e in spans] for point in plan)
         while pending:  # popped, so a reduced point's results can be freed
             blocks = [f.result() for f in pending.popleft()]
             yield [[v for col in cols for v in col] for cols in zip(*blocks)]

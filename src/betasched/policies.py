@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import exp, log, sqrt
+from random import LOG4, SG_MAGICCONST
 from typing import Callable, Optional
 
 from .domain import ZERO, Parameters, PredictionModel
@@ -276,9 +278,16 @@ class ExactRevelation:
     """
 
 
-# The largest Beta shape accepted: `random.gammavariate` takes sqrt(2*shape - 1),
-# which overflows above about 9e307, and then it never returns.
+# The largest Beta shape accepted: `random.gammavariate` (and `_cheng`) takes
+# sqrt(2*shape - 1), which overflows above about 9e307, and then a draw never returns.
 MAX_BETA_SHAPE = 1e300
+
+
+def _cheng(shape) -> tuple:
+    """(ainv, bbb, ccc): the constants `random.gammavariate` computes for a
+    shape > 1 (Cheng's algorithm), by the same float expressions."""
+    ainv = sqrt(2.0 * shape - 1.0)
+    return ainv, shape - LOG4, shape + ainv
 
 
 @dataclass(frozen=True)
@@ -289,6 +298,13 @@ class PosteriorRevelation:
     shapes are free knobs in (0, MAX_BETA_SHAPE]. The defaults skew urgent
     jobs toward high theta and non-urgent jobs toward low theta. `sample`
     returns the float the draw gave, an exact binary rational.
+
+    `sample` runs the body of `random.Random.betavariate(a, b)`, with both of
+    its `gammavariate(shape, 1.0)` calls inline and each shape's constants
+    computed once, here: the same `random()` calls and the same float
+    expressions in the same order, so the same float and the same stream
+    state after it (the stdlib's final `x * 1.0` is x, so it is left out).
+    A type with a shape <= 1 calls `rng.betavariate` itself.
     """
 
     a0: float = 8.0
@@ -303,11 +319,44 @@ class PosteriorRevelation:
                 raise ValueError(
                     f"Beta shape {name} must lie in (0, {MAX_BETA_SHAPE:g}], got {shape!r}"
                 )
+        # per type: (a, b), then Cheng's constants of both shapes if each is > 1
+        object.__setattr__(self, "_draws", tuple(
+            (a, b, _cheng(a) + _cheng(b) if a > 1.0 and b > 1.0 else None)
+            for a, b in ((self.a0, self.b0), (self.a1, self.b1))
+        ))
 
     def sample(self, true_type: int, rng) -> float:
-        if true_type == 0:
-            return rng.betavariate(self.a0, self.b0)
-        return rng.betavariate(self.a1, self.b1)
+        a, b, cheng = self._draws[true_type != 0]
+        if cheng is None:
+            return rng.betavariate(a, b)
+        ainv, abb, acc, binv, bbb, bcc = cheng
+        random = rng.random
+        # two copies of the loop, not a helper or a loop over the two shapes:
+        # either costs about 0.1 us more per draw (timeit, 2 vCPUs, CPython 3.11.7)
+        while True:  # y = gammavariate(a, 1.0)
+            u1 = random()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - random()
+            v = log(u1 / (1.0 - u1)) / ainv
+            y = a * exp(v)
+            z = u1 * u1 * u2
+            r = abb + acc * v - y
+            if r + SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
+                break
+        if y:
+            while True:  # x = gammavariate(b, 1.0)
+                u1 = random()
+                if not 1e-7 < u1 < 0.9999999:
+                    continue
+                u2 = 1.0 - random()
+                v = log(u1 / (1.0 - u1)) / binv
+                x = b * exp(v)
+                z = u1 * u1 * u2
+                r = bbb + bcc * v - x
+                if r + SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
+                    return y / (y + x)
+        return 0.0
 
 
 EXACT_REVELATION = ExactRevelation()

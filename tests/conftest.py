@@ -15,6 +15,7 @@ from betasched.analytics import (
     CompetitiveRatioReport,
     CrValue,
     HybridCrValue,
+    _maximiser,
     expected_conditional,
 )
 from betasched.domain import ZERO, Instance, Job, Parameters, PredictionModel, to_fraction
@@ -725,10 +726,19 @@ def fraction_maximiser(r, m):
     """The worst urgent fraction sqrt(r + m^2) - m, as r / (sqrt(r + m^2) + m).
 
     The second form has no cancellation. Its denominator is 0.0 only where
-    r, r + m^2 and m all round to 0.0; the maximiser is 0.0 then.
+    r, r + m^2 and m all round to 0.0; the maximiser is 0.0 then. Where
+    r + m^2 overflows a float, r and m are quartered and halved, exactly,
+    until it is under 2^1000, and the float is doubled back as often.
     """
-    root = math.sqrt(float(r + m * m)) + float(m)
-    return float(r) / root if root else 0.0
+    try:
+        root = math.sqrt(float(r + m * m)) + float(m)
+        return float(r) / root if root else 0.0
+    except OverflowError:
+        pass
+    j = 0
+    while r + m * m >= 2 ** 1000:
+        r, m, j = r / 4, m / 2, j + 1
+    return math.ldexp(fraction_maximiser(r, m), j)
 
 
 def fraction_cr_nonpreemptive(model, params):
@@ -817,9 +827,9 @@ def split_channel_ints(model, params):
             *model.eps1.as_integer_ratio(), w0, w1)
 
 
-def split_maximiser(rn, rd, mn, md):
-    root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md
-    return rn / rd / root if root else 0.0
+# the worst urgent fraction is not what these bodies split: they share the
+# package's, which `fraction_maximiser` checks
+split_maximiser = _maximiser
 
 
 def split_cr_nonpreemptive(model, params):

@@ -61,6 +61,7 @@ RECORDS = "tests/test_analytics.py::TestRatioRecords::"
 GOLDEN = "tests/test_products_golden.py::test_data_product_is_golden"
 LIMITS = "tests/test_cli.py::TestConfigValidation::"
 ARRIVALS = "tests/test_cli.py::TestArrivalsDriver::"
+SAMPLER = "tests/test_engine.py::TestPosteriorRevelation::"
 REFUSAL = "        raise ContractViolationError(\"a policy may not change a label_flags probe's queue\")\n"
 
 MUTANTS = (
@@ -319,9 +320,45 @@ MUTANTS = (
     Mutant(
         "a Fraction sample",
         "policies.py",
-        "            return rng.betavariate(self.a0, self.b0)\n",
-        "            return Fraction(rng.betavariate(self.a0, self.b0))\n",
-        ("tests/test_engine.py::TestPosteriorRevelation::test_sample_is_the_float_draw",),
+        "                    return y / (y + x)\n",
+        "                    return Fraction(y / (y + x))\n",
+        (SAMPLER + "test_sample_is_the_float_draw",),
+    ),
+    # the stdlib's Beta body, inlined in PosteriorRevelation.sample
+    Mutant(
+        "Cheng's reject bound at 1e-6",
+        "policies.py",
+        "\n            if not 1e-7 < u1 < 0.9999999:\n",
+        "\n            if not 1e-6 < u1 < 0.9999999:\n",
+        (SAMPLER + "test_sample_is_the_float_draw",
+         SAMPLER + "test_random_shapes_draw_the_stdlib_floats"),
+    ),
+    Mutant(
+        "u2 drawn as random(), not 1.0 - random()",
+        "policies.py",
+        "            u2 = 1.0 - random()\n            v = log(u1 / (1.0 - u1)) / ainv\n",
+        "            u2 = random()\n            v = log(u1 / (1.0 - u1)) / ainv\n",
+        (SAMPLER + "test_sample_is_the_float_draw",
+         SAMPLER + "test_every_shape_branch_draws_the_stdlib_floats",
+         SAMPLER + "test_random_shapes_draw_the_stdlib_floats"),
+    ),
+    Mutant(
+        "type 0's and type 1's Cheng constants swapped",
+        "policies.py",
+        "        a, b, cheng = self._draws[true_type != 0]\n",
+        "        a, b, _ = self._draws[true_type != 0]\n"
+        "        cheng = self._draws[true_type == 0][2]\n",
+        (SAMPLER + "test_sample_is_the_float_draw",
+         SAMPLER + "test_random_shapes_draw_the_stdlib_floats"),
+    ),
+    # the squeeze only spares a log call: the floats stay, the log count does not
+    Mutant(
+        "LOG4 for SG_MAGICCONST in the squeeze",
+        "policies.py",
+        "            if r + SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):\n                break\n",
+        "            if r + LOG4 - 4.5 * z >= 0.0 or r >= log(z):\n                break\n",
+        (SAMPLER + "test_sample_is_the_float_draw",
+         SAMPLER + "test_random_shapes_draw_the_stdlib_floats"),
     ),
     Mutant(
         "tau computed in floats",
@@ -335,9 +372,9 @@ MUTANTS = (
     Mutant(
         "the old worst_q form, sqrt(r + m^2) - m",
         "analytics.py",
-        "    root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md\n"
-        "    return rn / rd / root if root else 0.0\n",
-        "    return math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) - mn / md\n",
+        "        root = math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) + mn / md\n"
+        "        return rn / rd / root if root else 0.0\n",
+        "        return math.sqrt((rn * md * md + mn * mn * rd) / (rd * md * md)) - mn / md\n",
         ("tests/test_analytics.py::TestWorstQ::test_nonpreemptive_at_weights_one_ulp_apart",
          "tests/test_analytics.py::TestWorstQ::test_hybrid_at_close_weights"),
     ),
@@ -538,6 +575,29 @@ MUTANTS = (
         "if config.n > ARRIVAL_N_LIMIT:",
         "if False:",
         (LIMITS + "test_arrival_n_limit_is_exact",),
+    ),
+    Mutant(
+        "the worst urgent fraction raises past the float range",
+        "analytics.py",
+        "    except OverflowError:\n        pass\n",
+        "    except ZeroDivisionError:\n        pass\n",
+        ("tests/test_analytics.py::TestWorstQ::test_weights_past_the_float_range_apart",
+         "tests/test_analytics.py::TestNonpreemptiveCap::test_tiny_alpha"),
+    ),
+    Mutant(
+        "m scaled by 4^j, like r",
+        "analytics.py",
+        "_maximiser(rn, rd << 2 * j, mn, md << j), j)",
+        "_maximiser(rn, rd << 2 * j, mn, md << 2 * j), j)",
+        ("tests/test_analytics.py::TestWorstQ::test_weights_past_the_float_range_apart",
+         "tests/test_analytics.py::TestWorstQ::test_hybrid_at_weights_past_the_float_range_apart"),
+    ),
+    Mutant(
+        "each pool task carries the whole grid",
+        "experiments.py",
+        "    plan = [(replace(config, eps_pairs=((e0, e1),)), gi, e0, e1)\n",
+        "    plan = [(config, gi, e0, e1)\n",
+        ("tests/test_cli.py::TestSweepDriver::test_a_pool_task_does_not_grow_with_the_grid",),
     ),
     Mutant(
         "no batch n limit",

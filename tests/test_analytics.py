@@ -595,9 +595,10 @@ class TestExpectationOracle:
 
 
 def decimal_maximiser(r, m):
-    """sqrt(r + m^2) - m in 60-digit decimal arithmetic, from the exact r and m."""
+    """sqrt(r + m^2) - m in decimal arithmetic, from the exact r and m, with 60
+    digits beyond the ones the subtraction cancels."""
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = 60 + 2 * len(str(math.floor(abs(m))))
         dec = lambda x: Decimal(x.numerator) / Decimal(x.denominator)
         return float((dec(r) + dec(m) ** 2).sqrt() - dec(m))
 
@@ -622,6 +623,27 @@ class TestWorstQ:
         assert got == pytest.approx(decimal_maximiser(r, m), rel=1e-15, abs=0)
         assert f"{got:.12g}" == "0.0936710999812"
 
+    @pytest.mark.parametrize("tiny", [F(1, 10**160), F(1, 10**300), F(1, 10**400)])
+    def test_weights_past_the_float_range_apart(self, tiny):
+        # r = w1/(w0-w1) = 1/tiny - 1, so r + r^2 overflows a float; r itself
+        # does too at 1e-400; the maximiser, about 1/2, is finite
+        model = PredictionModel(F(1, 10), F(1, 10), F(1, 10))
+        params = Parameters(tiny, 1, 1 - tiny)
+        r = params.w1 / (params.w0 - params.w1)
+        got = cr_nonpreemptive(model, params).worst_q
+        assert got == pytest.approx(decimal_maximiser(r, r), rel=1e-15, abs=0)
+
+    def test_hybrid_at_weights_past_the_float_range_apart(self):
+        model = PredictionModel(F(1, 10), F(1, 10), F(1, 10))
+        params = Parameters(F(1, 10**300), 1, 1 - F(1, 10**300))
+        r = params.w1 / (params.w0 - params.w1)
+        lam = fraction_hybrid_mix_coefficient(model, params)
+        a = params.alpha * model.eps1 ** 2
+        m = r * (lam + a) / (lam - r * a)
+        report = competitive_ratio(model, params)
+        assert report.hybrid.worst_q == pytest.approx(decimal_maximiser(r, m), rel=1e-15, abs=0)
+        assert report.nonpreemptive == cr_nonpreemptive(model, params)
+
 
 class TestNonpreemptiveCap:
     @pytest.mark.parametrize("args, message", [
@@ -641,6 +663,12 @@ class TestNonpreemptiveCap:
                                      (0, F(1, 7), "0.5"), (0, 0.25, F(1, 2))):
             assert cr_nonpreemptive_cap(alpha, e0, e1) == fraction_cr_nonpreemptive_cap(
                 alpha, e0, e1)
+
+    def test_tiny_alpha(self):
+        # w0 = 1 and w1 = 1 - alpha: the worst urgent fraction's r + r^2 is
+        # past the float range, and the ratio is still 1 + eps*(sqrt(1/(1-alpha)) - 1)
+        assert cr_nonpreemptive_cap(1e-300, 0.1, 0.5) == 1.0
+        assert cr_nonpreemptive_cap(F(1, 10**400), 0, F(1, 2)) == 1.0
 
 
 class TestWorstCaseSearch:

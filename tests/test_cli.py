@@ -1,5 +1,6 @@
 import _random
 import json
+import pickle
 import random
 from itertools import accumulate, product
 from decimal import Decimal, localcontext
@@ -157,6 +158,28 @@ class TestSweepDriver:
         assert len(inline_pools) == 1  # one pool for the whole grid, not one per point
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
         assert experiments._chunks(1000, 100_000) == [(0, 1000)]
+
+    def test_a_pool_task_does_not_grow_with_the_grid(self, monkeypatch, inline_pools):
+        """A task pickles its config with a grid of its own point only."""
+        sizes = []
+
+        def worker(*task):  # the inline pool hands the worker the submitted task
+            config, gi, e0, e1, start, stop = task
+            assert config.eps_pairs == ((e0, e1),)
+            sizes[-1].append(len(pickle.dumps(task)))
+            return [[gi] * (stop - start)]
+
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        for points in (1, 100, 1000):
+            sizes.append([])
+            config = small_config(eps_pairs=((F(1, 10), F(3, 10)),) * points, replications=4,
+                                  jobs=2)
+            assert list(experiments._run_grid(worker, config, 1)) == \
+                [[[gi] * 4] for gi in range(points)]
+            assert len(sizes[-1]) == 2 * points
+        assert inline_pools == [2, 2, 2]
+        # only the grid index's digits differ
+        assert max(sizes[2]) - min(sizes[0]) <= 4
 
     def test_pool_only_for_enough_work(self, monkeypatch, inline_pools):
         """Small sweeps run in-process; the whole grid's work sets the workers."""
@@ -633,6 +656,8 @@ class TestCliCommands:
         ["arrivals", "--reps", "3", "--w0", "1e400"],
         ["sweep", "--cr", "--w0", "1e200"],
         ["sweep", "--reps", "3", "--w0", "1e200"],
+        # w0 and w1 1e-300 apart: the worst urgent fraction's r + r^2 overflows
+        ["sweep", "--cr", "--alpha", "1e-300", "--w0", "1", "--w1", "0." + "9" * 300],
     ])
     def test_huge_weights_that_fit_still_run(self, capsys, argv):
         assert main(argv + ["--eps-grid", "0.1"]) == 0

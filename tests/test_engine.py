@@ -1,5 +1,7 @@
 import ast
 import inspect
+import math
+import os
 import random
 import sys
 import textwrap
@@ -788,6 +790,65 @@ class TestQueueOrder:
             self.assert_sorted_order(Instance(jobs, base_params))
 
 
+# draws per shape branch in the sampler's differential tests (10**6 in CI)
+POSTERIOR_DRAWS = int(os.environ.get("BETASCHED_POSTERIOR_DRAWS", "100000"))
+JUST_ABOVE_ONE = math.nextafter(1.0, 2.0)
+# each branch of `random.betavariate` and `random.gammavariate`, as (a0, b0,
+# a1, b1); `test_sample_is_the_float_draw` draws the defaults
+SHAPE_BRANCHES = {
+    "half": (0.5, 0.5, 0.5, 0.5),
+    "one": (1.0, 1.0, 1.0, 1.0),
+    "just-above-one": (1.0000001, JUST_ABOVE_ONE, JUST_ABOVE_ONE, 1.0000001),
+    "1.5-against-300": (1.5, 300.0, 300.0, 1.5),
+    "largest": (MAX_BETA_SHAPE, MAX_BETA_SHAPE, 1.5, MAX_BETA_SHAPE),
+    "mixed": (0.5, 3.0, 1.0, 1.5),
+    "mixed-reversed": (3.0, 0.5, 1.5, 1.0),
+}
+# what `random()` may return at the edges of Cheng's algorithm: 0.0, its
+# reject bounds 1e-7 and 0.9999999 with their neighbours, a point inside 1e-6,
+# and the largest float below 1
+EDGE_UNIFORMS = (0.0, 1e-7, math.nextafter(1e-7, 1.0), 5e-7, 1e-6,
+                 math.nextafter(0.9999999, 0.0), 0.9999999, math.nextafter(0.9999999, 1.0),
+                 math.nextafter(1.0, 0.0))
+
+
+class EdgeRandom(random.Random):
+    """A seeded stream whose every third `random()` call returns the next
+    value of EDGE_UNIFORMS, in turn. A Cheng attempt takes two calls, so the
+    edge values fall on its u1 and on its u2 alike."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        if self.calls % 3:
+            return super().random()
+        return EDGE_UNIFORMS[self.calls // 3 % len(EDGE_UNIFORMS)]
+
+
+def assert_draws_equal(rev, a, b, draws):
+    """`rev.sample` on stream `a` against the stdlib's `betavariate` on stream
+    `b`, the two types in turn: the same floats, the same number of `log`
+    calls (so the same squeeze), and the same stream state after them."""
+    shapes = ((rev.a0, rev.b0), (rev.a1, rev.b1))
+    logs = [0]
+
+    def counted(x):
+        logs[0] += 1
+        return math.log(x)
+
+    with patch("betasched.policies.log", counted), patch("random._log", counted):
+        got = [rev.sample(k & 1, a) for k in range(draws)]
+        got_logs, logs[0] = logs[0], 0
+        want = [b.betavariate(*shapes[k & 1]) for k in range(draws)]
+    assert {type(theta) for theta in got} == {float}
+    assert got == want
+    assert got_logs == logs[0]
+    assert (a.getstate(), vars(a)) == (b.getstate(), vars(b))
+
+
 class TestPosteriorRevelation:
     def test_exact_mode_equivalence_of_modified_rule(self, base_params, base_model):
         for seed in range(200):
@@ -831,11 +892,28 @@ class TestPosteriorRevelation:
                 assert type(theta) is float and 0 <= theta <= 1
 
     def test_sample_is_the_float_draw(self):
-        rev, a, b = PosteriorRevelation(), random.Random(9), random.Random(9)
-        for true_type in (0, 1, 1, 0):
-            shape = (rev.a0, rev.b0) if true_type == 0 else (rev.a1, rev.b1)
-            theta = rev.sample(true_type, a)
-            assert type(theta) is float and theta == b.betavariate(*shape)
+        rev = PosteriorRevelation()
+        assert_draws_equal(rev, random.Random(9), random.Random(9), POSTERIOR_DRAWS)
+        assert_draws_equal(rev, EdgeRandom(9), EdgeRandom(9), POSTERIOR_DRAWS // 10)
+
+    @pytest.mark.parametrize("shapes", SHAPE_BRANCHES.values(), ids=SHAPE_BRANCHES)
+    def test_every_shape_branch_draws_the_stdlib_floats(self, shapes):
+        rev = PosteriorRevelation(*shapes)
+        assert_draws_equal(rev, random.Random(5), random.Random(5), POSTERIOR_DRAWS)
+        if min(shapes) > 1.0:  # the stdlib's own edge cases are all in Cheng's branch
+            assert_draws_equal(rev, EdgeRandom(5), EdgeRandom(5), POSTERIOR_DRAWS // 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.tuples(*[st.floats(0, 50, exclude_min=True)] * 4),
+           seed=st.integers(0, 2 ** 32))
+    @example(shapes=(1.0, 1.0, 1.0, 1.0), seed=0)
+    @example(shapes=(JUST_ABOVE_ONE,) * 4, seed=0)
+    @example(shapes=(1.0, JUST_ABOVE_ONE, JUST_ABOVE_ONE, 1.0), seed=1)
+    @example(shapes=(JUST_ABOVE_ONE, 1.5, 50.0, JUST_ABOVE_ONE), seed=2)
+    def test_random_shapes_draw_the_stdlib_floats(self, shapes, seed):
+        rev = PosteriorRevelation(*shapes)
+        assert_draws_equal(rev, random.Random(seed), random.Random(seed), 300)
+        assert_draws_equal(rev, EdgeRandom(seed), EdgeRandom(seed), 300)
 
     def test_preempted_job_resumes_with_exact_remainder(self, base_params, base_model):
         inst = worked_example_instance(base_params, base_model)
