@@ -204,8 +204,14 @@ def _worst_case_ratios(model: PredictionModel, params: Parameters,
     if only is None or only is Regime.HYBRID:
         ln, ld = _mix_coefficient(a, da, p0, q0, p1, q1, w0, w1)
         an = a * p1 * p1 * gap * q0  # alpha*eps1^2 = an/ld
-        value = ((2 * ld + an - ln) / (2 * ld)
-                 + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
+        rn = w0 * gap * ln * ln + w0 * w1 * an * an  # the radicand R = rn/(w1*gap*ld^2)
+        if ln > ld:  # lambda > 1, like 1/(w0-w1): sqrt(R) - lambda = t/(1 + s) cancels nothing,
+            # with t = (R - lambda^2)/lambda and s = sqrt(R)/lambda
+            t = (gap * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ln)
+            s = math.sqrt(rn / (w1 * gap * ln * ln))
+            value = 1.0 + an / (2 * ld) + t / (2 * (1.0 + s))
+        else:
+            value = (2 * ld + an - ln) / (2 * ld) + math.sqrt(rn / (w1 * gap * ld * ld)) / 2
         bound = (
             1.0
             + ln / (2 * ld) * (root_ratio - 1.0)

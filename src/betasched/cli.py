@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analytics import log_loss
-from .domain import HALF, ZERO, format_fraction, load_instance, to_fraction
+from .domain import format_fraction, load_instance, to_fraction
 from .engine import format_trace, offline_wsrpt_cost, run
 from .errors import ResourceLimitError, SchedulingError
 from .experiments import (
@@ -38,8 +38,9 @@ GRID_POINT_LIMIT = 10_000
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     """Grid syntax: `a,b,c` or `start:stop:step`, all exact decimals/fractions.
 
-    A range reaching outside [0, 1/2], or with more than `GRID_POINT_LIMIT`
-    points, is refused before any point is built.
+    A range with more than `GRID_POINT_LIMIT` points is refused before any
+    point is built. Each point's range is left to the channel: the config
+    refuses a rate outside [0, 1/2] when it builds that point's model.
     """
     if ":" in text:
         parts = text.split(":")
@@ -48,10 +49,6 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         start, stop, step = map(to_fraction, parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
-        # the grid's first point outside [0, 1/2]
-        bad = start if not ZERO <= start <= HALF else start + step * ((HALF - start) // step + 1)
-        if bad <= stop:
-            raise ValueError(f"error rates must lie in [0, 1/2], got {bad} in grid {text!r}")
         count = max((stop - start) // step + 1, 0)
         if count > GRID_POINT_LIMIT:
             raise ResourceLimitError(

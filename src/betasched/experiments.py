@@ -60,7 +60,7 @@ SWEEP_N_LIMIT = 1_000_000
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs; flags and config files both build this. Building it
-    refuses a bad channel by the domain types' own checks and sets `params`."""
+    builds `params` and `models` (one per error point), whose own checks refuse a bad channel."""
 
     alpha: Fraction = Fraction(2, 5)
     rho: Fraction = Fraction(1, 10)
@@ -80,8 +80,8 @@ class ExperimentConfig:
         elif not self.eps_pairs:
             raise ValueError("error grid has no points")
         object.__setattr__(self, "params", Parameters(self.alpha, self.w0, self.w1))
-        for e0, e1 in self.eps_pairs:  # not kept: every pool task pickles the config
-            self.model_for(e0, e1)
+        object.__setattr__(self, "models",
+                           tuple(PredictionModel(self.rho, e0, e1) for e0, e1 in self.eps_pairs))
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.n < 1:
@@ -102,9 +102,6 @@ class ExperimentConfig:
             get_policy(name)
             if name in self.policies[:k]:  # two rows of one name: an ambiguous CSV
                 raise ValueError(f"policy named twice: {name}")
-
-    def model_for(self, eps0: Fraction, eps1: Fraction) -> PredictionModel:
-        return PredictionModel(self.rho, eps0, eps1)
 
     def header(self, mode: str) -> dict[str, str]:
         h = {
@@ -171,8 +168,8 @@ def _flag_columns(config: ExperimentConfig,
     return columns
 
 
-def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
-                 eps1: Fraction, start: int, stop: int):
+def _sweep_chunk(config: ExperimentConfig, grid_index: int, model: PredictionModel,
+                 start: int, stop: int):
     """Costs for replications [start, stop): one row per policy, opt first.
 
     A batch replication needs no engine run: each policy's schedule follows
@@ -180,10 +177,10 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     and `label_schedule_ticks` runs once per distinct flag pair.
     """
     params = config.params
-    columns = _flag_columns(config, config.model_for(eps0, eps1))
+    columns = _flag_columns(config, model)
     alpha_ticks, den = params.alpha_pair
     wden, w0, w1 = params.weight_grid  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
-    rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
+    rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     n = config.n
     out = [[0.0] * (stop - start) for _ in range(len(config.policies) + 1)]
     for rep in range(start, stop):
@@ -237,8 +234,8 @@ def _release_times(rand, n: int, lam: float) -> list[float]:
     return times
 
 
-def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
-                    eps1: Fraction, start: int, stop: int):
+def _arrivals_chunk(config: ExperimentConfig, grid_index: int, model: PredictionModel,
+                    start: int, stop: int):
     """Per-replication cost ratios against the clairvoyant preemptive optimum.
 
     An arrival replication needs no engine run either. Each job draws its
@@ -255,10 +252,10 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, eps0: Fraction,
     like the float of the Fraction ratio.
     """
     params = config.params
-    columns = _flag_columns(config, config.model_for(eps0, eps1))
+    columns = _flag_columns(config, model)
     alpha_num, alpha_den = params.alpha_pair
     _, w0, w1 = params.weight_grid
-    rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
+    rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     lam = 1.0 / float(config.interarrival)
     n = config.n
     out = [[0.0] * (stop - start) for _ in config.policies]
@@ -320,23 +317,23 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
     at least `min_reps_per_worker` replications. Every (grid point, span)
     chunk is planned up front; with more than one span they all go to a
     single process pool. A pool task pickles its config, so each point's
-    tasks carry a copy whose grid is that point alone: a task's size does not
-    grow with the grid. Chunks are reduced in grid and replication order, so
-    the split never shows in the output. A replication count past
-    `REPLICATION_LIMIT` is refused before any chunk is planned.
+    tasks carry a copy whose grid is that point alone, and that copy's model:
+    a task's size does not grow with the grid. Chunks are reduced in grid and
+    replication order, so the split never shows in the output. A replication
+    count past `REPLICATION_LIMIT` is refused before any chunk is planned.
     """
     if config.replications > REPLICATION_LIMIT:
         raise ResourceLimitError(f"{config.replications} replications per error point "
                                  f"exceed the limit {REPLICATION_LIMIT}")
-    grid_reps = config.replications * len(config.eps_pairs)
+    grid_reps = config.replications * len(config.models)
     spans = _chunks(config.replications,
                     max(1, min(config.jobs, grid_reps // min_reps_per_worker)))
     if len(spans) == 1:
-        for gi, (e0, e1) in enumerate(config.eps_pairs):
-            yield worker(config, gi, e0, e1, *spans[0])
+        for gi, model in enumerate(config.models):
+            yield worker(config, gi, model, *spans[0])
         return
-    plan = [(replace(config, eps_pairs=((e0, e1),)), gi, e0, e1)
-            for gi, (e0, e1) in enumerate(config.eps_pairs)]
+    copies = (replace(config, eps_pairs=(pair,)) for pair in config.eps_pairs)
+    plan = [(one, gi, one.models[0]) for gi, one in enumerate(copies)]
     with _process_pool(len(spans)) as pool:
         pending = deque([pool.submit(worker, *point, s, e) for s, e in spans] for point in plan)
         while pending:  # popped, so a reduced point's results can be freed
@@ -379,9 +376,10 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _row(columns, e0: Fraction, e1: Fraction, policy: str, *cells) -> dict[str, str]:
+def _row(columns, model: PredictionModel, policy: str, *cells) -> dict[str, str]:
     """One row in `columns` order: the error point, the policy, then `cells`."""
-    return dict(zip(columns, map(_cell, (float(e0), float(e1), policy, *cells)), strict=True))
+    return dict(zip(columns, map(_cell, (float(model.eps0), float(model.eps1), policy, *cells)),
+                    strict=True))
 
 
 def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
@@ -397,12 +395,12 @@ def run_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     rows = []
     grid = _run_grid(_sweep_chunk, config, SWEEP_MIN_REPS_PER_WORKER)
     try:  # a cost, its mean or its squared spread past the float range
-        for (e0, e1), costs in zip(config.eps_pairs, grid):
-            perf = expected_unconditional(config.n, config.model_for(e0, e1), config.params)
+        for model, costs in zip(config.models, grid):
+            perf = expected_unconditional(config.n, model, config.params)
             opt_mean = float(perf.opt)
             for name, column in zip(("opt", *config.policies), costs):
                 mean, stderr = _mean_stderr(column)
-                rows.append(_row(SWEEP_COLUMNS, e0, e1, name,
+                rows.append(_row(SWEEP_COLUMNS, model, name,
                                  float(perf.for_policy(name)) / opt_mean,
                                  mean / opt_mean, stderr / opt_mean, config.replications))
     except OverflowError:
@@ -420,10 +418,10 @@ def run_arrivals(config: ExperimentConfig) -> list[dict[str, str]]:
             f"an arrival instance of {config.n} jobs exceeds the limit {ARRIVAL_N_LIMIT}")
     rows = []
     grid = _run_grid(_arrivals_chunk, config, ARRIVALS_MIN_REPS_PER_WORKER)
-    for (e0, e1), ratios in zip(config.eps_pairs, grid):
+    for model, ratios in zip(config.models, grid):
         for name, column in zip(config.policies, ratios):
             mean, stderr = _mean_stderr(column)
-            rows.append(_row(ARRIVAL_COLUMNS, e0, e1, name, mean, stderr, max(column),
+            rows.append(_row(ARRIVAL_COLUMNS, model, name, mean, stderr, max(column),
                              config.replications))
     return rows
 
@@ -431,14 +429,14 @@ def run_arrivals(config: ExperimentConfig) -> list[dict[str, str]]:
 def run_cr_sweep(config: ExperimentConfig) -> list[dict[str, str]]:
     """Worst-case ratio curves per error point, plus the regime-selected value."""
     rows = []
-    for e0, e1 in config.eps_pairs:
+    for model in config.models:
         try:
-            report = competitive_ratio(config.model_for(e0, e1), config.params)
+            report = competitive_ratio(model, config.params)
         except OverflowError:
             raise ValueError("competitive ratios overflow a float at these weights") from None
         for name, cr in zip(("nonpreemptive", "preemptive", "hybrid"), report):
-            rows.append(_row(CR_COLUMNS, e0, e1, name, cr.value, cr.worst_q, None))
-        rows.append(_row(CR_COLUMNS, e0, e1, "selected", report.selected, None,
+            rows.append(_row(CR_COLUMNS, model, name, cr.value, cr.worst_q, None))
+        rows.append(_row(CR_COLUMNS, model, "selected", report.selected, None,
                          report.regime.value))
     return rows
 

@@ -377,16 +377,15 @@ def offline_wsrpt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
     )
 
 
-def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
+def engine_sweep_chunk(config, grid_index, model, start, stop):
     """Batch sweep costs through the engine: one Instance and run() per schedule.
 
     The body `experiments._sweep_chunk` had before the label kernel replaced
     it; same signature and output layout (opt first, one row per rep).
     """
     params = config.params
-    model = config.model_for(eps0, eps1)
     policies = [get_policy(name) for name in config.policies]
-    rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
+    rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     out = [[0.0] * (stop - start) for _ in range(len(policies) + 1)]
     for rep in range(start, stop):
         rng = _rep_rng(config.seed, grid_index, rep)
@@ -398,16 +397,15 @@ def engine_sweep_chunk(config, grid_index, eps0, eps1, start, stop):
     return out
 
 
-def engine_arrivals_chunk(config, grid_index, eps0, eps1, start, stop):
+def engine_arrivals_chunk(config, grid_index, model, start, stop):
     """Arrival ratios through the engine: one Instance, run() and offline_wsrpt per rep.
 
     The body `experiments._arrivals_chunk` had before the release-date
     kernels replaced it; same signature and output layout.
     """
     params = config.params
-    model = config.model_for(eps0, eps1)
     policies = [get_policy(name) for name in config.policies]
-    rho_f, e0f, e1f = float(config.rho), float(eps0), float(eps1)
+    rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     mean = float(config.interarrival)
     out = [[0.0] * (stop - start) for _ in range(len(policies))]
     for rep in range(start, stop):
@@ -781,7 +779,12 @@ def fraction_cr_hybrid(model, params):
     lam = fraction_hybrid_mix_coefficient(model, params)
     a = alpha * e1 * e1
     radicand = (w0 / w1) * lam * lam + (w0 / (w0 - w1)) * a * a
-    value = float(ONE + (a - lam) / 2) + math.sqrt(float(radicand)) / 2
+    if lam > 1:  # sqrt(radicand) - lam, about radicand / (2 * lam), without cancelling
+        t = (radicand - lam * lam) / lam
+        s = math.sqrt(float(radicand / (lam * lam)))
+        value = 1.0 + float(a / 2) + float(t) / (2 * (1.0 + s))
+    else:
+        value = float(ONE + (a - lam) / 2) + math.sqrt(float(radicand)) / 2
     bound = (
         1.0
         + float(lam / 2) * (math.sqrt(w0 / w1) - 1.0)
@@ -858,8 +861,13 @@ def split_cr_hybrid(model, params):
           - a * w1 * p1 * p1 * q0)
     ld = da * gap * q0 * q1 * q1
     an = a * p1 * p1 * gap * q0
-    value = ((2 * ld + an - ln) / (2 * ld)
-             + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
+    if ln > ld:
+        t = (gap * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ln)
+        s = math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ln * ln))
+        value = 1.0 + an / (2 * ld) + t / (2 * (1.0 + s))
+    else:
+        value = ((2 * ld + an - ln) / (2 * ld)
+                 + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
     bound = (
         1.0
         + ln / (2 * ld) * (math.sqrt(w0 / w1) - 1.0)

@@ -62,6 +62,7 @@ GOLDEN = "tests/test_products_golden.py::test_data_product_is_golden"
 LIMITS = "tests/test_cli.py::TestConfigValidation::"
 ARRIVALS = "tests/test_cli.py::TestArrivalsDriver::"
 SAMPLER = "tests/test_engine.py::TestPosteriorRevelation::"
+CLOSE_WEIGHTS = "tests/test_analytics.py::TestHybridAtCloseWeights::"
 REFUSAL = "        raise ContractViolationError(\"a policy may not change a label_flags probe's queue\")\n"
 
 MUTANTS = (
@@ -518,15 +519,15 @@ MUTANTS = (
     Mutant(
         "eps0 written into the eps1 cell",
         "experiments.py",
-        "map(_cell, (float(e0), float(e1), policy, *cells))",
-        "map(_cell, (float(e0), float(e0), policy, *cells))",
+        "map(_cell, (float(model.eps0), float(model.eps1), policy, *cells))",
+        "map(_cell, (float(model.eps0), float(model.eps0), policy, *cells))",
         (GOLDEN + "[sweep-csv]", GOLDEN + "[arrivals-json]", GOLDEN + "[cr-csv]"),
     ),
     Mutant(
         "arrivals' mean and max cells swapped",
         "experiments.py",
-        "_row(ARRIVAL_COLUMNS, e0, e1, name, mean, stderr, max(column),",
-        "_row(ARRIVAL_COLUMNS, e0, e1, name, max(column), stderr, mean,",
+        "_row(ARRIVAL_COLUMNS, model, name, mean, stderr, max(column),",
+        "_row(ARRIVAL_COLUMNS, model, name, max(column), stderr, mean,",
         (GOLDEN + "[arrivals-csv]", GOLDEN + "[arrivals-json]"),
     ),
     Mutant(
@@ -553,14 +554,23 @@ MUTANTS = (
         "if False:",
         (LIMITS + "test_replication_limit_is_exact",),
     ),
+    # the kept models built lazily: a bad rate surfaces at the first chunk
+    # that reads its model (and a pool's copies cannot be indexed)
     Mutant(
         "a config that leaves rho and the rates to the first chunk",
         "experiments.py",
-        "        for e0, e1 in self.eps_pairs:  # not kept: every pool task pickles the config\n"
-        "            self.model_for(e0, e1)\n",
-        "",
+        "tuple(PredictionModel(self.rho, e0, e1) for e0, e1 in self.eps_pairs)",
+        "(PredictionModel(self.rho, e0, e1) for e0, e1 in self.eps_pairs)",
         ("tests/test_imports.py::test_a_bad_channel_is_refused_before_any_pool_starts",
          LIMITS + "test_the_config_refuses_a_bad_channel"),
+    ),
+    Mutant(
+        "the kept models built with each point's rates swapped",
+        "experiments.py",
+        "tuple(PredictionModel(self.rho, e0, e1) for e0, e1 in self.eps_pairs)",
+        "tuple(PredictionModel(self.rho, e1, e0) for e0, e1 in self.eps_pairs)",
+        ("tests/test_cli.py::TestCliCommands::test_independent_error_grids",
+         GOLDEN + "[sweep-csv]", GOLDEN + "[arrivals-csv]", GOLDEN + "[cr-csv]"),
     ),
     Mutant(
         "the arrival n limit refuses its own value",
@@ -595,9 +605,25 @@ MUTANTS = (
     Mutant(
         "each pool task carries the whole grid",
         "experiments.py",
-        "    plan = [(replace(config, eps_pairs=((e0, e1),)), gi, e0, e1)\n",
-        "    plan = [(config, gi, e0, e1)\n",
+        "    plan = [(one, gi, one.models[0]) for gi, one in enumerate(copies)]\n",
+        "    plan = [(config, gi, model) for gi, model in enumerate(config.models)]\n",
         ("tests/test_cli.py::TestSweepDriver::test_a_pool_task_does_not_grow_with_the_grid",),
+    ),
+    # the hybrid ratio where lambda > 1, which grows like 1/(w0 - w1)
+    Mutant(
+        "the hybrid's lambda > 1 form dropped",
+        "analytics.py",
+        "        if ln > ld:  # lambda > 1",
+        "        if False:  # lambda > 1",
+        (CLOSE_WEIGHTS + "test_weights_1e_200_apart",
+         CLOSE_WEIGHTS + "test_equals_the_decimal_value"),
+    ),
+    Mutant(
+        "gap for gap * gap in the hybrid's t",
+        "analytics.py",
+        "t = (gap * gap * ln * ln + w0 * w1 * an * an)",
+        "t = (gap * ln * ln + w0 * w1 * an * an)",
+        (CLOSE_WEIGHTS + "test_equals_the_decimal_value",),
     ),
     Mutant(
         "no batch n limit",

@@ -92,6 +92,11 @@ class TestExpectedUnconditional:
         want = F(1, 10) * 20 + F(9, 10) * 1
         assert u.opt == u.nonpreemptive == u.preemptive == u.hybrid == want
 
+    def test_no_jobs_is_refused(self, base_params, base_model):
+        with pytest.raises(ValueError) as info:
+            expected_unconditional(0, base_model, base_params)
+        assert str(info.value) == "n must be at least 1"
+
     def test_matches_bruteforce_engine_enumeration(self, base_params, base_model):
         from conftest import bruteforce_unconditional_mean
 
@@ -643,6 +648,55 @@ class TestWorstQ:
         report = competitive_ratio(model, params)
         assert report.hybrid.worst_q == pytest.approx(decimal_maximiser(r, m), rel=1e-15, abs=0)
         assert report.nonpreemptive == cr_nonpreemptive(model, params)
+
+
+def decimal_cr_hybrid(model, params):
+    """1 + (alpha*eps1^2 - lambda + sqrt(R))/2, the direct form, in decimal
+    arithmetic from the exact Fractions, with 40 digits beyond the ones its
+    subtraction cancels (about log10 lambda)."""
+    lam = fraction_hybrid_mix_coefficient(model, params)
+    a = params.alpha * model.eps1 ** 2
+    w0, w1 = params.w0, params.w1
+    radicand = (w0 / w1) * lam * lam + (w0 / (w0 - w1)) * a * a
+    with localcontext() as ctx:
+        ctx.prec = 40 + len(str(math.floor(lam)))
+        dec = lambda x: Decimal(x.numerator) / Decimal(x.denominator)
+        return float(1 + (dec(a) - dec(lam) + dec(radicand).sqrt()) / 2)
+
+
+class TestHybridAtCloseWeights:
+    """lambda grows like 1/(w0 - w1), and sqrt(R) - lambda cancels about log10
+    lambda digits in floats: the hybrid ratio takes it as t/(1 + s) there."""
+
+    def test_weights_1e_200_apart(self):
+        # the direct form gave 0.0 at 1e-30 apart and overflowed at 1e-200
+        model = PredictionModel(F(1, 10), F(1, 10), F(1, 10))
+        got = cr_hybrid(model, Parameters(F(2, 5), 1, 1 - F(1, 10**200)))
+        assert got.value == pytest.approx(1.010125, rel=1e-15, abs=0)
+        assert got.worst_q == pytest.approx(0.4375, rel=1e-15, abs=0)
+        assert got.lam == pytest.approx(3.2e198, rel=1e-15, abs=0)
+        assert math.isfinite(got.decomposition_bound)
+
+    @settings(max_examples=300)
+    @given(alpha=st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+           w1=WIDE_FRACTION,
+           # (w0 - w1)/w1, from 10 down to 1e-300
+           spread=st.builds(lambda m, k: m / 10**k, st.fractions(1, 10, max_denominator=10**3),
+                            st.integers(0, 300)),
+           rho=st.fractions(0, 1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+           e0=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6),
+                        st.sampled_from([0, F(1, 2)])),
+           e1=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6),
+                        st.sampled_from([0, F(1, 2)])))
+    # lambda 3.2e198: the direct form overflowed
+    @example(alpha=F(2, 5), w1=1, spread=F(1, 10**200), rho=F(1, 10), e0=F(1, 10), e1=F(1, 10))
+    # lambda about 1.7 with w0 - w1 = 2 on the weight grid, so t's gap^2 is not gap
+    @example(alpha=F(2, 5), w1=98, spread=F(2, 98), rho=F(1, 10), e0=F(1, 10), e1=F(1, 10))
+    def test_equals_the_decimal_value(self, alpha, w1, spread, rho, e0, e1):
+        model, params = PredictionModel(rho, e0, e1), Parameters(alpha, w1 * (1 + spread), w1)
+        got = cr_hybrid(model, params).value
+        assert got >= 1.0
+        assert got == pytest.approx(decimal_cr_hybrid(model, params), rel=1e-15, abs=0)
 
 
 class TestNonpreemptiveCap:

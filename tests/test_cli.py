@@ -19,9 +19,10 @@ from betasched.domain import (
     Parameters,
     PredictionModel,
     dump_instance,
+    load_instance,
     sample_instance,
 )
-from betasched.engine import TREE_N_LIMIT, tree_layers
+from betasched.engine import TREE_N_LIMIT, run, tree_layers
 from betasched.errors import ResourceLimitError
 from betasched.experiments import (
     ARRIVAL_COLUMNS,
@@ -40,7 +41,9 @@ from betasched.policies import (
     OPEN_NEXT,
     POLICIES,
     Policy,
+    Regime,
     beta_threshold_decide,
+    classify_regime,
     label_flags,
 )
 from conftest import (
@@ -146,6 +149,23 @@ class TestSweepDriver:
         run_arrivals(small_config(replications=40))
         assert len(built) == 2
 
+    @pytest.mark.parametrize("command", [["sweep"], ["arrivals"], ["sweep", "--cr"]],
+                             ids=["sweep", "arrivals", "cr"])
+    def test_one_model_per_error_point(self, monkeypatch, capsys, command):
+        """The config builds each point's `PredictionModel` and every stage reads
+        it: the chunks, the closed forms and the rows of the 11-point default grid."""
+        built = []
+        init = PredictionModel.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PredictionModel, "__init__", counted)
+        assert main([*command, "--n", "3", "--reps", "2", "--jobs", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert built == [(F(1, 10), e0, e1) for e0, e1 in default_eps_grid()]
+
     def test_worker_processes_capped_at_cpu_count(self, monkeypatch, inline_pools):
         """A huge --jobs plans at most one chunk per CPU; no process is started."""
         monkeypatch.setattr(experiments, "SWEEP_MIN_REPS_PER_WORKER", 1)
@@ -160,12 +180,14 @@ class TestSweepDriver:
         assert experiments._chunks(1000, 100_000) == [(0, 1000)]
 
     def test_a_pool_task_does_not_grow_with_the_grid(self, monkeypatch, inline_pools):
-        """A task pickles its config with a grid of its own point only."""
+        """A task pickles its config with a grid of its own point only, and that
+        copy's own model, so the pickle holds the model once."""
         sizes = []
 
         def worker(*task):  # the inline pool hands the worker the submitted task
-            config, gi, e0, e1, start, stop = task
-            assert config.eps_pairs == ((e0, e1),)
+            config, gi, model, start, stop = task
+            (own,) = config.models
+            assert own is model
             sizes[-1].append(len(pickle.dumps(task)))
             return [[gi] * (stop - start)]
 
@@ -224,7 +246,7 @@ class TestSweepDriver:
 
         monkeypatch.setattr(experiments, "label_schedule_ticks", counted)
         config = small_config(n=20, replications=40, eps_pairs=((F(1, 10), F(1, 10)),))
-        args = (config, 0, F(1, 10), F(1, 10), 0, 40)
+        args = (config, 0, config.models[0], 0, 40)
         got = experiments._sweep_chunk(*args)
         assert len(priced) == 3 * 40
         assert set(priced) == {(False, False), (True, True), (True, False)}
@@ -255,6 +277,14 @@ class TestSweepDriver:
                             assert ends_urgent is False
                             empty += 1
         assert empty > 0
+
+    def test_one_replication_has_no_spread(self, capsys):
+        assert main(["sweep", "--n", "5", "--reps", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("#")]
+        stderr = rows[0].index("mc_stderr")
+        assert len(rows) == 1 + 11 * 4  # the columns, then opt and three policies per point
+        assert {row[stderr] for row in rows[1:]} == {"0"}
 
     def test_hybrid_at_small_error_beats_both(self):
         rows = run_sweep(small_config(n=20, replications=200))
@@ -307,8 +337,8 @@ class TestArrivalsDriver:
             "alpha-1/1024", "alpha-5/8-mixed-weights"])
     def test_ratios_equal_the_engine_path(self, config):
         """The kernels' ratios are float-equal to the engine's, replication by replication."""
-        for gi, (e0, e1) in enumerate(config.eps_pairs):
-            args = (config, gi, e0, e1, 0, config.replications)
+        for gi, model in enumerate(config.models):
+            args = (config, gi, model, 0, config.replications)
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
 
     def test_equal_release_times_equal_the_engine_path(self, monkeypatch):
@@ -319,8 +349,8 @@ class TestArrivalsDriver:
                               policies=tuple(POLICIES))
         zero_draws(monkeypatch, lambda k: k > 2 * config.n)
         seen = record_release_times(monkeypatch)
-        for gi, (e0, e1) in enumerate(config.eps_pairs):
-            args = (config, gi, e0, e1, 0, config.replications)
+        for gi, model in enumerate(config.models):
+            args = (config, gi, model, 0, config.replications)
             assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
         assert len(seen) == len(config.eps_pairs) * config.replications
         assert all(times == [0.0] * config.n for times in seen)
@@ -333,8 +363,8 @@ class TestArrivalsDriver:
         for n in (2, 10):
             config = replace(config, n=n)
             seen.clear()
-            for gi, (e0, e1) in enumerate(config.eps_pairs):
-                args = (config, gi, e0, e1, 0, config.replications)
+            for gi, model in enumerate(config.models):
+                args = (config, gi, model, 0, config.replications)
                 assert experiments._arrivals_chunk(*args) == engine_arrivals_chunk(*args)
             assert len(seen) == len(config.eps_pairs) * config.replications
             assert all(times[:2] == [0.0, 0.0] for times in seen)
@@ -369,7 +399,7 @@ class TestArrivalsDriver:
         monkeypatch.setattr(experiments, "label_release_ticks", counted)
         config = small_config(n=20, replications=40, eps_pairs=((F(1, 10), F(1, 10)),),
                               policies=("nonpreemptive", "preemptive", "hybrid", "beta"))
-        got = experiments._arrivals_chunk(config, 0, F(1, 10), F(1, 10), 0, 40)
+        got = experiments._arrivals_chunk(config, 0, config.models[0], 0, 40)
         assert len(priced) == 3 * 40
         assert set(priced) == {(False, False), (True, True), (True, False)}
         assert got[3] == got[2]
@@ -381,8 +411,8 @@ class TestArrivalsDriver:
 
         monkeypatch.setitem(POLICIES, "beta-wrapped", Policy("beta-wrapped", wrapped))
         config = small_config(n=20, replications=150, policies=("beta-wrapped", "beta"))
-        for gi, (e0, e1) in enumerate(config.eps_pairs):
-            args = (config, gi, e0, e1, 0, config.replications)
+        for gi, model in enumerate(config.models):
+            args = (config, gi, model, 0, config.replications)
             got = experiments._arrivals_chunk(*args)
             assert got == engine_arrivals_chunk(*args)
             assert got[0] == got[1]
@@ -567,6 +597,29 @@ class TestVerifySuites:
     def test_regimes_suite_clean(self):
         assert verify_regimes(samples=60, seed=3) == []
 
+    def test_regimes_suite_catches_a_wrong_regime(self, monkeypatch, capsys):
+        """Each failure names the regime and dumps an instance that reads back."""
+        def wrong(model, params):  # the next regime after the true one
+            regimes = list(Regime)
+            return regimes[(regimes.index(classify_regime(model, params)) + 1) % 3]
+
+        monkeypatch.setattr(experiments, "classify_regime", wrong)
+        failures = verify_regimes(samples=40, seed=3)
+        assert failures
+        for line in failures:
+            head, dump = line.split(" on:\n")
+            regime = head.removeprefix("regime ").split(":")[0]
+            assert head == (f"regime {regime}: threshold-rule trace differs from {regime}")
+            inst = load_instance(dump)
+            assert dump_instance(inst) == dump
+            assert wrong(inst.model, inst.params).value == regime
+            assert run(inst, POLICIES["beta"]).trace != run(inst, POLICIES[regime]).trace
+        rc = main(["verify", "--n-max", "1", "--instances", "1", "--samples", "40", "--seed", "3"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert out[:2] == ["PASS optimality", "PASS wsrpt"]
+        assert out[2] == f"FAIL regimes: {len(failures)} failing case(s)"
+
 
 class TestCliCommands:
     def test_sweep_csv_roundtrip(self, tmp_path, capsys):
@@ -658,6 +711,8 @@ class TestCliCommands:
         ["sweep", "--reps", "3", "--w0", "1e200"],
         # w0 and w1 1e-300 apart: the worst urgent fraction's r + r^2 overflows
         ["sweep", "--cr", "--alpha", "1e-300", "--w0", "1", "--w1", "0." + "9" * 300],
+        # w0 and w1 1e-200 apart: the hybrid's lambda is 3.2e198
+        ["sweep", "--cr", "--w0", "1", "--w1", "0." + "9" * 200],
     ])
     def test_huge_weights_that_fit_still_run(self, capsys, argv):
         assert main(argv + ["--eps-grid", "0.1"]) == 0
@@ -677,8 +732,8 @@ class TestCliCommands:
         assert main(["sweep", "--reps", "3", "--w0", w0, "--eps-grid", "0.1"]) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        (config, (_, e0, e1, _, _), costs), = chunks
-        opt = float(expected_unconditional(config.n, config.model_for(e0, e1), config.params).opt)
+        (config, (_, model, _, _), costs), = chunks
+        opt = float(expected_unconditional(config.n, model, config.params).opt)
         rows = [line.split(",") for line in out.splitlines()
                 if line and not line.startswith(("#", "eps0,"))]
         assert [r[2] for r in rows] == ["opt", *config.policies]
@@ -725,11 +780,12 @@ class TestCliCommands:
         assert out == ""
 
     @pytest.mark.parametrize("grid, message", [
-        # refused before a point is built: the grid reaches 1 at its second point
-        (["--eps-grid", "0:400000:1"], "error rates must lie in [0, 1/2], got 1 in grid"),
-        (["--eps-grid=-0.1:0.5:0.1"], "error rates must lie in [0, 1/2], got -1/10 in grid"),
-        (["--eps0-grid", "0:0.6:0.05", "--eps1-grid", "0:0.1:0.01"],
-         "error rates must lie in [0, 1/2], got 11/20 in grid '0:0.6:0.05'"),
+        # 400 001 points: refused by its count before a point is built
+        (["--eps-grid", "0:400000:1"], "grid '0:400000:1' has more than 10000 points"),
+        # the first point outside [0, 1/2], refused by its model as the config is built
+        (["--eps-grid=-0.1:0.5:0.1"], "eps0 must lie in [0, 1/2], got -1/10"),
+        (["--eps0-grid", "0:0.6:0.05", "--eps1-grid", "0:0.12:0.01"],
+         "eps0 must lie in [0, 1/2], got 11/20"),
         (["--eps-grid", "0:0.5"], "grid '0:0.5' must be a,b,c or start:stop:step"),
         (["--eps-grid", "0:0.5:0.1:0.1"], "grid '0:0.5:0.1:0.1' must be a,b,c or start:stop:step"),
         (["--eps-grid", "1/0"], "zero denominator in '1/0'"),
@@ -798,6 +854,20 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert (rc, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--eps-grid", "0:0.5:0"], "grid step must be positive"),
+        (["sweep", "--eps0-grid", "0,0.1"], "--eps0-grid and --eps1-grid must be given together"),
+        (["sweep", "--n", "0"], "n must be at least 1"),
+        (["arrivals", "--interarrival", "0"], "mean interarrival must be positive"),
+        (["arrivals", "--interarrival", "-1"], "mean interarrival must be positive"),
+        (["sweep", "--jobs", "0"], "jobs must be at least 1"),
+    ], ids=["zero-step", "eps0-grid-alone", "no-jobs", "zero-interarrival",
+            "negative-interarrival", "no-workers"])
+    def test_refusal_message_is_exact(self, capsys, argv, message):
+        rc = main(argv + ["--reps", "1"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
     def test_grid_stop_past_half_without_a_point_there_runs(self, capsys):
         rc = main(["sweep", "--n", "3", "--reps", "5", "--eps-grid", "0:0.55:0.25"])
         out, err = capsys.readouterr()
@@ -814,6 +884,22 @@ class TestCliCommands:
         out2 = tmp_path / "o2.csv"
         main(["sweep", "--config", str(cfg), "--n", "6", "--out", str(out2)])
         assert "# n=6" in out2.read_text()
+
+    def test_config_line_without_a_value_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=3\nbogus\n")
+        rc = main(["sweep", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", "error: bad config line 'bogus'\n")
+
+    def test_config_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("# a comment-only line\n\nn=3  # jobs per instance\nreps=2\n"
+                       "eps-grid=0.1\npolicy=beta\n")
+        rc = main(["sweep", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        assert "# n=3\n# replications=2\n" in out
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -911,6 +997,31 @@ class TestCliCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, row, message", [
+        ("weird", "1,0,0,0", "unknown mode 'weird'"),
+        ("binary", "1,0,0,0", "binary instance file needs rho/eps0/eps1 in the header"),
+        ("probabilistic", "1,0,1/2", "bad job row '1,0,1/2'"),
+    ], ids=["unknown-mode", "binary-without-channel", "three-fields"])
+    def test_bad_instance_file_message_is_exact(self, tmp_path, capsys, mode, row, message):
+        path = tmp_path / "inst.txt"
+        path.write_text(f"# alpha=2/5\n# w0=20\n# w1=1\n# mode={mode}\n{row}\n")
+        rc = main(["run-one", str(path)])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_blank_line_between_instance_rows_is_skipped(self, tmp_path, capsys, base_params,
+                                                          base_model):
+        text = dump_instance(sample_instance(4, base_model, base_params, seed=2))
+        plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+        plain.write_text(text)
+        lines = text.splitlines()
+        spaced.write_text("\n".join(lines[:-2] + ["", "   "] + lines[-2:]) + "\n")
+        assert main(["run-one", str(plain)]) == 0
+        want = capsys.readouterr().out
+        assert main(["run-one", str(spaced)]) == 0
+        assert capsys.readouterr() == (want, "")
+        assert "total_cost," in want
+
     @pytest.mark.parametrize("header, row, text", [
         ("alpha=2/5", "1,0,1/0,0", "1/0"),  # p_hat
         ("alpha=2/5", "1,0,1/2,3/0", "3/0"),  # release time
@@ -955,7 +1066,7 @@ class TestConfigValidation:
         """The grid refuses a count past the limit before its worker ever runs."""
         calls = []
 
-        def worker(config, gi, e0, e1, start, stop):
+        def worker(config, gi, model, start, stop):
             calls.append((start, stop))
             return [[]]
 

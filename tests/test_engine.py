@@ -168,6 +168,14 @@ class TestRunBasics:
             run(inst, bad)
         assert "job 99" in str(err.value)
 
+    def test_opening_with_only_interrupted_work_left(self, base_params, base_model):
+        # job 2 is non-urgent, so at its alpha point only interrupted work is left
+        always_open = Policy("always-open", lambda s, p: OPEN_NEXT)
+        inst = Instance([Job(1, 1, 1), Job(2, 1, 0)], base_params, base_model)
+        with pytest.raises(ContractViolationError) as err:
+            run(inst, always_open)
+        assert str(err.value) == "policy always-open opened with an empty queue at t=4/5"
+
     def test_unhashable_answer_is_a_contract_error(self, base_params, base_model):
         inst = Instance([Job(1, 1, 1), Job(2, 1, 1)], base_params, base_model)
         bad = Policy("listy", lambda s, p: [1] if s.n_interrupted else OPEN_NEXT)

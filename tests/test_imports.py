@@ -84,7 +84,8 @@ def test_a_one_worker_sweep_never_imports_the_process_pool(tmp_path):
     (["--alpha", "3/2"], "alpha must lie strictly in (0,1), got 3/2"),
     (["--w0", "1", "--w1", "1"], "weights must satisfy w0 > w1 > 0, got w0=1, w1=1"),
     (["--eps-grid", "0,0.6"], "eps0 must lie in [0, 1/2], got 3/5"),
-], ids=["rho", "alpha", "weights", "rate"])
+    (["--eps-grid", "0:0.6:0.05"], "eps0 must lie in [0, 1/2], got 11/20"),
+], ids=["rho", "alpha", "weights", "rate", "range-grid"])
 def test_a_bad_channel_is_refused_before_any_pool_starts(channel, message):
     # enough replications for two workers: the config must refuse the channel first
     proc = probe_pool("sweep", "--jobs", "2", "--reps", "100000", "--n", "5",
