@@ -212,9 +212,11 @@ def _worst_case_ratios(model: PredictionModel, params: Parameters,
             value = 1.0 + an / (2 * ld) + t / (2 * (1.0 + s))
         else:
             value = (2 * ld + an - ln) / (2 * ld) + math.sqrt(rn / (w1 * gap * ld * ld)) / 2
+        # sqrt(w0/w1) - 1 cancels as w1 nears w0, while lambda grows like 1/(w0 - w1)
+        root_less_1 = gap / w1 / (root_ratio + 1.0) if w0 < 4 * w1 else root_ratio - 1.0
         bound = (
             1.0
-            + ln / (2 * ld) * (root_ratio - 1.0)
+            + ln / (2 * ld) * root_less_1
             + an / (2 * ld) * (1.0 + math.sqrt(w0 / gap))
         )
         dn = ln * gap - w1 * an  # lambda - (w1/(w0-w1))*alpha*eps1^2 = dn/(ld*gap)

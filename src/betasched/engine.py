@@ -192,10 +192,11 @@ def run(
             trace.append(TraceEvent(Fraction(t, den), "complete", target, tt))
         done += 1
 
+    wden, w0, w1 = params.weight_grid
     return RunOutcome(
         completion_ticks=comp_ticks,
         den=den,
-        total_cost=(params.w0 * s0 + params.w1 * s1) / den,
+        total_cost=Fraction(w0 * s0 + w1 * s1, wden * den),
         trace=tuple(trace) if trace is not None else None,
         preemption_count=preemptions,
     )
@@ -461,8 +462,8 @@ def offline_wspt(instance: Instance, keep_trace: bool = True) -> RunOutcome:
             tt = true_of[jid]
             trace.append(TraceEvent(Fraction(pos - 1), "open", jid, tt))
             trace.append(TraceEvent(Fraction(pos), "complete", jid, tt))
-    params = instance.params
-    total = params.w0 * s0 + params.w1 * s1
+    wden, w0, w1 = instance.params.weight_grid
+    total = Fraction(w0 * s0 + w1 * s1, wden)
     return RunOutcome(comp, 1, total, tuple(trace) if trace is not None else None, 0)
 
 

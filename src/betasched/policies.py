@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import exp, log, sqrt
+from math import exp, inf, log, sqrt
 from random import LOG4, SG_MAGICCONST
 from typing import Callable, Optional
 
@@ -78,28 +78,29 @@ class InterruptedQueue:
 
     An ordered map of job_id -> theta keeps the jobs in the order they were
     added (each at most once), so `add`, `remove` and `first_id` are O(1).
-    For `argmax_theta` a heap of `theta_key` entries is built by the first
-    read that finds it empty; while it is non-empty `add` pushes and
-    `remove` pops the tops whose job has left, so the top is always queued.
-    Under exact revelation every theta is 0 and the top is the FIFO head;
-    under posterior revelation each theta is the float of its Beta draw.
+    The first `argmax_theta` builds a heap of `theta_key` entries from the
+    FIFO and sets `_keyed`; from then on `add` pushes, even once the queue
+    drains, and `remove` pops the tops whose job has left, so the top is
+    always queued (a rule that never reads theta builds no heap). Under
+    exact revelation every theta is 0 and the top is the FIFO head; under
+    posterior revelation each theta is the float of its Beta draw.
     """
 
-    __slots__ = ("_fifo", "_seq", "_heap")
+    __slots__ = ("_fifo", "_seq", "_heap", "_keyed")
 
     def __init__(self, entries: list):
         # (job_id, theta) pairs in FIFO order; the heap is built on the first read
         self._fifo = OrderedDict(entries)
         self._heap = []
         self._seq = 0  # the FIFO place of the next key pushed
+        self._keyed = False  # whether the heap holds every queued job
 
     def __len__(self) -> int:
         return len(self._fifo)
 
     def add(self, job_id: int, theta) -> None:
-        heap = self._heap
-        if heap:
-            heappush(heap, theta_key(theta, self._seq, job_id))
+        if self._keyed:
+            heappush(self._heap, theta_key(theta, self._seq, job_id))
             self._seq += 1
         self._fifo[job_id] = theta
 
@@ -125,12 +126,13 @@ class InterruptedQueue:
     def argmax_theta(self):
         """(job_id, theta) with the largest theta; FIFO order breaks ties."""
         heap = self._heap
-        if not heap:
+        if not self._keyed:
             fifo = self._fifo
             heap.extend(theta_key(theta, seq, job_id)
                         for seq, (job_id, theta) in enumerate(fifo.items()))
             heapify(heap)
             self._seq = len(fifo)
+            self._keyed = True
         top = heap[0]
         return top[3], top[4]
 
@@ -238,32 +240,40 @@ def modified_beta_decide(state: PolicyState, params: Parameters) -> Optional[int
     next job is opened iff its prior probability exceeds
     tau = beta + K * theta/(1-theta), with K = (alpha/(1-alpha)) * (w0/(w0-w1))
     (`Parameters.theta_slope`); otherwise the job attaining theta is completed
-    (FIFO among ties). theta = 1 forces that completion outright. With every
+    (FIFO among ties). theta >= 1 forces that completion outright. With every
     theta equal to 0 this reduces to the plain beta threshold rule.
 
-    theta comes from the interrupted queue's heap in O(1), beta and K are
-    stored on `params` as integer pairs, and the comparison is integer-only:
-    theta (a float under posterior reveal) and the head p_hat are read
-    through `as_integer_ratio()`, so a decision costs no rational arithmetic.
+    theta comes from the interrupted queue's heap in O(1), beta and K from
+    `params` as integer pairs. Solved for theta the rule is theta < x/y, x and
+    y ints: theta's float is compared with x/y's, and only equal floats read
+    theta through `as_integer_ratio()` for the exact test, all without rationals.
     """
     if not state.n_interrupted:
         if not state.n_unopened:
             raise _no_action(state)
         return OPEN_NEXT
     job_id, theta = state.interrupted.argmax_theta()
-    g, h = theta.as_integer_ratio()
-    if not state.n_unopened or g >= h:  # nothing to open, or theta >= 1
+    if not state.n_unopened:
         return job_id
-    # With p = a/b, beta = c/d, K = e/f and theta = g/h (all denominators
-    # positive):  p > beta + K*theta/(1-theta)
-    #   <=>  (a*d - c*b)/(b*d) > e*g/(f*(h-g))
-    #   <=>  (a*d - c*b)*f*(h-g) > e*g*b*d,   as b*d > 0 and f*(h-g) > 0 for theta < 1.
+    # With p = a/b, beta = c/d, K = e/f (denominators positive), x = (a*d - c*b)*f
+    # and y = x + e*b*d = b*d*f*(p - beta + K) > 0 as K > beta: for theta < 1,
+    # p > beta + K*theta/(1-theta) <=> theta < x/y, and x/y < 1 <= any other theta.
     a, b = state.unopened.head_priority().as_integer_ratio()
     c, d = params.beta_pair
     e, f = params.slope_pair
-    if (a * d - c * b) * f * (h - g) > e * g * b * d:
+    x = (a * d - c * b) * f
+    y = x + e * b * d
+    try:
+        bar = x / y  # correctly rounded, like float(theta): both monotone
+    except OverflowError:  # x/y below -2**1024, where w0 and w1 nearly meet
+        bar = -inf
+    t = float(theta)
+    if t < bar:
         return OPEN_NEXT
-    return job_id
+    if t > bar:
+        return job_id
+    g, h = theta.as_integer_ratio()  # equal floats; a nan theta raises here
+    return OPEN_NEXT if g * y < x * h else job_id
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from operator import not_
 from typing import NamedTuple, Optional
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from betasched.analytics import (
     CompetitiveRatioReport,
@@ -38,6 +38,10 @@ from betasched.policies import (
 )
 
 ONE = Fraction(1)
+
+# `python tests/mutants.py` runs its named tests under this profile: a property
+# test there catches a mutant through its explicit `@example`s alone
+settings.register_profile("explicit", phases=[Phase.explicit])
 
 
 @pytest.fixture
@@ -479,6 +483,33 @@ def scan_modified_beta_decide(state, params):
 SCAN_MODIFIED_BETA = Policy("modified-beta-scan", scan_modified_beta_decide)
 
 
+def integer_modified_beta_decide(state, params):
+    """The modified-beta rule as one integer test on theta's integer ratio.
+
+    The body `modified_beta_decide` had before its float comparison; an
+    oracle only. It reads theta from the queue's heap, like the rule.
+    """
+    if not state.n_interrupted:
+        if not state.n_unopened:
+            raise TerminalStateError(f"no legal action at t={state.clock}")
+        return OPEN_NEXT
+    job_id, theta = state.interrupted.argmax_theta()
+    g, h = theta.as_integer_ratio()
+    if not state.n_unopened or g >= h:  # nothing to open, or theta >= 1
+        return job_id
+    # p = a/b > beta + K*theta/(1-theta), beta = c/d, K = e/f, theta = g/h
+    #   <=>  (a*d - c*b)*f*(h-g) > e*g*b*d,   as b*d > 0 and f*(h-g) > 0
+    a, b = state.unopened.head_priority().as_integer_ratio()
+    c, d = params.beta_pair
+    e, f = params.slope_pair
+    if (a * d - c * b) * f * (h - g) > e * g * b * d:
+        return OPEN_NEXT
+    return job_id
+
+
+INTEGER_MODIFIED_BETA = Policy("modified-beta-integer", integer_modified_beta_decide)
+
+
 def probe_label_1_decide(state, params):
     """Probes only the predicted non-urgent class: label flags (False, True).
 
@@ -785,9 +816,12 @@ def fraction_cr_hybrid(model, params):
         value = 1.0 + float(a / 2) + float(t) / (2 * (1.0 + s))
     else:
         value = float(ONE + (a - lam) / 2) + math.sqrt(float(radicand)) / 2
+    # sqrt(w0/w1) - 1 without cancelling where w0 < 4*w1, as the package takes it
+    root_less_1 = (float((w0 - w1) / w1) / (math.sqrt(w0 / w1) + 1.0) if w0 < 4 * w1
+                   else math.sqrt(w0 / w1) - 1.0)
     bound = (
         1.0
-        + float(lam / 2) * (math.sqrt(w0 / w1) - 1.0)
+        + float(lam / 2) * root_less_1
         + float(a / 2) * (1.0 + math.sqrt(w0 / (w0 - w1)))
     )
     r = w1 / (w0 - w1)
@@ -868,9 +902,11 @@ def split_cr_hybrid(model, params):
     else:
         value = ((2 * ld + an - ln) / (2 * ld)
                  + math.sqrt((w0 * gap * ln * ln + w0 * w1 * an * an) / (w1 * gap * ld * ld)) / 2)
+    root_less_1 = (gap / w1 / (math.sqrt(w0 / w1) + 1.0) if w0 < 4 * w1
+                   else math.sqrt(w0 / w1) - 1.0)
     bound = (
         1.0
-        + ln / (2 * ld) * (math.sqrt(w0 / w1) - 1.0)
+        + ln / (2 * ld) * root_less_1
         + an / (2 * ld) * (1.0 + math.sqrt(w0 / gap))
     )
     dn = ln * gap - w1 * an

@@ -17,9 +17,11 @@ longer than `RUN_TIMEOUT` seconds is stopped and fails its tests too: a
 mutant that makes a test loop forever is reported as timed out, and the gate
 goes on; on the unedited copy a timeout fails the gate. An entry whose old
 text is gone, or no longer unique, fails too, so the list cannot rot
-silently. Hypothesis runs with a fixed seed, so a run is repeatable; it also
-seeds its search from literals in `src/`, so a property test catches a
-mutant for sure only through an explicit example. The exit code is 1 if anything failed.
+silently. Hypothesis runs under the `explicit` profile of `tests/conftest.py`,
+which runs only the explicit `@example`s: its search is seeded from literals
+in `src/`, so a generated example would catch a mutant by chance, and a
+failing one would spend the run shrinking. A property test named here must
+catch its mutant through an explicit example. The exit code is 1 if anything failed.
 Standard library only.
 """
 
@@ -294,11 +296,30 @@ MUTANTS = (
     Mutant(
         "add pushes no entry onto a built theta heap",
         "policies.py",
-        "            heappush(heap, theta_key(theta, self._seq, job_id))\n",
+        "            heappush(self._heap, theta_key(theta, self._seq, job_id))\n",
         "",
         ("tests/test_policies.py::TestInterruptedQueueOps::"
          "test_matches_a_plain_list[posterior-reveal]",
          "tests/test_engine.py::TestThetaHeapDifferential::test_p_hat_grid"),
+    ),
+    # the heap is keyed once per run: from the FIFO at the first read, and by
+    # pushes after it, even once the queue drains
+    Mutant(
+        "the theta heap keyed from the start, missing the initial entries",
+        "policies.py",
+        "        self._keyed = False  #",
+        "        self._keyed = True  #",
+        ("tests/test_policies.py::TestInterruptedQueueOps::test_built_from_entries",
+         "tests/test_policies.py::TestInterruptedQueueArgmax::test_matches_a_fifo_scan"),
+    ),
+    Mutant(
+        "add pushes only onto a non-empty heap, so a drained queue is heapified again",
+        "policies.py",
+        "        if self._keyed:\n            heappush(",
+        "        if self._heap:\n            heappush(",
+        ("tests/test_policies.py::TestInterruptedQueueOps::test_keyed_once_per_run",
+         "tests/test_policies.py::TestInterruptedQueueOps::"
+         "test_matches_a_plain_list[posterior-reveal]"),
     ),
     Mutant(
         "the grid point limit refuses its own value",
@@ -361,14 +382,38 @@ MUTANTS = (
         (SAMPLER + "test_sample_is_the_float_draw",
          SAMPLER + "test_random_shapes_draw_the_stdlib_floats"),
     ),
+    # modified-beta's one float comparison, with the exact test at a float tie
     Mutant(
         "tau computed in floats",
         "policies.py",
-        "    if (a * d - c * b) * f * (h - g) > e * g * b * d:\n",
-        "    if a / b > c / d + e / f * g / (h - g):\n",
-        ("tests/test_policies.py::TestModifiedBeta::test_head_exactly_at_raised_threshold_completes",
-         "tests/test_policies.py::TestModifiedBeta::test_float_theta_is_read_exactly",
+        "        bar = x / y  #",
+        "        bar = (a / b - c / d) / (a / b - c / d + e / f)  #",
+        ("tests/test_policies.py::TestModifiedBeta::test_float_theta_is_read_exactly",
+         "tests/test_policies.py::TestModifiedBetaExactRule::test_equals_the_fraction_rule"),
+    ),
+    Mutant(
+        "a float tie decided without the exact test",
+        "policies.py",
+        "    if t > bar:\n",
+        "    if t >= bar:\n",
+        ("tests/test_policies.py::TestModifiedBeta::test_float_theta_is_read_exactly",
+         "tests/test_policies.py::TestModifiedBetaExactRule::test_equals_the_fraction_rule",
          "tests/test_engine.py::TestThetaHeapDifferential::test_threshold_boundaries"),
+    ),
+    # each cost is one Fraction on the weight grid
+    Mutant(
+        "run()'s cost without the weight grid's denominator",
+        "engine.py",
+        "total_cost=Fraction(w0 * s0 + w1 * s1, wden * den)",
+        "total_cost=Fraction(w0 * s0 + w1 * s1, den)",
+        ("tests/test_engine.py::TestLabelKernel::test_every_policy_matches_run",),
+    ),
+    Mutant(
+        "offline_wspt's cost without the weight grid's denominator",
+        "engine.py",
+        "Fraction(w0 * s0 + w1 * s1, wden)\n",
+        "Fraction(w0 * s0 + w1 * s1)\n",
+        ("tests/test_engine.py::TestLabelKernel::test_wspt_closed_form_matches_offline_wspt",),
     ),
     Mutant(
         "the old worst_q form, sqrt(r + m^2) - m",
@@ -619,6 +664,15 @@ MUTANTS = (
          CLOSE_WEIGHTS + "test_equals_the_decimal_value"),
     ),
     Mutant(
+        "the hybrid bound's sqrt(w0/w1) - 1 taken by subtraction at close weights",
+        "analytics.py",
+        "root_less_1 = gap / w1 / (root_ratio + 1.0) if w0 < 4 * w1 else root_ratio - 1.0",
+        "root_less_1 = root_ratio - 1.0",
+        ("tests/test_analytics.py::TestDecompositionBoundAtCloseWeights::test_weights_1e_16_apart",
+         "tests/test_analytics.py::TestDecompositionBoundAtCloseWeights::"
+         "test_equals_the_decimal_value"),
+    ),
+    Mutant(
         "gap for gap * gap in the hybrid's t",
         "analytics.py",
         "t = (gap * gap * ln * ln + w0 * w1 * an * an)",
@@ -653,7 +707,7 @@ def failed_tests(tree: Path, tests) -> tuple[int, list[str]]:
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *tests],
+             "--hypothesis-profile=explicit", *tests],
             cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT,
         )
     except subprocess.TimeoutExpired:

@@ -699,6 +699,55 @@ class TestHybridAtCloseWeights:
         assert got == pytest.approx(decimal_cr_hybrid(model, params), rel=1e-15, abs=0)
 
 
+def decimal_decomposition_bound(model, params):
+    """1 + (lambda/2)*(sqrt(w0/w1) - 1) + (alpha*eps1^2/2)*(1 + sqrt(w0/(w0 - w1))),
+    in 400-digit decimal arithmetic from the exact Fractions."""
+    lam = fraction_hybrid_mix_coefficient(model, params)
+    a = params.alpha * model.eps1 ** 2
+    w0, w1 = params.w0, params.w1
+    with localcontext() as ctx:
+        ctx.prec = 400
+        dec = lambda x: Decimal(x.numerator) / Decimal(x.denominator)
+        return float(1 + dec(lam) / 2 * (dec(w0 / w1).sqrt() - 1)
+                     + dec(a) / 2 * (1 + dec(w0 / (w0 - w1)).sqrt()))
+
+
+class TestDecompositionBoundAtCloseWeights:
+    """sqrt(w0/w1) - 1 cancels as w1 nears w0 while lambda grows like
+    1/(w0 - w1): the bound takes it as (w0 - w1)/w1 / (sqrt(w0/w1) + 1) there."""
+
+    def test_weights_1e_16_apart(self):
+        # the cancelling form gave 200001.002, off by 4e-8 relative
+        model = PredictionModel(F(1, 10), F(1, 10), F(1, 10))
+        params = Parameters(F(2, 5), 1, 1 - F(1, 10**16))
+        exact = decimal_decomposition_bound(model, params)
+        assert exact == pytest.approx(200001.010, rel=1e-9, abs=0)
+        assert cr_hybrid(model, params).decomposition_bound == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @settings(max_examples=300)
+    @given(alpha=st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+           w1=WIDE_FRACTION,
+           # (w0 - w1)/w1, from 10 down to 1e-300
+           spread=st.builds(lambda m, k: m / 10**k, st.fractions(1, 10, max_denominator=10**3),
+                            st.integers(0, 300)),
+           rho=st.fractions(0, 1, max_denominator=10**6).filter(lambda r: 0 < r < 1),
+           e0=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6),
+                        st.sampled_from([0, F(1, 2)])),
+           e1=st.one_of(st.fractions(0, F(1, 2), max_denominator=10**6),
+                        st.sampled_from([0, F(1, 2)])))
+    # w0 = 1 and w1 = 1 - 1e-16, where the cancelling form was off by 4e-8
+    @example(alpha=F(2, 5), w1=1 - F(1, 10**16), spread=F(1, 10**16 - 1), rho=F(1, 10),
+             e0=F(1, 10), e1=F(1, 10))
+    @example(alpha=F(2, 5), w1=1, spread=F(1, 10**200), rho=F(1, 10), e0=F(1, 10), e1=F(1, 10))
+    # w0 = 4*w1 exactly, where the two forms meet, and just below it
+    @example(alpha=F(2, 5), w1=1, spread=F(3), rho=F(1, 10), e0=F(1, 10), e1=F(1, 10))
+    @example(alpha=F(2, 5), w1=1, spread=F(3) - F(1, 10**6), rho=F(1, 10), e0=F(1, 10), e1=F(1, 10))
+    def test_equals_the_decimal_value(self, alpha, w1, spread, rho, e0, e1):
+        model, params = PredictionModel(rho, e0, e1), Parameters(alpha, w1 * (1 + spread), w1)
+        got = cr_hybrid(model, params).decomposition_bound
+        assert got == pytest.approx(decimal_decomposition_bound(model, params), rel=1e-15, abs=0)
+
+
 class TestNonpreemptiveCap:
     @pytest.mark.parametrize("args, message", [
         ((1, 0, 0), "alpha must lie strictly in (0,1), got 1"),

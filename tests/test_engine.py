@@ -59,6 +59,7 @@ from betasched.policies import (
 )
 from conftest import (
     CHANNEL,
+    INTEGER_MODIFIED_BETA,
     LabelClass,
     SCAN_MODIFIED_BETA,
     drawn_channel,
@@ -1035,6 +1036,29 @@ class TestThetaHeapDifferential:
             )
             self.same_run(inst, TieRevelation(), rng.randrange(10 ** 6), oracle=oracle)
         assert seen["p_hat == tau"] > 0 and seen["p_hat <= beta"] > 0
+
+    def test_equals_the_integer_decide(self, base_params):
+        # the float comparison against the one integer test it replaced: the
+        # same run, the same draws, under both reveals and the tie stub
+        rng = random.Random(35)
+        channels = [base_params] + [
+            Parameters(F(rng.randint(1, 9), 10), rng.randint(2, 40), F(rng.randint(1, 3), 2))
+            for _ in range(6)]
+        modified_beta = get_policy("modified-beta")
+        for params in channels:
+            # p_hat anywhere in [0, 1], at its ends, and at beta where beta <= 1
+            pool = (min(params.beta(), F(1)), F(0), F(1))
+            for n in (1, 2, 9, 40, 200):
+                grid = p_hat_grid_instance(rng, n, params, releases=rng.random() < 0.3)
+                free = Instance(
+                    [make_job(j, rng.randint(0, 1), p_hat=rng.choice(
+                        (F(rng.randrange(10**6), 10**6),) + pool)) for j in range(1, n + 1)],
+                    params)
+                for inst in (grid, free):
+                    for revelation in self.REVELATIONS:
+                        seed = rng.randrange(10 ** 6)
+                        assert (run_record(inst, modified_beta, revelation, seed)
+                                == run_record(inst, INTEGER_MODIFIED_BETA, revelation, seed))
 
     def test_stale_heap_entries(self, base_params, base_model):
         # completing the FIFO head leaves its heap entry behind until it surfaces

@@ -1,9 +1,13 @@
+import math
+import os
 import random
 from fractions import Fraction
+from heapq import heapify
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from betasched.domain import Instance, Parameters, PredictionModel, make_job, sample_instance
 from betasched.engine import run
@@ -302,6 +306,109 @@ class TestModifiedBeta:
         assert modified_beta_decide(s, base_params) == 2
 
 
+# examples per run of the modified-beta property; CI sets many more
+DECIDE_EXAMPLES = int(os.environ.get("BETASCHED_DECIDE_EXAMPLES", "400"))
+BASE = Parameters(F(2, 5), 20, 1)  # beta = 2/57, K = 40/57; p = 22/57 puts the bar at 1/3
+THIRD_FLOAT = 1 / 3  # just below 1/3
+
+
+def exact_rule_opens(p, theta, params):
+    """p > beta + K*theta/(1 - theta) in Fractions; a theta >= 1 never opens."""
+    theta = F(theta)
+    return theta < 1 and p > params.beta() + params.theta_slope() * theta / (1 - theta)
+
+
+@st.composite
+def decide_cases(draw):
+    """(params, p, theta): a channel, a head p in [0, 1] and a theta near the head's bar.
+
+    The bar is x/y = (p - beta)/(p - beta + K), the theta below which the
+    rule opens. theta is a float, a Fraction sharing a float with the bar or
+    with a float theta, the bar's float and its two neighbours, or 0 and 1.
+    """
+    alpha = draw(st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1))
+    w1 = draw(st.fractions(F(1, 10**6), 10**6, max_denominator=10**6).filter(lambda w: w > 0))
+    # (w0 - w1)/w1 up to 20, and down to 1e-30, where beta and K grow past 1e29
+    spread = draw(st.one_of(
+        st.fractions(0, 20, max_denominator=10**3).filter(lambda g: g > 0),
+        st.builds(lambda m, k: m / 10**k, st.fractions(1, 10, max_denominator=10**3),
+                  st.integers(0, 30))))
+    params = Parameters(alpha, w1 * (1 + spread), w1)
+    beta, slope = params.beta(), params.theta_slope()
+    top = min(beta, F(1))
+    unit = st.fractions(0, 1, max_denominator=10**6)
+    p = draw(st.one_of(
+        st.fractions(0, 1, max_denominator=10**9),
+        st.sampled_from([F(0), F(1), top]),  # p = beta, where beta <= 1
+        unit.map(lambda u: top * u),  # p <= beta
+        unit.map(lambda u: top + (1 - top) * u),  # p >= beta
+    ))
+    bar = (p - beta) / (p - beta + slope)
+    f = float(bar)
+    tiny = F(1, 10**40)
+    theta = draw(st.one_of(
+        st.floats(0, 1),
+        st.floats(0, 1).flatmap(lambda t: st.sampled_from([F(t), F(t) + tiny, F(t) - tiny])),
+        st.sampled_from([f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf),
+                         bar, bar + tiny, bar - tiny, F(f)]),
+        st.sampled_from([0, 1, 0.0, 1.0, F(0), F(1)]),
+    ))
+    return params, p, theta
+
+
+class TestModifiedBetaExactRule:
+    """The float comparison with the bar decides as the exact Fraction rule."""
+
+    @settings(max_examples=DECIDE_EXAMPLES, deadline=None)
+    @given(case=decide_cases())
+    # the bar at 1/3: its float is just below it, so only the exact test tells
+    # 1/3 (a tie, which completes) from the float 1/3 (which opens)
+    @example(case=(BASE, F(22, 57), F(1, 3)))
+    @example(case=(BASE, F(22, 57), THIRD_FLOAT))
+    @example(case=(BASE, F(22, 57), F(THIRD_FLOAT) - F(1, 10**40)))
+    @example(case=(BASE, F(22, 57), F(1, 3) + F(1, 10**40)))
+    @example(case=(BASE, F(22, 57), math.nextafter(THIRD_FLOAT, 1)))
+    @example(case=(BASE, F(22, 57), math.nextafter(THIRD_FLOAT, 0)))
+    # p = 1/10 puts the bar at 37/437, whose float is just above it and
+    # completes; the bar taken from the floats of p, beta and K is one float higher
+    @example(case=(BASE, F(1, 10), 37 / 437))
+    # p = beta puts the bar at 0: theta 0 ties and completes
+    @example(case=(BASE, F(2, 57), 0))
+    @example(case=(BASE, F(2, 57), 0.0))
+    @example(case=(BASE, F(2, 57), 5e-324))
+    # p below beta: a negative bar, and theta 0 or a theta under the bar
+    @example(case=(BASE, F(1, 57), F(0)))
+    @example(case=(BASE, F(1, 57), -0.5))
+    # theta = 1 never opens, whatever the head, nor does the float below 1 at p = 1
+    @example(case=(BASE, F(0), F(1)))
+    @example(case=(BASE, F(1), 1.0))
+    @example(case=(BASE, F(1), math.nextafter(1.0, 0)))
+    def test_equals_the_fraction_rule(self, case):
+        params, p, theta = case
+        s = state(unopened=[(p, 1, 0)], interrupted=[(2, theta)])
+        want = OPEN_NEXT if exact_rule_opens(p, theta, params) else 2
+        assert modified_beta_decide(s, params) == want
+
+    def test_infinite_theta_completes(self):
+        # like any theta >= 1; as_integer_ratio() would raise OverflowError
+        s = state(unopened=[(F(1), 1, 0)], interrupted=[(2, math.inf)])
+        assert modified_beta_decide(s, BASE) == 2
+
+    def test_nan_theta_raises(self):
+        s = state(unopened=[(F(1), 1, 0)], interrupted=[(2, math.nan)])
+        with pytest.raises(ValueError):
+            modified_beta_decide(s, BASE)
+
+    def test_bar_below_the_float_range(self):
+        # weights 1e-400 apart: at p = 0 the bar -beta/(K - beta) = -w1/(w0 - w1)
+        # is past the float range, and every theta in [0, 1] completes
+        params = Parameters(F(2, 5), 1, 1 - F(1, 10**400))
+        for p, theta in product((F(0), F(1, 2), F(1)), (0, 0.0, F(1, 3), 1.0)):
+            s = state(unopened=[(p, 1, 0)], interrupted=[(2, theta)])
+            assert modified_beta_decide(s, params) == 2
+            assert not exact_rule_opens(p, theta, params)
+
+
 class TestInterruptedQueueArgmax:
     """A first read heapifies the entries; ties must resolve as a scan would."""
 
@@ -391,23 +498,50 @@ class TestInterruptedQueueOps:
                 else:  # a job never added, or completed already
                     assert queue.remove(rng.choice(gone + [next_id + 5])) is False
                 self.check(queue, fifo, exact)
-            # drain, then refill: the emptied heap is rebuilt by the next read
+            # drain, then refill: a keyed heap stays keyed, so each add pushes
+            # its entry at once, into the same list, and no read rebuilds it
             while fifo:
                 assert queue.remove(fifo.pop(0)[0]) is True
                 self.check(queue, fifo, exact)
-            assert heap == []
+            assert heap == [] and queue._heap is heap
+            keyed = queue._keyed  # False only if no read ever found a job
             for theta in (F(0),) * 4 if exact else (F(1, 2), F(1), F(0), F(1)):
                 queue.add(next_id, theta)
                 fifo.append((next_id, theta))
                 next_id += 1
+                assert len(heap) == (len(fifo) if keyed else 0)
                 self.check(queue, fifo, exact)
-            assert len(heap) == len(fifo)
+                keyed = True
+            assert len(heap) == len(fifo) and queue._heap is heap
 
     def test_built_from_entries(self):
         queue = InterruptedQueue([(5, F(1, 4)), (2, F(3, 4))])
         assert len(queue) == 2 and queue.argmax_theta() == (2, F(3, 4))
         assert queue.remove(2) and not queue.remove(2)
         assert list(queue.items()) == [(5, F(1, 4))] and queue.argmax_theta() == (5, F(1, 4))
+
+    def test_keyed_once_per_run(self, base_params, base_model):
+        # modified-beta reads theta at its first decision with a job set aside;
+        # the queue drains and refills often, and is heapified that once
+        inst = sample_instance(200, base_model, base_params, seed=3)
+        seen = []
+
+        def watch(rule):
+            def decide(s, params):
+                target = rule(s, params)
+                seen.append((s.interrupted._keyed, len(s.interrupted._heap)))
+                return target
+            return Policy(rule.__name__, decide)
+
+        with patch("betasched.policies.heapify", wraps=heapify) as spy:
+            run(inst, watch(modified_beta_decide), PosteriorRevelation(), rng=random.Random(1))
+        assert spy.call_count == 1
+        assert (False, 0) in seen and (True, 0) in seen  # drained while keyed
+        # a rule that never reads theta builds no heap
+        for rule in (nonpreemptive_decide, preemptive_decide, beta_threshold_decide, hybrid_decide):
+            seen.clear()
+            run(inst, watch(rule), PosteriorRevelation(), rng=random.Random(1))
+            assert set(seen) == {(False, 0)}
 
 
 class TestClassifyRegime:
