@@ -1,23 +1,37 @@
 """Experiment drivers: Monte Carlo sweeps, arrival studies, and oracle checks.
 
-Determinism contract: every replication draws from its own stream seeded by
-the string "<seed>:<grid-index>:<replication>" (SHA-512 seeding of the
-stdlib Mersenne Twister, stable across platforms and Python versions).
+Determinism contract: every replication draws from its own stream, the one
+`random.Random("<seed>:<grid-index>:<replication>")` gives (SHA-512 seeding
+of the stdlib Mersenne Twister, stable across platforms and Python
+versions). A chunk of replications reaches each stream by reseeding one
+generator with the integer that `Random.seed` derives from that string.
 Results are reduced in replication order, so outputs are byte-identical
 regardless of how replications are divided among worker processes.
 """
 
 from __future__ import annotations
 
+import _random
+import copy
 import math
 import os
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import log
 from typing import Optional
+
+# the builtin SHA-512 that `random` seeds with, and faster per call: hashlib's
+# loads OpenSSL, about 3 ms and 3.6 MiB at import on CPython 3.11
+try:
+    from _sha2 import sha512  # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha512 import sha512  # CPython 3.10 and 3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha512
 
 from .analytics import competitive_ratio, expected_unconditional
 from .domain import (
@@ -132,14 +146,21 @@ def default_eps_grid() -> tuple[tuple[Fraction, Fraction], ...]:
 # Replication sampling
 # ---------------------------------------------------------------------------
 
-def _rep_rng(seed: int, grid_index: int, rep: int) -> random.Random:
-    return random.Random(f"{seed}:{grid_index}:{rep}")
-
-
-def _draw_classes(rng: random.Random, n: int, rho: float, e0: float, e1: float):
-    """(size, urgent, urgent_positions, ends_urgent) of label classes 0 and 1,
-    counted as each job draws its type, then its label flip: no per-class list."""
+def _rep_streams(seed: int, grid_index: int, start: int, stop: int):
+    """The bound `random` of one kept generator, reseeded for each replication in
+    [start, stop) with the integer `Random.seed` derives from "<seed>:<grid-index>:<rep>"
+    (its bytes, then their SHA-512, big-endian): `getstate()` is the string-seeded one's."""
+    rng = random.Random()
     rand = rng.random
+    for rep in range(start, stop):
+        key = f"{seed}:{grid_index}:{rep}".encode()
+        _random.Random.seed(rng, int.from_bytes(key + sha512(key).digest(), "big"))
+        yield rand
+
+
+def _draw_classes(rand, n: int, rho: float, e0: float, e1: float):
+    """(size, urgent, urgent_positions, ends_urgent) of label classes 0 and 1, counted
+    as each job draws (`rand`) its type, then its label flip: no per-class list."""
     m0 = u0 = p0 = u1 = p1 = 0  # the jobs drawn so far: m0 labelled 0, j - m0 labelled 1
     last0 = last1 = -1  # place of each class's last urgent job
     for j in range(1, n + 1):
@@ -158,14 +179,15 @@ def _draw_classes(rng: random.Random, n: int, rho: float, e0: float, e1: float):
     return (m0, u0, p0, last0 == m0), (n - m0, u1, p1, last1 == n - m0)
 
 
-def _flag_columns(config: ExperimentConfig,
-                  model: PredictionModel) -> dict[tuple[bool, bool], list[int]]:
-    """Each distinct `label_flags` pair of `config.policies`, with the indices
-    of the policies that have it, so a kernel prices each pair once."""
-    columns: dict[tuple[bool, bool], list[int]] = {}
-    for pi, name in enumerate(config.policies):
-        columns.setdefault(label_flags(get_policy(name), model, config.params), []).append(pi)
-    return columns
+def _flag_columns(config: ExperimentConfig, model: PredictionModel,
+                  columns: list[list[float]]) -> list[tuple[tuple[bool, bool], list[list[float]]]]:
+    """Each distinct `label_flags` pair of `config.policies`, with the output
+    columns (`columns`, in policy order) of the policies that have it, so a
+    kernel prices each pair once and fills its columns straight."""
+    by_flags: dict[tuple[bool, bool], list[list[float]]] = {}
+    for name, column in zip(config.policies, columns, strict=True):
+        by_flags.setdefault(label_flags(get_policy(name), model, config.params), []).append(column)
+    return list(by_flags.items())
 
 
 def _sweep_chunk(config: ExperimentConfig, grid_index: int, model: PredictionModel,
@@ -177,24 +199,23 @@ def _sweep_chunk(config: ExperimentConfig, grid_index: int, model: PredictionMod
     and `label_schedule_ticks` runs once per distinct flag pair.
     """
     params = config.params
-    columns = _flag_columns(config, model)
     alpha_ticks, den = params.alpha_pair
     wden, w0, w1 = params.weight_grid  # cost = (w0*s0 + w1*s1) / (wden*den) exactly
+    cost_den = wden * den
     rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     n = config.n
-    out = [[0.0] * (stop - start) for _ in range(len(config.policies) + 1)]
-    for rep in range(start, stop):
-        rng = _rep_rng(config.seed, grid_index, rep)
-        classes = _draw_classes(rng, n, rho_f, e0f, e1f)
-        k = rep - start
+    opt, *out = [[0.0] * (stop - start) for _ in range(len(config.policies) + 1)]
+    pricing = _flag_columns(config, model, out)
+    for k, rand in enumerate(_rep_streams(config.seed, grid_index, start, stop)):
+        classes = _draw_classes(rand, n, rho_f, e0f, e1f)
         s0, s1 = wspt_ticks(n, classes[0][1] + classes[1][1])
-        out[0][k] = (w0 * s0 + w1 * s1) / wden
-        for flags, cols in columns.items():
+        opt[k] = (w0 * s0 + w1 * s1) / wden
+        for flags, columns in pricing:
             s0, s1 = label_schedule_ticks(classes, flags, alpha_ticks, den)
-            cost = (w0 * s0 + w1 * s1) / (wden * den)
-            for pi in cols:
-                out[pi + 1][k] = cost
-    return out
+            cost = (w0 * s0 + w1 * s1) / cost_den
+            for column in columns:
+                column[k] = cost
+    return [opt, *out]
 
 
 def _release_ticks(times: list[float], alpha_den: int) -> tuple[list[int], int]:
@@ -252,16 +273,14 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, model: Prediction
     like the float of the Fraction ratio.
     """
     params = config.params
-    columns = _flag_columns(config, model)
     alpha_num, alpha_den = params.alpha_pair
     _, w0, w1 = params.weight_grid
     rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     lam = 1.0 / float(config.interarrival)
     n = config.n
     out = [[0.0] * (stop - start) for _ in config.policies]
-    for rep in range(start, stop):
-        rng = _rep_rng(config.seed, grid_index, rep)
-        rand = rng.random
+    pricing = _flag_columns(config, model, out)
+    for k, rand in enumerate(_rep_streams(config.seed, grid_index, start, stop)):
         types = []
         labels = []  # True: labelled 1
         for _ in range(n):
@@ -279,12 +298,11 @@ def _arrivals_chunk(config: ExperimentConfig, grid_index: int, model: Prediction
         classes, urgent, non_urgent = release_lists(ticks, types, labels, den)
         o0, o1 = wsrpt_release_ticks(urgent, non_urgent, w0, w1, den)
         opt = w0 * o0 + w1 * o1
-        k = rep - start
-        for flags, cols in columns.items():
+        for flags, columns in pricing:
             s0, s1 = label_release_ticks(classes, flags, alpha_ticks, den)
             ratio = (w0 * s0 + w1 * s1) / opt
-            for pi in cols:
-                out[pi][k] = ratio
+            for column in columns:
+                column[k] = ratio
     return out
 
 
@@ -317,7 +335,7 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
     at least `min_reps_per_worker` replications. Every (grid point, span)
     chunk is planned up front; with more than one span they all go to a
     single process pool. A pool task pickles its config, so each point's
-    tasks carry a copy whose grid is that point alone, and that copy's model:
+    tasks carry a copy whose grid is that point alone, with its built model:
     a task's size does not grow with the grid. Chunks are reduced in grid and
     replication order, so the split never shows in the output. A replication
     count past `REPLICATION_LIMIT` is refused before any chunk is planned.
@@ -332,8 +350,11 @@ def _run_grid(worker, config: ExperimentConfig, min_reps_per_worker: int):
         for gi, model in enumerate(config.models):
             yield worker(config, gi, model, *spans[0])
         return
-    copies = (replace(config, eps_pairs=(pair,)) for pair in config.eps_pairs)
-    plan = [(one, gi, one.models[0]) for gi, one in enumerate(copies)]
+    plan = []
+    for gi, model in enumerate(config.models):  # not replace(): it would build the model again
+        one = copy.copy(config)
+        vars(one).update(eps_pairs=config.eps_pairs[gi:gi + 1], models=(model,))
+        plan.append((one, gi, model))
     with _process_pool(len(spans)) as pool:
         pending = deque([pool.submit(worker, *point, s, e) for s, e in spans] for point in plan)
         while pending:  # popped, so a reduced point's results can be freed

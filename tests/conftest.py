@@ -26,7 +26,6 @@ from betasched.errors import (
     TerminalStateError,
     UnsupportedInputError,
 )
-from betasched.experiments import _rep_rng
 from betasched.policies import (
     OPEN_NEXT,
     InterruptedQueue,
@@ -385,14 +384,15 @@ def engine_sweep_chunk(config, grid_index, model, start, stop):
     """Batch sweep costs through the engine: one Instance and run() per schedule.
 
     The body `experiments._sweep_chunk` had before the label kernel replaced
-    it; same signature and output layout (opt first, one row per rep).
+    it; same signature and output layout (opt first, one row per rep). Each
+    replication draws from a new generator seeded by the documented string.
     """
     params = config.params
     policies = [get_policy(name) for name in config.policies]
     rho_f, e0f, e1f = float(config.rho), float(model.eps0), float(model.eps1)
     out = [[0.0] * (stop - start) for _ in range(len(policies) + 1)]
     for rep in range(start, stop):
-        rng = _rep_rng(config.seed, grid_index, rep)
+        rng = random.Random(f"{config.seed}:{grid_index}:{rep}")
         inst = Instance(draw_jobs(rng, config.n, rho_f, e0f, e1f), params, model)
         k = rep - start
         out[0][k] = float(offline_wspt(inst, keep_trace=False).total_cost)
@@ -405,7 +405,8 @@ def engine_arrivals_chunk(config, grid_index, model, start, stop):
     """Arrival ratios through the engine: one Instance, run() and offline_wsrpt per rep.
 
     The body `experiments._arrivals_chunk` had before the release-date
-    kernels replaced it; same signature and output layout.
+    kernels replaced it; same signature and output layout. Each replication
+    draws from a new generator seeded by the documented string.
     """
     params = config.params
     policies = [get_policy(name) for name in config.policies]
@@ -413,7 +414,7 @@ def engine_arrivals_chunk(config, grid_index, model, start, stop):
     mean = float(config.interarrival)
     out = [[0.0] * (stop - start) for _ in range(len(policies))]
     for rep in range(start, stop):
-        rng = _rep_rng(config.seed, grid_index, rep)
+        rng = random.Random(f"{config.seed}:{grid_index}:{rep}")
         base = draw_jobs(rng, config.n, rho_f, e0f, e1f)
         releases = draw_releases(rng, config.n, mean)
         jobs = [job._replace(release_time=r) for job, r in zip(base, releases)]

@@ -65,6 +65,13 @@ LIMITS = "tests/test_cli.py::TestConfigValidation::"
 ARRIVALS = "tests/test_cli.py::TestArrivalsDriver::"
 SAMPLER = "tests/test_engine.py::TestPosteriorRevelation::"
 CLOSE_WEIGHTS = "tests/test_analytics.py::TestHybridAtCloseWeights::"
+# the stream property, and the sweep and arrival drivers against the engine
+# path, whose generators are seeded by the string itself
+REP_STREAMS = (
+    "tests/test_cli.py::TestReplicationStreams::test_each_replication_is_the_string_seeded_stream",
+    "tests/test_cli.py::TestSweepDriver::test_rows_equal_the_engine_path",
+    ARRIVALS + "test_ratios_equal_the_engine_path",
+)
 REFUSAL = "        raise ContractViolationError(\"a policy may not change a label_flags probe's queue\")\n"
 
 MUTANTS = (
@@ -283,6 +290,35 @@ MUTANTS = (
         "t += -log(rand()) / lam",
         (ARRIVALS + "test_release_times_draw_like_expovariate",
          ARRIVALS + "test_ratios_equal_the_engine_path", GOLDEN + "[arrivals-csv]"),
+    ),
+    # each replication's stream: one kept generator, reseeded per replication
+    Mutant(
+        "the replication seed read little-endian",
+        "experiments.py",
+        'int.from_bytes(key + sha512(key).digest(), "big")',
+        'int.from_bytes(key + sha512(key).digest(), "little")',
+        REP_STREAMS,
+    ),
+    Mutant(
+        "the SHA-512 digest dropped from the replication seed",
+        "experiments.py",
+        "int.from_bytes(key + sha512(key).digest(),",
+        "int.from_bytes(key,",
+        REP_STREAMS,
+    ),
+    Mutant(
+        "only a chunk's first replication reseeded",
+        "experiments.py",
+        "        _random.Random.seed(rng, ",
+        "        if rep == start: _random.Random.seed(rng, ",
+        REP_STREAMS,
+    ),
+    Mutant(
+        "grid index and replication swapped in the seed string",
+        "experiments.py",
+        'key = f"{seed}:{grid_index}:{rep}".encode()',
+        'key = f"{seed}:{rep}:{grid_index}".encode()',
+        REP_STREAMS,
     ),
     # run()'s unopened head, the theta heap and the grid's point count
     Mutant(
@@ -650,8 +686,8 @@ MUTANTS = (
     Mutant(
         "each pool task carries the whole grid",
         "experiments.py",
-        "    plan = [(one, gi, one.models[0]) for gi, one in enumerate(copies)]\n",
-        "    plan = [(config, gi, model) for gi, model in enumerate(config.models)]\n",
+        "        plan.append((one, gi, model))\n",
+        "        plan.append((config, gi, model))\n",
         ("tests/test_cli.py::TestSweepDriver::test_a_pool_task_does_not_grow_with_the_grid",),
     ),
     # the hybrid ratio where lambda > 1, which grows like 1/(w0 - w1)

@@ -1,5 +1,6 @@
 import _random
 import json
+import os
 import pickle
 import random
 from itertools import accumulate, product
@@ -166,6 +167,26 @@ class TestSweepDriver:
         assert capsys.readouterr().err == ""
         assert built == [(F(1, 10), e0, e1) for e0, e1 in default_eps_grid()]
 
+    def test_one_model_per_error_point_in_a_pool(self, monkeypatch, inline_pools):
+        """With more than one worker, each point's task config keeps the model
+        the config built: an 11-point sweep at --jobs 2 builds 11 models."""
+        built = []
+        init = PredictionModel.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PredictionModel, "__init__", counted)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "SWEEP_MIN_REPS_PER_WORKER", 1)
+        config = ExperimentConfig(n=3, replications=4, jobs=2)
+        assert built == [(F(1, 10), e0, e1) for e0, e1 in default_eps_grid()]
+        rows = run_sweep(config)
+        assert inline_pools == [2]
+        assert built == [(F(1, 10), e0, e1) for e0, e1 in default_eps_grid()]
+        assert rows == run_sweep(replace(config, jobs=1))
+
     def test_worker_processes_capped_at_cpu_count(self, monkeypatch, inline_pools):
         """A huge --jobs plans at most one chunk per CPU; no process is started."""
         monkeypatch.setattr(experiments, "SWEEP_MIN_REPS_PER_WORKER", 1)
@@ -268,7 +289,7 @@ class TestSweepDriver:
             for rho in (1 / 1000, 1 / 10, 999 / 1000):
                 for seed in range(500):
                     fused, lists = random.Random(seed), random.Random(seed)
-                    got = experiments._draw_classes(fused, n, rho, e0, e1)
+                    got = experiments._draw_classes(fused.random, n, rho, e0, e1)
                     assert got == tuple(map(LabelClass.of,
                                             draw_class_types(lists, n, rho, e0, e1)))
                     assert fused.random() == lists.random()
@@ -290,6 +311,37 @@ class TestSweepDriver:
         rows = run_sweep(small_config(n=20, replications=200))
         tenth = {r["policy"]: float(r["analytic_ratio"]) for r in rows if r["eps0"] == "0.1"}
         assert tenth["hybrid"] <= min(tenth["nonpreemptive"], tenth["preemptive"])
+
+
+# examples per run of the replication-stream property; CI sets many more
+STREAM_EXAMPLES = int(os.environ.get("BETASCHED_STREAM_EXAMPLES", "200"))
+
+
+class TestReplicationStreams:
+    @settings(max_examples=STREAM_EXAMPLES, deadline=None)
+    @given(
+        seed=st.integers() | st.integers(-(2 ** 80), 2 ** 80) | st.sampled_from([0, -1, 2 ** 64]),
+        grid_index=st.integers(0, 10 ** 4),
+        start=st.integers(0, 10 ** 6),
+        count=st.integers(1, 6),
+        draws=st.integers(0, 120),
+    )
+    @example(seed=0, grid_index=0, start=0, count=3, draws=2)
+    @example(seed=5, grid_index=3, start=2, count=3, draws=0)
+    @example(seed=-7, grid_index=10, start=99_998, count=4, draws=100)
+    @example(seed=2 ** 64 + 1, grid_index=1, start=0, count=2, draws=1)
+    def test_each_replication_is_the_string_seeded_stream(self, seed, grid_index, start,
+                                                          count, draws):
+        """The kept generator, reseeded for each replication of one chunk, has
+        the state (`getstate()`, so `gauss_next` too) and the next `random()`
+        values of `random.Random("<seed>:<grid-index>:<rep>")`, whatever the
+        draws between the reseeds."""
+        reps = range(start, start + count)
+        streams = experiments._rep_streams(seed, grid_index, start, reps.stop)
+        for rep, rand in zip(reps, streams, strict=True):  # one stream per replication
+            want = random.Random(f"{seed}:{grid_index}:{rep}")
+            assert rand.__self__.getstate() == want.getstate()
+            assert [rand() for _ in range(draws + 1)] == [want.random() for _ in range(draws + 1)]
 
 
 class TestArrivalsDriver:
@@ -464,18 +516,29 @@ class TestArrivalsDriver:
 
 def zero_draws(monkeypatch, zero):
     """Make `random.Random.random` return 0.0 at each draw k, counted from 1 in
-    each stream, for which `zero(k)` holds, and draw as before at the others.
+    each replication's stream, for which `zero(k)` holds, and draw as before
+    at the others.
 
     The draws come from the C base class's method, so a second call replaces
-    the first patch instead of wrapping it.
+    the first patch instead of wrapping it. A driver chunk keeps one
+    generator and reseeds it for each replication in `_rep_streams`, so that
+    is wrapped too: the count restarts at each reseed, as it does on each new
+    generator of the engine path.
     """
     draw = _random.Random.random
+    streams = experiments._rep_streams
 
     def patched(rng):
         rng.draws = getattr(rng, "draws", 0) + 1
         return 0.0 if zero(rng.draws) else draw(rng)
 
+    def restarted(*args):
+        for rand in streams(*args):
+            rand.__self__.draws = 0
+            yield rand
+
     monkeypatch.setattr(random.Random, "random", patched)
+    monkeypatch.setattr(experiments, "_rep_streams", restarted)
 
 
 def record_release_times(monkeypatch):

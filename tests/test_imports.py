@@ -1,5 +1,5 @@
 """Each module of the package reaches its siblings through public names only,
-and a one-worker run imports no process-pool machinery."""
+and a one-worker run imports no process-pool machinery and no OpenSSL hashlib."""
 
 import ast
 import os
@@ -51,7 +51,8 @@ def test_a_private_import_is_seen(tmp_path):
 
 # run in a fresh interpreter: the CLI on the arguments after the script, then
 # the modules it added to `sys.modules` from the package's import to the end of
-# the run, of the pool's packages
+# the run, of the pool's packages and hashlib's (a replication's seed hashes
+# with the builtin SHA-512 that `random` uses)
 POOL_PROBE = """
 import sys
 before = set(sys.modules)
@@ -59,7 +60,8 @@ import betasched
 import betasched.cli
 code = betasched.cli.main(sys.argv[1:])
 added = set(sys.modules) - before
-print(code, *sorted(m for m in added if m.split(".")[0] in ("multiprocessing", "concurrent")))
+heavy = ("multiprocessing", "concurrent", "hashlib", "_hashlib")
+print(code, *sorted(m for m in added if m.split(".")[0] in heavy))
 """
 
 
